@@ -11,16 +11,16 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import foliation, intlinalg, ktheory, liealg, orbits
+from . import foliation, ktheory, liealg, orbits
+from .criteria import REGISTRY, check as _check
 from .invariants import index_invariant
-from .topology import ResidualError, expi_hermitian, projection_residual, winding_1d
-from .witnesses import build_witness, phat, ptilde, u_gamma3
+from .topology import ResidualError
 
 SCHEMA = "mdlab/1"
 
@@ -33,29 +33,20 @@ EXIT_USAGE = 64
 @dataclass
 class RunConfig:
     seed: int = 42
-    rank_tol: float = 1e-8
-    residual_tol: float = 0.05
+    samples: int = 10_000
     quad_tol: float = 1e-8
     grid2d: int = 512
     grid3d: int = 128
-    truncation: float = 8.0
-    samples: int = 10_000
-    threads: int | None = None
     output: str | None = None
 
     def validate(self) -> "RunConfig":
-        for name in ("rank_tol", "residual_tol", "quad_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        if self.quad_tol <= 0:
+            raise ConfigError("quad_tol must be positive")
         for name in ("grid2d", "grid3d"):
             if getattr(self, name) < 16:
                 raise ConfigError(f"{name} must be >= 16 (got {getattr(self, name)})")
-        if self.truncation <= 0:
-            raise ConfigError("truncation must be positive")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         return self
 
 
@@ -64,10 +55,7 @@ class ConfigError(ValueError):
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Config file (JSON) with flag overrides; flags win.
-
-    MDLAB_THREADS, when set, supplies the default worker count.
-    """
+    """Config file (JSON) with flag overrides; flags win."""
     values: dict = {}
     if path:
         try:
@@ -82,9 +70,6 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
             values[key] = val
-    env_threads = os.environ.get("MDLAB_THREADS")
-    if env_threads and "threads" not in values:
-        values["threads"] = int(env_threads)
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val
@@ -93,11 +78,6 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg.validate()
-
-
-def _check(name: str, ok: bool, claim: str, **metrics) -> dict:
-    return {"name": name, "status": "pass" if ok else "fail", "claim": claim,
-            "metrics": metrics}
 
 
 def _report(command: str, config: RunConfig, checks: list[dict]) -> dict:
@@ -126,6 +106,8 @@ def _family_from_args(args) -> liealg.MD5Family:
         val = getattr(args, flag, None)
         if val is not None:
             params["lambda" if flag == "lam" else flag] = val
+    if not all(math.isfinite(v) for v in params.values()):
+        raise ConfigError(f"family parameters must be finite (got {params})")
     return liealg.MD5Family(args.family, params)
 
 
@@ -150,8 +132,7 @@ def cmd_algebra(args, config: RunConfig) -> list[dict]:
 def cmd_mdcheck(args, config: RunConfig) -> list[dict]:
     fam = _family_from_args(args)
     alg = liealg.build_md5(fam)
-    rep = orbits.md_verify(alg, args.samples or config.samples, config.seed,
-                           n_workers=config.threads)
+    rep = orbits.md_verify(alg, args.samples or config.samples, config.seed)
     return [_check("md_dichotomy", rep.dichotomy_holds,
                    "orbit dimensions lie in {0, 2} exactly on the predicted strata",
                    **rep.to_json())]
@@ -160,8 +141,8 @@ def cmd_mdcheck(args, config: RunConfig) -> list[dict]:
 def cmd_orbit(args, config: RunConfig) -> list[dict]:
     fam = _family_from_args(args)
     f = np.array([float(v) for v in args.F.split(",")])
-    if f.shape != (5,):
-        raise ConfigError("--F needs 5 comma-separated coordinates")
+    if f.shape != (5,) or not np.isfinite(f).all():
+        raise ConfigError("--F needs 5 finite comma-separated coordinates")
     desc = orbits.closed_form_orbit(fam, f)
     avals = np.linspace(-3.0, 3.0, 41)
     samples = [[float(x) for x in desc.closed_form(0.0, a)] for a in avals]
@@ -197,10 +178,7 @@ def cmd_foliation(args, config: RunConfig) -> list[dict]:
                                  violations=[]))
         if action == "lambda12":
             audit = foliation.p1_submersion_audit(seed=seed)
-            checks.append(_check("p1_audit",
-                                 (not audit.literal_is_constant)
-                                 and audit.sign_component_constant
-                                 and audit.invariant_residual < 1e-9,
+            checks.append(_check("p1_audit", audit.ok,
                                  "literal projection is not orbit-constant; "
                                  "working invariant is", **audit.to_json()))
     if which in ("integrability", "all"):
@@ -241,160 +219,7 @@ def cmd_invariants(args, config: RunConfig) -> list[dict]:
 
 
 def cmd_reproduce(args, config: RunConfig) -> list[dict]:
-    checks: list[dict] = []
-    rng = np.random.default_rng(config.seed)
-
-    # Catalogue build, Jacobi, derived ideal.
-    worst_j = 0.0
-    ideals_ok = True
-    for fid in liealg.FAMILIES:
-        fam = liealg.sample_family(fid, rng)
-        alg = liealg.build_md5(fam)
-        worst_j = max(worst_j, liealg.jacobi_residual(alg))
-        ideal = liealg.derived_ideal(alg)
-        ideals_ok = ideals_ok and ideal.rank == 4 and ideal.commutative
-    checks.append(_check("families", worst_j == 0.0 and ideals_ok,
-                         "all 14 families build with Jacobi residual 0 and "
-                         "commutative 4-dimensional derived ideal",
-                         jacobi_residual_max=worst_j))
-
-    # Orbit-dimension dichotomy, 5 random draws per family.
-    bad = 0
-    total = 0
-    for fid in liealg.FAMILIES:
-        for k in range(5):
-            fam = liealg.sample_family(fid, rng)
-            alg = liealg.build_md5(fam)
-            rep = orbits.md_verify(alg, config.samples, config.seed + k,
-                                   n_workers=config.threads)
-            bad += len(rep.counterexamples)
-            total += rep.n_samples
-    checks.append(_check("md_dichotomy", bad == 0,
-                         "orbit dimensions in {0, 2}, zero exactly on the "
-                         "predicted stratum", counterexamples=bad, samples=total))
-
-    # Closed-form orbits against the matrix-exponential flow.
-    worst = 0.0
-    for fid in liealg.FAMILIES:
-        for _ in range(20):
-            fam = liealg.sample_family(fid, rng)
-            f = rng.standard_normal(5)
-            worst = max(worst, orbits.flow_vs_closed_form(fam, f))
-    checks.append(_check("orbit_closed_forms", worst < 1e-9,
-                         "flow matches closed forms to 1e-9 on [-3, 3]",
-                         deviation_max=worst))
-
-    # Action group law and strata preservation.
-    law = 0.0
-    for action in foliation.ACTIONS:
-        for _ in range(200):
-            p = rng.standard_normal(5)
-            g, h = rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2)
-            law = max(law, float(np.abs(
-                foliation.act(action, g, foliation.act(action, h, p))
-                - foliation.act(action, g + h, p)).max()))
-    checks.append(_check("action_group_law", law < 1e-12,
-                         "action law holds to 1e-12", deviation_max=law))
-
-    violations = 0
-    for action in foliation.ACTIONS:
-        for stratum in foliation.ACTION_STRATA[action]:
-            rep = foliation.preservation_check(action, stratum, config.samples, config.seed)
-            violations += len(rep.violations)
-    checks.append(_check("strata_preservation", violations == 0,
-                         "both actions preserve their strata", violations=violations))
-
-    # Leaf invariants, audit, integrability, fibration.
-    inv_ok = True
-    for action in foliation.ACTIONS:
-        rep = foliation.leafspace_report(action, n_samples=1000, seed=config.seed)
-        inv_ok = inv_ok and rep["ok"]
-    audit = foliation.p1_submersion_audit(seed=config.seed)
-    checks.append(_check("leaf_invariants", inv_ok,
-                         "invariants orbit-constant to 1e-9 with full rank "
-                         "(V1:3 V2:2 W2:1 V3:3 W3:1)"))
-    checks.append(_check("p1_audit",
-                         (not audit.literal_is_constant) and audit.sign_component_constant
-                         and audit.invariant_residual < 1e-9,
-                         "documented discrepancy: literal projection moves along "
-                         "orbits, invariant map does not",
-                         literal_max_deviation=audit.literal_max_deviation,
-                         invariant_residual=audit.invariant_residual))
-    integ_ok = True
-    for action in foliation.ACTIONS:
-        rep = foliation.integrability_check(action, 1000, config.seed)
-        integ_ok = integ_ok and rep.ok
-    checks.append(_check("integrability", integ_ok,
-                         "generator fields commute and span the orbit tangents"))
-    fib = foliation.f1_fibration_check(1000, config.seed)
-    checks.append(_check("f1_fibration", fib.ok,
-                         "direction map is orbit-constant of rank 3",
-                         residual=fib.constancy_residual))
-
-    # Exact integer algebra oracle.
-    agree = True
-    for _ in range(1000):
-        shape = rng.integers(1, 5, 2)
-        m = rng.integers(-5, 6, shape)
-        agree = agree and (intlinalg.invariant_factors(m)
-                           == intlinalg.minor_gcd_invariant_factors(m))
-    checks.append(_check("snf_oracle", agree,
-                         "Smith invariant factors equal the minor-gcd oracle"))
-
-    # Six-term dichotomy and the forced K-groups.
-    groups, known = ktheory.hexagon_preset("allZ")
-    sols = ktheory.solve_six_term(groups, known, bound=3)
-    patterns = {tuple(abs(int(m[0, 0])) for m in s.maps) for s in sols}
-    checks.append(_check("sixterm_allZ",
-                         patterns == {(0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0)},
-                         "exactly the two alternating completions",
-                         completions=len(sols)))
-    groups, known = ktheory.hexagon_preset("gamma1")
-    sols = ktheory.solve_six_term(groups, known, bound=3)
-    checks.append(_check("gamma1_k_groups",
-                         len(sols) == 1 and sols[0].groups == (0, 1, 2, 2, 1, 0),
-                         "the gamma1 hexagon forces K0 = K1 = Z",
-                         groups=list(sols[0].groups) if sols else []))
-
-    # Witness identities.
-    pts2 = rng.uniform(-2, 2, (10_000, 2))
-    pres = projection_residual(phat(), pts2)
-    u = u_gamma3()
-    upts = rng.uniform(-np.pi / 2, np.pi / 2, (10_000, 3))
-    uv = u(upts)
-    unit_res = float(np.abs(uv @ uv.conj().transpose(0, 2, 1) - np.eye(2)).max())
-    det_res = float(np.abs(np.linalg.det(uv) - 1.0).max())
-    lift = ptilde()
-    z0 = np.concatenate([pts2, np.zeros((len(pts2), 1))], axis=1)
-    # e^{2 pi i P} = I for a projection P.
-    expz = expi_hermitian(lift(z0), 2.0 * np.pi)
-    exp_res = float(np.abs(expz - np.eye(2)).max())
-    w1 = winding_1d(build_witness("uplus"), "+", tol=config.quad_tol)
-    checks.append(_check("witness_identities",
-                         pres < 1e-10 and unit_res < 1e-10 and det_res < 1e-10
-                         and exp_res < 1e-10 and w1.rounded == 1
-                         and w1.residual < 1e-6,
-                         "projection/unitary identities hold to 1e-10; "
-                         "reference winding is +1",
-                         projection_residual=pres, unitarity_residual=unit_res,
-                         det_residual=det_res, exp_identity_residual=exp_res,
-                         uplus_winding=w1.raw))
-
-    # Index invariants at the configured grids.
-    res2 = index_invariant("F2", resolution_2d=config.grid2d, resolution_3d=config.grid3d)
-    res3 = index_invariant("F3", resolution_2d=config.grid2d)
-    worst_resid = max(v["residual"] for r in (res2, res3) for v in r.integrals.values())
-    checks.append(_check("index_F2",
-                         res2.gamma1 == [[0, 1], [0, 1]] and res2.gamma2 == [[1], [1]]
-                         and res2.ok,
-                         "gamma1 = [[0,1],[0,1]], gamma2 = (1,1)",
-                         gamma1=res2.gamma1, gamma2=res2.gamma2, k_groups=res2.k_groups))
-    checks.append(_check("index_F3", res3.gamma3 == [0, 1] and res3.ok,
-                         "gamma3 = (0, 1)", gamma3=res3.gamma3))
-    checks.append(_check("integral_residuals", worst_resid < config.residual_tol,
-                         "every topological integral is within the residual budget",
-                         residual_max=worst_resid))
-    return checks
+    return [check for entry in REGISTRY for check in entry.run(config)]
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +235,6 @@ def _add_common(sp):
     sp.add_argument("--config", help="JSON config file")
     sp.add_argument("--seed", type=int)
     sp.add_argument("--samples", type=int)
-    sp.add_argument("--threads", type=int)
     sp.add_argument("--output", help="write the JSON report to this path")
     sp.add_argument("--json", action="store_true", help="print the JSON report to stdout")
 
@@ -458,7 +282,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--type", required=True, choices=["F2", "F3"])
     sp.add_argument("--resolution", type=int, help="3D grid resolution")
     sp.add_argument("--resolution2d", type=int, help="2D grid resolution")
-    sp.add_argument("--truncation", type=float)
     _add_common(sp)
 
     sp = sub.add_parser("reproduce", help="run the full verification suite")
@@ -497,11 +320,9 @@ def main(argv=None) -> int:
     overrides = {
         "seed": getattr(args, "seed", None),
         "samples": getattr(args, "samples", None),
-        "threads": getattr(args, "threads", None),
         "output": getattr(args, "output", None),
         "grid3d": getattr(args, "resolution", None) or getattr(args, "grid3d", None),
         "grid2d": getattr(args, "resolution2d", None) or getattr(args, "grid2d", None),
-        "truncation": getattr(args, "truncation", None),
     }
     try:
         config = parse_config(getattr(args, "config", None), overrides)

@@ -247,22 +247,21 @@ def leaf_invariants(stratum: str) -> LeafInvariants:
                           _INVARIANTS[stratum])
 
 
-def _jacobian(fn, p, h_scale: float = 1e-5):
-    """Central finite-difference Jacobian of the continuous invariant part."""
-    p = np.asarray(p, dtype=float)
-    h = h_scale * (1.0 + np.linalg.norm(p))
+def _jacobian(fn, p, h: float):
+    """Central finite-difference Jacobian of an array-valued fn at a point of R^5."""
     cols = []
     for i in range(5):
         dp = np.zeros(5)
         dp[i] = h
-        hi, _ = fn(p + dp)
-        lo, _ = fn(p - dp)
-        cols.append((hi - lo) / (2 * h))
+        cols.append((fn(p + dp) - fn(p - dp)) / (2 * h))
     return np.stack(cols, axis=1)
 
 
 def _diff_rank(fn, p, cutoff: float = 1e-6) -> int:
-    sv = np.linalg.svd(_jacobian(fn, p), compute_uv=False)
+    """Numeric rank of the differential of the continuous invariant part."""
+    p = np.asarray(p, dtype=float)
+    jac = _jacobian(lambda q: fn(q)[0], p, 1e-5 * (1.0 + np.linalg.norm(p)))
+    sv = np.linalg.svd(jac, compute_uv=False)
     return int((sv > cutoff).sum())
 
 
@@ -331,15 +330,6 @@ _ENVOYS = {
 }
 
 
-def _fd_field_jacobian(field, p, h=1e-6):
-    cols = []
-    for i in range(5):
-        dp = np.zeros(5)
-        dp[i] = h
-        cols.append((field(p + dp) - field(p - dp)) / (2 * h))
-    return np.stack(cols, axis=1)
-
-
 @dataclass
 class IntegrabilityReport:
     action: str
@@ -383,8 +373,8 @@ def integrability_check(action: str, n_samples: int, seed: int) -> Integrability
     pts = rng.standard_normal((n_samples, 5))
     for p in pts:
         gen = action_generators(action, p)
-        ju = _fd_field_jacobian(u_field, p)
-        jv = _fd_field_jacobian(v_field, p)
+        ju = _jacobian(u_field, p, 1e-6)
+        jv = _jacobian(v_field, p, 1e-6)
         lie = jv @ gen[0] - ju @ gen[1]
         bracket_res = max(bracket_res, float(np.abs(lie).max()))
         sv = np.linalg.svd(gen, compute_uv=False)
@@ -457,6 +447,12 @@ class SubmersionAudit:
     @property
     def literal_is_constant(self) -> bool:
         return self.literal_max_deviation < 1e-9
+
+    @property
+    def ok(self) -> bool:
+        """The literal map moves along orbits; its sign part and the invariant do not."""
+        return (not self.literal_is_constant and self.sign_component_constant
+                and self.invariant_residual < 1e-9)
 
     def to_json(self) -> dict:
         return {

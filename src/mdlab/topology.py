@@ -140,12 +140,17 @@ class MatrixField:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.derivative is not None:
             return self.derivative(pts, axis)
-        h = h_scale * (1.0 + np.abs(pts[:, axis]))
-        up = pts.copy()
-        dn = pts.copy()
-        up[:, axis] += h
-        dn[:, axis] -= h
-        return (self.evaluator(up) - self.evaluator(dn)) / (2 * h)[:, None, None]
+        return _central_difference(self.evaluator, pts, axis,
+                                   h_scale * (1.0 + np.abs(pts[:, axis])))
+
+
+def _central_difference(evaluator, pts, axis: int, h) -> np.ndarray:
+    """(f(x + h e_axis) - f(x - h e_axis)) / 2h; h is one step or one per point."""
+    up = pts.copy()
+    dn = pts.copy()
+    up[:, axis] += h
+    dn[:, axis] -= h
+    return (evaluator(up) - evaluator(dn)) / (2 * np.asarray(h))[..., None, None]
 
 
 def projection_residual(field: MatrixField, pts) -> float:
@@ -162,7 +167,7 @@ def min_singular_value(field: MatrixField, pts) -> float:
 
 
 def derivative_check(field: MatrixField, pts, h: float = 1e-6) -> float:
-    """Max deviation between exact and finite-difference derivatives."""
+    """Max deviation between exact and finite-difference derivatives (NaN if any is NaN)."""
     if field.derivative is None:
         return 0.0
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -170,16 +175,9 @@ def derivative_check(field: MatrixField, pts, h: float = 1e-6) -> float:
         pts = pts[~field.nonsmooth(pts)]
     if len(pts) == 0:
         return 0.0
-    worst = 0.0
-    for axis in range(field.dim):
-        exact = field.derivative(pts, axis)
-        up = pts.copy()
-        dn = pts.copy()
-        up[:, axis] += h
-        dn[:, axis] -= h
-        fd = (field.evaluator(up) - field.evaluator(dn)) / (2 * h)
-        worst = max(worst, float(np.abs(exact - fd).max()))
-    return worst
+    return float(np.max([np.abs(field.derivative(pts, axis)
+                                - _central_difference(field.evaluator, pts, axis, h)).max()
+                         for axis in range(field.dim)]))
 
 
 @dataclass
@@ -204,15 +202,14 @@ class IntegralResult:
         }
 
 
-def _finish(raw_complex, boundary_residual, grid, name, extra=None,
-            residual_limit=RESIDUAL_LIMIT) -> IntegralResult:
+def _finish(raw_complex, boundary_residual, grid, name, extra=None) -> IntegralResult:
     raw = float(raw_complex.real)
     rounded = int(round(raw))
     residual = abs(raw - rounded) + abs(float(raw_complex.imag))
     res = IntegralResult(raw, rounded, residual, boundary_residual, grid, name, extra or {})
-    if residual >= residual_limit:
+    if residual >= RESIDUAL_LIMIT:
         raise ResidualError(
-            f"{name or 'integral'}: pre-rounding residual {residual:.3g} >= {residual_limit}; "
+            f"{name or 'integral'}: pre-rounding residual {residual:.3g} >= {RESIDUAL_LIMIT}; "
             f"refine the grid (current {grid}) or enlarge the domain")
     return res
 

@@ -1,170 +1,52 @@
-"""Acceptance suite: every criterion at its stated tolerance.
+"""Acceptance suite: the numbered entries of `mdlab.criteria.REGISTRY`.
 
-Each test prints one summary line (visible with -s or in the captured output)
-and asserts the criterion.  Runtime-limited criteria are timed.
+`mdlab reproduce` runs the same entries.  Each test here runs one numbered
+entry at its own seed and the default sample counts and grids, prints one
+`criterion NN:` line (visible with -s), and asserts that every check passes
+within the entry's time budget.
 """
 
-import math
 import time
 
-import numpy as np
-import pytest
+from mdlab.cli import RunConfig
+from mdlab.criteria import REGISTRY
 
-from mdlab import foliation, intlinalg, ktheory, liealg, orbits
-from mdlab.invariants import index_invariant
-from mdlab.topology import expi_hermitian, projection_residual, winding_1d
-from mdlab.witnesses import phat, ptilde, u_gamma3, uplus
+# The seed of each criterion; 06-08 draw nothing at random.
+SEEDS = {1: 101, 2: 202, 3: 303, 4: 11, 5: 13, 9: 909, 10: 1010}
 
-ALL_FAMILIES = list(liealg.FAMILIES)
-
-
-def _line(num, ok, detail):
-    print(f"criterion {num:02d}: {'PASS' if ok else 'FAIL'} - {detail}")
-    assert ok, detail
-
-
-def test_criterion_01_md_dichotomy():
-    rng = np.random.default_rng(101)
-    t0 = time.time()
-    counterexamples = 0
-    ranks = set()
-    for fid in ALL_FAMILIES:
-        for k in range(5):
-            alg = liealg.build_md5(liealg.sample_family(fid, rng))
-            rep = orbits.md_verify(alg, 10_000, seed=1000 + k)
-            counterexamples += len(rep.counterexamples)
-            ranks |= set(rep.rank_counts)
-    elapsed = time.time() - t0
-    ok = counterexamples == 0 and ranks <= {0, 2} and elapsed < 30.0
-    _line(1, ok, f"ranks {sorted(ranks)}, {counterexamples} counterexamples, "
-                 f"{elapsed:.1f}s (< 30 s)")
+# The checks of a `mdlab reproduce` report, in order.
+REPORT_CHECKS = (
+    "families", "md_dichotomy", "orbit_closed_forms", "action_group_law",
+    "strata_preservation", "leaf_invariants", "p1_audit", "integrability",
+    "f1_fibration", "snf_oracle", "sixterm_allZ", "gamma1_k_groups",
+    "witness_identities", "index_F2", "index_F3", "integral_residuals",
+)
 
 
-def test_criterion_02_orbit_closed_forms():
-    rng = np.random.default_rng(202)
-    t0 = time.time()
-    worst = 0.0
-    for fid in ALL_FAMILIES:
-        for _ in range(20):
-            fam = liealg.sample_family(fid, rng)
-            f = rng.standard_normal(5)
-            worst = max(worst, orbits.flow_vs_closed_form(
-                fam, f, avals=np.linspace(-3.0, 3.0, 100)))
-    elapsed = time.time() - t0
-    ok = worst < 1e-9 and elapsed < 10.0
-    _line(2, ok, f"max deviation {worst:.2e} (< 1e-9), {elapsed:.1f}s (< 10 s)")
+def test_registry_lists_the_report_checks_and_each_criterion_once():
+    assert tuple(name for entry in REGISTRY for name in entry.checks) == REPORT_CHECKS
+    assert sorted(entry.number for entry in REGISTRY if entry.number) == list(range(1, 11))
 
 
-def test_criterion_03_action_and_strata():
-    rng = np.random.default_rng(303)
-    law = 0.0
-    for spec in foliation.ACTIONS:
-        for _ in range(300):
-            p = rng.standard_normal(5)
-            g, h = rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2)
-            law = max(law, float(np.abs(
-                foliation.act(spec, g, foliation.act(spec, h, p))
-                - foliation.act(spec, g + h, p)).max()))
-    violations = 0
-    for spec in foliation.ACTIONS:
-        for stratum in foliation.ACTION_STRATA[spec]:
-            rep = foliation.preservation_check(spec, stratum, 10_000, seed=7)
-            violations += len(rep.violations)
-    ok = law < 1e-12 and violations == 0
-    _line(3, ok, f"group-law deviation {law:.2e} (< 1e-12), "
-                 f"{violations} preservation violations over 6x10^4 samples")
+def _acceptance_test(entry):
+    def test():
+        config = RunConfig(seed=SEEDS.get(entry.number, RunConfig.seed))
+        t0 = time.perf_counter()
+        checks = entry.run(config)
+        elapsed = time.perf_counter() - t0
+        ok = all(c["status"] == "pass" for c in checks) and (
+            entry.budget_s is None or elapsed < entry.budget_s)
+        detail = "; ".join(f"{c['name']} {c['metrics']}" for c in checks)
+        budget = f" (< {entry.budget_s:.0f} s)" if entry.budget_s else ""
+        print(f"criterion {entry.number:02d}: {'PASS' if ok else 'FAIL'} - "
+              f"{detail}; {elapsed:.1f}s{budget}")
+        assert tuple(c["name"] for c in checks) == entry.checks
+        assert ok, checks
+
+    return test
 
 
-def test_criterion_04_leaf_space_models():
-    expected_rank = {"V1": 3, "V2": 2, "W2": 1, "V3": 3, "W3": 1}
-    worst = 0.0
-    ranks_ok = True
-    for stratum, dim in expected_rank.items():
-        rep = foliation.stratum_invariant_report(stratum, 1000, seed=11)
-        worst = max(worst, rep.constancy_residual)
-        ranks_ok = ranks_ok and set(rep.rank_counts) == {dim}
-    audit = foliation.p1_submersion_audit(n_samples=200, seed=11)
-    ok = (worst < 1e-9 and ranks_ok and not audit.literal_is_constant
-          and audit.sign_component_constant and audit.invariant_residual < 1e-9)
-    _line(4, ok, f"invariant residual {worst:.2e} (< 1e-9), ranks full, literal "
-                 f"projection moves by {audit.literal_max_deviation:.2f} while the "
-                 f"invariant moves by {audit.invariant_residual:.2e}")
-
-
-def test_criterion_05_integrability():
-    results = [foliation.integrability_check(spec, 1000, seed=13)
-               for spec in foliation.ACTIONS]
-    bracket = max(r.bracket_residual for r in results)
-    ranks_ok = all(set(r.rank_counts) == {2} for r in results)
-    ok = bracket < 1e-8 and ranks_ok
-    _line(5, ok, f"generator bracket residual {bracket:.2e} (< 1e-8), rank 2 at "
-                 f"all 10^3 samples per action")
-
-
-def test_criterion_06_six_term_dichotomy():
-    groups, known = ktheory.hexagon_preset("allZ")
-    sols = ktheory.solve_six_term(groups, known, bound=3)
-    patterns = {tuple(abs(int(m[0, 0])) for m in s.maps) for s in sols}
-    ok = len(sols) == 2 and patterns == {(0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0)}
-    _line(6, ok, f"{len(sols)} completions up to automorphism, patterns {sorted(patterns)}")
-
-
-def test_criterion_07_k_group_derivation():
-    groups, known = ktheory.hexagon_preset("gamma1")
-    sols = ktheory.solve_six_term(groups, known, bound=3)
-    ok = len(sols) == 1 and sols[0].groups == (0, 1, 2, 2, 1, 0)
-    d0 = known[2]
-    ker = intlinalg.kernel_basis(d0).shape[1]
-    coker_free, coker_tor = intlinalg.cokernel(d0)
-    ok = ok and ker == 1 and coker_free == 1 and not coker_tor
-    _line(7, ok, "delta0 = [[0,1],[0,1]] forces K0 = ker = Z and K1 = coker = Z")
-
-
-@pytest.fixture(scope="module")
-def default_invariants():
-    t0 = time.time()
-    res2 = index_invariant("F2", resolution_2d=512, resolution_3d=128)
-    res3 = index_invariant("F3", resolution_2d=512)
-    return res2, res3, time.time() - t0
-
-
-def test_criterion_08_index_invariants(default_invariants):
-    res2, res3, elapsed = default_invariants
-    worst = max(v["residual"] for r in (res2, res3) for v in r.integrals.values())
-    ok = (res2.gamma1 == [[0, 1], [0, 1]] and res2.gamma2 == [[1], [1]]
-          and res3.gamma3 == [0, 1] and res2.ok and res3.ok
-          and worst < 0.05 and elapsed < 300.0)
-    _line(8, ok, f"gamma1 = {res2.gamma1}, gamma2 = {[r[0] for r in res2.gamma2]}, "
-                 f"gamma3 = {res3.gamma3}; residual max {worst:.2e} (< 0.05) at "
-                 f"128^3/512^2; {elapsed:.0f}s (< 300 s)")
-
-
-def test_criterion_09_witness_identities():
-    rng = np.random.default_rng(909)
-    pts = rng.uniform(-2, 2, (10_000, 2))
-    p_res = projection_residual(phat(), pts)
-    upts = rng.uniform(-math.pi / 2, math.pi / 2, (10_000, 3))
-    u = u_gamma3()(upts)
-    u_res = float(np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(2)).max())
-    det_res = float(np.abs(np.linalg.det(u) - 1.0).max())
-    z0 = np.concatenate([pts, np.zeros((len(pts), 1))], axis=1)
-    exp_res = float(np.abs(expi_hermitian(ptilde()(z0), 2 * math.pi) - np.eye(2)).max())
-    w = winding_1d(uplus(), "+")
-    ok = (p_res < 1e-10 and u_res < 1e-10 and det_res < 1e-10 and exp_res < 1e-10
-          and w.rounded == 1 and w.residual < 1e-6)
-    _line(9, ok, f"projection {p_res:.1e}, unitarity {u_res:.1e}, det {det_res:.1e}, "
-                 f"exp-at-0 {exp_res:.1e} (all < 1e-10); winding(u+) = {w.raw:.9f} "
-                 f"(residual {w.residual:.1e} < 1e-6)")
-
-
-def test_criterion_10_integer_algebra_oracle():
-    rng = np.random.default_rng(1010)
-    mismatches = 0
-    for _ in range(1000):
-        shape = rng.integers(1, 5, 2)
-        m = rng.integers(-5, 6, shape)
-        if intlinalg.invariant_factors(m) != intlinalg.minor_gcd_invariant_factors(m):
-            mismatches += 1
-    _line(10, mismatches == 0,
-          f"{mismatches} mismatches between Smith form and minor-gcd oracle "
-          f"on 10^3 random matrices")
+# One test per numbered entry, named test_criterion_NN_<entry name>.
+for _entry in REGISTRY:
+    if _entry.number is not None:
+        globals()[f"test_criterion_{_entry.number:02d}_{_entry.name}"] = _acceptance_test(_entry)

@@ -13,7 +13,6 @@ def test_defaults():
     cfg = parse_config()
     assert cfg.seed == 42
     assert cfg.grid2d == 512 and cfg.grid3d == 128
-    assert cfg.truncation == 8.0
 
 
 def test_flag_overrides_file(tmp_path):
@@ -29,22 +28,17 @@ def test_config_rejections(tmp_path):
         parse_config(None, {"grid3d": 8})
     with pytest.raises(ConfigError, match="samples"):
         parse_config(None, {"samples": 0})
-    with pytest.raises(ConfigError, match="rank_tol"):
-        parse_config(None, {"rank_tol": -1.0})
+    with pytest.raises(ConfigError, match="quad_tol"):
+        parse_config(None, {"quad_tol": -1.0})
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config(str(bad))
     unk = tmp_path / "unk.json"
-    unk.write_text(json.dumps({"bogus": 1}))
-    with pytest.raises(ConfigError, match="unknown config key"):
-        parse_config(str(unk))
-
-
-def test_env_threads(monkeypatch):
-    monkeypatch.setenv("MDLAB_THREADS", "3")
-    assert parse_config().threads == 3
-    assert parse_config(None, {"threads": 2}).threads == 2
+    for key in ("bogus", "truncation", "threads", "rank_tol", "residual_tol"):
+        unk.write_text(json.dumps({key: 1}))
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config(str(unk))
 
 
 def test_usage_errors_exit_64(capsys):
@@ -96,7 +90,10 @@ def test_orbit_command(capsys):
 
 
 def test_orbit_rejects_malformed_covector():
-    assert main(["orbit", "--family", "5_4_9", "--lambda", "2", "--F", "1,2"]) == 64
+    orbit = ["orbit", "--family", "5_4_9", "--lambda", "2", "--F"]
+    for covector in ("1,2", "0,nan,1,1,1", "0,inf,1,1,1"):
+        assert main(orbit + [covector]) == 64
+    assert main(["orbit", "--family", "5_4_9", "--lambda", "nan", "--F", "0,1,1,1,1"]) == 64
 
 
 def test_foliation_command(capsys):

@@ -79,14 +79,6 @@ def test_md_verify_examples():
     assert len(rz.counterexamples) == 500
 
 
-def test_md_verify_deterministic_across_worker_counts():
-    alg = build_md5("5_4_9", **{"lambda": 2.0})
-    r1 = md_verify(alg, 5000, seed=123, n_workers=1)
-    r4 = md_verify(alg, 5000, seed=123, n_workers=4)
-    assert r1.rank_counts == r4.rank_counts
-    assert len(r1.counterexamples) == len(r4.counterexamples)
-
-
 def test_flow_identity_at_zero():
     alg = build_md5("5_4_7", **{"lambda": 2.0})
     f = covector(0.4, 1.0, -2.0, 0.3, 0.9)
@@ -172,6 +164,11 @@ def test_flow_vs_closed_form_examples():
 
     # a = 0 grid only: exact agreement.
     assert flow_vs_closed_form(fam7, covector(0, 1, 1, 1, 1), avals=[0.0]) == 0.0
+
+    # A non-finite covector deviates by NaN, which meets no bound.
+    with np.errstate(invalid="ignore"):
+        for bad in (np.nan, np.inf):
+            assert np.isnan(flow_vs_closed_form(fam7, covector(0, bad, 1, 1, 1)))
 
 
 @pytest.mark.parametrize("fid", ALL_FAMILIES)
