@@ -138,6 +138,12 @@ def cmd_mdcheck(args, config: RunConfig) -> list[dict]:
                    **rep.to_json())]
 
 
+ORBIT_TOL = 1e-9
+# Rounding a coordinate of size v errs by up to v * eps, so on an orbit that
+# grows past this size round-off alone exceeds the absolute ORBIT_TOL.
+ORBIT_SCALE_LIMIT = ORBIT_TOL / np.finfo(float).eps
+
+
 def cmd_orbit(args, config: RunConfig) -> list[dict]:
     fam = _family_from_args(args)
     f = np.array([float(v) for v in args.F.split(",")])
@@ -145,12 +151,18 @@ def cmd_orbit(args, config: RunConfig) -> list[dict]:
         raise ConfigError("--F needs 5 finite comma-separated coordinates")
     desc = orbits.closed_form_orbit(fam, f)
     avals = np.linspace(-3.0, 3.0, 41)
-    samples = [[float(x) for x in desc.closed_form(0.0, a)] for a in avals]
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = np.array([desc.closed_form(0.0, a) for a in avals])
+    scale = float(np.abs(samples).max())
+    if not scale <= ORBIT_SCALE_LIMIT:
+        raise ConfigError(
+            f"--F {args.F} is out of range: its orbit on [-3, 3] reaches {scale:.3g}, past "
+            f"{ORBIT_SCALE_LIMIT:.3g} where round-off exceeds the {ORBIT_TOL} tolerance")
     dev = orbits.flow_vs_closed_form(fam, f, avals=avals)
-    return [_check("orbit", dev < 1e-9,
+    return [_check("orbit", dev < ORBIT_TOL,
                    "matrix-exponential flow matches the closed-form orbit",
                    stratum=desc.stratum, flow_deviation=dev,
-                   closed_form_samples=samples[:5])]
+                   closed_form_samples=[[float(x) for x in s] for s in samples[:5]])]
 
 
 def cmd_foliation(args, config: RunConfig) -> list[dict]:

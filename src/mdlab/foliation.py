@@ -296,18 +296,17 @@ def stratum_invariant_report(stratum: str, n_samples: int, seed: int) -> Stratum
     rng = np.random.default_rng(seed)
     pts = sample_stratum(stratum, rng, n_samples)
     gs = rng.uniform(-3.0, 3.0, size=(n_samples, 2))
-    resid = 0.0
+    resid = [0.0]
     ranks: dict[int, int] = {}
     for p, g in zip(pts, gs):
         c0, d0 = inv.mapping(p)
         c1, d1 = inv.mapping(act(action, g, p))
-        if d0 != d1:
-            resid = math.inf
-        resid = max(resid, float(np.abs(c1 - c0).max()))
+        resid.append(np.abs(c1 - c0).max() if d0 == d1 else math.inf)
         r = _diff_rank(inv.mapping, p)
         ranks[r] = ranks.get(r, 0) + 1
     full = set(ranks) == {inv.dim}
-    return StratumReport(stratum, inv.model, STRATUM_ALGEBRA[stratum], resid, ranks, full)
+    return StratumReport(stratum, inv.model, STRATUM_ALGEBRA[stratum],
+                         float(np.max(resid)), ranks, full)
 
 
 def leafspace_report(action: str, n_samples: int = 200, seed: int = 0) -> dict:
@@ -367,8 +366,8 @@ def integrability_check(action: str, n_samples: int, seed: int) -> Integrability
     alg = build_md5(_ENVOYS[action])
     u_field = lambda p: action_generators(action, p)[0]
     v_field = lambda p: action_generators(action, p)[1]
-    bracket_res = 0.0
-    tangent_res = 0.0
+    bracket_res = [0.0]
+    tangent_res = [0.0]
     ranks: dict[int, int] = {}
     pts = rng.standard_normal((n_samples, 5))
     for p in pts:
@@ -376,15 +375,16 @@ def integrability_check(action: str, n_samples: int, seed: int) -> Integrability
         ju = _jacobian(u_field, p, 1e-6)
         jv = _jacobian(v_field, p, 1e-6)
         lie = jv @ gen[0] - ju @ gen[1]
-        bracket_res = max(bracket_res, float(np.abs(lie).max()))
+        bracket_res.append(np.abs(lie).max())
         sv = np.linalg.svd(gen, compute_uv=False)
         r = int((sv > 1e-10 * max(1.0, sv[0])).sum())
         ranks[r] = ranks.get(r, 0) + 1
         b = kirillov_form(alg, p)
         ub, sb, _ = np.linalg.svd(b)
         angles = scipy.linalg.subspace_angles(gen.T, ub[:, :2])
-        tangent_res = max(tangent_res, float(np.max(angles)))
-    return IntegrabilityReport(action, n_samples, seed, bracket_res, ranks, tangent_res)
+        tangent_res.append(np.max(angles))
+    return IntegrabilityReport(action, n_samples, seed, float(np.max(bracket_res)), ranks,
+                               float(np.max(tangent_res)))
 
 
 @dataclass
@@ -420,7 +420,7 @@ def f1_fibration_check(n_samples: int, seed: int) -> FibrationReport:
     """
     rng = np.random.default_rng(seed)
     fam = MD5Family("5_4_5")
-    resid = 0.0
+    resid = [0.0]
     ranks: dict[int, int] = {}
     avals = np.linspace(-3.0, 3.0, 13)
     pts = rng.standard_normal((n_samples, 5))
@@ -431,10 +431,10 @@ def f1_fibration_check(n_samples: int, seed: int) -> FibrationReport:
         for a in avals:
             q = desc.closed_form(0.0, a)
             d, _ = _sphere_map(q)
-            resid = max(resid, float(np.abs(d - base).max()))
+            resid.append(np.abs(d - base).max())
         r = _diff_rank(_sphere_map, p)
         ranks[r] = ranks.get(r, 0) + 1
-    return FibrationReport(n_samples, seed, resid, ranks)
+    return FibrationReport(n_samples, seed, float(np.max(resid)), ranks)
 
 
 @dataclass
@@ -451,7 +451,7 @@ class SubmersionAudit:
     @property
     def ok(self) -> bool:
         """The literal map moves along orbits; its sign part and the invariant do not."""
-        return (not self.literal_is_constant and self.sign_component_constant
+        return (self.literal_max_deviation >= 1e-9 and self.sign_component_constant
                 and self.invariant_residual < 1e-9)
 
     def to_json(self) -> dict:
@@ -482,18 +482,18 @@ def p1_submersion_audit(n_samples: int = 100, seed: int = 0) -> SubmersionAudit:
     def literal(p):
         return np.array([p[1], p[2], p[3]]), (int(np.sign(p[4])),)
 
-    lit_dev = 0.0
+    lit_dev = [0.0]
     sign_const = True
-    inv_resid = 0.0
+    inv_resid = [0.0]
     for p, g in zip(pts, gs):
         q = act("lambda12", g, p)
         l0, s0 = literal(p)
         l1, s1 = literal(q)
-        lit_dev = max(lit_dev, float(np.abs(l1 - l0).max()))
+        lit_dev.append(np.abs(l1 - l0).max())
         sign_const = sign_const and (s0 == s1)
         c0, _ = inv.mapping(p)
         c1, _ = inv.mapping(q)
-        inv_resid = max(inv_resid, float(np.abs(c1 - c0).max()))
+        inv_resid.append(np.abs(c1 - c0).max())
 
     p0 = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
     q0 = act("lambda12", (0.0, 1.0), p0)
@@ -502,4 +502,4 @@ def p1_submersion_audit(n_samples: int = 100, seed: int = 0) -> SubmersionAudit:
         "after_a_1": [float(v) for v in q0],
         "literal_changed": bool(np.abs(q0[1:4] - p0[1:4]).max() > 1e-3),
     }
-    return SubmersionAudit(lit_dev, sign_const, inv_resid, example)
+    return SubmersionAudit(float(np.max(lit_dev)), sign_const, float(np.max(inv_resid)), example)

@@ -148,6 +148,14 @@ def solve_six_term(groups, known_maps=None, bound: int = 3,
     are searched with entries in [-bound, bound].  Completions are grouped by
     the tuple of per-map invariant factors (unimodular base changes preserve
     them) and one lexicographically minimal representative per class is kept.
+
+    The search assigns the unknown maps one at a time and tests each node as
+    soon as both of its maps are assigned.  Consecutive maps of an exact
+    sequence compose to zero (im a = ker b implies b a = 0), so a candidate
+    with b a != 0 is rejected before the exact image/kernel comparison; this
+    prunes no completion.  Every completion is re-checked with `is_exact`.
+    `max_candidates` bounds the unpruned box, the product over the unknown
+    maps of (2 bound + 1) ** entries, and the search refuses to start beyond it.
     """
     known = {i: as_zmatrix(m) for i, m in (known_maps or {}).items()}
     ranks = _infer_ranks(groups, known)
@@ -177,9 +185,10 @@ def solve_six_term(groups, known_maps=None, bound: int = 3,
         return (node - 1) % 6 in assign and node % 6 in assign
 
     def check_node(node):
-        img = image_basis(assign[(node - 1) % 6])
-        ker = kernel_basis(assign[node % 6])
-        return subgroup_equal(img, ker)
+        a, b = assign[(node - 1) % 6], assign[node % 6]
+        if (b @ a).any():
+            return False
+        return subgroup_equal(image_basis(a), kernel_basis(b))
 
     def dfs(k):
         if k == len(open_idx):
@@ -191,9 +200,7 @@ def solve_six_term(groups, known_maps=None, bound: int = 3,
         shape = (ranks[(i + 1) % 6], ranks[i])
         for entries in itertools.product(range(-bound, bound + 1), repeat=shape[0] * shape[1]):
             m = zeros(*shape)
-            for r in range(shape[0]):
-                for c in range(shape[1]):
-                    m[r, c] = entries[r * shape[1] + c]
+            m.reshape(-1)[:] = entries
             assign[i] = m
             ok = True
             for node in (i, (i + 1) % 6):

@@ -261,7 +261,7 @@ def winding_1d(f: MatrixField, side: str = "+", tol: float = 1e-8,
     v0 = f(np.array([[0.0]]))[0]
     vinf = f(np.array([[sgn * 1e9]]))[0]
     limit_gap = float(np.abs(v0 - vinf).max())
-    if limit_gap > 1e-6:
+    if not limit_gap <= 1e-6:
         raise BoundaryConditionError(
             f"{f.name or 'field'}: limits at 0 and infinity differ by {limit_gap:.3g}")
 
@@ -314,29 +314,29 @@ def _face_points(domain: GridDomain, axis: int, where: str, per_axis: int = 17):
 
 def _edge_constancy(field: MatrixField, domain: GridDomain) -> float:
     """Max in-edge variation over non-periodic edges; periodic axes checked for wraparound."""
-    worst = 0.0
+    worst = [0.0]
     for axis, ax in enumerate(domain.axes):
         if ax.tag == "periodic":
             lo = field(_face_points(domain, axis, "lo"))
             hi = field(_face_points(domain, axis, "hi"))
-            worst = max(worst, float(np.abs(lo - hi).max()))
+            worst.append(np.abs(lo - hi).max())
         else:
             for where in ("lo", "hi"):
                 vals = field(_face_points(domain, axis, where))
-                worst = max(worst, float(np.abs(vals - vals.mean(axis=0)).max()))
-    return worst
+                worst.append(np.abs(vals - vals.mean(axis=0)).max())
+    return float(np.max(worst))
 
 
 def _boundary_identity_residual(field: MatrixField, domain: GridDomain) -> float:
     eye = np.eye(field.size)
-    worst = 0.0
+    worst = [0.0]
     for axis in range(domain.dim):
         if domain.axes[axis].tag == "periodic":
             continue
         for where in ("lo", "hi"):
             vals = field(_face_points(domain, axis, where))
-            worst = max(worst, float(np.abs(vals - eye).max()))
-    return worst
+            worst.append(np.abs(vals - eye).max())
+    return float(np.max(worst))
 
 
 # ---------------------------------------------------------------------------
@@ -351,19 +351,19 @@ def chern_2d(p: MatrixField, domain: GridDomain | None = None,
         raise ValueError("chern_2d needs a 2D field with a 2D domain")
 
     edge_var = _edge_constancy(p, domain)
-    if edge_var > BOUNDARY_TOL_2D:
+    if not edge_var <= BOUNDARY_TOL_2D:
         raise BoundaryConditionError(
             f"{p.name or 'field'}: boundary variation {edge_var:.3g} > {BOUNDARY_TOL_2D} "
             "(field must be constant on each boundary component)")
 
     xs = domain.axes[0].midpoints()
     ys = domain.axes[1].midpoints()
-    proj_res = 0.0
+    proj_res = [0.0]
     chunks = []
     for x_block in np.array_split(xs, max(1, len(xs) // 64)):
         mesh = np.stack(np.meshgrid(x_block, ys, indexing="ij"), axis=-1).reshape(-1, 2)
         pv = p(mesh)
-        proj_res = max(proj_res, float(np.abs(pv @ pv - pv).max()))
+        proj_res.append(np.abs(pv @ pv - pv).max())
         d1 = p.partial(mesh, 0)
         d2 = p.partial(mesh, 1)
         comm = d1 @ d2 - d2 @ d1
@@ -371,7 +371,8 @@ def chern_2d(p: MatrixField, domain: GridDomain | None = None,
         chunks.append(_fsum_complex(integrand))
     total = _fsum_complex(chunks) * domain.cell_volume / (2.0j * math.pi)
 
-    if proj_res > 1e-10:
+    proj_res = float(np.max(proj_res))
+    if not proj_res <= 1e-10:
         raise ValueError(f"{p.name or 'field'}: projection residual {proj_res:.3g} > 1e-10")
     extra = {"projection_residual": proj_res}
     if check_derivatives and p.derivative is not None:
@@ -379,7 +380,7 @@ def chern_2d(p: MatrixField, domain: GridDomain | None = None,
         sample = np.stack([rng.uniform(a.lo + a.step, a.hi - a.step, 64)
                            for a in domain.axes], axis=1)
         dev = derivative_check(p, sample)
-        if dev > 1e-6:
+        if not dev <= 1e-6:
             raise ValueError(f"{p.name or 'field'}: analytic/FD derivative gap {dev:.3g} > 1e-6")
         extra["derivative_check"] = dev
     return _finish(total, edge_var, domain.shape(), p.name or "chern_2d", extra)
@@ -403,7 +404,7 @@ def winding_3d(g: MatrixField, domain: GridDomain | None = None,
         raise ValueError("winding_3d needs a 3D field with a 3D domain")
 
     brv = _boundary_identity_residual(g, domain)
-    if brv > BOUNDARY_TOL_3D:
+    if not brv <= BOUNDARY_TOL_3D:
         raise BoundaryConditionError(
             f"{g.name or 'field'}: boundary-identity residual {brv:.3g} > {BOUNDARY_TOL_3D}; "
             "enlarge the truncated domain")
@@ -411,12 +412,12 @@ def winding_3d(g: MatrixField, domain: GridDomain | None = None,
     def integrate(dom: GridDomain) -> complex:
         xs, ys, zs = (ax.midpoints() for ax in dom.axes)
         chunks = []
-        inv_floor_hit = [1.0]
+        sv_min = [1.0]
         for x_block in np.array_split(xs, max(1, len(xs) // chunk_slabs)):
             mesh = np.stack(np.meshgrid(x_block, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
             gv = g(mesh)
             sv = np.linalg.svd(gv, compute_uv=False)
-            inv_floor_hit[0] = min(inv_floor_hit[0], float(sv[:, -1].min()))
+            sv_min.append(sv[:, -1].min())
             gi = _inv2(gv)
             a0 = gi @ g.partial(mesh, 0)
             a1 = gi @ g.partial(mesh, 1)
@@ -424,9 +425,10 @@ def winding_3d(g: MatrixField, domain: GridDomain | None = None,
             comm = a1 @ a2 - a2 @ a1
             integrand = np.trace(a0 @ comm, axis1=1, axis2=2)
             chunks.append(_fsum_complex(integrand))
-        if inv_floor_hit[0] <= 1e-6:
+        sv_floor = float(np.min(sv_min))
+        if not sv_floor > 1e-6:
             raise NonInvertibleFieldError(
-                f"{g.name or 'field'}: min singular value {inv_floor_hit[0]:.3g} on the grid")
+                f"{g.name or 'field'}: min singular value {sv_floor:.3g} on the grid")
         # epsilon-contraction = 3 Tr(A0 [A1, A2]); normalization -(1/24π²).
         return _fsum_complex(chunks) * 3.0 * dom.cell_volume * (-1.0 / (24.0 * math.pi ** 2))
 
@@ -441,7 +443,7 @@ def winding_3d(g: MatrixField, domain: GridDomain | None = None,
         sample = np.stack([rng.uniform(a.lo + a.step, a.hi - a.step, 48)
                            for a in domain.axes], axis=1)
         dev = derivative_check(g, sample)
-        if dev > 1e-6:
+        if not dev <= 1e-6:
             raise ValueError(f"{g.name or 'field'}: analytic/FD derivative gap {dev:.3g} > 1e-6")
         extra["derivative_check"] = dev
     return _finish(total, brv, domain.shape(), g.name or "winding_3d", extra)

@@ -91,7 +91,7 @@ def test_orbit_command(capsys):
 
 def test_orbit_rejects_malformed_covector():
     orbit = ["orbit", "--family", "5_4_9", "--lambda", "2", "--F"]
-    for covector in ("1,2", "0,nan,1,1,1", "0,inf,1,1,1"):
+    for covector in ("1,2", "0,nan,1,1,1", "0,inf,1,1,1", "0,1e300,1,1,1", "0,1e306,1,1,1"):
         assert main(orbit + [covector]) == 64
     assert main(["orbit", "--family", "5_4_9", "--lambda", "nan", "--F", "0,1,1,1,1"]) == 64
 

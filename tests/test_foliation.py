@@ -1,9 +1,14 @@
 """Tests for the R^2-actions, strata and leaf-space invariants."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from mdlab import foliation
 from mdlab.foliation import (
+    SubmersionAudit,
     act,
     action_generators,
     f1_fibration_check,
@@ -177,3 +182,40 @@ def test_p1_submersion_audit():
     assert audit.sign_component_constant
     assert audit.invariant_residual < 1e-9
     assert audit.example_orbit["literal_changed"]
+    # A NaN deviation does not show that the literal map moves.
+    assert not SubmersionAudit(math.nan, True, 0.0, {}).ok
+
+
+def _nan_on_call(fn, k):
+    """fn, except that the array it returns on its k-th call is all NaN."""
+    count = itertools.count(1)
+
+    def wrapped(*args):
+        out = fn(*args)
+        if next(count) != k:
+            return out
+        if isinstance(out, tuple):
+            return (np.full_like(out[0], np.nan),) + out[1:]
+        return np.full_like(out, np.nan)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("owner, name, call, run, metric", [
+    (foliation._INVARIANTS, "V1", 2, lambda: stratum_invariant_report("V1", 10, 0),
+     "constancy_residual"),
+    (foliation, "_jacobian", 1, lambda: integrability_check("lambda12", 10, 0),
+     "bracket_residual"),
+    (foliation.scipy.linalg, "subspace_angles", 1,
+     lambda: integrability_check("lambda12", 10, 0), "tangent_residual"),
+    (foliation, "_sphere_map", 2, lambda: f1_fibration_check(10, 0), "constancy_residual"),
+    (foliation._INVARIANTS, "V1", 2, lambda: p1_submersion_audit(10, 0), "invariant_residual"),
+], ids=["strata", "bracket", "tangent", "fibration", "p1_audit"])
+def test_nan_at_one_sample_fails_the_check(monkeypatch, owner, name, call, run, metric):
+    if isinstance(owner, dict):
+        monkeypatch.setitem(owner, name, _nan_on_call(owner[name], call))
+    else:
+        monkeypatch.setattr(owner, name, _nan_on_call(getattr(owner, name), call))
+    report = run()
+    assert math.isnan(getattr(report, metric))
+    assert not getattr(report, "ok", False)

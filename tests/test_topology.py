@@ -1,5 +1,6 @@
 """Tests for the quadrature detectors."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from mdlab.witnesses import (
     gamma3_disk,
     phat,
     phat_disk,
+    trivial_lift_eps1,
     u_gamma3,
     uminus,
     uplus,
@@ -182,6 +184,31 @@ def test_winding3d_rejects_bad_boundary():
     bad = MatrixField(u.evaluator, "invertible", 2, 3, "u_box", u.derivative, dom)
     with pytest.raises(BoundaryConditionError, match="enlarge"):
         winding_3d(bad)
+
+
+def _nan_at(field, point):
+    """field, except that its value at one point is NaN."""
+    def evaluator(pts):
+        out = field.evaluator(pts)
+        out[np.all(pts == point, axis=1)] = np.nan
+        return out
+
+    return dataclasses.replace(field, evaluator=evaluator)
+
+
+_DISK_MIDPOINT = [ax.midpoints()[0] for ax in phat_disk(64).default_domain.axes]
+
+
+@pytest.mark.parametrize("integral, field, error, match", [
+    (chern_2d, _nan_at(phat_disk(64), [0.0, 0.0]), BoundaryConditionError,
+     "boundary variation"),
+    (chern_2d, _nan_at(phat_disk(64), _DISK_MIDPOINT), ValueError, "projection residual"),
+    (winding_3d, _nan_at(trivial_lift_eps1(), [-1.0, -1.0, 0.0]), BoundaryConditionError,
+     "boundary-identity"),
+], ids=["edge_constancy", "projection", "boundary_identity"])
+def test_nan_at_one_point_fails_the_guard(integral, field, error, match):
+    with pytest.raises(error, match=match):
+        integral(field)
 
 
 def test_analytic_derivatives_match_finite_differences():
