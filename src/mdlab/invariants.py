@@ -71,8 +71,8 @@ class IndexInvariants:
 
 def _const_one_line() -> MatrixField:
     ev = lambda pts: np.ones((len(pts), 1, 1), dtype=complex)
-    return MatrixField(evaluator=ev, kind="invertible", size=1, dim=1, name="const_one",
-                       derivative=lambda pts, axis: np.zeros((len(pts), 1, 1), dtype=complex))
+    return MatrixField(evaluator=ev, dim=1, name="const_one",
+                       derivative=lambda pts: np.zeros((1, len(pts), 1, 1), dtype=complex))
 
 
 def _store(res: IndexInvariants, integral: IntegralResult):

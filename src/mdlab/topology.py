@@ -101,9 +101,6 @@ class GridDomain:
     def shape(self) -> tuple[int, ...]:
         return tuple(ax.n for ax in self.axes)
 
-    def refine(self, factor: int) -> "GridDomain":
-        return GridDomain(tuple(Axis(a.lo, a.hi, a.n * factor, a.tag) for a in self.axes))
-
     def coarsen(self) -> "GridDomain":
         return GridDomain(tuple(Axis(a.lo, a.hi, max(16, a.n // 2), a.tag) for a in self.axes))
 
@@ -113,44 +110,38 @@ class MatrixField:
     """A matrix-valued function sampled pointwise.
 
     evaluator maps an (N, dim) array of points to (N, size, size) complex
-    values; derivative(pts, axis), when present, is the exact partial
-    derivative along one coordinate.  `nonsmooth` marks points to skip in
-    finite-difference cross-checks (e.g. chart seams of a frozen extension).
+    values.  derivative(pts) returns the exact partials along every
+    coordinate in one call, stacked as (dim, N, size, size); the integrals
+    need it, and fields without one can only be evaluated.  `nonsmooth`
+    marks points to skip in finite-difference cross-checks (e.g. chart seams
+    of a frozen extension).
     """
 
     evaluator: Callable
-    kind: str  # "projection" | "invertible" | "selfadjoint_lift"
-    size: int
     dim: int
     name: str = ""
     derivative: Callable | None = None
     default_domain: GridDomain | None = None
     nonsmooth: Callable | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("projection", "invertible", "selfadjoint_lift"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
-
     def __call__(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return self.evaluator(pts)
 
-    def partial(self, pts, axis: int, h_scale: float = 1e-6) -> np.ndarray:
-        """Exact derivative when available, central differences otherwise."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.derivative is not None:
-            return self.derivative(pts, axis)
-        return _central_difference(self.evaluator, pts, axis,
-                                   h_scale * (1.0 + np.abs(pts[:, axis])))
+
+def _derivative(field: MatrixField) -> Callable:
+    if field.derivative is None:
+        raise ValueError(f"{field.name or 'field'}: no exact derivative to integrate or check")
+    return field.derivative
 
 
-def _central_difference(evaluator, pts, axis: int, h) -> np.ndarray:
-    """(f(x + h e_axis) - f(x - h e_axis)) / 2h; h is one step or one per point."""
+def _central_difference(evaluator, pts, axis: int, h: float) -> np.ndarray:
+    """(f(x + h e_axis) - f(x - h e_axis)) / 2h."""
     up = pts.copy()
     dn = pts.copy()
     up[:, axis] += h
     dn[:, axis] -= h
-    return (evaluator(up) - evaluator(dn)) / (2 * np.asarray(h))[..., None, None]
+    return (evaluator(up) - evaluator(dn)) / (2 * h)
 
 
 def projection_residual(field: MatrixField, pts) -> float:
@@ -168,14 +159,13 @@ def min_singular_value(field: MatrixField, pts) -> float:
 
 def derivative_check(field: MatrixField, pts, h: float = 1e-6) -> float:
     """Max deviation between exact and finite-difference derivatives (NaN if any is NaN)."""
-    if field.derivative is None:
-        return 0.0
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if field.nonsmooth is not None:
         pts = pts[~field.nonsmooth(pts)]
     if len(pts) == 0:
         return 0.0
-    return float(np.max([np.abs(field.derivative(pts, axis)
+    exact = _derivative(field)(pts)
+    return float(np.max([np.abs(exact[axis]
                                 - _central_difference(field.evaluator, pts, axis, h)).max()
                          for axis in range(field.dim)]))
 
@@ -204,6 +194,9 @@ class IntegralResult:
 
 def _finish(raw_complex, boundary_residual, grid, name, extra=None) -> IntegralResult:
     raw = float(raw_complex.real)
+    if not (math.isfinite(raw) and math.isfinite(raw_complex.imag)):
+        raise ResidualError(f"{name or 'integral'}: raw integral {raw_complex} is not finite "
+                            f"on grid {grid}")
     rounded = int(round(raw))
     residual = abs(raw - rounded) + abs(float(raw_complex.imag))
     res = IntegralResult(raw, rounded, residual, boundary_residual, grid, name, extra or {})
@@ -230,7 +223,7 @@ def _adaptive_simpson(g, a, b, tol, max_depth=40):
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
-        if depth <= 0 or abs(delta) <= 15.0 * tol:
+        if depth <= 0 or not abs(delta) > 15.0 * tol:  # a NaN delta stops here
             return left + right + delta / 15.0
         return (rec(a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1)
                 + rec(m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1))
@@ -264,6 +257,7 @@ def winding_1d(f: MatrixField, side: str = "+", tol: float = 1e-8,
     if not limit_gap <= 1e-6:
         raise BoundaryConditionError(
             f"{f.name or 'field'}: limits at 0 and infinity differ by {limit_gap:.3g}")
+    derivative = _derivative(f)
 
     def integrand(w):
         if w >= 1.0:
@@ -271,7 +265,7 @@ def winding_1d(f: MatrixField, side: str = "+", tol: float = 1e-8,
         z = sgn * w / (1.0 - w)
         dz = sgn / (1.0 - w) ** 2  # dz/dw of the outward path
         pt = np.array([[z]])
-        df = f.partial(pt, 0)[0]
+        df = derivative(pt)[0, 0]
         val = f(pt)[0]
         tr = np.trace(df @ np.linalg.inv(val))
         return tr * dz
@@ -327,23 +321,32 @@ def _edge_constancy(field: MatrixField, domain: GridDomain) -> float:
     return float(np.max(worst))
 
 
+def _sampled_derivative_check(field: MatrixField, domain: GridDomain, n: int) -> float:
+    """derivative_check at n seeded interior points; a gap above 1e-6 is refused."""
+    rng = np.random.default_rng(0)
+    sample = np.stack([rng.uniform(a.lo + a.step, a.hi - a.step, n)
+                       for a in domain.axes], axis=1)
+    dev = derivative_check(field, sample)
+    if not dev <= 1e-6:
+        raise ValueError(f"{field.name or 'field'}: analytic/FD derivative gap {dev:.3g} > 1e-6")
+    return dev
+
+
 def _boundary_identity_residual(field: MatrixField, domain: GridDomain) -> float:
-    eye = np.eye(field.size)
     worst = [0.0]
     for axis in range(domain.dim):
         if domain.axes[axis].tag == "periodic":
             continue
         for where in ("lo", "hi"):
             vals = field(_face_points(domain, axis, where))
-            worst.append(np.abs(vals - eye).max())
+            worst.append(np.abs(vals - np.eye(vals.shape[-1])).max())
     return float(np.max(worst))
 
 
 # ---------------------------------------------------------------------------
 # 2D Chern number
 
-def chern_2d(p: MatrixField, domain: GridDomain | None = None,
-             check_derivatives: bool = True) -> IntegralResult:
+def chern_2d(p: MatrixField, domain: GridDomain | None = None) -> IntegralResult:
     """First Chern number (1/2πi) ∫ Tr(P [∂₁P, ∂₂P]) of a projection field."""
     if domain is None:
         domain = p.default_domain
@@ -355,6 +358,7 @@ def chern_2d(p: MatrixField, domain: GridDomain | None = None,
         raise BoundaryConditionError(
             f"{p.name or 'field'}: boundary variation {edge_var:.3g} > {BOUNDARY_TOL_2D} "
             "(field must be constant on each boundary component)")
+    derivative = _derivative(p)
 
     xs = domain.axes[0].midpoints()
     ys = domain.axes[1].midpoints()
@@ -364,25 +368,18 @@ def chern_2d(p: MatrixField, domain: GridDomain | None = None,
         mesh = np.stack(np.meshgrid(x_block, ys, indexing="ij"), axis=-1).reshape(-1, 2)
         pv = p(mesh)
         proj_res.append(np.abs(pv @ pv - pv).max())
-        d1 = p.partial(mesh, 0)
-        d2 = p.partial(mesh, 1)
+        d1, d2 = derivative(mesh)
         comm = d1 @ d2 - d2 @ d1
         integrand = np.trace(pv @ comm, axis1=1, axis2=2)
         chunks.append(_fsum_complex(integrand))
+        del pv, d1, d2, comm, integrand  # free before the next chunk allocates its own
     total = _fsum_complex(chunks) * domain.cell_volume / (2.0j * math.pi)
 
     proj_res = float(np.max(proj_res))
     if not proj_res <= 1e-10:
         raise ValueError(f"{p.name or 'field'}: projection residual {proj_res:.3g} > 1e-10")
-    extra = {"projection_residual": proj_res}
-    if check_derivatives and p.derivative is not None:
-        rng = np.random.default_rng(0)
-        sample = np.stack([rng.uniform(a.lo + a.step, a.hi - a.step, 64)
-                           for a in domain.axes], axis=1)
-        dev = derivative_check(p, sample)
-        if not dev <= 1e-6:
-            raise ValueError(f"{p.name or 'field'}: analytic/FD derivative gap {dev:.3g} > 1e-6")
-        extra["derivative_check"] = dev
+    extra = {"projection_residual": proj_res,
+             "derivative_check": _sampled_derivative_check(p, domain, 64)}
     return _finish(total, edge_var, domain.shape(), p.name or "chern_2d", extra)
 
 
@@ -390,8 +387,7 @@ def chern_2d(p: MatrixField, domain: GridDomain | None = None,
 # 3D odd winding
 
 def winding_3d(g: MatrixField, domain: GridDomain | None = None,
-               chunk_slabs: int = 8, richardson: bool = False,
-               check_derivatives: bool = True) -> IntegralResult:
+               chunk_slabs: int = 8, richardson: bool = False) -> IntegralResult:
     """Odd topological charge -(1/24π²) ∫ Tr((g^{-1}dg)^3) of an invertible field.
 
     Midpoint rule on the domain grid; the field must be the identity on every
@@ -408,6 +404,7 @@ def winding_3d(g: MatrixField, domain: GridDomain | None = None,
         raise BoundaryConditionError(
             f"{g.name or 'field'}: boundary-identity residual {brv:.3g} > {BOUNDARY_TOL_3D}; "
             "enlarge the truncated domain")
+    derivative = _derivative(g)
 
     def integrate(dom: GridDomain) -> complex:
         xs, ys, zs = (ax.midpoints() for ax in dom.axes)
@@ -419,12 +416,11 @@ def winding_3d(g: MatrixField, domain: GridDomain | None = None,
             sv = np.linalg.svd(gv, compute_uv=False)
             sv_min.append(sv[:, -1].min())
             gi = _inv2(gv)
-            a0 = gi @ g.partial(mesh, 0)
-            a1 = gi @ g.partial(mesh, 1)
-            a2 = gi @ g.partial(mesh, 2)
+            a0, a1, a2 = gi @ derivative(mesh)
             comm = a1 @ a2 - a2 @ a1
             integrand = np.trace(a0 @ comm, axis1=1, axis2=2)
             chunks.append(_fsum_complex(integrand))
+            del gv, sv, gi, a0, a1, a2, comm, integrand  # as in chern_2d
         sv_floor = float(np.min(sv_min))
         if not sv_floor > 1e-6:
             raise NonInvertibleFieldError(
@@ -438,12 +434,5 @@ def winding_3d(g: MatrixField, domain: GridDomain | None = None,
         coarse = integrate(domain.coarsen())
         extra["raw_coarse"] = float(coarse.real)
         total = (4.0 * total - coarse) / 3.0
-    if check_derivatives and g.derivative is not None:
-        rng = np.random.default_rng(0)
-        sample = np.stack([rng.uniform(a.lo + a.step, a.hi - a.step, 48)
-                           for a in domain.axes], axis=1)
-        dev = derivative_check(g, sample)
-        if not dev <= 1e-6:
-            raise ValueError(f"{g.name or 'field'}: analytic/FD derivative gap {dev:.3g} > 1e-6")
-        extra["derivative_check"] = dev
+    extra["derivative_check"] = _sampled_derivative_check(g, domain, 48)
     return _finish(total, brv, domain.shape(), g.name or "winding_3d", extra)

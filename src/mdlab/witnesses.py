@@ -34,8 +34,6 @@ import numpy as np
 from .topology import Axis, GridDomain, MatrixField
 
 __all__ = [
-    "WITNESS_NAMES",
-    "build_witness",
     "phat",
     "phat_disk",
     "ptilde",
@@ -53,9 +51,6 @@ __all__ = [
 
 TAU = 2.0 * math.pi
 
-WITNESS_NAMES = ("phat", "ptilde", "uplus", "uminus", "u_gamma3", "q",
-                 "p_gamma3", "exp_ptilde_plus", "exp_ptilde_minus")
-
 
 def _phat_values(x, y):
     """phat entries, frozen at diag(1,0) outside the unit disk."""
@@ -72,8 +67,8 @@ def _phat_values(x, y):
     return p
 
 
-def _phat_grad(x, y, axis):
-    """Exact partial of phat; zero outside the unit disk."""
+def _phat_grad(x, y):
+    """Exact partials of phat along x and y, stacked; zero outside the unit disk."""
     r = np.hypot(x, y)
     inside = r < 1.0
     c = np.cos(math.pi * r)
@@ -84,12 +79,12 @@ def _phat_grad(x, y, axis):
     w3 = np.where(small,
                   -math.pi ** 3 / 3.0 + math.pi ** 5 * r * r / 30.0,
                   math.pi * (c - sinc) / (rs * rs))
-    t = x if axis == 0 else y
-    d = np.zeros(x.shape + (2, 2), dtype=complex)
+    t = np.stack((x, y))
+    unit = np.array([[1.0], [1.0j]])
+    d = np.zeros(t.shape + (2, 2), dtype=complex)
     d11 = 0.5 * math.pi ** 2 * t * sinc
     d[..., 0, 0] = np.where(inside, d11, 0.0)
     d[..., 1, 1] = -d[..., 0, 0]
-    unit = 1.0 if axis == 0 else 1.0j
     doff = 0.5 * (math.pi * sinc * unit + (x + 1j * y) * t * w3)
     d[..., 0, 1] = np.where(inside, doff, 0.0)
     d[..., 1, 0] = np.conj(d[..., 0, 1])
@@ -105,8 +100,8 @@ def phat() -> MatrixField:
     """The hedgehog projection on the plane (Cartesian chart)."""
     return MatrixField(
         evaluator=lambda pts: _phat_values(pts[:, 0], pts[:, 1]),
-        kind="projection", size=2, dim=2, name="phat",
-        derivative=lambda pts, axis: _phat_grad(pts[:, 0], pts[:, 1], axis),
+        dim=2, name="phat",
+        derivative=lambda pts: _phat_grad(pts[:, 0], pts[:, 1]),
         nonsmooth=_phat_nonsmooth,
     )
 
@@ -123,17 +118,15 @@ def _phat_polar_values(r, th):
     return p
 
 
-def _phat_polar_grad(r, th, axis):
+def _phat_polar_grad(r, th):
     c = np.cos(math.pi * r)
     s = np.sin(math.pi * r)
     e = np.exp(1j * th)
-    d = np.zeros(r.shape + (2, 2), dtype=complex)
-    if axis == 0:
-        d[..., 0, 0] = 0.5 * math.pi * s
-        d[..., 1, 1] = -0.5 * math.pi * s
-        d[..., 0, 1] = 0.5 * math.pi * c * e
-    else:
-        d[..., 0, 1] = 0.5j * s * e
+    d = np.zeros((2,) + r.shape + (2, 2), dtype=complex)
+    d[0, ..., 0, 0] = 0.5 * math.pi * s
+    d[0, ..., 1, 1] = -0.5 * math.pi * s
+    d[0, ..., 0, 1] = 0.5 * math.pi * c * e
+    d[1, ..., 0, 1] = 0.5j * s * e
     d[..., 1, 0] = np.conj(d[..., 0, 1])
     return d
 
@@ -148,8 +141,8 @@ def phat_disk(n: int = 512) -> MatrixField:
     dom = GridDomain((Axis(0.0, 1.0, n, "constant"), Axis(0.0, TAU, n, "periodic")))
     return MatrixField(
         evaluator=lambda pts: _phat_polar_values(pts[:, 0], pts[:, 1]),
-        kind="projection", size=2, dim=2, name="phat_disk",
-        derivative=lambda pts, axis: _phat_polar_grad(pts[:, 0], pts[:, 1], axis),
+        dim=2, name="phat_disk",
+        derivative=lambda pts: _phat_polar_grad(pts[:, 0], pts[:, 1]),
         default_domain=dom,
     )
 
@@ -159,7 +152,7 @@ def ptilde() -> MatrixField:
     def ev(pts):
         base = _phat_values(pts[:, 0], pts[:, 1])
         return base / np.sqrt(1.0 + pts[:, 2] ** 2)[:, None, None]
-    return MatrixField(evaluator=ev, kind="selfadjoint_lift", size=2, dim=3, name="ptilde")
+    return MatrixField(evaluator=ev, dim=3, name="ptilde")
 
 
 def exp_ptilde(side: str, n: int = 128, xy_extent: float = 1.5) -> MatrixField:
@@ -193,18 +186,18 @@ def exp_ptilde(side: str, n: int = 128, xy_extent: float = 1.5) -> MatrixField:
         _, _, _, kmat, gmat = pieces(pts)
         return gmat @ kmat
 
-    def dv(pts, axis):
+    def dv(pts):
         p, chi, e, kmat, gmat = pieces(pts)
-        if axis in (0, 1):
-            dp = _phat_grad(pts[:, 0], pts[:, 1], axis)
-            return (e - 1.0)[:, None, None] * (dp @ kmat)
+        d = np.empty((3,) + p.shape, dtype=complex)
+        d[:2] = (e - 1.0)[:, None, None] * (_phat_grad(pts[:, 0], pts[:, 1]) @ kmat)
         dchi = -math.pi ** 2 * np.sin(0.5 * math.pi * pts[:, 2])
         dg = (1j * dchi * e)[:, None, None] * p
         dk = np.zeros_like(kmat)
         dk[:, 0, 0] = -1j * dchi * np.conj(e)
-        return dg @ kmat + gmat @ dk
+        d[2] = dg @ kmat + gmat @ dk
+        return d
 
-    return MatrixField(evaluator=ev, kind="invertible", size=2, dim=3, name=name,
+    return MatrixField(evaluator=ev, dim=3, name=name,
                        derivative=dv, default_domain=dom, nonsmooth=_phat_nonsmooth)
 
 
@@ -215,14 +208,13 @@ def _phase_field(name: str, sign: float) -> MatrixField:
         theta = TAU * sign * z / np.sqrt(1.0 + z * z)
         return np.exp(1j * theta)[:, None, None]
 
-    def dv(pts, axis):
+    def dv(pts):
         z = pts[:, 0]
         theta = TAU * sign * z / np.sqrt(1.0 + z * z)
         dtheta = TAU * sign * (1.0 + z * z) ** -1.5
-        return (1j * dtheta * np.exp(1j * theta))[:, None, None]
+        return (1j * dtheta * np.exp(1j * theta))[None, :, None, None]
 
-    return MatrixField(evaluator=ev, kind="invertible", size=1, dim=1,
-                       name=name, derivative=dv)
+    return MatrixField(evaluator=ev, dim=1, name=name, derivative=dv)
 
 
 def uplus() -> MatrixField:
@@ -250,22 +242,20 @@ def u_gamma3() -> MatrixField:
         u[:, 1, 1] = np.conj(e) * np.cos(t2)
         return u
 
-    def dv(pts, axis):
+    def dv(pts):
         t1, t2, ph = pts[:, 0], pts[:, 1], pts[:, 2]
         e = np.exp(1j * (ph + t1))
-        d = np.zeros((len(pts), 2, 2), dtype=complex)
-        if axis in (0, 2):
-            d[:, 0, 0] = 1j * e * np.cos(t2)
-            d[:, 1, 1] = -1j * np.conj(e) * np.cos(t2)
-        else:
-            d[:, 0, 0] = -e * np.sin(t2)
-            d[:, 0, 1] = -np.cos(t2)
-            d[:, 1, 0] = np.cos(t2)
-            d[:, 1, 1] = -np.conj(e) * np.sin(t2)
+        d = np.zeros((3, len(pts), 2, 2), dtype=complex)
+        d[0, :, 0, 0] = 1j * e * np.cos(t2)
+        d[0, :, 1, 1] = -1j * np.conj(e) * np.cos(t2)
+        d[2] = d[0]  # theta1 and phi enter only through phi + theta1
+        d[1, :, 0, 0] = -e * np.sin(t2)
+        d[1, :, 0, 1] = -np.cos(t2)
+        d[1, :, 1, 0] = np.cos(t2)
+        d[1, :, 1, 1] = -np.conj(e) * np.sin(t2)
         return d
 
-    return MatrixField(evaluator=ev, kind="invertible", size=2, dim=3,
-                       name="u_gamma3", derivative=dv)
+    return MatrixField(evaluator=ev, dim=3, name="u_gamma3", derivative=dv)
 
 
 def q_const(dim: int = 2) -> MatrixField:
@@ -274,16 +264,16 @@ def q_const(dim: int = 2) -> MatrixField:
         q = np.zeros((len(pts), 2, 2), dtype=complex)
         q[:, 0, 0] = 1.0
         return q
-    return MatrixField(evaluator=ev, kind="projection", size=2, dim=dim, name="q",
-                       derivative=lambda pts, axis: np.zeros((len(pts), 2, 2), dtype=complex))
+    return MatrixField(evaluator=ev, dim=dim, name="q",
+                       derivative=lambda pts: np.zeros((dim, len(pts), 2, 2), dtype=complex))
 
 
 def epsilon1_field(n: int = 128) -> MatrixField:
     """q with a default 2D domain, for the constant-projection Chern check."""
     f = q_const(2)
     dom = GridDomain((Axis(-1.0, 1.0, n, "constant"), Axis(-1.0, 1.0, n, "constant")))
-    return MatrixField(evaluator=f.evaluator, kind="projection", size=2, dim=2,
-                       name="eps1", derivative=f.derivative, default_domain=dom)
+    return MatrixField(evaluator=f.evaluator, dim=2, name="eps1", derivative=f.derivative,
+                       default_domain=dom)
 
 
 def p_gamma3() -> MatrixField:
@@ -297,7 +287,7 @@ def p_gamma3() -> MatrixField:
         p[:, 0, 1] = e * np.cos(t2) * np.sin(t2)
         p[:, 1, 0] = np.conj(p[:, 0, 1])
         return p
-    return MatrixField(evaluator=ev, kind="projection", size=2, dim=3, name="p_gamma3")
+    return MatrixField(evaluator=ev, dim=3, name="p_gamma3")
 
 
 def gamma3_disk(n: int = 512) -> MatrixField:
@@ -320,21 +310,19 @@ def gamma3_disk(n: int = 512) -> MatrixField:
         p[:, 1, 0] = np.conj(p[:, 0, 1])
         return p
 
-    def dv(pts, axis):
+    def dv(pts):
         t2, ph = pts[:, 0], pts[:, 1]
         e = np.exp(1j * ph)
-        d = np.zeros((len(pts), 2, 2), dtype=complex)
-        if axis == 0:
-            d[:, 0, 0] = -np.sin(2 * t2)
-            d[:, 1, 1] = np.sin(2 * t2)
-            d[:, 0, 1] = e * np.cos(2 * t2)
-        else:
-            d[:, 0, 1] = 1j * e * np.cos(t2) * np.sin(t2)
-        d[:, 1, 0] = np.conj(d[:, 0, 1])
+        d = np.zeros((2, len(pts), 2, 2), dtype=complex)
+        d[0, :, 0, 0] = -np.sin(2 * t2)
+        d[0, :, 1, 1] = np.sin(2 * t2)
+        d[0, :, 0, 1] = e * np.cos(2 * t2)
+        d[1, :, 0, 1] = 1j * e * np.cos(t2) * np.sin(t2)
+        d[..., 1, 0] = np.conj(d[..., 0, 1])
         return d
 
-    return MatrixField(evaluator=ev, kind="projection", size=2, dim=2,
-                       name="p_gamma3_disk", derivative=dv, default_domain=dom)
+    return MatrixField(evaluator=ev, dim=2, name="p_gamma3_disk", derivative=dv,
+                       default_domain=dom)
 
 
 def _constant_identity(size: int, name: str, n: int) -> MatrixField:
@@ -344,9 +332,8 @@ def _constant_identity(size: int, name: str, n: int) -> MatrixField:
     def ev(pts):
         return np.broadcast_to(np.eye(size, dtype=complex), (len(pts), size, size)).copy()
 
-    return MatrixField(evaluator=ev, kind="invertible", size=size, dim=3, name=name,
-                       derivative=lambda pts, axis: np.zeros((len(pts), size, size),
-                                                             dtype=complex),
+    return MatrixField(evaluator=ev, dim=3, name=name,
+                       derivative=lambda pts: np.zeros((3, len(pts), size, size), dtype=complex),
                        default_domain=dom)
 
 
@@ -359,20 +346,3 @@ def trivial_lift_eps1(n: int = 16) -> MatrixField:
     """Normalized exponential of the lift of the constant projection: identity."""
     return _constant_identity(2, "exp_lift_eps1", n)
 
-
-def build_witness(name: str, **kwargs) -> MatrixField:
-    """Construct a named witness field."""
-    factories = {
-        "phat": phat,
-        "ptilde": ptilde,
-        "uplus": uplus,
-        "uminus": uminus,
-        "u_gamma3": u_gamma3,
-        "q": q_const,
-        "p_gamma3": p_gamma3,
-        "exp_ptilde_plus": lambda **kw: exp_ptilde("+", **kw),
-        "exp_ptilde_minus": lambda **kw: exp_ptilde("-", **kw),
-    }
-    if name not in factories:
-        raise ValueError(f"unknown witness {name!r}; choose from {WITNESS_NAMES}")
-    return factories[name](**kwargs)

@@ -13,6 +13,7 @@ from mdlab.topology import (
     MatrixField,
     NonInvertibleFieldError,
     ResidualError,
+    _finish,
     chern_2d,
     derivative_check,
     expi_hermitian,
@@ -21,6 +22,7 @@ from mdlab.topology import (
     winding_1d,
     winding_3d,
 )
+from mdlab.invariants import _const_one_line
 from mdlab.witnesses import (
     epsilon1_field,
     exp_ptilde,
@@ -28,6 +30,7 @@ from mdlab.witnesses import (
     phat,
     phat_disk,
     trivial_lift_eps1,
+    trivial_lift_unit,
     u_gamma3,
     uminus,
     uplus,
@@ -54,33 +57,29 @@ def test_winding_reference_phases():
 
 
 def test_winding_constant_is_zero():
-    const = MatrixField(lambda pts: np.full((len(pts), 1, 1), 2.0 + 0j),
-                        "invertible", 1, 1, "const",
-                        lambda pts, ax: np.zeros((len(pts), 1, 1), complex))
+    const = MatrixField(lambda pts: np.full((len(pts), 1, 1), 2.0 + 0j), 1, "const",
+                        lambda pts: np.zeros((1, len(pts), 1, 1), complex))
     assert winding_1d(const, "+").rounded == 0
 
 
 def _phase_power(base: MatrixField, k: int) -> MatrixField:
-    return MatrixField(lambda pts: base.evaluator(pts) ** k, "invertible", 1, 1,
-                       f"{base.name}^{k}",
-                       lambda pts, ax: k * base.evaluator(pts) ** (k - 1)
-                       * base.derivative(pts, ax))
+    return MatrixField(lambda pts: base.evaluator(pts) ** k, 1, f"{base.name}^{k}",
+                       lambda pts: k * base.evaluator(pts) ** (k - 1) * base.derivative(pts))
 
 
 def test_winding_additivity_under_products():
     up = uplus()
     assert winding_1d(_phase_power(up, 2), "+").rounded == 2
     prod = MatrixField(
-        lambda pts: up.evaluator(pts) ** 2 * up.evaluator(pts),
-        "invertible", 1, 1, "u3",
-        lambda pts, ax: 3 * up.evaluator(pts) ** 2 * up.derivative(pts, ax))
+        lambda pts: up.evaluator(pts) ** 2 * up.evaluator(pts), 1, "u3",
+        lambda pts: 3 * up.evaluator(pts) ** 2 * up.derivative(pts))
     assert winding_1d(prod, "+").rounded == 3
 
 
 def test_winding_rejects_singular_field():
     def ev(pts):
         return pts[:, 0][:, None, None].astype(complex)  # vanishes at z = 0
-    f = MatrixField(ev, "invertible", 1, 1, "z")
+    f = MatrixField(ev, 1, "z")
     with pytest.raises(NonInvertibleFieldError):
         winding_1d(f, "+")
 
@@ -89,9 +88,33 @@ def test_winding_rejects_mismatched_limits():
     def ev(pts):
         z = pts[:, 0]
         return ((z - 1j) / (z + 1j))[:, None, None]  # -1 at 0, +1 at infinity
-    f = MatrixField(ev, "invertible", 1, 1, "moebius")
+    f = MatrixField(ev, 1, "moebius")
     with pytest.raises(BoundaryConditionError, match="limits"):
         winding_1d(f, "+")
+
+
+def test_fields_without_a_derivative_are_refused():
+    with pytest.raises(ValueError, match="const: no exact derivative"):
+        winding_1d(MatrixField(lambda pts: np.ones((len(pts), 1, 1), complex), 1, "const"))
+    bare = dataclasses.replace(phat_disk(64), name="bare", derivative=None)
+    with pytest.raises(ValueError, match="bare: no exact derivative"):
+        chern_2d(bare)
+    with pytest.raises(ValueError, match="bare: no exact derivative"):
+        derivative_check(bare, [[0.5, 1.0]])
+
+
+def test_winding_1d_nan_derivative_stops_the_recursion():
+    # Without the NaN stop every branch through (0.3, 0.31) recursed to depth
+    # 40: over 1e6 derivative calls in 60 s.
+    up = uplus()
+
+    def derivative(pts):
+        out = up.derivative(pts)
+        out[:, (pts[:, 0] > 0.3) & (pts[:, 0] < 0.31)] = np.nan
+        return out
+
+    with pytest.raises(ResidualError, match="not finite"):
+        winding_1d(dataclasses.replace(up, derivative=derivative), "+")
 
 
 def test_chern_calibration_charge():
@@ -131,8 +154,8 @@ def test_chern_rejects_nonconstant_boundary():
 
 def test_chern_rejects_non_projection():
     base = gamma3_disk(64)
-    bad = MatrixField(lambda pts: 0.5 * base.evaluator(pts), "projection", 2, 2,
-                      "half", base.derivative, base.default_domain)
+    bad = MatrixField(lambda pts: 0.5 * base.evaluator(pts), 2, "half", base.derivative,
+                      base.default_domain)
     with pytest.raises(ValueError, match="projection residual|boundary"):
         chern_2d(bad)
 
@@ -147,7 +170,6 @@ def test_half_disk_residual_is_flagged():
 
 
 def test_winding3d_identity_field_is_zero():
-    from mdlab.witnesses import trivial_lift_eps1, trivial_lift_unit
     assert winding_3d(trivial_lift_unit()).raw == 0.0
     assert winding_3d(trivial_lift_eps1()).raw == 0.0
 
@@ -181,22 +203,25 @@ def test_winding3d_chunking_invariance():
 def test_winding3d_rejects_bad_boundary():
     u = u_gamma3()
     dom = GridDomain((Axis(-1.0, 1.0, 16),) * 3)
-    bad = MatrixField(u.evaluator, "invertible", 2, 3, "u_box", u.derivative, dom)
+    bad = MatrixField(u.evaluator, 3, "u_box", u.derivative, dom)
     with pytest.raises(BoundaryConditionError, match="enlarge"):
         winding_3d(bad)
 
 
-def _nan_at(field, point):
-    """field, except that its value at one point is NaN."""
-    def evaluator(pts):
-        out = field.evaluator(pts)
-        out[np.all(pts == point, axis=1)] = np.nan
+def _nan_at(field, point, attr="evaluator"):
+    """field, except that its value (or its derivative) at one point is NaN."""
+    fn = getattr(field, attr)
+
+    def nan_at_point(pts):
+        out = fn(pts)
+        out[..., np.all(pts == point, axis=1), :, :] = np.nan
         return out
 
-    return dataclasses.replace(field, evaluator=evaluator)
+    return dataclasses.replace(field, **{attr: nan_at_point})
 
 
 _DISK_MIDPOINT = [ax.midpoints()[0] for ax in phat_disk(64).default_domain.axes]
+_BOX_MIDPOINT = [ax.midpoints()[7] for ax in exp_ptilde("+", 16).default_domain.axes]
 
 
 @pytest.mark.parametrize("integral, field, error, match", [
@@ -205,7 +230,14 @@ _DISK_MIDPOINT = [ax.midpoints()[0] for ax in phat_disk(64).default_domain.axes]
     (chern_2d, _nan_at(phat_disk(64), _DISK_MIDPOINT), ValueError, "projection residual"),
     (winding_3d, _nan_at(trivial_lift_eps1(), [-1.0, -1.0, 0.0]), BoundaryConditionError,
      "boundary-identity"),
-], ids=["edge_constancy", "projection", "boundary_identity"])
+    (chern_2d, _nan_at(phat_disk(64), _DISK_MIDPOINT, "derivative"), ResidualError,
+     "not finite"),
+    (winding_3d, _nan_at(exp_ptilde("+", 16), _BOX_MIDPOINT, "derivative"), ResidualError,
+     "not finite"),
+    (lambda raw: _finish(raw, 0.0, (16,), "inf"), complex(math.inf, 0.0), ResidualError,
+     "not finite"),
+], ids=["edge_constancy", "projection", "boundary_identity", "chern_derivative",
+        "winding_3d_derivative", "finish_inf"])
 def test_nan_at_one_point_fails_the_guard(integral, field, error, match):
     with pytest.raises(error, match=match):
         integral(field)
@@ -215,13 +247,49 @@ def test_analytic_derivatives_match_finite_differences():
     rng = np.random.default_rng(2)
     for field, box in [
         (phat(), [(-2, 2), (-2, 2)]),
+        (phat_disk(64), [(0.05, 0.95), (0, 6.2)]),
         (exp_ptilde("+", 24), [(-1.4, 1.4), (-1.4, 1.4), (0.05, 0.95)]),
+        (exp_ptilde("-", 24), [(-1.4, 1.4), (-1.4, 1.4), (0.05, 0.95)]),
         (gamma3_disk(64), [(0.05, 1.5), (0, 6.2)]),
         (uplus(), [(0.1, 5.0)]),
+        (uminus(), [(-5.0, -0.1)]),
         (u_gamma3(), [(-1.5, 1.5)] * 3),
+        (epsilon1_field(), [(-1, 1)] * 2),
+        (trivial_lift_unit(), [(-1, 1), (-1, 1), (0, 1)]),
+        (trivial_lift_eps1(), [(-1, 1), (-1, 1), (0, 1)]),
+        (_const_one_line(), [(-5, 5)]),
     ]:
         pts = np.stack([rng.uniform(lo, hi, 200) for lo, hi in box], axis=1)
-        assert derivative_check(field, pts) < 1e-6
+        size = field(pts).shape[-1]
+        assert field.derivative(pts).shape == (field.dim, len(pts), size, size), field.name
+        assert derivative_check(field, pts) < 1e-6, field.name
+
+
+def _counting(field):
+    """field with its evaluator and derivative counting the points passed to them."""
+    seen = [0]
+
+    def count(fn):
+        def counted(pts):
+            seen[0] += len(pts)
+            return fn(pts)
+        return counted
+
+    return dataclasses.replace(field, evaluator=count(field.evaluator),
+                               derivative=count(field.derivative)), seen
+
+
+@pytest.mark.parametrize("integral, field, fixed", [
+    # 4 boundary faces of 17 points; 64 derivative-check samples at 1 + 2 * 2 calls.
+    (chern_2d, phat_disk(64), 4 * 17 + 64 * 5),
+    # 6 boundary faces of 17**2 points; at most 48 derivative-check samples at 1 + 2 * 3.
+    (winding_3d, exp_ptilde("+", 16), 6 * 17 ** 2 + 48 * 7),
+], ids=["chern_2d", "winding_3d"])
+def test_integrals_evaluate_each_grid_point_twice(integral, field, fixed):
+    counted, seen = _counting(field)
+    grid_points = math.prod(field.default_domain.shape())
+    integral(counted)
+    assert seen[0] <= 2 * grid_points + fixed
 
 
 def test_projection_and_singular_value_helpers():

@@ -7,8 +7,6 @@ import pytest
 
 from mdlab.topology import expi_hermitian, projection_residual
 from mdlab.witnesses import (
-    WITNESS_NAMES,
-    build_witness,
     exp_ptilde,
     gamma3_disk,
     p_gamma3,
@@ -124,10 +122,3 @@ def test_uplus_values():
     expected = np.exp(2j * math.pi * (-1.0 / math.sqrt(2.0)))
     assert vals[1] == pytest.approx(expected, abs=1e-14)
 
-
-def test_build_witness_dispatch():
-    for name in WITNESS_NAMES:
-        field = build_witness(name)
-        assert field.name.startswith(name) or field.name == name
-    with pytest.raises(ValueError, match="unknown witness"):
-        build_witness("nope")
