@@ -176,25 +176,24 @@ def exp_ptilde(side: str, n: int = 128, xy_extent: float = 1.5) -> MatrixField:
         # chi = 2 pi / sqrt(1 + z^2) with z = -+tan(pi v/2): even in z.
         chi = TAU * np.cos(0.5 * math.pi * pts[:, 2])
         e = np.exp(1j * chi)
-        kmat = np.zeros_like(p)
-        kmat[:, 0, 0] = np.conj(e)
-        kmat[:, 1, 1] = 1.0
+        # k = diag(conj(e), 1) divides out the value at (x, y)-infinity; a
+        # diagonal right factor scales columns, so it is kept as its diagonal.
+        kdiag = np.stack((np.conj(e), np.ones_like(e)), axis=-1)[:, None, :]
         gmat = np.eye(2)[None, :, :] + (e - 1.0)[:, None, None] * p
-        return p, chi, e, kmat, gmat
+        return p, chi, e, kdiag, gmat
 
     def ev(pts):
-        _, _, _, kmat, gmat = pieces(pts)
-        return gmat @ kmat
+        _, _, _, kdiag, gmat = pieces(pts)
+        return gmat * kdiag
 
     def dv(pts):
-        p, chi, e, kmat, gmat = pieces(pts)
+        p, chi, e, kdiag, gmat = pieces(pts)
         d = np.empty((3,) + p.shape, dtype=complex)
-        d[:2] = (e - 1.0)[:, None, None] * (_phat_grad(pts[:, 0], pts[:, 1]) @ kmat)
+        d[:2] = (e - 1.0)[:, None, None] * (_phat_grad(pts[:, 0], pts[:, 1]) * kdiag)
         dchi = -math.pi ** 2 * np.sin(0.5 * math.pi * pts[:, 2])
         dg = (1j * dchi * e)[:, None, None] * p
-        dk = np.zeros_like(kmat)
-        dk[:, 0, 0] = -1j * dchi * np.conj(e)
-        d[2] = dg @ kmat + gmat @ dk
+        dkdiag = np.stack((-1j * dchi * np.conj(e), np.zeros_like(e)), axis=-1)[:, None, :]
+        d[2] = dg * kdiag + gmat * dkdiag
         return d
 
     return MatrixField(evaluator=ev, dim=3, name=name,

@@ -1,0 +1,129 @@
+"""The closed-form k×k kernels (k <= 2) of the grid integrals, and an independent route.
+
+Each kernel is compared with the general numpy routine it replaces.  The
+tolerance is 1e-12 relative to the scale at which round-off enters: the
+entries of |a| @ |b| for products and traces, σ_max for σ_min (an SVD is only
+accurate to eps·σ_max), and the largest entry of the inverse.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mdlab.topology import _inv2, _mul2, _sigma_min2, _trace_mul2, chern_2d, winding_3d
+from mdlab.witnesses import exp_ptilde, gamma3_disk, phat_disk
+
+RTOL = 1e-12
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(_complex(rng, (n, 2, 2)))
+    return q
+
+
+def _batches(rng, k, n=200):
+    """Random, Hermitian, unitary (σ1 = σ2, as at the witnesses) and
+    near-singular (σ_min/σ_max = 1e-3) k×k batches."""
+    m = _complex(rng, (n, k, k))
+    herm = m + m.conj().swapaxes(-1, -2)
+    if k == 1:
+        unitary = np.exp(1j * rng.uniform(0, 2 * math.pi, (n, 1, 1)))
+        near = 1e-3 * m
+    else:
+        unitary = _unitary(rng, n)
+        near = _unitary(rng, n) @ np.diag([1.0, 1e-3]) @ _unitary(rng, n)
+    return {"random": m, "hermitian": herm, "unitary": unitary, "near_singular": near}
+
+
+def _check_kernels(a, b):
+    scale = np.abs(a) @ np.abs(b)
+    assert np.all(np.abs(_mul2(a, b) - a @ b) <= RTOL * scale)
+    trace = np.trace(a @ b, axis1=-2, axis2=-1)
+    assert np.all(np.abs(_trace_mul2(a, b) - trace) <= RTOL * np.trace(scale, axis1=-2, axis2=-1))
+    sv = np.linalg.svd(a, compute_uv=False)
+    assert np.all(np.abs(_sigma_min2(a) - sv[..., -1]) <= RTOL * sv[..., 0])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("kind", ["random", "hermitian", "unitary", "near_singular"])
+def test_kernels_match_the_general_routines(k, kind):
+    rng = np.random.default_rng(10 * k)
+    a = _batches(rng, k)[kind]
+    b = _complex(rng, a.shape)
+    _check_kernels(a, b)
+    _check_kernels(a, a)
+    inv = np.linalg.inv(a)
+    assert np.all(np.abs(_inv2(a) - inv) <= RTOL * np.abs(inv).max(axis=(-2, -1), keepdims=True))
+    if kind in ("unitary", "near_singular"):
+        sv = np.linalg.svd(a, compute_uv=False)[..., -1]
+        assert np.all(np.abs(_sigma_min2(a) - sv) <= RTOL * sv)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_mul2_broadcasts_a_stack_against_its_partials(k):
+    rng = np.random.default_rng(3)
+    a = _complex(rng, (100, k, k))
+    d = _complex(rng, (3, 100, k, k))
+    out = _mul2(a, d)
+    assert out.shape == (3, 100, k, k)
+    assert np.all(np.abs(out - a @ d) <= RTOL * (np.abs(a) @ np.abs(d)))
+
+
+def test_sigma_min2_edge_values():
+    zero = np.zeros((2, 2, 2), complex)
+    assert np.array_equal(_sigma_min2(zero), [0.0, 0.0])
+    nan = np.eye(2, dtype=complex)[None].repeat(2, axis=0)
+    nan[1, 0, 1] = np.nan
+    out = _sigma_min2(nan)
+    assert out[0] == 1.0 and np.isnan(out[1])
+    assert np.array_equal(_sigma_min2(np.array([[[-3.0 + 4.0j]]])), [5.0])
+
+
+_entries = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.sampled_from([1, 2]), data=st.data())
+def test_kernels_property_random_complex_entries(k, data):
+    a, b = (np.array(data.draw(st.lists(_entries, min_size=k * k, max_size=k * k)),
+                     dtype=complex).reshape(1, k, k) for _ in range(2))
+    _check_kernels(a, b)
+    sv = np.linalg.svd(a, compute_uv=False)[0]
+    if sv[-1] > 1e-3 * sv[0]:
+        inv = np.linalg.inv(a)
+        assert np.all(np.abs(_inv2(a) - inv) <= RTOL * np.abs(inv).max())
+
+
+def _midpoint_reference(field, kind):
+    """The grid integral by the general routines: @, np.trace, np.linalg.inv and an SVD floor."""
+    domain = field.default_domain
+    axes = np.meshgrid(*(ax.midpoints() for ax in domain.axes), indexing="ij")
+    mesh = np.stack(axes, axis=-1).reshape(-1, domain.dim)
+    vals = field(mesh)
+    if kind == "chern":
+        d1, d2 = field.derivative(mesh)
+        integrand = np.trace(vals @ (d1 @ d2 - d2 @ d1), axis1=1, axis2=2)
+        scale = domain.cell_volume / (2.0j * math.pi)
+    else:
+        assert np.linalg.svd(vals, compute_uv=False)[:, -1].min() > 1e-6
+        a0, a1, a2 = np.linalg.inv(vals) @ field.derivative(mesh)
+        integrand = np.trace(a0 @ (a1 @ a2 - a2 @ a1), axis1=1, axis2=2)
+        scale = 3.0 * domain.cell_volume * (-1.0 / (24.0 * math.pi ** 2))
+    total = complex(math.fsum(z.real for z in integrand), math.fsum(z.imag for z in integrand))
+    return (total * scale).real
+
+
+@pytest.mark.parametrize("integral, field, kind", [
+    (chern_2d, phat_disk(64), "chern"),
+    (chern_2d, gamma3_disk(64), "chern"),
+    (winding_3d, exp_ptilde("+", 16), "winding"),
+    (winding_3d, exp_ptilde("-", 16), "winding"),
+], ids=["phat_disk", "gamma3_disk", "exp_ptilde_plus", "exp_ptilde_minus"])
+def test_grid_integrals_agree_with_the_general_routines(integral, field, kind):
+    assert abs(integral(field).raw - _midpoint_reference(field, kind)) <= 1e-13

@@ -208,13 +208,13 @@ def test_winding3d_rejects_bad_boundary():
         winding_3d(bad)
 
 
-def _nan_at(field, point, attr="evaluator"):
-    """field, except that its value (or its derivative) at one point is NaN."""
+def _nan_at(field, point, attr="evaluator", value=np.nan):
+    """field, except that its value (or its derivative) at one point is NaN (or value)."""
     fn = getattr(field, attr)
 
     def nan_at_point(pts):
         out = fn(pts)
-        out[..., np.all(pts == point, axis=1), :, :] = np.nan
+        out[..., np.all(pts == point, axis=1), :, :] = value
         return out
 
     return dataclasses.replace(field, **{attr: nan_at_point})
@@ -236,11 +236,44 @@ _BOX_MIDPOINT = [ax.midpoints()[7] for ax in exp_ptilde("+", 16).default_domain.
      "not finite"),
     (lambda raw: _finish(raw, 0.0, (16,), "inf"), complex(math.inf, 0.0), ResidualError,
      "not finite"),
+    (winding_3d, _nan_at(exp_ptilde("+", 16), _BOX_MIDPOINT), NonInvertibleFieldError,
+     "min singular value nan"),
 ], ids=["edge_constancy", "projection", "boundary_identity", "chern_derivative",
-        "winding_3d_derivative", "finish_inf"])
+        "winding_3d_derivative", "finish_inf", "winding_3d_value"])
 def test_nan_at_one_point_fails_the_guard(integral, field, error, match):
     with pytest.raises(error, match=match):
         integral(field)
+
+
+def test_zero_matrix_at_one_point_fails_the_singular_value_floor():
+    zero_at = _nan_at(exp_ptilde("+", 16), _BOX_MIDPOINT, value=0.0)
+    with pytest.raises(NonInvertibleFieldError, match="min singular value 0 on the grid"):
+        winding_3d(zero_at)
+
+
+def _block_3x3(field, corner):
+    """field's 2x2 values (and partials) in a 3x3 block matrix, corner entry fixed."""
+    def pad(vals):
+        out = np.zeros(vals.shape[:-2] + (3, 3), complex)
+        out[..., :2, :2] = vals
+        return out
+
+    def ev(pts):
+        out = pad(field.evaluator(pts))
+        out[..., 2, 2] = corner
+        return out
+
+    return dataclasses.replace(field, name=f"{field.name}_3x3", evaluator=ev,
+                               derivative=lambda pts: pad(field.derivative(pts)))
+
+
+def test_grid_integrals_refuse_fields_larger_than_2x2():
+    # A 3x3 identity and a 3x3 projection pass every boundary guard; the
+    # closed-form kernels would integrate garbage, so the size is refused.
+    with pytest.raises(ValueError, match="exp_lift_eps1_3x3: 3x3 values"):
+        winding_3d(_block_3x3(trivial_lift_eps1(), 1.0))
+    with pytest.raises(ValueError, match="phat_disk_3x3: 3x3 values"):
+        chern_2d(_block_3x3(phat_disk(64), 0.0))
 
 
 def test_analytic_derivatives_match_finite_differences():

@@ -114,6 +114,18 @@ def test_exp_ptilde_is_unitary():
     assert np.abs(g @ g.conj().transpose(0, 2, 1) - np.eye(2)).max() < 1e-10
 
 
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_exp_ptilde_is_special_unitary(side):
+    # exp_ptilde applies its normalizing factor diag(conj(e), 1) as a column
+    # scaling; a wrong factor would show as a det or unitarity defect.
+    rng = np.random.default_rng(9)
+    pts = np.stack([rng.uniform(-1.5, 1.5, 20_000), rng.uniform(-1.5, 1.5, 20_000),
+                    rng.uniform(0, 1, 20_000)], axis=1)
+    g = exp_ptilde(side, 32)(pts)
+    assert np.abs(np.linalg.det(g) - 1.0).max() <= 1e-14
+    assert np.abs(g.conj().transpose(0, 2, 1) @ g - np.eye(2)).max() <= 1e-14
+
+
 def test_uplus_values():
     f = uplus()
     z = np.array([[0.0], [1.0]])
