@@ -76,20 +76,31 @@ def _check_in_V(p):
     return p
 
 
+def _coords(p):
+    """The coordinates x, y, z, t, s of points p (..., 5), each of shape (...)."""
+    p = np.asarray(p, dtype=float)
+    return (p[..., i] for i in range(5))
+
+
 def act(action: str, g, p) -> np.ndarray:
-    """Apply the R^2-action element g = (r, a) to point(s) p."""
+    """Apply the R^2-action element(s) g = (r, a) to point(s) p.
+
+    g of shape (..., 2) broadcasts against p of shape (..., 5).
+    """
     p = _check_in_V(p)
-    r, a = float(g[0]), float(g[1])
-    ca, sa = math.cos(a), math.sin(a)
-    out = np.array(p, dtype=float, copy=True)
-    x, y, z, t, s = (p[..., i] for i in range(5))
+    g = np.asarray(g, dtype=float)
+    r, a = g[..., 0], g[..., 1]
+    ca, sa = np.cos(a), np.sin(a)
+    out = np.empty(np.broadcast_shapes(p.shape[:-1], g.shape[:-1]) + (5,))
+    x, y, z, t, s = _coords(p)
     out[..., 0] = x + r
     # (y + iz) e^{-ia}
     out[..., 1] = y * ca + z * sa
     out[..., 2] = -y * sa + z * ca
     if action == "lambda12":
-        out[..., 3] = t * math.exp(a)
-        out[..., 4] = s * math.exp(a)
+        ea = np.exp(a)
+        out[..., 3] = t * ea
+        out[..., 4] = s * ea
     elif action == "lambda14":
         # (t + is) e^{-ia}
         out[..., 3] = t * ca + s * sa
@@ -99,13 +110,14 @@ def act(action: str, g, p) -> np.ndarray:
     return out
 
 
+# Elementwise over the points p[..., :].
 _PREDICATES = {
-    "V1": lambda p: p[4] != 0.0,
-    "W1": lambda p: p[4] == 0.0,
-    "V2": lambda p: p[4] == 0.0 and p[3] != 0.0,
-    "W2": lambda p: p[4] == 0.0 and p[3] == 0.0,
-    "V3": lambda p: p[3] != 0.0 or p[4] != 0.0,
-    "W3": lambda p: p[4] == 0.0 and p[3] == 0.0,
+    "V1": lambda p: p[..., 4] != 0.0,
+    "W1": lambda p: p[..., 4] == 0.0,
+    "V2": lambda p: (p[..., 4] == 0.0) & (p[..., 3] != 0.0),
+    "W2": lambda p: (p[..., 4] == 0.0) & (p[..., 3] == 0.0),
+    "V3": lambda p: (p[..., 3] != 0.0) | (p[..., 4] != 0.0),
+    "W3": lambda p: (p[..., 4] == 0.0) & (p[..., 3] == 0.0),
 }
 
 
@@ -131,9 +143,13 @@ def sample_stratum(tag: str, rng: np.random.Generator, n: int = 1) -> np.ndarray
         pass
     else:
         raise ValueError(f"unknown stratum {tag!r}")
+
+    def valid(q):
+        return _PREDICATES[tag](q) & np.any(q[..., 1:] != 0.0, axis=-1)
+
     # Regenerate the rare degenerate draws rather than shifting them.
-    for i in range(n):
-        while not (_PREDICATES[tag](pts[i]) and np.any(pts[i, 1:] != 0.0)):  # pragma: no cover
+    for i in np.flatnonzero(~valid(pts)):  # pragma: no cover
+        while not valid(pts[i]):
             fresh = rng.standard_normal(5)
             pts[i] = fresh
             if tag in ("W1", "V2"):
@@ -174,10 +190,8 @@ def preservation_check(action: str, stratum: str, n_samples: int, seed: int) -> 
     pts = sample_stratum(stratum, rng, n_samples)
     report = PreservationReport(action, stratum, n_samples, seed)
     gs = rng.uniform(-3.0, 3.0, size=(n_samples, 2))
-    for p, g in zip(pts, gs):
-        q = act(action, g, p)
-        if not _PREDICATES[stratum](q):
-            report.violations.append(q)
+    qs = act(action, gs, pts)
+    report.violations.extend(qs[~_PREDICATES[stratum](qs)])
     return report
 
 
@@ -186,26 +200,32 @@ def action_generators(action: str, p) -> np.ndarray:
 
     Rows: the translation field (1,0,0,0,0) and the rotation/scaling field,
     (0, z, -y, t, s) for lambda12 and (0, z, -y, s, -t) for lambda14.
+    Points p of shape (..., 5) give shape (..., 2, 5).
     """
-    p = np.asarray(p, dtype=float)
-    x, y, z, t, s = p
-    u = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+    x, y, z, t, s = _coords(p)
+    out = np.zeros(np.shape(x) + (2, 5))
+    out[..., 0, 0] = 1.0
+    out[..., 1, 1] = z
+    out[..., 1, 2] = -y
     if action == "lambda12":
-        v = np.array([0.0, z, -y, t, s])
+        out[..., 1, 3] = t
+        out[..., 1, 4] = s
     elif action == "lambda14":
-        v = np.array([0.0, z, -y, s, -t])
+        out[..., 1, 3] = s
+        out[..., 1, 4] = -t
     else:
         raise ValueError(f"unknown action {action!r}")
-    return np.stack([u, v])
+    return out
 
 
 @dataclass(frozen=True)
 class LeafInvariants:
     """Complete invariant of the orbit partition on one stratum.
 
-    `mapping` sends a point to (continuous part, discrete part); the
-    continuous part lands in a Euclidean model of dimension `dim` and the
-    discrete part picks the connected component of the model leaf space.
+    `mapping` sends points (..., 5) to (continuous part, discrete part); the
+    continuous part, of shape (..., dim), lands in a Euclidean model of
+    dimension `dim` and the discrete part, a tuple of arrays of shape (...),
+    picks the connected component of the model leaf space.
     """
 
     stratum: str
@@ -215,26 +235,26 @@ class LeafInvariants:
 
 
 def _inv_V1(p):
-    x, y, z, t, s = p
-    w = (y + 1j * z) * np.exp(1j * math.log(abs(s)))
-    return np.array([w.real, w.imag, t / s]), (int(np.sign(s)),)
+    x, y, z, t, s = _coords(p)
+    w = (y + 1j * z) * np.exp(1j * np.log(np.abs(s)))
+    return np.stack([w.real, w.imag, t / s], axis=-1), (np.sign(s),)
 
 
 def _inv_V2(p):
-    x, y, z, t, s = p
-    w = (y + 1j * z) * np.exp(1j * math.log(abs(t)))
-    return np.array([w.real, w.imag]), (int(np.sign(t)),)
+    x, y, z, t, s = _coords(p)
+    w = (y + 1j * z) * np.exp(1j * np.log(np.abs(t)))
+    return np.stack([w.real, w.imag], axis=-1), (np.sign(t),)
 
 
 def _inv_W2(p):
-    x, y, z, t, s = p
-    return np.array([math.hypot(y, z)]), ()
+    x, y, z, t, s = _coords(p)
+    return np.hypot(y, z)[..., None], ()
 
 
 def _inv_V3(p):
-    x, y, z, t, s = p
+    x, y, z, t, s = _coords(p)
     u = (y + 1j * z) / (t + 1j * s)
-    return np.array([u.real, u.imag, abs(t + 1j * s)]), ()
+    return np.stack([u.real, u.imag, np.abs(t + 1j * s)], axis=-1), ()
 
 
 _INVARIANTS = {"V1": _inv_V1, "V2": _inv_V2, "W2": _inv_W2, "V3": _inv_V3, "W3": _inv_W2}
@@ -247,22 +267,37 @@ def leaf_invariants(stratum: str) -> LeafInvariants:
                           _INVARIANTS[stratum])
 
 
-def _jacobian(fn, p, h: float):
-    """Central finite-difference Jacobian of an array-valued fn at a point of R^5."""
-    cols = []
-    for i in range(5):
-        dp = np.zeros(5)
-        dp[i] = h
-        cols.append((fn(p + dp) - fn(p - dp)) / (2 * h))
-    return np.stack(cols, axis=1)
+def _jacobian(fn, p, h):
+    """Central finite-difference Jacobians of fn: (..., 5) -> (..., k) at points p (..., 5).
 
-
-def _diff_rank(fn, p, cutoff: float = 1e-6) -> int:
-    """Numeric rank of the differential of the continuous invariant part."""
+    The step h is a scalar or one step per point, shape (...).  fn is called
+    once, on the ten shifted copies of every point; the result is (..., k, 5).
+    """
     p = np.asarray(p, dtype=float)
-    jac = _jacobian(lambda q: fn(q)[0], p, 1e-5 * (1.0 + np.linalg.norm(p)))
+    h = np.asarray(h, dtype=float)[..., None, None]
+    dp = h * np.eye(5)
+    vals = fn(np.concatenate([p[..., None, :] + dp, p[..., None, :] - dp], axis=-2))
+    diff = vals[..., :5, :] - vals[..., 5:, :]
+    diff /= 2 * h
+    return np.swapaxes(diff, -1, -2)
+
+
+def _diff_rank(fn, p, cutoff: float = 1e-6) -> np.ndarray:
+    """Numeric rank of the differential of the continuous invariant part, per point."""
+    p = np.asarray(p, dtype=float)
+    jac = _jacobian(lambda q: fn(q)[0], p, 1e-5 * (1.0 + np.linalg.norm(p, axis=-1)))
     sv = np.linalg.svd(jac, compute_uv=False)
-    return int((sv > cutoff).sum())
+    return (sv > cutoff).sum(axis=-1)
+
+
+def _rank_counts(ranks) -> dict[int, int]:
+    values, counts = np.unique(ranks, return_counts=True)
+    return {int(r): int(c) for r, c in zip(values, counts)}
+
+
+def _max(values) -> float:
+    """Largest value, 0.0 if there are none, NaN if any is NaN."""
+    return float(np.max(values, initial=0.0))
 
 
 @dataclass
@@ -296,17 +331,14 @@ def stratum_invariant_report(stratum: str, n_samples: int, seed: int) -> Stratum
     rng = np.random.default_rng(seed)
     pts = sample_stratum(stratum, rng, n_samples)
     gs = rng.uniform(-3.0, 3.0, size=(n_samples, 2))
-    resid = [0.0]
-    ranks: dict[int, int] = {}
-    for p, g in zip(pts, gs):
-        c0, d0 = inv.mapping(p)
-        c1, d1 = inv.mapping(act(action, g, p))
-        resid.append(np.abs(c1 - c0).max() if d0 == d1 else math.inf)
-        r = _diff_rank(inv.mapping, p)
-        ranks[r] = ranks.get(r, 0) + 1
+    c0, d0 = inv.mapping(pts)
+    c1, d1 = inv.mapping(act(action, gs, pts))
+    same = np.all([u == v for u, v in zip(d0, d1)], axis=0)
+    resid = np.where(same, np.abs(c1 - c0).max(axis=-1), math.inf)
+    ranks = _rank_counts(_diff_rank(inv.mapping, pts))
     full = set(ranks) == {inv.dim}
     return StratumReport(stratum, inv.model, STRATUM_ALGEBRA[stratum],
-                         float(np.max(resid)), ranks, full)
+                         _max(resid), ranks, full)
 
 
 def leafspace_report(action: str, n_samples: int = 200, seed: int = 0) -> dict:
@@ -364,27 +396,19 @@ def integrability_check(action: str, n_samples: int, seed: int) -> Integrability
     """
     rng = np.random.default_rng(seed)
     alg = build_md5(_ENVOYS[action])
-    u_field = lambda p: action_generators(action, p)[0]
-    v_field = lambda p: action_generators(action, p)[1]
-    bracket_res = [0.0]
-    tangent_res = [0.0]
-    ranks: dict[int, int] = {}
     pts = rng.standard_normal((n_samples, 5))
-    for p in pts:
-        gen = action_generators(action, p)
-        ju = _jacobian(u_field, p, 1e-6)
-        jv = _jacobian(v_field, p, 1e-6)
-        lie = jv @ gen[0] - ju @ gen[1]
-        bracket_res.append(np.abs(lie).max())
-        sv = np.linalg.svd(gen, compute_uv=False)
-        r = int((sv > 1e-10 * max(1.0, sv[0])).sum())
-        ranks[r] = ranks.get(r, 0) + 1
-        b = kirillov_form(alg, p)
-        ub, sb, _ = np.linalg.svd(b)
-        angles = scipy.linalg.subspace_angles(gen.T, ub[:, :2])
-        tangent_res.append(np.max(angles))
-    return IntegrabilityReport(action, n_samples, seed, float(np.max(bracket_res)), ranks,
-                               float(np.max(tangent_res)))
+    gen = action_generators(action, pts)
+    # Both fields at once: rows 0-4 of the Jacobian are du, rows 5-9 are dv.
+    jac = _jacobian(lambda q: action_generators(action, q).reshape(q.shape[:-1] + (10,)),
+                    pts, 1e-6)
+    lie = jac[..., 5:, :] @ gen[..., 0, :, None] - jac[..., :5, :] @ gen[..., 1, :, None]
+    sv = np.linalg.svd(gen, compute_uv=False)
+    ranks = (sv > 1e-10 * np.fmax(1.0, sv[..., :1])).sum(axis=-1)
+    ub = np.linalg.svd(kirillov_form(alg, pts))[0]
+    # Principal angles point by point: scipy's routine is the independent reference.
+    angles = [np.max(scipy.linalg.subspace_angles(g.T, u[:, :2])) for g, u in zip(gen, ub)]
+    return IntegrabilityReport(action, n_samples, seed, _max(np.abs(lie)),
+                               _rank_counts(ranks), _max(angles))
 
 
 @dataclass
@@ -408,8 +432,8 @@ class FibrationReport:
 
 
 def _sphere_map(p):
-    v = np.asarray(p, dtype=float)[1:]
-    return v / np.linalg.norm(v), ()
+    v = np.asarray(p, dtype=float)[..., 1:]
+    return v / np.linalg.norm(v, axis=-1, keepdims=True), ()
 
 
 def f1_fibration_check(n_samples: int, seed: int) -> FibrationReport:
@@ -420,21 +444,16 @@ def f1_fibration_check(n_samples: int, seed: int) -> FibrationReport:
     """
     rng = np.random.default_rng(seed)
     fam = MD5Family("5_4_5")
-    resid = [0.0]
-    ranks: dict[int, int] = {}
     avals = np.linspace(-3.0, 3.0, 13)
     pts = rng.standard_normal((n_samples, 5))
     pts = np.vstack([pts, [0.0, 1.0, 0.0, 0.0, 0.0]])
-    for p in pts:
-        desc = closed_form_orbit(fam, p)
-        base, _ = _sphere_map(p)
-        for a in avals:
-            q = desc.closed_form(0.0, a)
-            d, _ = _sphere_map(q)
-            resid.append(np.abs(d - base).max())
-        r = _diff_rank(_sphere_map, p)
-        ranks[r] = ranks.get(r, 0) + 1
-    return FibrationReport(n_samples, seed, float(np.max(resid)), ranks)
+    ranks = _rank_counts(_diff_rank(_sphere_map, pts))
+    # One orbit descriptor per point (each describes one orbit), evaluated at every a at once.
+    orbit = np.stack([closed_form_orbit(fam, p).closed_form(0.0, avals) for p in pts])
+    base, _ = _sphere_map(pts)
+    d, _ = _sphere_map(orbit)
+    d -= base[:, None, :]
+    return FibrationReport(n_samples, seed, _max(np.abs(d, out=d)), ranks)
 
 
 @dataclass
@@ -478,22 +497,11 @@ def p1_submersion_audit(n_samples: int = 100, seed: int = 0) -> SubmersionAudit:
     pts = sample_stratum("V1", rng, n_samples)
     gs = rng.uniform(-3.0, 3.0, size=(n_samples, 2))
     inv = leaf_invariants("V1")
-
-    def literal(p):
-        return np.array([p[1], p[2], p[3]]), (int(np.sign(p[4])),)
-
-    lit_dev = [0.0]
-    sign_const = True
-    inv_resid = [0.0]
-    for p, g in zip(pts, gs):
-        q = act("lambda12", g, p)
-        l0, s0 = literal(p)
-        l1, s1 = literal(q)
-        lit_dev.append(np.abs(l1 - l0).max())
-        sign_const = sign_const and (s0 == s1)
-        c0, _ = inv.mapping(p)
-        c1, _ = inv.mapping(q)
-        inv_resid.append(np.abs(c1 - c0).max())
+    qs = act("lambda12", gs, pts)
+    # The literal map is (y, z, t) with the component sign s.
+    lit_dev = _max(np.abs(qs[:, 1:4] - pts[:, 1:4]))
+    sign_const = bool(np.all(np.sign(qs[:, 4]) == np.sign(pts[:, 4])))
+    inv_resid = _max(np.abs(inv.mapping(qs)[0] - inv.mapping(pts)[0]))
 
     p0 = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
     q0 = act("lambda12", (0.0, 1.0), p0)
@@ -502,4 +510,4 @@ def p1_submersion_audit(n_samples: int = 100, seed: int = 0) -> SubmersionAudit:
         "after_a_1": [float(v) for v in q0],
         "literal_changed": bool(np.abs(q0[1:4] - p0[1:4]).max() > 1e-3),
     }
-    return SubmersionAudit(float(np.max(lit_dev)), sign_const, float(np.max(inv_resid)), example)
+    return SubmersionAudit(lit_dev, sign_const, inv_resid, example)

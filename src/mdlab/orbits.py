@@ -44,9 +44,9 @@ def covector(alpha=0.0, beta=0.0, gamma=0.0, delta=0.0, sigma=0.0) -> np.ndarray
 
 
 def kirillov_form(alg: LieAlgebra, f) -> np.ndarray:
-    """Skew matrix B[i, j] = <F, [X_{i+1}, X_{j+1}]>."""
+    """Skew matrix B[i, j] = <F, [X_{i+1}, X_{j+1}]>; covectors (..., 5) give (..., 5, 5)."""
     f = np.asarray(f, dtype=float)
-    return np.einsum("ijk,k->ij", alg.sc, f)
+    return np.einsum("ijk,...k->...ij", alg.sc, f)
 
 
 def _batched_ranks(alg: LieAlgebra, fs: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
@@ -187,14 +187,18 @@ def exp_ad_transpose(family: MD5Family, a: float) -> np.ndarray:
     return out
 
 
-def coadjoint_flow(alg: LieAlgebra, f, a: float, x: float) -> np.ndarray:
-    """Point of the orbit through F at flow time a, first coordinate set to x."""
+def coadjoint_flow(alg: LieAlgebra, f, a, x) -> np.ndarray:
+    """Point(s) of the orbit through F at flow time(s) a, first coordinate set to x.
+
+    a and x broadcast; the result has shape broadcast(a, x) + (5,), from one
+    expm call on the stack of a * M^T.
+    """
     f = np.asarray(f, dtype=float)
-    m = _ad_block(alg)
-    e = scipy.linalg.expm(a * m.T)
-    out = np.empty(5)
-    out[0] = x
-    out[1:] = e @ f[1:]
+    a = np.asarray(a, dtype=float)
+    e = scipy.linalg.expm(a[..., None, None] * _ad_block(alg).T)
+    out = np.empty(np.broadcast_shapes(a.shape, np.shape(x)) + (5,))
+    out[..., 0] = x
+    out[..., 1:] = e @ f[1:]
     return out
 
 
@@ -370,10 +374,8 @@ def flow_vs_closed_form(family: MD5Family, f, xs=None, avals=None) -> float:
     if xs is None:
         xs = 0.7 * avals + 0.1
     xs = np.broadcast_to(np.asarray(xs, dtype=float), avals.shape)
-    alg = build_md5(family)
-    desc = closed_form_orbit(family, f)
-    return float(np.max([np.abs(coadjoint_flow(alg, f, a, x) - desc.closed_form(x, a)).max()
-                         for x, a in zip(xs, avals)]))
+    flow = coadjoint_flow(build_md5(family), f, avals, xs)
+    return float(np.max(np.abs(flow - closed_form_orbit(family, f).closed_form(xs, avals))))
 
 
 def orbit_tangent_residual(alg: LieAlgebra, f) -> float:

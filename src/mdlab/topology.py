@@ -36,7 +36,6 @@ __all__ = [
     "NonInvertibleFieldError",
     "ResidualError",
     "projection_residual",
-    "min_singular_value",
     "derivative_check",
     "expi_hermitian",
     "winding_1d",
@@ -157,12 +156,6 @@ def projection_residual(field: MatrixField, pts) -> float:
     return float(max(idem, herm))
 
 
-def min_singular_value(field: MatrixField, pts) -> float:
-    vals = field(pts)
-    sv = np.linalg.svd(vals, compute_uv=False)
-    return float(sv[:, -1].min())
-
-
 def derivative_check(field: MatrixField, pts, h: float = 1e-6) -> float:
     """Max deviation between exact and finite-difference derivatives (NaN if any is NaN)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -253,10 +246,12 @@ def winding_1d(f: MatrixField, side: str = "+", tol: float = 1e-8,
     sgn = 1.0 if side == "+" else -1.0
 
     zs = sgn * np.geomspace(1e-6, 1e6, 97)
-    sv_min = min_singular_value(f, zs[:, None])
-    if sv_min <= inv_floor:
+    guard = f(zs[:, None])
+    _check_size(f, guard)
+    sv_min = float(np.min(_sigma_min2(guard)))
+    if not sv_min > inv_floor:  # a NaN σ_min fails too
         raise NonInvertibleFieldError(
-            f"{f.name or 'field'}: min singular value {sv_min:.3g} <= {inv_floor}")
+            f"{f.name or 'field'}: min singular value {sv_min:.3g} is not above {inv_floor}")
     v0 = f(np.array([[0.0]]))[0]
     vinf = f(np.array([[sgn * 1e9]]))[0]
     limit_gap = float(np.abs(v0 - vinf).max())
@@ -290,7 +285,7 @@ def _check_size(field: MatrixField, vals: np.ndarray) -> None:
     k = vals.shape[-1]
     if k > 2:
         raise ValueError(f"{field.name or 'field'}: {k}x{k} values; the grid integrals "
-                         "take 1x1 and 2x2 fields only")
+                         "and the winding_1d guard take 1x1 and 2x2 fields only")
 
 
 def _mul2(a, b):
@@ -313,16 +308,21 @@ def _trace_mul2(a, b):
 
 
 def _inv2(m):
-    """Inverse of k×k stacks (k <= 2) by the adjugate."""
-    if m.shape[-1] == 1:
-        return 1.0 / m
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1]
-    out[..., 1, 1] = m[..., 0, 0]
-    out[..., 0, 1] = -m[..., 0, 1]
-    out[..., 1, 0] = -m[..., 1, 0]
-    return out / det[..., None, None]
+    """Inverse of k×k stacks (k <= 2) by the adjugate.
+
+    A singular or NaN entry gives inf or NaN without a warning: the callers'
+    σ_min floor is what refuses such a field.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if m.shape[-1] == 1:
+            return 1.0 / m
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        out = np.empty_like(m)
+        out[..., 0, 0] = m[..., 1, 1]
+        out[..., 1, 1] = m[..., 0, 0]
+        out[..., 0, 1] = -m[..., 0, 1]
+        out[..., 1, 0] = -m[..., 1, 0]
+        return out / det[..., None, None]
 
 
 def _sigma_min2(m):

@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdlab import foliation
 from mdlab.foliation import (
+    ACTIONS,
     SubmersionAudit,
+    _diff_rank,
+    _sphere_map,
     act,
     action_generators,
     f1_fibration_check,
@@ -50,6 +54,41 @@ def test_act_group_law_and_identity():
             rhs = act(spec, g + h, p)
             assert np.abs(lhs - rhs).max() < 1e-12
             assert np.array_equal(act(spec, (0.0, 0.0), p), p)
+
+
+@pytest.mark.parametrize("action", ACTIONS)
+def test_act_on_a_batch_matches_single_points(action):
+    rng = np.random.default_rng(2)
+    pts = rng.standard_normal((500, 5))
+    gs = rng.uniform(-3, 3, (500, 2))
+    single = np.stack([act(action, g, p) for g, p in zip(gs, pts)])
+    one_g = np.stack([act(action, gs[0], p) for p in pts])
+    one_p = np.stack([act(action, g, pts[0]) for g in gs])
+    for batched, expected in ((act(action, gs, pts), single),
+                              (act(action, gs[0], pts), one_g),
+                              (act(action, gs, pts[0]), one_p)):
+        assert batched.shape == (500, 5)
+        if action == "lambda14":
+            assert np.array_equal(batched, expected)
+        else:  # e^a may take another code path on a vector: 1 ulp at most
+            np.testing.assert_array_max_ulp(batched, expected, maxulp=1)
+
+
+_coordinate = st.floats(-10.0, 10.0, allow_nan=False)
+_element = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(action=st.sampled_from(ACTIONS),
+       p=st.lists(_coordinate, min_size=5, max_size=5).filter(lambda q: any(q[1:])),
+       g=_element, h=_element)
+def test_act_group_law_property(action, p, g, h):
+    p, g, h = np.array(p), np.array(g), np.array(h)
+    once = act(action, g + h, p)
+    twice = act(action, g, act(action, h, p))
+    scale = max(1.0, np.abs(p).max(), np.abs(once).max())
+    assert np.abs(twice - once).max() <= 1e-12 * scale
+    assert np.array_equal(act(action, (0.0, 0.0), p), p)
 
 
 def test_act_rejects_point_outside_V():
@@ -116,6 +155,29 @@ def test_leaf_invariant_constancy_and_rank(stratum, dim):
     assert report.constancy_residual < 1e-9
     assert set(report.rank_counts) == {dim}
     assert report.full_rank
+
+
+def _per_point_rank(fn, p, cutoff=1e-6):
+    """The differential rank at one point, one central difference per coordinate."""
+    h = 1e-5 * (1.0 + np.linalg.norm(p))
+    cols = []
+    for i in range(5):
+        dp = np.zeros(5)
+        dp[i] = h
+        cols.append((fn(p + dp)[0] - fn(p - dp)[0]) / (2 * h))
+    sv = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)
+    return int((sv > cutoff).sum())
+
+
+@pytest.mark.parametrize("stratum", foliation.STRATA)
+def test_batched_diff_rank_matches_the_per_point_formula(stratum):
+    pts = sample_stratum(stratum, np.random.default_rng(19), 200)
+    # W1 carries no leaf invariant of its own.
+    maps = [_sphere_map] + ([] if stratum == "W1" else [leaf_invariants(stratum).mapping])
+    for fn in maps:
+        ranks = _diff_rank(fn, pts)
+        assert ranks.shape == (200,)
+        assert ranks.tolist() == [_per_point_rank(fn, p) for p in pts]
 
 
 def test_w2_invariant_is_modulus():
@@ -186,36 +248,49 @@ def test_p1_submersion_audit():
     assert not SubmersionAudit(math.nan, True, 0.0, {}).ok
 
 
-def _nan_on_call(fn, k):
-    """fn, except that the array it returns on its k-th call is all NaN."""
+def _nan_on_call(fn, k, rows=slice(None)):
+    """fn, except that `rows` (default: all) of the array it returns on its k-th call are NaN.
+
+    A check makes one call for all its samples, so rows=i NaNs sample i alone.
+    """
     count = itertools.count(1)
 
     def wrapped(*args):
         out = fn(*args)
         if next(count) != k:
             return out
-        if isinstance(out, tuple):
-            return (np.full_like(out[0], np.nan),) + out[1:]
-        return np.full_like(out, np.nan)
+        arr = np.array(out[0] if isinstance(out, tuple) else out, dtype=float)
+        arr[rows] = np.nan
+        return (arr,) + out[1:] if isinstance(out, tuple) else arr
 
     return wrapped
 
 
-@pytest.mark.parametrize("owner, name, call, run, metric", [
-    (foliation._INVARIANTS, "V1", 2, lambda: stratum_invariant_report("V1", 10, 0),
+@pytest.mark.parametrize("owner, name, call, rows, run, metric", [
+    (foliation._INVARIANTS, "V1", 2, slice(None), lambda: stratum_invariant_report("V1", 10, 0),
      "constancy_residual"),
-    (foliation, "_jacobian", 1, lambda: integrability_check("lambda12", 10, 0),
+    (foliation, "_jacobian", 1, slice(None), lambda: integrability_check("lambda12", 10, 0),
      "bracket_residual"),
-    (foliation.scipy.linalg, "subspace_angles", 1,
+    (foliation.scipy.linalg, "subspace_angles", 1, slice(None),
      lambda: integrability_check("lambda12", 10, 0), "tangent_residual"),
-    (foliation, "_sphere_map", 2, lambda: f1_fibration_check(10, 0), "constancy_residual"),
-    (foliation._INVARIANTS, "V1", 2, lambda: p1_submersion_audit(10, 0), "invariant_residual"),
-], ids=["strata", "bracket", "tangent", "fibration", "p1_audit"])
-def test_nan_at_one_sample_fails_the_check(monkeypatch, owner, name, call, run, metric):
+    (foliation, "_sphere_map", 2, slice(None), lambda: f1_fibration_check(10, 0),
+     "constancy_residual"),
+    (foliation._INVARIANTS, "V1", 2, slice(None), lambda: p1_submersion_audit(10, 0),
+     "invariant_residual"),
+    (foliation._INVARIANTS, "V1", 2, 3, lambda: stratum_invariant_report("V1", 10, 0),
+     "constancy_residual"),
+    (foliation, "_jacobian", 1, 3, lambda: integrability_check("lambda12", 10, 0),
+     "bracket_residual"),
+    (foliation, "_sphere_map", 2, 3, lambda: f1_fibration_check(10, 0), "constancy_residual"),
+    (foliation._INVARIANTS, "V1", 2, 3, lambda: p1_submersion_audit(10, 0),
+     "invariant_residual"),
+], ids=["strata", "bracket", "tangent", "fibration", "p1_audit",
+        "strata_one_row", "bracket_one_row", "fibration_one_row", "p1_audit_one_row"])
+def test_nan_at_one_sample_fails_the_check(monkeypatch, owner, name, call, rows, run, metric):
     if isinstance(owner, dict):
-        monkeypatch.setitem(owner, name, _nan_on_call(owner[name], call))
+        monkeypatch.setitem(owner, name, _nan_on_call(owner[name], call, rows))
     else:
-        monkeypatch.setattr(owner, name, _nan_on_call(getattr(owner, name), call))
+        monkeypatch.setattr(owner, name, _nan_on_call(getattr(owner, name), call, rows))
     report = run()
     assert math.isnan(getattr(report, metric))
     assert not getattr(report, "ok", False)

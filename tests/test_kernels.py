@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mdlab.topology import _inv2, _mul2, _sigma_min2, _trace_mul2, chern_2d, winding_3d
 from mdlab.witnesses import exp_ptilde, gamma3_disk, phat_disk
@@ -86,17 +86,24 @@ def test_sigma_min2_edge_values():
 
 
 _entries = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+# Two k×k matrices (k = 1 or 2), as flat entry lists.
+_pairs = st.sampled_from([1, 4]).flatmap(
+    lambda n: st.tuples(*(st.lists(_entries, min_size=n, max_size=n) for _ in range(2))))
 
 
 @settings(max_examples=200, deadline=None)
-@given(k=st.sampled_from([1, 2]), data=st.data())
-def test_kernels_property_random_complex_entries(k, data):
-    a, b = (np.array(data.draw(st.lists(_entries, min_size=k * k, max_size=k * k)),
-                     dtype=complex).reshape(1, k, k) for _ in range(2))
+@given(entries=_pairs)
+# A subnormal 1×1 entry: its inverse, 4.5e308, overflows float64.
+@example(entries=([2.225073858507203e-309 + 0j], [1.0 + 0j]))
+def test_kernels_property_random_complex_entries(entries):
+    k = math.isqrt(len(entries[0]))
+    a, b = (np.array(e, dtype=complex).reshape(1, k, k) for e in entries)
     _check_kernels(a, b)
     sv = np.linalg.svd(a, compute_uv=False)[0]
     if sv[-1] > 1e-3 * sv[0]:
         inv = np.linalg.inv(a)
+        # The comparison needs an inverse that float64 can represent.
+        assume(np.isfinite(inv).all())
         assert np.all(np.abs(_inv2(a) - inv) <= RTOL * np.abs(inv).max())
 
 

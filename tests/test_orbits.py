@@ -180,6 +180,20 @@ def test_flow_vs_closed_form_random(fid):
         assert flow_vs_closed_form(fam, f, avals=np.linspace(-3, 3, 25)) < 1e-9
 
 
+@pytest.mark.parametrize("fid", ALL_FAMILIES)
+def test_coadjoint_flow_on_a_time_vector_matches_scalar_calls(fid):
+    rng = np.random.default_rng(31)
+    fam = sample_family(fid, rng)
+    alg = build_md5(fam)
+    f = rng.standard_normal(5)
+    avals, xs = rng.uniform(-3, 3, 40), rng.standard_normal(40)
+    batched = coadjoint_flow(alg, f, avals, xs)
+    assert batched.shape == (40, 5)
+    assert np.array_equal(batched, np.stack([coadjoint_flow(alg, f, a, x)
+                                             for a, x in zip(avals, xs)]))
+    assert np.array_equal(coadjoint_flow(alg, f, avals, 0.5)[:, 0], np.full(40, 0.5))
+
+
 def test_flow_group_law():
     rng = np.random.default_rng(5)
     for fid in ("5_4_8", "5_4_11", "5_4_14"):

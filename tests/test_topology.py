@@ -14,10 +14,10 @@ from mdlab.topology import (
     NonInvertibleFieldError,
     ResidualError,
     _finish,
+    _sigma_min2,
     chern_2d,
     derivative_check,
     expi_hermitian,
-    min_singular_value,
     projection_residual,
     winding_1d,
     winding_3d,
@@ -222,6 +222,7 @@ def _nan_at(field, point, attr="evaluator", value=np.nan):
 
 _DISK_MIDPOINT = [ax.midpoints()[0] for ax in phat_disk(64).default_domain.axes]
 _BOX_MIDPOINT = [ax.midpoints()[7] for ax in exp_ptilde("+", 16).default_domain.axes]
+_GUARD_POINT = [np.geomspace(1e-6, 1e6, 97)[40]]  # one of winding_1d's invertibility guard points
 
 
 @pytest.mark.parametrize("integral, field, error, match", [
@@ -238,8 +239,10 @@ _BOX_MIDPOINT = [ax.midpoints()[7] for ax in exp_ptilde("+", 16).default_domain.
      "not finite"),
     (winding_3d, _nan_at(exp_ptilde("+", 16), _BOX_MIDPOINT), NonInvertibleFieldError,
      "min singular value nan"),
+    (winding_1d, _nan_at(uplus(), _GUARD_POINT), NonInvertibleFieldError,
+     "min singular value nan"),
 ], ids=["edge_constancy", "projection", "boundary_identity", "chern_derivative",
-        "winding_3d_derivative", "finish_inf", "winding_3d_value"])
+        "winding_3d_derivative", "finish_inf", "winding_3d_value", "winding_1d"])
 def test_nan_at_one_point_fails_the_guard(integral, field, error, match):
     with pytest.raises(error, match=match):
         integral(field)
@@ -274,6 +277,11 @@ def test_grid_integrals_refuse_fields_larger_than_2x2():
         winding_3d(_block_3x3(trivial_lift_eps1(), 1.0))
     with pytest.raises(ValueError, match="phat_disk_3x3: 3x3 values"):
         chern_2d(_block_3x3(phat_disk(64), 0.0))
+    # So does the σ_min guard of winding_1d, which uses the same kernel.
+    eye3 = MatrixField(lambda pts: np.repeat(np.eye(3, dtype=complex)[None], len(pts), axis=0),
+                       1, "eye3")
+    with pytest.raises(ValueError, match="eye3: 3x3 values"):
+        winding_1d(eye3)
 
 
 def test_analytic_derivatives_match_finite_differences():
@@ -330,7 +338,7 @@ def test_projection_and_singular_value_helpers():
     pts = rng.uniform(-2, 2, (500, 2))
     assert projection_residual(phat(), pts) < 1e-12
     zpts = rng.uniform(0.1, 5.0, (100, 1))
-    assert min_singular_value(uplus(), zpts) == pytest.approx(1.0, abs=1e-12)
+    assert _sigma_min2(uplus()(zpts)).min() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expi_hermitian_matches_projection_identity():
