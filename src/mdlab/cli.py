@@ -40,13 +40,19 @@ class RunConfig:
     output: str | None = None
 
     def validate(self) -> "RunConfig":
-        if self.quad_tol <= 0:
-            raise ConfigError("quad_tol must be positive")
-        for name in ("grid2d", "grid3d"):
-            if getattr(self, name) < 16:
-                raise ConfigError(f"{name} must be >= 16 (got {getattr(self, name)})")
-        if self.samples < 1:
-            raise ConfigError("samples must be >= 1")
+        """Check every field's type and range; a config file can hold any JSON value."""
+        for name, least in (("seed", 0), ("samples", 1), ("grid2d", 16), ("grid3d", 16)):
+            val = getattr(self, name)
+            if not isinstance(val, int) or isinstance(val, bool):
+                raise ConfigError(f"{name} must be an integer (got {val!r})")
+            if val < least:
+                raise ConfigError(f"{name} must be >= {least} (got {val})")
+        tol = self.quad_tol
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
+                or not (math.isfinite(tol) and tol > 0):
+            raise ConfigError(f"quad_tol must be a finite positive number (got {tol!r})")
+        if not (self.output is None or isinstance(self.output, str)):
+            raise ConfigError(f"output must be a path (got {self.output!r})")
         return self
 
 
@@ -132,7 +138,7 @@ def cmd_algebra(args, config: RunConfig) -> list[dict]:
 def cmd_mdcheck(args, config: RunConfig) -> list[dict]:
     fam = _family_from_args(args)
     alg = liealg.build_md5(fam)
-    rep = orbits.md_verify(alg, args.samples or config.samples, config.seed)
+    rep = orbits.md_verify(alg, config.samples, config.seed)
     return [_check("md_dichotomy", rep.dichotomy_holds,
                    "orbit dimensions lie in {0, 2} exactly on the predicted strata",
                    **rep.to_json())]

@@ -26,7 +26,6 @@ __all__ = [
     "ACTIONS",
     "STRATA",
     "act",
-    "in_V",
     "stratum_of",
     "sample_stratum",
     "preservation_check",
@@ -60,11 +59,6 @@ STRATUM_MODEL = {
 }
 
 STRATUM_MODEL_DIM = {"V1": 3, "V2": 2, "W2": 1, "V3": 3, "W3": 1}
-
-
-def in_V(p) -> bool:
-    p = np.asarray(p, dtype=float)
-    return bool(np.any(p[..., 1:] != 0.0))
 
 
 def _check_in_V(p):
@@ -127,36 +121,26 @@ def stratum_of(p) -> frozenset[str]:
     return frozenset(tag for tag, pred in _PREDICATES.items() if pred(p))
 
 
+# The coordinates each stratum's samples fix at zero; the predicates do the rest.
+_ZEROED = {"V1": [], "W1": [4], "V2": [4], "W2": [3, 4], "V3": [], "W3": [3, 4]}
+
+
 def sample_stratum(tag: str, rng: np.random.Generator, n: int = 1) -> np.ndarray:
     """Draw points of the given stratum (standard normal coordinates)."""
-    pts = rng.standard_normal((n, 5))
-    if tag == "V1":
-        pass  # s = 0 has probability zero
-    elif tag == "W1":
-        pts[:, 4] = 0.0
-    elif tag == "V2":
-        pts[:, 4] = 0.0
-    elif tag in ("W2", "W3"):
-        pts[:, 3] = 0.0
-        pts[:, 4] = 0.0
-    elif tag == "V3":
-        pass
-    else:
+    if tag not in _ZEROED:
         raise ValueError(f"unknown stratum {tag!r}")
+    zeroed = _ZEROED[tag]
+    pts = rng.standard_normal((n, 5))
+    pts[:, zeroed] = 0.0
 
     def valid(q):
         return _PREDICATES[tag](q) & np.any(q[..., 1:] != 0.0, axis=-1)
 
     # Regenerate the rare degenerate draws rather than shifting them.
-    for i in np.flatnonzero(~valid(pts)):  # pragma: no cover
+    for i in np.flatnonzero(~valid(pts)):
         while not valid(pts[i]):
-            fresh = rng.standard_normal(5)
-            pts[i] = fresh
-            if tag in ("W1", "V2"):
-                pts[i, 4] = 0.0
-            elif tag in ("W2", "W3"):
-                pts[i, 3] = 0.0
-                pts[i, 4] = 0.0
+            pts[i] = rng.standard_normal(5)
+            pts[i, zeroed] = 0.0
     return pts
 
 
@@ -282,12 +266,12 @@ def _jacobian(fn, p, h):
     return np.swapaxes(diff, -1, -2)
 
 
-def _diff_rank(fn, p, cutoff: float = 1e-6) -> np.ndarray:
+def _diff_rank(fn, p) -> np.ndarray:
     """Numeric rank of the differential of the continuous invariant part, per point."""
     p = np.asarray(p, dtype=float)
     jac = _jacobian(lambda q: fn(q)[0], p, 1e-5 * (1.0 + np.linalg.norm(p, axis=-1)))
     sv = np.linalg.svd(jac, compute_uv=False)
-    return (sv > cutoff).sum(axis=-1)
+    return (sv > 1e-6).sum(axis=-1)
 
 
 def _rank_counts(ranks) -> dict[int, int]:

@@ -80,8 +80,8 @@ def _store(res: IndexInvariants, integral: IntegralResult):
     return integral
 
 
-def index_invariant(kind: str, resolution_2d: int = 512, resolution_3d: int = 128,
-                    richardson: bool = False, bound: int = 3) -> IndexInvariants:
+def index_invariant(kind: str, resolution_2d: int = 512,
+                    resolution_3d: int = 128) -> IndexInvariants:
     """Compute the index invariants of type F2 or F3 from the witness integrals."""
     if kind not in ("F2", "F3"):
         raise ValueError("kind must be 'F2' or 'F3'")
@@ -94,10 +94,8 @@ def index_invariant(kind: str, resolution_2d: int = 512, resolution_3d: int = 12
     if kind == "F2":
         w_unit = _store(res, winding_3d(trivial_lift_unit()))
         w_eps = _store(res, winding_3d(trivial_lift_eps1()))
-        w_plus = _store(res, winding_3d(exp_ptilde("+", resolution_3d),
-                                        richardson=richardson))
-        w_minus = _store(res, winding_3d(exp_ptilde("-", resolution_3d),
-                                         richardson=richardson))
+        w_plus = _store(res, winding_3d(exp_ptilde("+", resolution_3d)))
+        w_minus = _store(res, winding_3d(exp_ptilde("-", resolution_3d)))
         # Columns = images of the K0 generators (unit, hedgehog - constant);
         # rows = coefficients on [b]x[u+], [b]x[u-].
         res.gamma1 = [[w_unit.rounded, w_plus.rounded],
@@ -106,7 +104,7 @@ def index_invariant(kind: str, resolution_2d: int = 512, resolution_3d: int = 12
         res.cross_checks["eps1_column_vanishes"] = w_eps.rounded == 0
 
         groups, known = ktheory.hexagon_preset("gamma1", delta0=res.gamma1)
-        sols = ktheory.solve_six_term(groups, known, bound=bound)
+        sols = ktheory.solve_six_term(groups, known)
         res.cross_checks["gamma1_hexagon_unique"] = len(sols) == 1
         if sols:
             seq = sols[0]
@@ -116,7 +114,7 @@ def index_invariant(kind: str, resolution_2d: int = 512, resolution_3d: int = 12
             res.cross_checks["k_groups_are_Z"] = seq.groups[1] == 1 and seq.groups[4] == 1
 
         groups2, known2 = ktheory.hexagon_preset("gamma2", delta1=res.gamma2)
-        sols2 = ktheory.solve_six_term(groups2, known2, bound=bound)
+        sols2 = ktheory.solve_six_term(groups2, known2)
         res.cross_checks["gamma2_hexagon_unique"] = len(sols2) == 1
         if sols2:
             res.hexagons["gamma2"] = sols2[0].to_json()
@@ -130,7 +128,7 @@ def index_invariant(kind: str, resolution_2d: int = 512, resolution_3d: int = 12
     res.gamma3 = [w_unit.rounded, abs(disk.rounded)]
 
     groups, known = ktheory.hexagon_preset("gamma3", delta1=[[abs(disk.rounded)]])
-    sols = ktheory.solve_six_term(groups, known, bound=bound)
+    sols = ktheory.solve_six_term(groups, known)
     res.cross_checks["gamma3_hexagon_unique"] = len(sols) == 1
     if sols:
         seq = sols[0]

@@ -278,8 +278,9 @@ class DerivedIdeal:
         return self.basis.shape[0]
 
 
-def derived_ideal(alg: LieAlgebra, tol: float = 1e-12) -> DerivedIdeal:
+def derived_ideal(alg: LieAlgebra) -> DerivedIdeal:
     """Orthonormal basis of the span of all brackets, with a commutativity flag."""
+    tol = 1e-12  # relative rank cut, and the bound on brackets of basis vectors
     vecs = alg.sc.reshape(DIM * DIM, DIM)
     u, s, vt = np.linalg.svd(vecs, full_matrices=False)
     rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))

@@ -33,7 +33,6 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-8
-_SAMPLE_BLOCK = 2048
 
 # Fixed probes of the dimension-0 stratum, appended to every verification run.
 _BOUNDARY_ALPHAS = (0.0, 7.0, -3.0, 0.5, 1000.0, -0.001)
@@ -49,17 +48,16 @@ def kirillov_form(alg: LieAlgebra, f) -> np.ndarray:
     return np.einsum("ijk,...k->...ij", alg.sc, f)
 
 
-def _batched_ranks(alg: LieAlgebra, fs: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    bs = np.einsum("ijk,nk->nij", alg.sc, fs)
-    sv = np.linalg.svd(bs, compute_uv=False)
-    cut = tol * np.maximum(1.0, sv[:, 0])
+def _batched_ranks(alg: LieAlgebra, fs: np.ndarray) -> np.ndarray:
+    sv = np.linalg.svd(kirillov_form(alg, fs), compute_uv=False)
+    cut = RANK_TOL * np.maximum(1.0, sv[:, 0])
     return (sv > cut[:, None]).sum(axis=1)
 
 
-def orbit_dimension(alg: LieAlgebra, f, tol: float = RANK_TOL) -> int:
+def orbit_dimension(alg: LieAlgebra, f) -> int:
     """Numeric rank of the Kirillov form at F (always even)."""
     f = np.asarray(f, dtype=float)
-    return int(_batched_ranks(alg, f[None, :], tol)[0])
+    return int(_batched_ranks(alg, f[None, :])[0])
 
 
 def in_zero_stratum(f) -> bool:
@@ -99,47 +97,33 @@ class MDReport:
         }
 
 
-def _verify_block(alg, seed_seq, count):
-    rng = np.random.default_rng(seed_seq)
-    v = rng.standard_normal((count, 5))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    # Log-uniform radii probe scale robustness of the rank cut.
-    v *= 10.0 ** rng.uniform(-3.0, 3.0, size=(count, 1))
-    ranks = _batched_ranks(alg, v)
-    return v, ranks
-
-
 def md_verify(alg: LieAlgebra, n_samples: int, seed: int) -> MDReport:
     """Sample covectors and check the orbit-dimension dichotomy.
 
-    Samples are drawn in fixed-size blocks with per-block child seeds.
-    Violations are report content, not exceptions.
+    The n_samples covectors come from default_rng(seed): uniform directions
+    with log-uniform radii in [1e-3, 1e3], which probe the scale robustness
+    of the rank cut.  The dimension-0 probes _BOUNDARY_ALPHAS are appended,
+    and one batched SVD gives every rank.  Violations are report content,
+    not exceptions.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    n_blocks = (n_samples + _SAMPLE_BLOCK - 1) // _SAMPLE_BLOCK
-    seeds = np.random.SeedSequence(seed).spawn(n_blocks)
-    counts = [min(_SAMPLE_BLOCK, n_samples - i * _SAMPLE_BLOCK) for i in range(n_blocks)]
-    parts = [_verify_block(alg, s, c) for s, c in zip(seeds, counts)]
-
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n_samples, 5))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v *= 10.0 ** rng.uniform(-3.0, 3.0, size=(n_samples, 1))
     boundary = np.zeros((len(_BOUNDARY_ALPHAS), 5))
     boundary[:, 0] = _BOUNDARY_ALPHAS
-    parts.append((boundary, _batched_ranks(alg, boundary)))
+    fs = np.vstack([v, boundary])
 
-    rank_counts: dict[int, int] = {}
-    counterexamples = []
-    total = 0
-    for fs, ranks in parts:
-        total += len(fs)
-        for r in np.unique(ranks):
-            rank_counts[int(r)] = rank_counts.get(int(r), 0) + int((ranks == r).sum())
-        predicted = np.where(np.all(fs[:, 1:] == 0.0, axis=1), 0, 2)
-        bad = (ranks != predicted) | ~np.isin(ranks, (0, 2))
-        for i in np.nonzero(bad)[0]:
-            counterexamples.append((fs[i].copy(), int(ranks[i]), int(predicted[i])))
-
+    ranks = _batched_ranks(alg, fs)
+    values, counts = np.unique(ranks, return_counts=True)
+    predicted = np.where(np.all(fs[:, 1:] == 0.0, axis=1), 0, 2)
+    counterexamples = [(fs[i], int(ranks[i]), int(predicted[i]))
+                       for i in np.flatnonzero(ranks != predicted)]
     fam = alg.family.family_id if alg.family is not None else None
-    return MDReport(fam, total, seed, rank_counts, counterexamples)
+    return MDReport(fam, len(fs), seed, dict(zip(values.tolist(), counts.tolist())),
+                    counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +345,18 @@ def closed_form_orbit(family: MD5Family, f) -> OrbitDescriptor:
     return OrbitDescriptor("two_dim", family, f, cf)
 
 
-def flow_vs_closed_form(family: MD5Family, f, xs=None, avals=None) -> float:
+def flow_vs_closed_form(family: MD5Family, f, avals=None) -> float:
     """Max deviation between the matrix-exponential flow and the closed form.
 
-    Defaults to 100 flow times in [-3, 3] with varying x; the two routes are
-    independent (scipy expm vs hand-written formulas).  NaN if any deviation
-    is NaN, so a non-finite orbit never passes a bound.
+    Defaults to 100 flow times in [-3, 3]; the free coordinate varies as
+    x = 0.7 a + 0.1.  The two routes are independent (scipy expm vs
+    hand-written formulas).  NaN if any deviation is NaN, so a non-finite
+    orbit never passes a bound.
     """
     if avals is None:
         avals = np.linspace(-3.0, 3.0, 100)
     avals = np.atleast_1d(np.asarray(avals, dtype=float))
-    if xs is None:
-        xs = 0.7 * avals + 0.1
-    xs = np.broadcast_to(np.asarray(xs, dtype=float), avals.shape)
+    xs = 0.7 * avals + 0.1
     flow = coadjoint_flow(build_md5(family), f, avals, xs)
     return float(np.max(np.abs(flow - closed_form_orbit(family, f).closed_form(xs, avals))))
 

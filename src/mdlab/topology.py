@@ -54,6 +54,13 @@ def expi_hermitian(mats: np.ndarray, scale: float = 1.0) -> np.ndarray:
 RESIDUAL_LIMIT = 0.05
 BOUNDARY_TOL_2D = 1e-3
 BOUNDARY_TOL_3D = 1e-2
+# Smallest singular value an invertible field may take at a guard or grid point.
+SIGMA_FLOOR = 1e-6
+# Step of the central differences that cross-check the exact derivatives.
+FD_STEP = 1e-6
+# Grid slabs along the first axis per chunk, by domain dimension; results are
+# independent of it to round-off, it bounds only the memory of one chunk.
+CHUNK_SLABS = {2: 64, 3: 8}
 
 
 class BoundaryConditionError(ValueError):
@@ -106,9 +113,6 @@ class GridDomain:
     def shape(self) -> tuple[int, ...]:
         return tuple(ax.n for ax in self.axes)
 
-    def coarsen(self) -> "GridDomain":
-        return GridDomain(tuple(Axis(a.lo, a.hi, max(16, a.n // 2), a.tag) for a in self.axes))
-
 
 @dataclass(frozen=True)
 class MatrixField:
@@ -156,7 +160,7 @@ def projection_residual(field: MatrixField, pts) -> float:
     return float(max(idem, herm))
 
 
-def derivative_check(field: MatrixField, pts, h: float = 1e-6) -> float:
+def derivative_check(field: MatrixField, pts) -> float:
     """Max deviation between exact and finite-difference derivatives (NaN if any is NaN)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if field.nonsmooth is not None:
@@ -165,7 +169,7 @@ def derivative_check(field: MatrixField, pts, h: float = 1e-6) -> float:
         return 0.0
     exact = _derivative(field)(pts)
     return float(np.max([np.abs(exact[axis]
-                                - _central_difference(field.evaluator, pts, axis, h)).max()
+                                - _central_difference(field.evaluator, pts, axis, FD_STEP)).max()
                          for axis in range(field.dim)]))
 
 
@@ -209,7 +213,7 @@ def _finish(raw_complex, boundary_residual, grid, name, extra=None) -> IntegralR
 # ---------------------------------------------------------------------------
 # 1D winding
 
-def _adaptive_simpson(g, a, b, tol, max_depth=40):
+def _adaptive_simpson(g, a, b, tol):
     fa, fb = g(a), g(b)
     m = 0.5 * (a + b)
     fm = g(m)
@@ -227,11 +231,10 @@ def _adaptive_simpson(g, a, b, tol, max_depth=40):
         return (rec(a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1)
                 + rec(m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1))
 
-    return rec(a, fa, b, fb, m, fm, whole, tol, max_depth)
+    return rec(a, fa, b, fb, m, fm, whole, tol, 40)
 
 
-def winding_1d(f: MatrixField, side: str = "+", tol: float = 1e-8,
-               inv_floor: float = 1e-6) -> IntegralResult:
+def winding_1d(f: MatrixField, side: str = "+", tol: float = 1e-8) -> IntegralResult:
     """Winding number of an invertible field on a half-line.
 
     Computes -(1/2πi) ∫ Tr(f'(z) f(z)^{-1}) dz along the path running outward
@@ -249,9 +252,9 @@ def winding_1d(f: MatrixField, side: str = "+", tol: float = 1e-8,
     guard = f(zs[:, None])
     _check_size(f, guard)
     sv_min = float(np.min(_sigma_min2(guard)))
-    if not sv_min > inv_floor:  # a NaN σ_min fails too
+    if not sv_min > SIGMA_FLOOR:  # a NaN σ_min fails too
         raise NonInvertibleFieldError(
-            f"{f.name or 'field'}: min singular value {sv_min:.3g} is not above {inv_floor}")
+            f"{f.name or 'field'}: min singular value {sv_min:.3g} is not above {SIGMA_FLOOR}")
     v0 = f(np.array([[0.0]]))[0]
     vinf = f(np.array([[sgn * 1e9]]))[0]
     limit_gap = float(np.abs(v0 - vinf).max())
@@ -361,13 +364,13 @@ def _fsum_complex(values) -> complex:
     return complex(math.fsum(floats(values.real)), math.fsum(floats(values.imag)))
 
 
-def _face_points(domain: GridDomain, axis: int, where: str, per_axis: int = 17):
+def _face_points(domain: GridDomain, axis: int, where: str):
     grids = []
     for i, ax in enumerate(domain.axes):
         if i == axis:
             grids.append(np.array([ax.lo if where == "lo" else ax.hi]))
         else:
-            grids.append(np.linspace(ax.lo, ax.hi, per_axis))
+            grids.append(np.linspace(ax.lo, ax.hi, 17))
     mesh = np.meshgrid(*grids, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
@@ -430,7 +433,7 @@ def chern_2d(p: MatrixField, domain: GridDomain | None = None) -> IntegralResult
     ys = domain.axes[1].midpoints()
     proj_res = [0.0]
     chunks = []
-    for x_block in np.array_split(xs, max(1, len(xs) // 64)):
+    for x_block in np.array_split(xs, max(1, len(xs) // CHUNK_SLABS[2])):
         mesh = np.stack(np.meshgrid(x_block, ys, indexing="ij"), axis=-1).reshape(-1, 2)
         pv = p(mesh)
         _check_size(p, pv)
@@ -453,8 +456,7 @@ def chern_2d(p: MatrixField, domain: GridDomain | None = None) -> IntegralResult
 # ---------------------------------------------------------------------------
 # 3D odd winding
 
-def winding_3d(g: MatrixField, domain: GridDomain | None = None,
-               chunk_slabs: int = 8, richardson: bool = False) -> IntegralResult:
+def winding_3d(g: MatrixField, domain: GridDomain | None = None) -> IntegralResult:
     """Odd topological charge -(1/24π²) ∫ Tr((g^{-1}dg)^3) of an invertible field.
 
     Midpoint rule on the domain grid; the field must be the identity on every
@@ -473,32 +475,24 @@ def winding_3d(g: MatrixField, domain: GridDomain | None = None,
             "enlarge the truncated domain")
     derivative = _derivative(g)
 
-    def integrate(dom: GridDomain) -> complex:
-        xs, ys, zs = (ax.midpoints() for ax in dom.axes)
-        chunks = []
-        sv_min = [1.0]
-        for x_block in np.array_split(xs, max(1, len(xs) // chunk_slabs)):
-            mesh = np.stack(np.meshgrid(x_block, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
-            gv = g(mesh)
-            _check_size(g, gv)
-            sv_min.append(_sigma_min2(gv).min())
-            a0, a1, a2 = _mul2(_inv2(gv), derivative(mesh))
-            comm = _mul2(a1, a2) - _mul2(a2, a1)
-            integrand = _trace_mul2(a0, comm)
-            del gv, a0, a1, a2, comm  # as in chern_2d
-            chunks.append(_fsum_complex(integrand))
-        sv_floor = float(np.min(sv_min))
-        if not sv_floor > 1e-6:
-            raise NonInvertibleFieldError(
-                f"{g.name or 'field'}: min singular value {sv_floor:.3g} on the grid")
-        # epsilon-contraction = 3 Tr(A0 [A1, A2]); normalization -(1/24π²).
-        return _fsum_complex(chunks) * 3.0 * dom.cell_volume * (-1.0 / (24.0 * math.pi ** 2))
-
-    total = integrate(domain)
-    extra: dict = {}
-    if richardson:
-        coarse = integrate(domain.coarsen())
-        extra["raw_coarse"] = float(coarse.real)
-        total = (4.0 * total - coarse) / 3.0
-    extra["derivative_check"] = _sampled_derivative_check(g, domain, 48)
+    xs, ys, zs = (ax.midpoints() for ax in domain.axes)
+    chunks = []
+    sv_min = [1.0]
+    for x_block in np.array_split(xs, max(1, len(xs) // CHUNK_SLABS[3])):
+        mesh = np.stack(np.meshgrid(x_block, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
+        gv = g(mesh)
+        _check_size(g, gv)
+        sv_min.append(_sigma_min2(gv).min())
+        a0, a1, a2 = _mul2(_inv2(gv), derivative(mesh))
+        comm = _mul2(a1, a2) - _mul2(a2, a1)
+        integrand = _trace_mul2(a0, comm)
+        del gv, a0, a1, a2, comm  # as in chern_2d
+        chunks.append(_fsum_complex(integrand))
+    sv_floor = float(np.min(sv_min))
+    if not sv_floor > SIGMA_FLOOR:
+        raise NonInvertibleFieldError(
+            f"{g.name or 'field'}: min singular value {sv_floor:.3g} on the grid")
+    # epsilon-contraction = 3 Tr(A0 [A1, A2]); normalization -(1/24π²).
+    total = _fsum_complex(chunks) * 3.0 * domain.cell_volume * (-1.0 / (24.0 * math.pi ** 2))
+    extra = {"derivative_check": _sampled_derivative_check(g, domain, 48)}
     return _finish(total, brv, domain.shape(), g.name or "winding_3d", extra)

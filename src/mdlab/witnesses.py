@@ -155,20 +155,19 @@ def ptilde() -> MatrixField:
     return MatrixField(evaluator=ev, dim=3, name="ptilde")
 
 
-def exp_ptilde(side: str, n: int = 128, xy_extent: float = 1.5) -> MatrixField:
+def exp_ptilde(side: str, n: int = 128) -> MatrixField:
     """Normalized exponential e^{2 pi i ptilde} over one half-space.
 
     Coordinates are (x, y, v) with v in [0, 1] the compactified *outward*
     half-line coordinate, z = tan(pi v/2) on the plus side and
     z = -tan(pi v/2) on the minus side (the same outward orientation the 1D
     winding uses; the lift 1/sqrt(1+z^2) is even in z).  The field is exactly
-    the identity on all six boundary faces.
+    the identity on all six boundary faces of the box [-1.5, 1.5]^2 x [0, 1].
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
     name = "exp_ptilde_plus" if side == "+" else "exp_ptilde_minus"
-    dom = GridDomain((Axis(-xy_extent, xy_extent, n, "constant"),
-                      Axis(-xy_extent, xy_extent, n, "constant"),
+    dom = GridDomain((Axis(-1.5, 1.5, n, "constant"), Axis(-1.5, 1.5, n, "constant"),
                       Axis(0.0, 1.0, n, "constant")))
 
     def pieces(pts):
@@ -257,19 +256,19 @@ def u_gamma3() -> MatrixField:
     return MatrixField(evaluator=ev, dim=3, name="u_gamma3", derivative=dv)
 
 
-def q_const(dim: int = 2) -> MatrixField:
-    """The constant rank-1 projection diag(1, 0)."""
+def q_const() -> MatrixField:
+    """The constant rank-1 projection diag(1, 0) on the plane."""
     def ev(pts):
         q = np.zeros((len(pts), 2, 2), dtype=complex)
         q[:, 0, 0] = 1.0
         return q
-    return MatrixField(evaluator=ev, dim=dim, name="q",
-                       derivative=lambda pts: np.zeros((dim, len(pts), 2, 2), dtype=complex))
+    return MatrixField(evaluator=ev, dim=2, name="q",
+                       derivative=lambda pts: np.zeros((2, len(pts), 2, 2), dtype=complex))
 
 
 def epsilon1_field(n: int = 128) -> MatrixField:
     """q with a default 2D domain, for the constant-projection Chern check."""
-    f = q_const(2)
+    f = q_const()
     dom = GridDomain((Axis(-1.0, 1.0, n, "constant"), Axis(-1.0, 1.0, n, "constant")))
     return MatrixField(evaluator=f.evaluator, dim=2, name="eps1", derivative=f.derivative,
                        default_domain=dom)
@@ -324,9 +323,9 @@ def gamma3_disk(n: int = 512) -> MatrixField:
                        default_domain=dom)
 
 
-def _constant_identity(size: int, name: str, n: int) -> MatrixField:
-    dom = GridDomain((Axis(-1.0, 1.0, n, "constant"), Axis(-1.0, 1.0, n, "constant"),
-                      Axis(0.0, 1.0, n, "constant")))
+def _constant_identity(size: int, name: str) -> MatrixField:
+    dom = GridDomain((Axis(-1.0, 1.0, 16, "constant"), Axis(-1.0, 1.0, 16, "constant"),
+                      Axis(0.0, 1.0, 16, "constant")))
 
     def ev(pts):
         return np.broadcast_to(np.eye(size, dtype=complex), (len(pts), size, size)).copy()
@@ -336,12 +335,12 @@ def _constant_identity(size: int, name: str, n: int) -> MatrixField:
                        default_domain=dom)
 
 
-def trivial_lift_unit(n: int = 16) -> MatrixField:
+def trivial_lift_unit() -> MatrixField:
     """Normalized exponential of the lift of the unit class: identically 1."""
-    return _constant_identity(1, "exp_lift_unit", n)
+    return _constant_identity(1, "exp_lift_unit")
 
 
-def trivial_lift_eps1(n: int = 16) -> MatrixField:
+def trivial_lift_eps1() -> MatrixField:
     """Normalized exponential of the lift of the constant projection: identity."""
-    return _constant_identity(2, "exp_lift_eps1", n)
+    return _constant_identity(2, "exp_lift_eps1")
 

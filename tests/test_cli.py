@@ -1,6 +1,7 @@
 """Tests for configuration handling and the command-line interface."""
 
 import json
+import math
 
 import pytest
 
@@ -23,7 +24,7 @@ def test_flag_overrides_file(tmp_path):
     assert cfg.grid3d == 64
 
 
-def test_config_rejections(tmp_path):
+def test_config_rejections(tmp_path, capsys):
     with pytest.raises(ConfigError, match="grid3d"):
         parse_config(None, {"grid3d": 8})
     with pytest.raises(ConfigError, match="samples"):
@@ -39,6 +40,24 @@ def test_config_rejections(tmp_path):
         unk.write_text(json.dumps({key: 1}))
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config(str(unk))
+    # Values of the wrong type or outside their range, each paired with a command
+    # that would otherwise read the field.
+    typed = tmp_path / "typed.json"
+    mdcheck = ["mdcheck", "--family", "5_4_4", "--lambda", "0.5"]
+    for key, val, argv in [("samples", 2.5, mdcheck), ("samples", True, mdcheck),
+                           ("seed", "x", mdcheck), ("seed", -1, mdcheck),
+                           ("grid2d", "big", ["invariants", "--type", "F3"]),
+                           ("grid3d", 64.0, ["invariants", "--type", "F2"]),
+                           ("quad_tol", "1e-8", ["reproduce"]),
+                           ("quad_tol", math.nan, ["reproduce"]),
+                           ("quad_tol", math.inf, ["reproduce"]),
+                           ("quad_tol", False, ["reproduce"]),
+                           ("output", 5, mdcheck)]:
+        typed.write_text(json.dumps({key: val}))
+        with pytest.raises(ConfigError, match=key):
+            parse_config(str(typed))
+        assert main(argv + ["--config", str(typed)]) == 64, (key, val)
+        assert "mdlab: configuration error" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_64(capsys):

@@ -114,6 +114,34 @@ def test_stratum_partitions():
         assert ("W3" in tags) == ("W2" in tags)
 
 
+class _ScriptedRng:
+    """Hands out the given draws in turn, each of the shape asked for."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, shape):
+        draw = np.array(self.draws.pop(0), dtype=float)
+        assert draw.shape == (shape if isinstance(shape, tuple) else (shape,))
+        return draw
+
+
+@pytest.mark.parametrize("tag,first,redraws,expected", [
+    # s = 0 is outside V1: row 1 is drawn again until s != 0.
+    ("V1", [[1, 2, 3, 4, 5], [1, 1, 1, 1, 0]], [[2, 2, 2, 2, 0], [3, 3, 3, 3, 3]],
+     [[1, 2, 3, 4, 5], [3, 3, 3, 3, 3]]),
+    # V2 zeroes s, and t = 0 is outside it.
+    ("V2", [[1, 2, 3, 0, 5]], [[6, 7, 8, 9, 1]], [[6, 7, 8, 9, 0]]),
+    # W2 zeroes t and s, and (y, z) = 0 is then outside V.
+    ("W2", [[1, 2, 3, 4, 5], [1, 0, 0, 7, 8]], [[9, 0, 0, 1, 1], [9, 1, 2, 3, 4]],
+     [[1, 2, 3, 0, 0], [9, 1, 2, 0, 0]]),
+])
+def test_sample_stratum_redraws_degenerate_points(tag, first, redraws, expected):
+    rng = _ScriptedRng(first, *redraws)
+    assert sample_stratum(tag, rng, len(first)).tolist() == expected
+    assert rng.draws == []
+
+
 @pytest.mark.parametrize("spec,stratum", [
     ("lambda12", "V1"), ("lambda12", "W1"), ("lambda12", "V2"), ("lambda12", "W2"),
     ("lambda14", "V3"), ("lambda14", "W3"),

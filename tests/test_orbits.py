@@ -64,7 +64,8 @@ def test_orbit_dimension_examples():
 def test_md_verify_examples():
     alg = build_md5("5_4_3", **{"lambda": -1.0})
     report = md_verify(alg, 10_000, seed=11)
-    assert set(report.rank_counts) <= {0, 2}
+    assert report.rank_counts == {0: 6, 2: 10_000}
+    assert report.n_samples == 10_006
     assert report.counterexamples == []
 
     alg12 = build_md5("5_4_12", **{"lambda": 1.0, "phi": np.pi / 2})
@@ -74,9 +75,20 @@ def test_md_verify_examples():
     from mdlab.liealg import LieAlgebra
     zero = LieAlgebra(np.zeros((5, 5, 5)))
     rz = md_verify(zero, 500, seed=2)
-    assert set(rz.rank_counts) == {0}
+    assert rz.rank_counts == {0: 506}
+    assert rz.n_samples == 506
     # Every nonzero sample contradicts the two_dim prediction on the abelian algebra.
     assert len(rz.counterexamples) == 500
+
+
+def test_md_verify_is_deterministic_for_any_sample_count():
+    alg = build_md5("5_4_4", **{"lambda": 0.5})
+    assert md_verify(alg, 3000, seed=7).to_json() == md_verify(alg, 3000, seed=7).to_json()
+    one = md_verify(alg, 1, seed=7)
+    assert one.n_samples == 7
+    assert one.rank_counts == {0: 6, 2: 1}
+    with pytest.raises(ValueError, match="n_samples"):
+        md_verify(alg, 0, seed=7)
 
 
 def test_flow_identity_at_zero():

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mdlab import topology
 from mdlab.topology import (
     Axis,
     BoundaryConditionError,
@@ -187,17 +189,16 @@ def test_winding3d_refinement_stability():
     assert abs(fine - coarse) < 1e-2
 
 
-def test_winding3d_richardson():
-    r = winding_3d(exp_ptilde("+", 32), richardson=True)
-    assert r.rounded == 1
-    assert "raw_coarse" in r.extra
-
-
-def test_winding3d_chunking_invariance():
-    f = exp_ptilde("+", 24)
-    vals = [winding_3d(f, chunk_slabs=c).raw for c in (1, 4, 24)]
-    for v in vals[1:]:
-        assert abs(v - vals[0]) <= 1e-10 * max(1.0, abs(vals[0]))
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 3]), slabs=st.integers(1, 20))
+def test_grid_integrals_are_independent_of_the_chunking(dim, slabs):
+    # The default chunking is one chunk of the 64^2 grid and two of the 16^3 grid.
+    integral, field = {2: (chern_2d, phat_disk(64)), 3: (winding_3d, exp_ptilde("+", 16))}[dim]
+    default = integral(field).raw
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(topology.CHUNK_SLABS, dim, slabs)
+        raw = integral(field).raw
+    assert abs(raw - default) <= 1e-10 * abs(default)
 
 
 def test_winding3d_rejects_bad_boundary():
