@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import foliation, ktheory, liealg, orbits
-from .criteria import REGISTRY, check as _check
+from . import criteria, foliation, ktheory, liealg, orbits
+from .criteria import check as _check
 from .invariants import index_invariant
 from .topology import ResidualError
 
@@ -126,9 +126,9 @@ def cmd_algebra(args, config: RunConfig) -> list[dict]:
     ideal = liealg.derived_ideal(alg)
     jres = liealg.jacobi_residual(alg)
     return [
-        _check("jacobi", jres == 0.0, "structure constants satisfy the Jacobi identity",
-               residual=jres),
-        _check("derived_ideal", ideal.rank == 4 and ideal.commutative,
+        _check("jacobi", criteria.jacobi_holds(jres),
+               "structure constants satisfy the Jacobi identity", residual=jres),
+        _check("derived_ideal", criteria.ideal_holds(ideal),
                "derived ideal is 4-dimensional and commutative",
                rank=ideal.rank, commutative=ideal.commutative,
                ad_block=[[float(v) for v in row] for row in fam.ad_block()]),
@@ -144,12 +144,6 @@ def cmd_mdcheck(args, config: RunConfig) -> list[dict]:
                    **rep.to_json())]
 
 
-ORBIT_TOL = 1e-9
-# Rounding a coordinate of size v errs by up to v * eps, so on an orbit that
-# grows past this size round-off alone exceeds the absolute ORBIT_TOL.
-ORBIT_SCALE_LIMIT = ORBIT_TOL / np.finfo(float).eps
-
-
 def cmd_orbit(args, config: RunConfig) -> list[dict]:
     fam = _family_from_args(args)
     f = np.array([float(v) for v in args.F.split(",")])
@@ -160,12 +154,12 @@ def cmd_orbit(args, config: RunConfig) -> list[dict]:
     with np.errstate(over="ignore", invalid="ignore"):
         samples = np.array([desc.closed_form(0.0, a) for a in avals])
     scale = float(np.abs(samples).max())
-    if not scale <= ORBIT_SCALE_LIMIT:
-        raise ConfigError(
-            f"--F {args.F} is out of range: its orbit on [-3, 3] reaches {scale:.3g}, past "
-            f"{ORBIT_SCALE_LIMIT:.3g} where round-off exceeds the {ORBIT_TOL} tolerance")
+    if not scale <= orbits.FLOW_SCALE_LIMIT:
+        raise ConfigError(f"--F {args.F} is out of range: its orbit on [-3, 3] reaches "
+                          f"{scale:.3g}, past {orbits.FLOW_SCALE_LIMIT:.3g} where round-off "
+                          f"exceeds the {orbits.FLOW_TOL} tolerance")
     dev = orbits.flow_vs_closed_form(fam, f, avals=avals)
-    return [_check("orbit", dev < ORBIT_TOL,
+    return [_check("orbit", dev < orbits.FLOW_TOL,
                    "matrix-exponential flow matches the closed-form orbit",
                    stratum=desc.stratum, flow_deviation=dev,
                    closed_form_samples=[[float(x) for x in s] for s in samples[:5]])]
@@ -176,6 +170,7 @@ def cmd_foliation(args, config: RunConfig) -> list[dict]:
     action = args.action
     checks = []
     seed = config.seed
+    points = min(config.samples, criteria.POINT_SAMPLES)
     if which in ("strata", "all"):
         for stratum in foliation.ACTION_STRATA[action]:
             rep = foliation.preservation_check(action, stratum, config.samples, seed)
@@ -185,22 +180,21 @@ def cmd_foliation(args, config: RunConfig) -> list[dict]:
                                  residual_max=0.0, rank_histogram={},
                                  violations=rep.to_json()["violations"]))
     if which in ("invariants", "all"):
-        rep = foliation.leafspace_report(action, n_samples=min(config.samples, 1000), seed=seed)
+        rep = foliation.leafspace_report(action, n_samples=points, seed=seed)
         for entry in rep["strata"]:
-            checks.append(_check(f"leaf_invariant_{entry['stratum']}",
-                                 entry["full_rank"] and entry["constancy_residual"] < 1e-9,
+            checks.append(_check(f"leaf_invariant_{entry['stratum']}", entry["ok"],
                                  f"complete invariant onto {entry['model']}",
                                  check="invariants", stratum=entry["stratum"],
                                  residual_max=entry["constancy_residual"],
                                  rank_histogram=entry["rank_counts"],
                                  violations=[]))
         if action == "lambda12":
-            audit = foliation.p1_submersion_audit(seed=seed)
+            audit = foliation.p1_submersion_audit(criteria.AUDIT_SAMPLES, seed)
             checks.append(_check("p1_audit", audit.ok,
                                  "literal projection is not orbit-constant; "
                                  "working invariant is", **audit.to_json()))
     if which in ("integrability", "all"):
-        rep = foliation.integrability_check(action, min(config.samples, 1000), seed)
+        rep = foliation.integrability_check(action, points, seed)
         checks.append(_check("integrability", rep.ok,
                              "generators commute, span rank 2, and match orbit tangents",
                              check="integrability", stratum="open",
@@ -213,31 +207,25 @@ def cmd_foliation(args, config: RunConfig) -> list[dict]:
 def cmd_sixterm(args, config: RunConfig) -> list[dict]:
     groups, known = ktheory.hexagon_preset(args.preset)
     sols = ktheory.solve_six_term(groups, known, bound=args.bound)
-    expected = 2 if args.preset == "allZ" else 1
-    return [_check(f"sixterm_{args.preset}", len(sols) == expected,
-                   f"{expected} exact completion(s) up to automorphism",
+    return [_check(f"sixterm_{args.preset}", criteria.completions_hold(args.preset, sols),
+                   f"{criteria.COMPLETIONS[args.preset]} exact completion(s) up to automorphism",
                    completions=[s.to_json() for s in sols])]
 
 
 def cmd_invariants(args, config: RunConfig) -> list[dict]:
     res = index_invariant(args.type, resolution_2d=config.grid2d,
                           resolution_3d=config.grid3d)
-    checks = []
+    ok = criteria.index_holds(res)
     if args.type == "F2":
-        ok = res.gamma1 == [[0, 1], [0, 1]] and res.gamma2 == [[1], [1]] and res.ok
-        checks.append(_check("index_F2", ok,
-                             "gamma1 = [[0,1],[0,1]] and gamma2 = (1,1)",
-                             gamma_matrix=res.gamma1, gamma2=res.gamma2,
-                             k_groups=res.k_groups, **res.to_json()["integrals"]))
-    else:
-        ok = res.gamma3 == [0, 1] and res.ok
-        checks.append(_check("index_F3", ok, "gamma3 = (0, 1)",
-                             gamma_matrix=res.gamma3, **res.to_json()["integrals"]))
-    return checks
+        return [_check("index_F2", ok, "gamma1 = [[0,1],[0,1]] and gamma2 = (1,1)",
+                       gamma_matrix=res.gamma1, gamma2=res.gamma2,
+                       k_groups=res.k_groups, **res.to_json()["integrals"])]
+    return [_check("index_F3", ok, "gamma3 = (0, 1)",
+                   gamma_matrix=res.gamma3, **res.to_json()["integrals"])]
 
 
 def cmd_reproduce(args, config: RunConfig) -> list[dict]:
-    return [check for entry in REGISTRY for check in entry.run(config)]
+    return [check for entry in criteria.REGISTRY for check in entry.run(config)]
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +279,7 @@ def build_parser() -> _Parser:
     _add_common(sp)
 
     sp = sub.add_parser("sixterm", help="exact completions of a hexagon preset")
-    sp.add_argument("--preset", required=True,
-                    choices=["gamma1", "gamma2", "gamma3", "allZ"])
+    sp.add_argument("--preset", required=True, choices=list(criteria.COMPLETIONS))
     sp.add_argument("--bound", type=int, default=3)
     _add_common(sp)
 

@@ -14,7 +14,7 @@ partition, mapping onto its model leaf space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -47,18 +47,18 @@ ACTION_STRATA = {
     "lambda14": ("V3", "W3"),
 }
 
-# The leaf-space algebra each maximal stratum realizes in the extension towers.
-STRATUM_ALGEBRA = {"V1": "J1", "V2": "J2", "W2": "B2", "V3": "J3", "W3": "B3"}
-
-STRATUM_MODEL = {
-    "V1": "R^3 ⊔ R^3",
-    "V2": "R^2 ⊔ R^2",
-    "W2": "R_+",
-    "V3": "C × R_+",
-    "W3": "R_+",
+# Each maximal stratum's model leaf space, its dimension, and the leaf-space
+# algebra the stratum realizes in the extension towers.
+STRATUM_MODELS = {
+    "V1": ("R^3 ⊔ R^3", 3, "J1"),
+    "V2": ("R^2 ⊔ R^2", 2, "J2"),
+    "W2": ("R_+", 1, "B2"),
+    "V3": ("C × R_+", 3, "J3"),
+    "W3": ("R_+", 1, "B3"),
 }
 
-STRATUM_MODEL_DIM = {"V1": 3, "V2": 2, "W2": 1, "V3": 3, "W3": 1}
+# A map is orbit-constant when it moves by less than this along sampled orbits.
+CONSTANCY_TOL = 1e-9
 
 
 def _check_in_V(p):
@@ -157,13 +157,7 @@ class PreservationReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "action": self.action,
-            "stratum": self.stratum,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "violations": [list(map(float, v)) for v in self.violations],
-        }
+        return {**asdict(self), "violations": [list(map(float, v)) for v in self.violations]}
 
 
 def preservation_check(action: str, stratum: str, n_samples: int, seed: int) -> PreservationReport:
@@ -247,8 +241,8 @@ _INVARIANTS = {"V1": _inv_V1, "V2": _inv_V2, "W2": _inv_W2, "V3": _inv_V3, "W3":
 def leaf_invariants(stratum: str) -> LeafInvariants:
     if stratum not in _INVARIANTS:
         raise ValueError(f"no leaf invariant for stratum {stratum!r} (use V1, V2, W2, V3, W3)")
-    return LeafInvariants(stratum, STRATUM_MODEL[stratum], STRATUM_MODEL_DIM[stratum],
-                          _INVARIANTS[stratum])
+    model, dim, _ = STRATUM_MODELS[stratum]
+    return LeafInvariants(stratum, model, dim, _INVARIANTS[stratum])
 
 
 def _jacobian(fn, p, h):
@@ -284,6 +278,13 @@ def _max(values) -> float:
     return float(np.max(values, initial=0.0))
 
 
+def _fields_json(report) -> dict:
+    """A report's fields, its rank histogram keyed by the ranks as strings, in order."""
+    out = asdict(report)
+    out["rank_counts"] = {str(k): v for k, v in sorted(report.rank_counts.items())}
+    return out
+
+
 @dataclass
 class StratumReport:
     stratum: str
@@ -293,25 +294,19 @@ class StratumReport:
     rank_counts: dict[int, int]
     full_rank: bool
 
+    @property
+    def ok(self) -> bool:
+        """Full rank everywhere, and orbit-constant (a NaN residual is not)."""
+        return self.full_rank and self.constancy_residual < CONSTANCY_TOL
+
     def to_json(self) -> dict:
-        return {
-            "stratum": self.stratum,
-            "model": self.model,
-            "algebra": self.algebra,
-            "constancy_residual": self.constancy_residual,
-            "rank_counts": {str(k): v for k, v in sorted(self.rank_counts.items())},
-            "full_rank": self.full_rank,
-        }
-
-
-def _action_of(stratum: str) -> str:
-    return "lambda14" if stratum in ("V3", "W3") else "lambda12"
+        return {**_fields_json(self), "ok": self.ok}
 
 
 def stratum_invariant_report(stratum: str, n_samples: int, seed: int) -> StratumReport:
     """Orbit-constancy residual and differential-rank histogram on one stratum."""
-    action = _action_of(stratum)
     inv = leaf_invariants(stratum)
+    action = next(a for a in ACTIONS if stratum in ACTION_STRATA[a])
     rng = np.random.default_rng(seed)
     pts = sample_stratum(stratum, rng, n_samples)
     gs = rng.uniform(-3.0, 3.0, size=(n_samples, 2))
@@ -321,21 +316,20 @@ def stratum_invariant_report(stratum: str, n_samples: int, seed: int) -> Stratum
     resid = np.where(same, np.abs(c1 - c0).max(axis=-1), math.inf)
     ranks = _rank_counts(_diff_rank(inv.mapping, pts))
     full = set(ranks) == {inv.dim}
-    return StratumReport(stratum, inv.model, STRATUM_ALGEBRA[stratum],
+    return StratumReport(stratum, inv.model, STRATUM_MODELS[stratum][2],
                          _max(resid), ranks, full)
 
 
 def leafspace_report(action: str, n_samples: int = 200, seed: int = 0) -> dict:
     """Per-stratum invariant diagnostics plus the leaf-space model table."""
-    strata = ["V1", "V2", "W2"] if action == "lambda12" else ["V3", "W3"]
+    strata = [s for s in ACTION_STRATA[action] if s in _INVARIANTS]
     entries = [stratum_invariant_report(s, n_samples, seed + i) for i, s in enumerate(strata)]
-    models = {e.stratum: e.model for e in entries}
     return {
         "action": action,
         "strata": [e.to_json() for e in entries],
-        "models": models,
-        "identifications": {STRATUM_ALGEBRA[e.stratum]: f"C0({e.model}) ⊗ K" for e in entries},
-        "ok": all(e.full_rank and e.constancy_residual < 1e-9 for e in entries),
+        "models": {e.stratum: e.model for e in entries},
+        "identifications": {e.algebra: f"C0({e.model}) ⊗ K" for e in entries},
+        "ok": all(e.ok for e in entries),
     }
 
 
@@ -360,14 +354,7 @@ class IntegrabilityReport:
                 and self.tangent_residual < 1e-6)
 
     def to_json(self) -> dict:
-        return {
-            "action": self.action,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "bracket_residual": self.bracket_residual,
-            "rank_counts": {str(k): v for k, v in sorted(self.rank_counts.items())},
-            "tangent_residual": self.tangent_residual,
-        }
+        return _fields_json(self)
 
 
 def integrability_check(action: str, n_samples: int, seed: int) -> IntegrabilityReport:
@@ -404,15 +391,10 @@ class FibrationReport:
 
     @property
     def ok(self) -> bool:
-        return self.constancy_residual < 1e-9 and set(self.rank_counts) == {3}
+        return self.constancy_residual < CONSTANCY_TOL and set(self.rank_counts) == {3}
 
     def to_json(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "constancy_residual": self.constancy_residual,
-            "rank_counts": {str(k): v for k, v in sorted(self.rank_counts.items())},
-        }
+        return _fields_json(self)
 
 
 def _sphere_map(p):
@@ -449,13 +431,13 @@ class SubmersionAudit:
 
     @property
     def literal_is_constant(self) -> bool:
-        return self.literal_max_deviation < 1e-9
+        return self.literal_max_deviation < CONSTANCY_TOL
 
     @property
     def ok(self) -> bool:
         """The literal map moves along orbits; its sign part and the invariant do not."""
-        return (self.literal_max_deviation >= 1e-9 and self.sign_component_constant
-                and self.invariant_residual < 1e-9)
+        return (self.literal_max_deviation >= CONSTANCY_TOL and self.sign_component_constant
+                and self.invariant_residual < CONSTANCY_TOL)
 
     def to_json(self) -> dict:
         return {

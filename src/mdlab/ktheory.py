@@ -34,7 +34,6 @@ __all__ = [
     "SearchSpaceError",
     "solve_six_term",
     "hexagon_preset",
-    "ext_invariant",
     "KDescriptor",
     "KGroups",
     "CatalogueError",
@@ -247,11 +246,6 @@ def hexagon_preset(name: str, delta0=None, delta1=None) -> tuple[list, dict]:
     if name == "allZ":
         return [1, 1, 1, 1, 1, 1], {}
     raise ValueError(f"unknown preset {name!r}")
-
-
-def ext_invariant(seq: SixTerm) -> tuple[np.ndarray, np.ndarray]:
-    """The connecting-map pair (delta0, delta1), generators as columns."""
-    return seq.delta0.copy(), seq.delta1.copy()
 
 
 # ---------------------------------------------------------------------------

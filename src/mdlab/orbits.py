@@ -33,6 +33,12 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-8
+RANK_BLOCK = 2048  # covectors per SVD, so that memory does not grow with the sample count
+# Largest deviation of the matrix-exponential flow from a closed-form orbit.
+FLOW_TOL = 1e-9
+# Rounding a coordinate of size v errs by up to v * eps, so on an orbit that
+# grows past this size round-off alone exceeds the absolute FLOW_TOL.
+FLOW_SCALE_LIMIT = FLOW_TOL / np.finfo(float).eps
 
 # Fixed probes of the dimension-0 stratum, appended to every verification run.
 _BOUNDARY_ALPHAS = (0.0, 7.0, -3.0, 0.5, 1000.0, -0.001)
@@ -49,9 +55,12 @@ def kirillov_form(alg: LieAlgebra, f) -> np.ndarray:
 
 
 def _batched_ranks(alg: LieAlgebra, fs: np.ndarray) -> np.ndarray:
-    sv = np.linalg.svd(kirillov_form(alg, fs), compute_uv=False)
-    cut = RANK_TOL * np.maximum(1.0, sv[:, 0])
-    return (sv > cut[:, None]).sum(axis=1)
+    ranks = np.empty(len(fs), dtype=int)
+    for lo in range(0, len(fs), RANK_BLOCK):
+        sv = np.linalg.svd(kirillov_form(alg, fs[lo:lo + RANK_BLOCK]), compute_uv=False)
+        cut = RANK_TOL * np.maximum(1.0, sv[:, 0])
+        ranks[lo:lo + RANK_BLOCK] = (sv > cut[:, None]).sum(axis=1)
+    return ranks
 
 
 def orbit_dimension(alg: LieAlgebra, f) -> int:
@@ -103,7 +112,7 @@ def md_verify(alg: LieAlgebra, n_samples: int, seed: int) -> MDReport:
     The n_samples covectors come from default_rng(seed): uniform directions
     with log-uniform radii in [1e-3, 1e3], which probe the scale robustness
     of the rank cut.  The dimension-0 probes _BOUNDARY_ALPHAS are appended,
-    and one batched SVD gives every rank.  Violations are report content,
+    and blocked SVDs give every rank.  Violations are report content,
     not exceptions.
     """
     if n_samples < 1:

@@ -80,14 +80,14 @@ class Axis:
     lo: float
     hi: float
     n: int
-    tag: str = "constant"  # "constant" | "periodic" | "decay"
+    tag: str = "constant"  # "constant" | "periodic"
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise ValueError("axis range must be finite with lo < hi")
         if self.n < 16:
             raise ValueError("axis sample count must be >= 16")
-        if self.tag not in ("constant", "periodic", "decay"):
+        if self.tag not in ("constant", "periodic"):
             raise ValueError(f"unknown axis tag {self.tag!r}")
 
     @property

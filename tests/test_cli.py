@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from mdlab import cli
+from mdlab import cli, criteria, foliation, ktheory
 from mdlab.cli import ConfigError, RunConfig, main, parse_config
 from mdlab.topology import ResidualError
 
@@ -95,6 +95,48 @@ def test_sixterm_json_and_determinism(capsys):
     report = json.loads(first)
     assert report["schema"] == "mdlab/1"
     assert report["checks"][0]["metrics"]["completions"][0]["groups"] == [1] * 6
+
+
+def test_sixterm_judges_completions_as_the_registry_does(monkeypatch, capsys):
+    solve = ktheory.solve_six_term
+    alternating = solve(*ktheory.hexagon_preset("allZ"), bound=3)
+    other = solve(*ktheory.hexagon_preset("gamma2"), bound=3)
+    assert len(alternating) == 2 and len(other) == 1
+    # Each time the count of completions is right, but not the completions:
+    # allZ's one completion twice, and a gamma1 completion with gamma2's groups.
+    for preset, sols in (("allZ", [alternating[0], alternating[0]]), ("gamma1", other)):
+        monkeypatch.setattr(ktheory, "solve_six_term", lambda *a, sols=sols, **k: sols)
+        assert main(["sixterm", "--preset", preset]) == 1
+        assert f"[FAIL] sixterm_{preset}" in capsys.readouterr().out
+
+
+def test_foliation_audits_p1_on_the_registry_sample_count(capsys):
+    # The subcommand and `reproduce` audit the same points at one seed.
+    assert main(["foliation", "--action", "lambda12", "--check", "invariants",
+                 "--samples", "20", "--seed", "5", "--json"]) == 0
+    checks = {c["name"]: c["metrics"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    (entry,) = [e for e in criteria.REGISTRY if e.name == "leaf_space_models"]
+    registry = {c["name"]: c["metrics"] for c in entry.run(RunConfig(seed=5))}
+    assert checks["p1_audit"]["literal_max_deviation"] == \
+        registry["p1_audit"]["literal_max_deviation"]
+    assert checks["p1_audit"]["invariant_map_residual"] == \
+        registry["p1_audit"]["invariant_residual"]
+
+
+def test_foliation_leaf_invariant_verdict_is_the_stratum_report(monkeypatch, capsys):
+    v1, calls = foliation._INVARIANTS["V1"], []
+
+    def moved_to_nan(p):  # NaN at the moved points: the second call of the check
+        calls.append(p)
+        cont, disc = v1(p)
+        return (cont * math.nan if len(calls) == 2 else cont), disc
+
+    monkeypatch.setitem(foliation._INVARIANTS, "V1", moved_to_nan)
+    assert main(["foliation", "--action", "lambda12", "--check", "invariants",
+                 "--samples", "20", "--json"]) == 1
+    status = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert status["leaf_invariant_V1"] == "fail"
+    assert status["leaf_invariant_V2"] == "pass"
 
 
 def test_orbit_command(capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mdlab import foliation
 from mdlab.foliation import (
     ACTIONS,
+    StratumReport,
     SubmersionAudit,
     _diff_rank,
     _sphere_map,
@@ -232,6 +233,13 @@ def test_v1_sign_separates_components():
         _, d1 = inv.mapping(act("lambda12", g, p))
         assert d0 == d1
         assert np.sign(act("lambda12", g, p)[4]) == np.sign(p[4])
+
+
+def test_stratum_report_needs_full_rank_and_a_finite_residual_below_the_tolerance():
+    assert StratumReport("V1", "R^3 ⊔ R^3", "J1", 1e-12, {3: 10}, True).ok
+    assert not StratumReport("V1", "R^3 ⊔ R^3", "J1", math.nan, {3: 10}, True).ok
+    assert not StratumReport("V1", "R^3 ⊔ R^3", "J1", foliation.CONSTANCY_TOL, {3: 10}, True).ok
+    assert not StratumReport("V1", "R^3 ⊔ R^3", "J1", 0.0, {2: 1, 3: 9}, False).ok
 
 
 def test_leafspace_report_models():

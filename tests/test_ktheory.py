@@ -18,7 +18,6 @@ from mdlab.ktheory import (
     disjoint_union,
     euclidean,
     exact_at,
-    ext_invariant,
     half_line,
     hexagon_preset,
     is_exact,
@@ -117,9 +116,8 @@ def test_gamma1_hexagon_forces_middle_groups():
     seq = sols[0]
     # K0 and K1 of the extension algebra are forced to be Z.
     assert seq.groups == (0, 1, 2, 2, 1, 0)
-    d0, d1 = ext_invariant(seq)
-    assert [[int(x) for x in row] for row in d0] == [[0, 1], [0, 1]]
-    assert d1.shape == (0, 0)
+    assert [[int(x) for x in row] for row in seq.delta0] == [[0, 1], [0, 1]]
+    assert seq.delta1.shape == (0, 0)
 
 
 def test_gamma2_hexagon_unique_completion():
@@ -128,8 +126,7 @@ def test_gamma2_hexagon_unique_completion():
     assert len(sols) == 1
     seq = sols[0]
     assert seq.groups == (2, 2, 1, 0, 0, 1)
-    _, d1 = ext_invariant(seq)
-    assert [int(x) for x in d1.reshape(-1)] == [1, 1]
+    assert [int(x) for x in seq.delta1.reshape(-1)] == [1, 1]
 
 
 def test_gamma3_forced_to_alternating_pattern():
@@ -139,8 +136,7 @@ def test_gamma3_forced_to_alternating_pattern():
     seq = sols[0]
     vals = tuple(abs(int(m[0, 0])) for m in seq.maps)
     assert vals == (0, 1, 0, 1, 0, 1)
-    d0, d1 = ext_invariant(seq)
-    assert int(d0[0, 0]) == 0 and int(d1[0, 0]) == 1
+    assert int(seq.delta0[0, 0]) == 0 and int(seq.delta1[0, 0]) == 1
 
 
 def _reference_completions(groups, known, bound):

@@ -1,9 +1,12 @@
 """Tests for Kirillov forms, the dimension dichotomy, flows and closed forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from mdlab import orbits
 from mdlab.liealg import FAMILIES, MD5Family, build_md5, sample_family
 from mdlab.orbits import (
     closed_form_orbit,
@@ -89,6 +92,36 @@ def test_md_verify_is_deterministic_for_any_sample_count():
     assert one.rank_counts == {0: 6, 2: 1}
     with pytest.raises(ValueError, match="n_samples"):
         md_verify(alg, 0, seed=7)
+
+
+def test_batched_ranks_do_not_depend_on_the_svd_blocks(monkeypatch):
+    alg = build_md5("5_4_4", **{"lambda": 0.5})
+    block = orbits.RANK_BLOCK
+    rng = np.random.default_rng(4)
+    fs = rng.standard_normal((3 * block + 5, 5)) * 10.0 ** rng.uniform(-3, 3, (3 * block + 5, 1))
+    # Zero-stratum covectors on both sides of each block boundary.
+    zero = [0, block - 1, block, 2 * block - 1, 2 * block, 3 * block, len(fs) - 1]
+    fs[zero, 1:] = 0.0
+    ranks = orbits._batched_ranks(alg, fs)
+    assert np.flatnonzero(ranks == 0).tolist() == zero
+    assert set(ranks.tolist()) == {0, 2}
+    for size in (1, 7, len(fs)):  # one covector per SVD ... one SVD for all
+        monkeypatch.setattr(orbits, "RANK_BLOCK", size)
+        assert np.array_equal(orbits._batched_ranks(alg, fs), ranks), size
+
+
+def test_md_verify_memory_stays_below_the_kirillov_forms_of_all_samples():
+    # The Kirillov forms of 100 006 covectors alone take 20 MB; the blocked
+    # SVD never holds more than RANK_BLOCK of them.
+    alg = build_md5("5_4_4", **{"lambda": 0.5})
+    tracemalloc.start()
+    try:
+        report = md_verify(alg, 100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.rank_counts == {0: 6, 2: 100_000}
+    assert peak < 16e6, peak
 
 
 def test_flow_identity_at_zero():

@@ -44,8 +44,9 @@ def test_axis_validation():
         Axis(0.0, 1.0, 8)
     with pytest.raises(ValueError, match="lo < hi"):
         Axis(1.0, 0.0, 32)
-    with pytest.raises(ValueError, match="tag"):
-        Axis(0.0, 1.0, 32, "weird")
+    for tag in ("weird", "decay"):
+        with pytest.raises(ValueError, match="tag"):
+            Axis(0.0, 1.0, 32, tag)
     ax = Axis(0.0, 1.0, 32)
     assert ax.step == pytest.approx(1 / 32)
     assert len(ax.midpoints()) == 32
@@ -165,8 +166,8 @@ def test_chern_rejects_non_projection():
 def test_half_disk_residual_is_flagged():
     # Integrating over half the theta2 range leaves charge 1/2: not an integer.
     field = gamma3_disk(64)
-    dom = GridDomain((Axis(0.0, math.pi / 4, 64, "decay"), Axis(0.0, 2 * math.pi, 64,
-                                                                "periodic")))
+    dom = GridDomain((Axis(0.0, math.pi / 4, 64, "constant"), Axis(0.0, 2 * math.pi, 64,
+                                                                   "periodic")))
     with pytest.raises((ResidualError, BoundaryConditionError)):
         chern_2d(field, dom)
 
