@@ -103,17 +103,13 @@ def _report(command: str, config: RunConfig, checks: list[dict]) -> dict:
 # ---------------------------------------------------------------------------
 # Family parameter handling
 
-_PARAM_FLAGS = ("lam", "lambda1", "lambda2", "lambda3", "mu", "phi")
+# One flag per parameter that some family of the catalogue takes.
+_FAMILY_FLAGS = sorted({name for spec in liealg.FAMILIES.values() for name in spec.params})
 
 
 def _family_from_args(args) -> liealg.MD5Family:
-    params = {}
-    for flag in _PARAM_FLAGS:
-        val = getattr(args, flag, None)
-        if val is not None:
-            params["lambda" if flag == "lam" else flag] = val
-    if not all(math.isfinite(v) for v in params.values()):
-        raise ConfigError(f"family parameters must be finite (got {params})")
+    """The family and every parameter flag given; `MD5Family` checks their domains."""
+    params = {name: val for name in _FAMILY_FLAGS if (val := getattr(args, name)) is not None}
     return liealg.MD5Family(args.family, params)
 
 
@@ -207,8 +203,8 @@ def cmd_foliation(args, config: RunConfig) -> list[dict]:
 def cmd_sixterm(args, config: RunConfig) -> list[dict]:
     groups, known = ktheory.hexagon_preset(args.preset)
     sols = ktheory.solve_six_term(groups, known, bound=args.bound)
-    return [_check(f"sixterm_{args.preset}", criteria.completions_hold(args.preset, sols),
-                   f"{criteria.COMPLETIONS[args.preset]} exact completion(s) up to automorphism",
+    return [_check(f"sixterm_{args.preset}", ktheory.completions_hold(args.preset, sols),
+                   f"{ktheory.COMPLETIONS[args.preset]} exact completion(s) up to automorphism",
                    completions=[s.to_json() for s in sols])]
 
 
@@ -247,12 +243,8 @@ def _add_common(sp):
 
 def _add_family(sp):
     sp.add_argument("--family", required=True, choices=sorted(liealg.FAMILIES))
-    sp.add_argument("--lambda", dest="lam", type=float)
-    sp.add_argument("--lambda1", type=float)
-    sp.add_argument("--lambda2", type=float)
-    sp.add_argument("--lambda3", type=float)
-    sp.add_argument("--mu", type=float)
-    sp.add_argument("--phi", type=float)
+    for name in _FAMILY_FLAGS:
+        sp.add_argument(f"--{name}", type=float)
 
 
 def build_parser() -> _Parser:
@@ -279,7 +271,7 @@ def build_parser() -> _Parser:
     _add_common(sp)
 
     sp = sub.add_parser("sixterm", help="exact completions of a hexagon preset")
-    sp.add_argument("--preset", required=True, choices=list(criteria.COMPLETIONS))
+    sp.add_argument("--preset", required=True, choices=list(ktheory.COMPLETIONS))
     sp.add_argument("--bound", type=int, default=3)
     _add_common(sp)
 

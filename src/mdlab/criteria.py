@@ -7,9 +7,10 @@ dicts.  Entries with a number are the acceptance criteria 1-10: the
 acceptance tests run those same entries at their own seeds and hold them to
 `budget_s`.  The other subcommands judge each claim by the same report `ok`,
 predicate or constant.  Every tolerance, sample count, expected integer and
-budget of the suite and the subcommands is written here, or for the flow and
-orbit-constancy tolerances (`orbits.FLOW_TOL`, `foliation.CONSTANCY_TOL`)
-beside the code they bound.
+budget of the suite and the subcommands is written here, or beside the code
+it bounds: the flow and orbit-constancy tolerances (`orbits.FLOW_TOL`,
+`foliation.CONSTANCY_TOL`) and the completions of each hexagon preset
+(`ktheory.COMPLETIONS`, `ktheory.completions_hold`).
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ __all__ = ["Criterion", "REGISTRY", "check"]
 
 POINT_SAMPLES = 1000  # points per leaf-invariant, integrability and fibration check
 AUDIT_SAMPLES = 200  # points of the p1 submersion audit
-
-# The number of exact completions of each `ktheory.hexagon_preset` hexagon.
-COMPLETIONS = {"gamma1": 1, "gamma2": 1, "gamma3": 1, "allZ": 2}
 
 
 def check(name: str, ok: bool, claim: str, **metrics) -> dict:
@@ -55,18 +53,6 @@ def index_holds(res) -> bool:
     """The paper's gamma matrices, and every cross-check of the report passes."""
     paper = {"F2": ([[0, 1], [0, 1]], [[1], [1]], None), "F3": (None, None, [0, 1])}
     return (res.gamma1, res.gamma2, res.gamma3) == paper[res.kind] and res.ok
-
-
-def completions_hold(preset: str, sols) -> bool:
-    """The preset's number of completions: allZ's two alternate, gamma1's forces K0 = K1 = Z."""
-    if len(sols) != COMPLETIONS[preset]:
-        return False
-    if preset == "allZ":
-        patterns = {tuple(abs(int(m[0, 0])) for m in s.maps) for s in sols}
-        return patterns == {(0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0)}
-    if preset == "gamma1":
-        return sols[0].groups == (0, 1, 2, 2, 1, 0)
-    return True
 
 
 def _families(cfg) -> list[dict]:
@@ -165,7 +151,7 @@ def _integer_algebra_oracle(cfg) -> list[dict]:
 
 def _six_term_dichotomy(cfg) -> list[dict]:
     sols = ktheory.solve_six_term(*ktheory.hexagon_preset("allZ"), bound=3)
-    return [check("sixterm_allZ", completions_hold("allZ", sols),
+    return [check("sixterm_allZ", ktheory.completions_hold("allZ", sols),
                   "exactly the two alternating completions", completions=len(sols))]
 
 
@@ -176,7 +162,7 @@ def _k_group_derivation(cfg) -> list[dict]:
     kernel_rank = int(intlinalg.kernel_basis(known[2]).shape[1])
     cokernel_rank, torsion = intlinalg.cokernel(known[2])
     return [check("gamma1_k_groups",
-                  completions_hold("gamma1", sols)
+                  ktheory.completions_hold("gamma1", sols)
                   and kernel_rank == 1 and cokernel_rank == 1 and not torsion,
                   "the gamma1 hexagon forces K0 = K1 = Z",
                   groups=list(sols[0].groups) if sols else [],

@@ -30,8 +30,6 @@ __all__ = [
     "sample_stratum",
     "preservation_check",
     "action_generators",
-    "leaf_invariants",
-    "LeafInvariants",
     "leafspace_report",
     "integrability_check",
     "f1_fibration_check",
@@ -196,22 +194,6 @@ def action_generators(action: str, p) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class LeafInvariants:
-    """Complete invariant of the orbit partition on one stratum.
-
-    `mapping` sends points (..., 5) to (continuous part, discrete part); the
-    continuous part, of shape (..., dim), lands in a Euclidean model of
-    dimension `dim` and the discrete part, a tuple of arrays of shape (...),
-    picks the connected component of the model leaf space.
-    """
-
-    stratum: str
-    model: str
-    dim: int
-    mapping: callable
-
-
 def _inv_V1(p):
     x, y, z, t, s = _coords(p)
     w = (y + 1j * z) * np.exp(1j * np.log(np.abs(s)))
@@ -235,14 +217,12 @@ def _inv_V3(p):
     return np.stack([u.real, u.imag, np.abs(t + 1j * s)], axis=-1), ()
 
 
+# The complete invariant of the orbit partition on each maximal stratum.  It
+# sends points (..., 5) to (continuous part, discrete part): the continuous
+# part, of shape (..., dim), lands in a Euclidean model of the dimension that
+# `STRATUM_MODELS` gives, and the discrete part, a tuple of arrays of shape
+# (...), picks the connected component of the model leaf space.
 _INVARIANTS = {"V1": _inv_V1, "V2": _inv_V2, "W2": _inv_W2, "V3": _inv_V3, "W3": _inv_W2}
-
-
-def leaf_invariants(stratum: str) -> LeafInvariants:
-    if stratum not in _INVARIANTS:
-        raise ValueError(f"no leaf invariant for stratum {stratum!r} (use V1, V2, W2, V3, W3)")
-    model, dim, _ = STRATUM_MODELS[stratum]
-    return LeafInvariants(stratum, model, dim, _INVARIANTS[stratum])
 
 
 def _jacobian(fn, p, h):
@@ -261,11 +241,17 @@ def _jacobian(fn, p, h):
 
 
 def _diff_rank(fn, p) -> np.ndarray:
-    """Numeric rank of the differential of the continuous invariant part, per point."""
+    """Numeric rank of the differential of the continuous invariant part, per point.
+
+    A point whose Jacobian is not finite has no rank; it gets -1, which no
+    model dimension matches.
+    """
     p = np.asarray(p, dtype=float)
     jac = _jacobian(lambda q: fn(q)[0], p, 1e-5 * (1.0 + np.linalg.norm(p, axis=-1)))
-    sv = np.linalg.svd(jac, compute_uv=False)
-    return (sv > 1e-6).sum(axis=-1)
+    finite = np.isfinite(jac).all(axis=(-2, -1))
+    ranks = np.full(finite.shape, -1)
+    ranks[finite] = (np.linalg.svd(jac[finite], compute_uv=False) > 1e-6).sum(axis=-1)
+    return ranks
 
 
 def _rank_counts(ranks) -> dict[int, int]:
@@ -305,22 +291,21 @@ class StratumReport:
 
 def stratum_invariant_report(stratum: str, n_samples: int, seed: int) -> StratumReport:
     """Orbit-constancy residual and differential-rank histogram on one stratum."""
-    inv = leaf_invariants(stratum)
+    inv = _INVARIANTS[stratum]
+    model, dim, algebra = STRATUM_MODELS[stratum]
     action = next(a for a in ACTIONS if stratum in ACTION_STRATA[a])
     rng = np.random.default_rng(seed)
     pts = sample_stratum(stratum, rng, n_samples)
     gs = rng.uniform(-3.0, 3.0, size=(n_samples, 2))
-    c0, d0 = inv.mapping(pts)
-    c1, d1 = inv.mapping(act(action, gs, pts))
+    c0, d0 = inv(pts)
+    c1, d1 = inv(act(action, gs, pts))
     same = np.all([u == v for u, v in zip(d0, d1)], axis=0)
     resid = np.where(same, np.abs(c1 - c0).max(axis=-1), math.inf)
-    ranks = _rank_counts(_diff_rank(inv.mapping, pts))
-    full = set(ranks) == {inv.dim}
-    return StratumReport(stratum, inv.model, STRATUM_MODELS[stratum][2],
-                         _max(resid), ranks, full)
+    ranks = _rank_counts(_diff_rank(inv, pts))
+    return StratumReport(stratum, model, algebra, _max(resid), ranks, set(ranks) == {dim})
 
 
-def leafspace_report(action: str, n_samples: int = 200, seed: int = 0) -> dict:
+def leafspace_report(action: str, n_samples: int, seed: int) -> dict:
     """Per-stratum invariant diagnostics plus the leaf-space model table."""
     strata = [s for s in ACTION_STRATA[action] if s in _INVARIANTS]
     entries = [stratum_invariant_report(s, n_samples, seed + i) for i, s in enumerate(strata)]
@@ -450,7 +435,7 @@ class SubmersionAudit:
         }
 
 
-def p1_submersion_audit(n_samples: int = 100, seed: int = 0) -> SubmersionAudit:
+def p1_submersion_audit(n_samples: int, seed: int) -> SubmersionAudit:
     """Compare the literal projection (y, z, t, sign s) with the working invariant on V1.
 
     The literal map is not constant along orbits: the action rotates (y, z)
@@ -462,12 +447,12 @@ def p1_submersion_audit(n_samples: int = 100, seed: int = 0) -> SubmersionAudit:
     rng = np.random.default_rng(seed)
     pts = sample_stratum("V1", rng, n_samples)
     gs = rng.uniform(-3.0, 3.0, size=(n_samples, 2))
-    inv = leaf_invariants("V1")
+    inv = _INVARIANTS["V1"]
     qs = act("lambda12", gs, pts)
     # The literal map is (y, z, t) with the component sign s.
     lit_dev = _max(np.abs(qs[:, 1:4] - pts[:, 1:4]))
     sign_const = bool(np.all(np.sign(qs[:, 4]) == np.sign(pts[:, 4])))
-    inv_resid = _max(np.abs(inv.mapping(qs)[0] - inv.mapping(pts)[0]))
+    inv_resid = _max(np.abs(inv(qs)[0] - inv(pts)[0]))
 
     p0 = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
     q0 = act("lambda12", (0.0, 1.0), p0)

@@ -34,6 +34,8 @@ __all__ = [
     "SearchSpaceError",
     "solve_six_term",
     "hexagon_preset",
+    "COMPLETIONS",
+    "completions_hold",
     "KDescriptor",
     "KGroups",
     "CatalogueError",
@@ -246,6 +248,36 @@ def hexagon_preset(name: str, delta0=None, delta1=None) -> tuple[list, dict]:
     if name == "allZ":
         return [1, 1, 1, 1, 1, 1], {}
     raise ValueError(f"unknown preset {name!r}")
+
+
+# The number of exact completions of each `hexagon_preset` hexagon.
+COMPLETIONS = {"gamma1": 1, "gamma2": 1, "gamma3": 1, "allZ": 2}
+
+# The patterns of the two exact hexagons of six copies of Z; delta1 = 1 picks the first.
+_ALTERNATING = ((0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0))
+
+
+def _pattern(seq: SixTerm) -> tuple[int, ...]:
+    """|m[0, 0]| of each map of a hexagon of six copies of Z."""
+    return tuple(abs(int(m[0, 0])) for m in seq.maps)
+
+
+def completions_hold(preset: str, sols) -> bool:
+    """The preset's verdict on its completions.
+
+    There are `COMPLETIONS[preset]` of them: allZ's are the two alternating
+    patterns, gamma3's (delta1 = 1) is the first of them, and gamma1's has
+    K0 = K1 = Z, the ranks of groups 1 and 4.
+    """
+    if len(sols) != COMPLETIONS[preset]:
+        return False
+    if preset == "allZ":
+        return {_pattern(s) for s in sols} == set(_ALTERNATING)
+    if preset == "gamma3":
+        return _pattern(sols[0]) == _ALTERNATING[0]
+    if preset == "gamma1":
+        return sols[0].groups == (0, 1, 2, 2, 1, 0)
+    return True
 
 
 # ---------------------------------------------------------------------------

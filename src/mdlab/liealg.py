@@ -4,12 +4,15 @@ The catalogue holds 14 parametric families, named 5_4_1 .. 5_4_14.  Each is
 determined by the matrix of ad_{X1} restricted to span(X2..X5) in a fixed
 basis (X1..X5); all brackets not involving X1 vanish.  Structure constants
 are stored exactly as the closed-form entries with parameters substituted.
+`FAMILIES` declares each family's parameters and their domains once: the
+validation of `MD5Family`, `sample_family` and the CLI's family flags read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -33,11 +36,6 @@ class ParameterDomainError(ValueError):
     """A family parameter violates its domain constraint."""
 
 
-def _require(cond: bool, family: str, constraint: str) -> None:
-    if not cond:
-        raise ParameterDomainError(f"{family}: {constraint}")
-
-
 def _rot(phi: float) -> np.ndarray:
     c, s = math.cos(phi), math.sin(phi)
     return np.array([[c, -s], [s, c]])
@@ -51,16 +49,46 @@ def _scaled_rot(lam: float, mu: float) -> np.ndarray:
     return np.array([[lam, -mu], [mu, lam]])
 
 
-def _not01(x: float) -> bool:
-    # Strict comparison, no tolerance: degenerate parameters are caller errors.
-    return x != 0.0 and x != 1.0
+@dataclass(frozen=True)
+class _Domain:
+    """An open interval minus finitely many points, and the range `sample_family` draws from."""
+
+    text: str
+    lo: float
+    hi: float
+    holes: tuple[float, ...] = ()
+    draw: tuple[float, float] = (-2.0, 2.0)
+
+    def __contains__(self, x) -> bool:
+        # Strict comparisons, no tolerance: degenerate parameters are caller errors.
+        # The bounds are open, so NaN and +-inf never belong.
+        return self.lo < x < self.hi and x not in self.holes
+
+    def sample(self, rng: np.random.Generator) -> float:
+        """Uniform on `draw`, redrawn until 1e-2 away from every hole."""
+        while True:
+            x = float(rng.uniform(*self.draw))
+            if all(abs(x - h) > 1e-2 for h in self.holes):
+                return x
+
+
+# Eigenvalue-like parameters are drawn from (-2, 2): flow values grow like
+# e^{|a lambda|}, and the absolute 1e-9 flow-vs-closed-form contract on
+# a in [-3, 3] needs desk-scale magnitudes at double precision.
+_DOMAINS = {
+    "real": _Domain("R", -math.inf, math.inf),
+    "nonzero": _Domain("R \\ {0}", -math.inf, math.inf, (0.0,)),
+    "not01": _Domain("R \\ {0, 1}", -math.inf, math.inf, (0.0, 1.0)),
+    "positive": _Domain("(0, inf)", 0.0, math.inf, draw=(0.05, 3.0)),
+    "angle": _Domain("(0, pi)", 0.0, math.pi, draw=(0.1, math.pi - 0.1)),
+}
 
 
 @dataclass(frozen=True)
 class _FamilySpec:
-    params: tuple[str, ...]
-    validate: callable
-    blocks: callable  # params dict -> list of ("jordan", lam, k) | ("rot", phi) | ("srot", lam, mu)
+    params: dict[str, str]  # parameter -> key into _DOMAINS, in order
+    distinct: tuple[str, ...]  # parameters that must be pairwise distinct
+    blocks: Callable  # params dict -> list of ("jordan", lam, k) | ("rot", phi) | ("srot", lam, mu)
 
 
 def _blockdiag(blocks) -> np.ndarray:
@@ -85,87 +113,45 @@ def _blockdiag(blocks) -> np.ndarray:
     return out
 
 
-def _v_541(p):
-    l1, l2, l3 = p["lambda1"], p["lambda2"], p["lambda3"]
-    _require(_not01(l1) and _not01(l2) and _not01(l3), "5_4_1",
-             "lambda1, lambda2, lambda3 must lie in R \\ {0, 1}")
-    _require(l1 != l2 and l2 != l3 and l3 != l1, "5_4_1",
-             "lambda1, lambda2, lambda3 must be pairwise distinct")
-
-
-def _v_542(p):
-    l1, l2 = p["lambda1"], p["lambda2"]
-    _require(_not01(l1) and _not01(l2), "5_4_2", "lambda1, lambda2 must lie in R \\ {0, 1}")
-    _require(l1 != l2, "5_4_2", "lambda1 must differ from lambda2")
-
-
-def _v_lam01(fam):
-    def v(p):
-        _require(_not01(p["lambda"]), fam, "lambda must lie in R \\ {0, 1}")
-    return v
-
-
-def _v_546(p):
-    l1, l2 = p["lambda1"], p["lambda2"]
-    _require(_not01(l1) and _not01(l2), "5_4_6", "lambda1, lambda2 must lie in R \\ {0, 1}")
-    _require(l1 != l2, "5_4_6", "lambda1 must differ from lambda2")
-
-
-def _v_5411(p):
-    l1, l2, phi = p["lambda1"], p["lambda2"], p["phi"]
-    _require(l1 != 0.0 and l2 != 0.0, "5_4_11", "lambda1, lambda2 must be nonzero")
-    _require(l1 != l2, "5_4_11", "lambda1 must differ from lambda2")
-    _require(0.0 < phi < math.pi, "5_4_11", "phi must lie in (0, pi)")
-
-
-def _v_lam0phi(fam):
-    def v(p):
-        _require(p["lambda"] != 0.0, fam, "lambda must be nonzero")
-        _require(0.0 < p["phi"] < math.pi, fam, "phi must lie in (0, pi)")
-    return v
-
-
-def _v_5414(p):
-    _require(p["mu"] > 0.0, "5_4_14", "mu must be positive")
-    _require(0.0 < p["phi"] < math.pi, "5_4_14", "phi must lie in (0, pi)")
-
+_L123 = ("lambda1", "lambda2", "lambda3")
+_L12 = ("lambda1", "lambda2")
 
 FAMILIES: dict[str, _FamilySpec] = {
-    "5_4_1": _FamilySpec(("lambda1", "lambda2", "lambda3"), _v_541,
+    "5_4_1": _FamilySpec(dict.fromkeys(_L123, "not01"), _L123,
                          lambda p: [("jordan", p["lambda1"], 1), ("jordan", p["lambda2"], 1),
                                     ("jordan", p["lambda3"], 1), ("jordan", 1.0, 1)]),
-    "5_4_2": _FamilySpec(("lambda1", "lambda2"), _v_542,
+    "5_4_2": _FamilySpec(dict.fromkeys(_L12, "not01"), _L12,
                          lambda p: [("jordan", p["lambda1"], 1), ("jordan", p["lambda2"], 1),
                                     ("jordan", 1.0, 1), ("jordan", 1.0, 1)]),
-    "5_4_3": _FamilySpec(("lambda",), _v_lam01("5_4_3"),
+    "5_4_3": _FamilySpec({"lambda": "not01"}, (),
                          lambda p: [("jordan", p["lambda"], 1), ("jordan", p["lambda"], 1),
                                     ("jordan", 1.0, 1), ("jordan", 1.0, 1)]),
-    "5_4_4": _FamilySpec(("lambda",), _v_lam01("5_4_4"),
+    "5_4_4": _FamilySpec({"lambda": "not01"}, (),
                          lambda p: [("jordan", p["lambda"], 1), ("jordan", 1.0, 1),
                                     ("jordan", 1.0, 1), ("jordan", 1.0, 1)]),
-    "5_4_5": _FamilySpec((), lambda p: None,
+    "5_4_5": _FamilySpec({}, (),
                          lambda p: [("jordan", 1.0, 1)] * 4),
-    "5_4_6": _FamilySpec(("lambda1", "lambda2"), _v_546,
+    "5_4_6": _FamilySpec(dict.fromkeys(_L12, "not01"), _L12,
                          lambda p: [("jordan", p["lambda1"], 1), ("jordan", p["lambda2"], 1),
                                     ("jordan", 1.0, 2)]),
-    "5_4_7": _FamilySpec(("lambda",), _v_lam01("5_4_7"),
+    "5_4_7": _FamilySpec({"lambda": "not01"}, (),
                          lambda p: [("jordan", p["lambda"], 1), ("jordan", p["lambda"], 1),
                                     ("jordan", 1.0, 2)]),
-    "5_4_8": _FamilySpec(("lambda",), _v_lam01("5_4_8"),
+    "5_4_8": _FamilySpec({"lambda": "not01"}, (),
                          lambda p: [("jordan", p["lambda"], 2), ("jordan", 1.0, 2)]),
-    "5_4_9": _FamilySpec(("lambda",), _v_lam01("5_4_9"),
+    "5_4_9": _FamilySpec({"lambda": "not01"}, (),
                          lambda p: [("jordan", p["lambda"], 1), ("jordan", 1.0, 3)]),
-    "5_4_10": _FamilySpec((), lambda p: None,
+    "5_4_10": _FamilySpec({}, (),
                           lambda p: [("jordan", 1.0, 4)]),
-    "5_4_11": _FamilySpec(("lambda1", "lambda2", "phi"), _v_5411,
+    "5_4_11": _FamilySpec({"lambda1": "nonzero", "lambda2": "nonzero", "phi": "angle"}, _L12,
                           lambda p: [("rot", p["phi"]), ("jordan", p["lambda1"], 1),
                                      ("jordan", p["lambda2"], 1)]),
-    "5_4_12": _FamilySpec(("lambda", "phi"), _v_lam0phi("5_4_12"),
+    "5_4_12": _FamilySpec({"lambda": "nonzero", "phi": "angle"}, (),
                           lambda p: [("rot", p["phi"]), ("jordan", p["lambda"], 1),
                                      ("jordan", p["lambda"], 1)]),
-    "5_4_13": _FamilySpec(("lambda", "phi"), _v_lam0phi("5_4_13"),
+    "5_4_13": _FamilySpec({"lambda": "nonzero", "phi": "angle"}, (),
                           lambda p: [("rot", p["phi"]), ("jordan", p["lambda"], 2)]),
-    "5_4_14": _FamilySpec(("lambda", "mu", "phi"), _v_5414,
+    "5_4_14": _FamilySpec({"lambda": "real", "mu": "positive", "phi": "angle"}, (),
                           lambda p: [("rot", p["phi"]), ("srot", p["lambda"], p["mu"])]),
 }
 
@@ -174,8 +160,8 @@ FAMILIES: dict[str, _FamilySpec] = {
 class MD5Family:
     """A family tag plus its parameter values.
 
-    `params` uses the keys "lambda", "lambda1", "lambda2", "lambda3", "mu",
-    "phi" as required by the family.
+    `params` holds exactly the parameters `FAMILIES[family_id].params` lists,
+    each a finite value in its domain.
     """
 
     family_id: str
@@ -191,7 +177,14 @@ class MD5Family:
         extra = [k for k in self.params if k not in spec.params]
         if extra:
             raise ParameterDomainError(f"{self.family_id}: unexpected parameters {extra}")
-        spec.validate(self.params)
+        for name, key in spec.params.items():
+            x = self.params[name]
+            if x not in _DOMAINS[key]:
+                raise ParameterDomainError(f"{self.family_id}: {name} must lie in "
+                                           f"{_DOMAINS[key].text} (got {x!r})")
+        if len({self.params[k] for k in spec.distinct}) < len(spec.distinct):
+            raise ParameterDomainError(f"{self.family_id}: {', '.join(spec.distinct)} "
+                                       "must be pairwise distinct")
 
     def ad_block(self) -> np.ndarray:
         """The 4x4 matrix of ad_{X1} on span(X2..X5), columns = images."""
@@ -304,50 +297,19 @@ def ad_matrix(alg: LieAlgebra, x) -> np.ndarray:
 # Sampling of valid parameters, used by randomized checks and the CLI.
 
 def sample_family(family_id: str, rng: np.random.Generator) -> MD5Family:
-    """Draw a uniformly sensible parameter set from the family's domain.
+    """Draw a parameter set from the family's domains, away from their excluded points.
 
-    Eigenvalue-like parameters are sampled in (-2, 2): flow values grow like
-    e^{|a lambda|}, and the absolute 1e-9 flow-vs-closed-form contract on
-    a in [-3, 3] needs desk-scale magnitudes at double precision.
+    The pairwise-distinct parameters are drawn first, together, until they
+    differ; then the others, in order.
     """
-    def pick_not01():
-        while True:
-            v = float(rng.uniform(-2.0, 2.0))
-            if abs(v) > 1e-2 and abs(v - 1.0) > 1e-2:
-                return v
-
-    def pick_nonzero():
-        while True:
-            v = float(rng.uniform(-2.0, 2.0))
-            if abs(v) > 1e-2:
-                return v
-
-    fid = family_id
-    if fid == "5_4_1":
-        while True:
-            l1, l2, l3 = pick_not01(), pick_not01(), pick_not01()
-            if l1 != l2 and l2 != l3 and l3 != l1:
-                return MD5Family(fid, {"lambda1": l1, "lambda2": l2, "lambda3": l3})
-    if fid in ("5_4_2", "5_4_6"):
-        while True:
-            l1, l2 = pick_not01(), pick_not01()
-            if l1 != l2:
-                return MD5Family(fid, {"lambda1": l1, "lambda2": l2})
-    if fid in ("5_4_3", "5_4_4", "5_4_7", "5_4_8", "5_4_9"):
-        return MD5Family(fid, {"lambda": pick_not01()})
-    if fid in ("5_4_5", "5_4_10"):
-        return MD5Family(fid, {})
-    if fid == "5_4_11":
-        while True:
-            l1, l2 = pick_nonzero(), pick_nonzero()
-            if l1 != l2:
-                phi = float(rng.uniform(0.1, math.pi - 0.1))
-                return MD5Family(fid, {"lambda1": l1, "lambda2": l2, "phi": phi})
-    if fid in ("5_4_12", "5_4_13"):
-        return MD5Family(fid, {"lambda": pick_nonzero(),
-                               "phi": float(rng.uniform(0.1, math.pi - 0.1))})
-    if fid == "5_4_14":
-        return MD5Family(fid, {"lambda": float(rng.uniform(-2.0, 2.0)),
-                               "mu": float(rng.uniform(0.05, 3.0)),
-                               "phi": float(rng.uniform(0.1, math.pi - 0.1))})
-    raise ParameterDomainError(f"unknown family {family_id!r}")
+    if family_id not in FAMILIES:
+        raise ParameterDomainError(f"unknown family {family_id!r}")
+    spec = FAMILIES[family_id]
+    while True:
+        values = {k: _DOMAINS[spec.params[k]].sample(rng) for k in spec.distinct}
+        if len(set(values.values())) == len(values):
+            break
+    for name, key in spec.params.items():
+        if name not in values:
+            values[name] = _DOMAINS[key].sample(rng)
+    return MD5Family(family_id, {k: values[k] for k in spec.params})

@@ -274,18 +274,21 @@ def epsilon1_field(n: int = 128) -> MatrixField:
                        default_domain=dom)
 
 
+def _uqu(t2, phase):
+    """u q u^{-1} for the unitary of `u_gamma3` with phi + theta1 = phase."""
+    e = np.exp(1j * phase)
+    p = np.empty((len(t2), 2, 2), dtype=complex)
+    p[:, 0, 0] = np.cos(t2) ** 2
+    p[:, 1, 1] = np.sin(t2) ** 2
+    p[:, 0, 1] = e * np.cos(t2) * np.sin(t2)
+    p[:, 1, 0] = np.conj(p[:, 0, 1])
+    return p
+
+
 def p_gamma3() -> MatrixField:
     """p = u q u^{-1}: the rank-1 projection onto the first column of u."""
-    def ev(pts):
-        t1, t2, ph = pts[:, 0], pts[:, 1], pts[:, 2]
-        e = np.exp(1j * (ph + t1))
-        p = np.empty((len(pts), 2, 2), dtype=complex)
-        p[:, 0, 0] = np.cos(t2) ** 2
-        p[:, 1, 1] = np.sin(t2) ** 2
-        p[:, 0, 1] = e * np.cos(t2) * np.sin(t2)
-        p[:, 1, 0] = np.conj(p[:, 0, 1])
-        return p
-    return MatrixField(evaluator=ev, dim=3, name="p_gamma3")
+    return MatrixField(evaluator=lambda pts: _uqu(pts[:, 1], pts[:, 2] + pts[:, 0]),
+                       dim=3, name="p_gamma3")
 
 
 def gamma3_disk(n: int = 512) -> MatrixField:
@@ -298,16 +301,6 @@ def gamma3_disk(n: int = 512) -> MatrixField:
     """
     dom = GridDomain((Axis(0.0, 0.5 * math.pi, n, "constant"), Axis(0.0, TAU, n, "periodic")))
 
-    def ev(pts):
-        t2, ph = pts[:, 0], pts[:, 1]
-        e = np.exp(1j * ph)
-        p = np.empty((len(pts), 2, 2), dtype=complex)
-        p[:, 0, 0] = np.cos(t2) ** 2
-        p[:, 1, 1] = np.sin(t2) ** 2
-        p[:, 0, 1] = e * np.cos(t2) * np.sin(t2)
-        p[:, 1, 0] = np.conj(p[:, 0, 1])
-        return p
-
     def dv(pts):
         t2, ph = pts[:, 0], pts[:, 1]
         e = np.exp(1j * ph)
@@ -319,7 +312,8 @@ def gamma3_disk(n: int = 512) -> MatrixField:
         d[..., 1, 0] = np.conj(d[..., 0, 1])
         return d
 
-    return MatrixField(evaluator=ev, dim=2, name="p_gamma3_disk", derivative=dv,
+    return MatrixField(evaluator=lambda pts: _uqu(pts[:, 0], pts[:, 1]), dim=2,
+                       name="p_gamma3_disk", derivative=dv,
                        default_domain=dom)
 
 

@@ -73,6 +73,21 @@ def test_invalid_parameters_exit_64(capsys):
     assert main(["mdcheck", "--family", "5_4_4", "--samples", "0"]) == 64
 
 
+def test_family_flags_the_family_does_not_take_exit_64(capsys):
+    # 5_4_5 takes no parameter, so each family flag is refused by the family, not the parser.
+    for flag in ("lambda", "lambda1", "lambda2", "lambda3", "mu", "phi"):
+        assert main(["algebra", "--family", "5_4_5", f"--{flag}", "2"]) == 64
+        assert f"unexpected parameters ['{flag}']" in capsys.readouterr().err
+    assert main(["algebra", "--family", "5_4_4", "--lambda", "2", "--mu", "1"]) == 64
+    assert "5_4_4: unexpected parameters ['mu']" in capsys.readouterr().err
+
+
+def test_non_finite_family_parameters_exit_64(capsys):
+    assert main(["algebra", "--family", "5_4_14", "--lambda", "inf", "--mu", "1",
+                 "--phi", "1"]) == 64
+    assert "mdlab: error: 5_4_14: lambda must lie in R (got inf)" in capsys.readouterr().err
+
+
 def test_mdcheck_passes(capsys):
     code = main(["mdcheck", "--family", "5_4_4", "--lambda", "0.5",
                  "--samples", "2000", "--seed", "1"])
@@ -101,10 +116,13 @@ def test_sixterm_judges_completions_as_the_registry_does(monkeypatch, capsys):
     solve = ktheory.solve_six_term
     alternating = solve(*ktheory.hexagon_preset("allZ"), bound=3)
     other = solve(*ktheory.hexagon_preset("gamma2"), bound=3)
-    assert len(alternating) == 2 and len(other) == 1
-    # Each time the count of completions is right, but not the completions:
-    # allZ's one completion twice, and a gamma1 completion with gamma2's groups.
-    for preset, sols in (("allZ", [alternating[0], alternating[0]]), ("gamma1", other)):
+    wrong_gamma3 = [s for s in alternating if int(s.delta1[0, 0]) == 0]
+    assert len(alternating) == 2 and len(other) == 1 and len(wrong_gamma3) == 1
+    # Each time the count of completions is right, but not the completions: allZ's
+    # one completion twice, a gamma1 completion with gamma2's groups, and a gamma3
+    # completion with the alternating pattern that delta1 = 1 rules out.
+    for preset, sols in (("allZ", [alternating[0], alternating[0]]), ("gamma1", other),
+                         ("gamma3", wrong_gamma3)):
         monkeypatch.setattr(ktheory, "solve_six_term", lambda *a, sols=sols, **k: sols)
         assert main(["sixterm", "--preset", preset]) == 1
         assert f"[FAIL] sixterm_{preset}" in capsys.readouterr().out
@@ -137,6 +155,24 @@ def test_foliation_leaf_invariant_verdict_is_the_stratum_report(monkeypatch, cap
     status = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert status["leaf_invariant_V1"] == "fail"
     assert status["leaf_invariant_V2"] == "pass"
+
+
+def test_foliation_non_finite_leaf_invariant_fails_the_check(monkeypatch, capsys):
+    v1 = foliation._INVARIANTS["V1"]
+
+    def nan_everywhere(p):
+        cont, disc = v1(p)
+        return cont * math.nan, disc
+
+    # No finite Jacobian: the V1 check fails (exit 1) instead of the SVD refusing (exit 64).
+    monkeypatch.setitem(foliation._INVARIANTS, "V1", nan_everywhere)
+    assert main(["foliation", "--action", "lambda12", "--check", "invariants",
+                 "--samples", "20", "--json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["leaf_invariant_V1"]["status"] == "fail"
+    assert checks["leaf_invariant_V1"]["metrics"]["rank_histogram"] == {"-1": 20}
+    assert checks["p1_audit"]["status"] == "fail"
+    assert checks["leaf_invariant_V2"]["status"] == "pass"
 
 
 def test_orbit_command(capsys):

@@ -18,7 +18,6 @@ from mdlab.foliation import (
     action_generators,
     f1_fibration_check,
     integrability_check,
-    leaf_invariants,
     leafspace_report,
     p1_submersion_audit,
     preservation_check,
@@ -202,7 +201,7 @@ def _per_point_rank(fn, p, cutoff=1e-6):
 def test_batched_diff_rank_matches_the_per_point_formula(stratum):
     pts = sample_stratum(stratum, np.random.default_rng(19), 200)
     # W1 carries no leaf invariant of its own.
-    maps = [_sphere_map] + ([] if stratum == "W1" else [leaf_invariants(stratum).mapping])
+    maps = [_sphere_map] + ([] if stratum == "W1" else [foliation._INVARIANTS[stratum]])
     for fn in maps:
         ranks = _diff_rank(fn, pts)
         assert ranks.shape == (200,)
@@ -210,27 +209,27 @@ def test_batched_diff_rank_matches_the_per_point_formula(stratum):
 
 
 def test_w2_invariant_is_modulus():
-    inv = leaf_invariants("W2")
-    c, d = inv.mapping(np.array([0.3, 3.0, 4.0, 0.0, 0.0]))
+    inv = foliation._INVARIANTS["W2"]
+    c, d = inv(np.array([0.3, 3.0, 4.0, 0.0, 0.0]))
     assert np.isclose(c[0], 5.0)
     assert d == ()
 
 
 def test_v3_invariant_at_reference_point():
-    inv = leaf_invariants("V3")
-    c, _ = inv.mapping(np.array([0.0, 1.0, 0.0, 1.0, 0.0]))
+    inv = foliation._INVARIANTS["V3"]
+    c, _ = inv(np.array([0.0, 1.0, 0.0, 1.0, 0.0]))
     assert np.allclose(c, [1.0, 0.0, 1.0])
 
 
 def test_v1_sign_separates_components():
     # Orbits never cross s = 0: the sign slot of the invariant is constant.
     rng = np.random.default_rng(12)
-    inv = leaf_invariants("V1")
+    inv = foliation._INVARIANTS["V1"]
     for _ in range(200):
         p = sample_stratum("V1", rng, 1)[0]
         g = rng.uniform(-3, 3, 2)
-        _, d0 = inv.mapping(p)
-        _, d1 = inv.mapping(act("lambda12", g, p))
+        _, d0 = inv(p)
+        _, d1 = inv(act("lambda12", g, p))
         assert d0 == d1
         assert np.sign(act("lambda12", g, p)[4]) == np.sign(p[4])
 
@@ -330,3 +329,21 @@ def test_nan_at_one_sample_fails_the_check(monkeypatch, owner, name, call, rows,
     report = run()
     assert math.isnan(getattr(report, metric))
     assert not getattr(report, "ok", False)
+
+
+@pytest.mark.parametrize("rows", [slice(None), 3], ids=["all", "one_row"])
+@pytest.mark.parametrize("owner, name, call, run", [
+    (foliation._INVARIANTS, "V1", 3, lambda: stratum_invariant_report("V1", 10, 0)),
+    (foliation, "_sphere_map", 1, lambda: f1_fibration_check(10, 0)),
+], ids=["strata", "fibration"])
+def test_non_finite_jacobian_has_no_rank(monkeypatch, owner, name, call, run, rows):
+    # The rank call's points get NaN Jacobians: rank -1 there, and the check fails.
+    if isinstance(owner, dict):
+        monkeypatch.setitem(owner, name, _nan_on_call(owner[name], call, rows))
+    else:
+        monkeypatch.setattr(owner, name, _nan_on_call(getattr(owner, name), call, rows))
+    report = run()
+    points = sum(report.rank_counts.values())
+    assert report.rank_counts[-1] == (points if rows == slice(None) else 1)
+    assert math.isfinite(report.constancy_residual)
+    assert not report.ok

@@ -79,6 +79,80 @@ def test_missing_and_extra_parameters_rejected():
         MD5Family("5_4_5", {"lambda": 2.0})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fid,name", [(fid, name) for fid in ALL_FAMILIES
+                                      for name in FAMILIES[fid].params])
+def test_non_finite_parameters_rejected(fid, name, bad):
+    params = dict(sample_family(fid, np.random.default_rng(0)).params, **{name: bad})
+    with pytest.raises(ParameterDomainError, match=f"{name} must lie in"):
+        MD5Family(fid, params)
+
+
+# What sample_family(fid, default_rng(seed)).params must keep drawing, in key
+# order, for seeded reports to stay the same.  Seed 39 first draws 0.0068,
+# which the domains R \ {0} and R \ {0, 1} redraw and R (lambda of 5_4_14) keeps.
+RECORDED_SAMPLES = {
+    ("5_4_1", 0): {"lambda1": 0.5478467492858172, "lambda2": -0.9208531449445188,
+                   "lambda3": -1.8361059042552212},
+    ("5_4_1", 1): {"lambda1": 0.047286498801026866, "lambda2": 1.8018547853037412,
+                   "lambda3": -1.423361549121465},
+    ("5_4_1", 39): {"lambda1": 0.15734162482595426, "lambda2": -1.4565031921788463,
+                    "lambda3": -0.774453726313364},
+    ("5_4_2", 0): {"lambda1": 0.5478467492858172, "lambda2": -0.9208531449445188},
+    ("5_4_2", 1): {"lambda1": 0.047286498801026866, "lambda2": 1.8018547853037412},
+    ("5_4_2", 39): {"lambda1": 0.15734162482595426, "lambda2": -1.4565031921788463},
+    ("5_4_3", 0): {"lambda": 0.5478467492858172},
+    ("5_4_3", 1): {"lambda": 0.047286498801026866},
+    ("5_4_3", 39): {"lambda": 0.15734162482595426},
+    ("5_4_4", 0): {"lambda": 0.5478467492858172},
+    ("5_4_4", 1): {"lambda": 0.047286498801026866},
+    ("5_4_4", 39): {"lambda": 0.15734162482595426},
+    ("5_4_5", 0): {},
+    ("5_4_5", 1): {},
+    ("5_4_5", 39): {},
+    ("5_4_6", 0): {"lambda1": 0.5478467492858172, "lambda2": -0.9208531449445188},
+    ("5_4_6", 1): {"lambda1": 0.047286498801026866, "lambda2": 1.8018547853037412},
+    ("5_4_6", 39): {"lambda1": 0.15734162482595426, "lambda2": -1.4565031921788463},
+    ("5_4_7", 0): {"lambda": 0.5478467492858172},
+    ("5_4_7", 1): {"lambda": 0.047286498801026866},
+    ("5_4_7", 39): {"lambda": 0.15734162482595426},
+    ("5_4_8", 0): {"lambda": 0.5478467492858172},
+    ("5_4_8", 1): {"lambda": 0.047286498801026866},
+    ("5_4_8", 39): {"lambda": 0.15734162482595426},
+    ("5_4_9", 0): {"lambda": 0.5478467492858172},
+    ("5_4_9", 1): {"lambda": 0.047286498801026866},
+    ("5_4_9", 39): {"lambda": 0.15734162482595426},
+    ("5_4_10", 0): {},
+    ("5_4_10", 1): {},
+    ("5_4_10", 39): {},
+    ("5_4_11", 0): {"lambda1": 0.5478467492858172, "lambda2": -0.9208531449445188,
+                    "phi": 0.22052741700239584},
+    ("5_4_11", 1): {"lambda1": 0.047286498801026866, "lambda2": 1.8018547853037412,
+                    "phi": 0.5240588577204243},
+    ("5_4_11", 39): {"lambda1": 0.15734162482595426, "lambda2": -1.4565031921788463,
+                     "phi": 1.0012644788277387},
+    ("5_4_12", 0): {"lambda": 0.5478467492858172, "phi": 0.8936026152439331},
+    ("5_4_12", 1): {"lambda": 0.047286498801026866, "phi": 2.895877026616171},
+    ("5_4_12", 39): {"lambda": 0.15734162482595426, "phi": 0.4996865542840523},
+    ("5_4_13", 0): {"lambda": 0.5478467492858172, "phi": 0.8936026152439331},
+    ("5_4_13", 1): {"lambda": 0.047286498801026866, "phi": 2.895877026616171},
+    ("5_4_13", 39): {"lambda": 0.15734162482595426, "phi": 0.4996865542840523},
+    ("5_4_14", 0): {"lambda": 0.5478467492858172, "mu": 0.8458708056034175,
+                    "phi": 0.22052741700239584},
+    ("5_4_14", 1): {"lambda": 0.047286498801026866, "mu": 2.853867904161509,
+                    "phi": 0.5240588577204243},
+    ("5_4_14", 39): {"lambda": 0.0068478286056326, "mu": 1.6410394483091415,
+                     "phi": 0.4996865542840523},
+}
+
+
+def test_sample_family_draws_the_recorded_parameters():
+    assert {fid for fid, _ in RECORDED_SAMPLES} == set(FAMILIES)
+    for (fid, seed), expected in RECORDED_SAMPLES.items():
+        params = sample_family(fid, np.random.default_rng(seed)).params
+        assert list(params.items()) == list(expected.items()), (fid, seed)
+
+
 def test_bracket_antisymmetry_and_self():
     alg = build_md5("5_4_8", **{"lambda": 3.0})
     rng = np.random.default_rng(0)
