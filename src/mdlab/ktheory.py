@@ -10,7 +10,6 @@ the catalogue and is rejected where it would arise.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +139,29 @@ def _infer_ranks(groups, known) -> list[int]:
     return g
 
 
+def _box(shape: tuple[int, int], bound: int) -> np.ndarray:
+    """Every matrix of `shape` with entries in [-bound, bound], as an exact
+    (count, rows, cols) stack in lexicographic order of the row-major entries."""
+    k, e = len(range(-bound, bound + 1)), shape[0] * shape[1]
+    digits = np.arange(k ** e)[:, None] // k ** np.arange(e - 1, -1, -1) % k
+    return (digits - bound).astype(object).reshape(-1, *shape)
+
+
+def _node_test(n: int, fa: list[int], fb: list[int]) -> bool:
+    """Exactness at a node Z^n whose maps a (in) and b (out) satisfy b a = 0.
+
+    `fa` and `fb` are the nonzero invariant factors of a and b.  The node is
+    exact iff rank a + rank b = n and every factor in `fa` is 1.  Proof:
+    b a = 0 puts im a inside ker b, which is saturated (Z^n / ker b embeds in
+    the free target of b) and has rank n - rank b.  Unit factors say that
+    Z^n / im a is free, i.e. im a is saturated; a saturated sublattice of the
+    same rank inside ker b is all of it, since ker b / im a is then torsion
+    inside the free Z^n / im a.  Conversely, im a = ker b is saturated and
+    has rank n - rank b.
+    """
+    return len(fa) + len(fb) == n and all(f == 1 for f in fa)
+
+
 def solve_six_term(groups, known_maps=None, bound: int = 3,
                    max_candidates: int = 5_000_000) -> list[SixTerm]:
     """All exact completions of a partially known hexagon, up to automorphism.
@@ -149,83 +171,104 @@ def solve_six_term(groups, known_maps=None, bound: int = 3,
     are searched with entries in [-bound, bound].  Completions are grouped by
     the tuple of per-map invariant factors (unimodular base changes preserve
     them) and one lexicographically minimal representative per class is kept.
-
-    The search assigns the unknown maps one at a time and tests each node as
-    soon as both of its maps are assigned.  Consecutive maps of an exact
-    sequence compose to zero (im a = ker b implies b a = 0), so a candidate
-    with b a != 0 is rejected before the exact image/kernel comparison; this
-    prunes no completion.  Every completion is re-checked with `is_exact`.
     `max_candidates` bounds the unpruned box, the product over the unknown
     maps of (2 bound + 1) ** entries, and the search refuses to start beyond it.
+
+    Each unknown map's candidates form one exact (count, rows, cols) box.  The
+    search assigns the unknown maps one at a time.  Consecutive maps of an
+    exact sequence compose to zero (im a = ker b implies b a = 0), so each
+    level first keeps the candidates of its whole box that compose to zero
+    with the neighbours already assigned, one batched product per neighbour;
+    this prunes no completion.  A node is then tested as soon as both of its
+    maps are assigned, by `_node_test` on the invariant factors of its maps:
+    rank a + rank b = n and unit factors of a.  Nodes between two fixed maps
+    are tested once, before the search.  Each candidate's factors are
+    computed at most once per call and also give its class key.
+
+    Every class is returned through its representative, and every
+    representative is re-checked with `is_exact` (HNF image = kernel); a
+    failure raises RuntimeError.  So a node test that accepted a non-exact
+    completion would either raise or change nothing.
     """
     known = {i: as_zmatrix(m) for i, m in (known_maps or {}).items()}
     ranks = _infer_ranks(groups, known)
 
-    fixed: dict[int, np.ndarray] = {}
+    shapes = [(ranks[(i + 1) % 6], ranks[i]) for i in range(6)]
+    # A fixed map is a box of one candidate, assigned from the start.
+    boxes: dict[int, np.ndarray] = {}  # position -> (count, rows, cols) candidates
+    chosen: dict[int, int] = {}  # position -> index of its assigned candidate
     open_idx: list[int] = []
     total = 1
-    for i in range(6):
-        shape = (ranks[(i + 1) % 6], ranks[i])
+    for i, shape in enumerate(shapes):
         if i in known:
             if known[i].shape != shape:
                 raise ValueError(f"known map {i} has shape {known[i].shape}, expected {shape}")
-            fixed[i] = known[i]
+            boxes[i], chosen[i] = known[i][None], 0
         elif shape[0] == 0 or shape[1] == 0:
-            fixed[i] = zeros(*shape)
+            boxes[i], chosen[i] = zeros(*shape)[None], 0
         else:
             open_idx.append(i)
             total *= (2 * bound + 1) ** (shape[0] * shape[1])
     if total > max_candidates:
         raise SearchSpaceError(
             f"completion search needs about {total:.3g} candidates (> {max_candidates})")
+    for i in open_idx:
+        boxes[i] = _box(shapes[i], bound)
 
-    solutions: list[SixTerm] = []
-    assign = dict(fixed)
+    factors: dict[tuple[int, int], list[int]] = {}
 
-    def node_ready(node):
-        return (node - 1) % 6 in assign and node % 6 in assign
+    def facs(i, j):
+        if (i, j) not in factors:
+            factors[i, j] = invariant_factors(boxes[i][j])
+        return factors[i, j]
 
-    def check_node(node):
-        a, b = assign[(node - 1) % 6], assign[node % 6]
-        if (b @ a).any():
-            return False
-        return subgroup_equal(image_basis(a), kernel_basis(b))
+    def exact_node(node, ja, jb):
+        # Node `node` with candidate ja of its incoming map, jb of its outgoing one.
+        return _node_test(ranks[node], facs((node - 1) % 6, ja), facs(node, jb))
+
+    for node in range(6):
+        a, b = (node - 1) % 6, node
+        if a in chosen and b in chosen and (
+                (boxes[b][0] @ boxes[a][0]).any() or not exact_node(node, 0, 0)):
+            return []
+
+    # The search visits completions in lexicographic order of their entries,
+    # so the first completion of each class is its minimal representative.
+    classes: dict[tuple, tuple[int, ...]] = {}
 
     def dfs(k):
         if k == len(open_idx):
-            seq = SixTerm(tuple(ranks), tuple(assign[i] for i in range(6)))
-            if is_exact(seq):
-                solutions.append(seq)
+            key = tuple((shapes[i], tuple(facs(i, chosen[i]))) for i in range(6))
+            classes.setdefault(key, tuple(chosen[i] for i in range(6)))
             return
         i = open_idx[k]
-        shape = (ranks[(i + 1) % 6], ranks[i])
-        for entries in itertools.product(range(-bound, bound + 1), repeat=shape[0] * shape[1]):
-            m = zeros(*shape)
-            m.reshape(-1)[:] = entries
-            assign[i] = m
-            ok = True
-            for node in (i, (i + 1) % 6):
-                if node_ready(node) and not check_node(node):
-                    ok = False
-                    break
-            if ok:
-                dfs(k + 1)
-            del assign[i]
+        box = boxes[i]
+        prev, nxt = (i - 1) % 6, (i + 1) % 6
+        keep = np.ones(len(box), dtype=bool)
+        if prev in chosen:
+            keep &= ~((box @ boxes[prev][chosen[prev]]) != 0).any(axis=(1, 2))
+        if nxt in chosen:
+            keep &= ~((boxes[nxt][chosen[nxt]] @ box) != 0).any(axis=(1, 2))
+        for j in np.flatnonzero(keep).tolist():
+            if prev in chosen and not exact_node(i, chosen[prev], j):
+                continue
+            if nxt in chosen and not exact_node(nxt, j, chosen[nxt]):
+                continue
+            chosen[i] = j
+            dfs(k + 1)
+            del chosen[i]
 
     dfs(0)
 
-    classes: dict[tuple, SixTerm] = {}
-    for seq in solutions:
-        key = tuple((m.shape, tuple(invariant_factors(m))) for m in seq.maps)
-        flat = tuple(int(x) for m in seq.maps for x in m.reshape(-1))
-        if key not in classes:
-            classes[key] = seq
-        else:
-            other = classes[key]
-            oflat = tuple(int(x) for m in other.maps for x in m.reshape(-1))
-            if flat < oflat:
-                classes[key] = seq
-    return [classes[k] for k in sorted(classes)]
+    solutions = []
+    for key in sorted(classes):
+        seq = SixTerm(tuple(ranks),
+                      tuple(boxes[i][j].copy() for i, j in enumerate(classes[key])))
+        if not is_exact(seq):
+            raise RuntimeError("the node test accepted a non-exact completion "
+                               f"{[[int(x) for x in m.reshape(-1)] for m in seq.maps]}")
+        solutions.append(seq)
+    return solutions
 
 
 def hexagon_preset(name: str, delta0=None, delta1=None) -> tuple[list, dict]:

@@ -62,7 +62,10 @@ class _Domain:
     def __contains__(self, x) -> bool:
         # Strict comparisons, no tolerance: degenerate parameters are caller errors.
         # The bounds are open, so NaN and +-inf never belong.
-        return self.lo < x < self.hi and x not in self.holes
+        try:
+            return self.lo < x < self.hi and x not in self.holes
+        except TypeError:  # not a real number
+            return False
 
     def sample(self, rng: np.random.Generator) -> float:
         """Uniform on `draw`, redrawn until 1e-2 away from every hole."""
@@ -168,6 +171,8 @@ class MD5Family:
     params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        # A copy, so that changing the caller's dict cannot change a validated family.
+        object.__setattr__(self, "params", dict(self.params))
         if self.family_id not in FAMILIES:
             raise ParameterDomainError(f"unknown family {self.family_id!r}")
         spec = FAMILIES[self.family_id]
@@ -197,7 +202,7 @@ class MD5Family:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MD5Family":
-        return cls(obj["family"], dict(obj.get("params", {})))
+        return cls(obj["family"], obj.get("params", {}))
 
 
 @dataclass(frozen=True)

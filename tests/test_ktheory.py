@@ -217,19 +217,86 @@ def test_search_matches_full_enumeration_on_random_known_maps(hexagon):
     assert _completions(groups, known, 1) == expected
 
 
-def test_composition_rule_prunes_the_gamma2_search(monkeypatch):
+def _counting(monkeypatch, name):
+    """Count the calls `ktheory` makes to one of its `intlinalg` imports."""
     calls = [0]
-    subgroup_equal = ktheory.subgroup_equal
+    fn = getattr(ktheory, name)
 
-    def counting(a, b):
+    def counted(*args):
         calls[0] += 1
-        return subgroup_equal(a, b)
+        return fn(*args)
 
-    monkeypatch.setattr(ktheory, "subgroup_equal", counting)
+    monkeypatch.setattr(ktheory, name, counted)
+    return calls
+
+
+def test_composition_rule_prunes_the_gamma2_search(monkeypatch):
+    factor_calls = _counting(monkeypatch, "invariant_factors")
+    exactness_calls = _counting(monkeypatch, "subgroup_equal")
     sols = solve_six_term(*hexagon_preset("gamma2"), bound=3)
     assert len(sols) == 1
-    # 769 exactness tests with the b a = 0 rule, 5 233 without it.
-    assert calls[0] <= 1000
+    # One Smith form per fixed map (4) and per candidate that survives the
+    # b a = 0 filter: 49 of the 2 401 for map 0, all 49 for map 1.
+    assert factor_calls[0] == 102
+    # The HNF image = kernel route runs only in the re-check: 6 nodes per completion.
+    assert exactness_calls[0] == 6 * len(sols)
+
+
+def test_node_test_that_accepts_everything_makes_the_search_raise(monkeypatch):
+    monkeypatch.setattr(ktheory, "_node_test", lambda n, fa, fb: True)
+    with pytest.raises(RuntimeError, match="non-exact completion"):
+        solve_six_term(*hexagon_preset("gamma2"), bound=1)
+
+
+@pytest.mark.parametrize("known", [
+    {0: [[1]], 1: [[1]]},  # 1 * 1 != 0 at node 1
+    # 0 * 2 = 0 and the ranks sum to 1, but im 2 = 2Z; the other five nodes
+    # of the maps (2, 0, 1, 0, 1, 0) are exact, so only node 1 rules them out.
+    {0: [[2]], 1: [[0]]},
+])
+def test_non_exact_node_between_fixed_maps_has_no_completion(known):
+    groups = [1] * 6
+    assert _completions(groups, known, 1) == [] == _reference_completions(groups, known, 1)
+
+
+def _node_exact_by_factors(a, b):
+    n = a.shape[0]
+    return ktheory._node_test(n, invariant_factors(a), invariant_factors(b))
+
+
+def _node_exact_by_hnf(a, b):
+    """exact_at at node 1 of the hexagon Z^p -a-> Z^n -b-> Z^q -> 0 -> 0 -> 0."""
+    p, n, q = a.shape[1], a.shape[0], b.shape[0]
+    seq = SixTerm((p, n, q, 0, 0, 0), (a, b, zmap(0, q), zmap(0, 0), zmap(0, 0), zmap(p, 0)))
+    return exact_at(seq, 1)
+
+
+@st.composite
+def _composable_pairs(draw):
+    """Integer a (n x p) and b (q x n) with b a = 0; any of n, p, q may be 0."""
+    n, p, q = (draw(st.integers(0, 3)) for _ in range(3))
+    b = zmap(q, n, draw(st.lists(st.lists(_small, min_size=n, max_size=n),
+                                 min_size=q, max_size=q)))
+    ker = kernel_basis(b)
+    # Every a with b a = 0 is ker-basis @ c for an integer c, since ker b is saturated.
+    c = zmap(ker.shape[1], p, draw(st.lists(st.lists(_small, min_size=p, max_size=p),
+                                            min_size=ker.shape[1], max_size=ker.shape[1])))
+    return ker @ c if ker.shape[1] else zmap(n, p), b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_composable_pairs())
+def test_node_test_agrees_with_exact_at(pair):
+    a, b = pair
+    assert not (b @ a).any()
+    assert _node_exact_by_factors(a, b) == _node_exact_by_hnf(a, b)
+
+
+def test_node_test_needs_unit_factors_of_the_incoming_map():
+    # rank a + rank b = 1 = n, but im a = 2Z is not ker b = Z.
+    a, b = zmap(1, 1, [[2]]), zmap(1, 1, [[0]])
+    assert not _node_exact_by_factors(a, b)
+    assert not _node_exact_by_hnf(a, b)
 
 
 def test_search_space_overflow():

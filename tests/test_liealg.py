@@ -79,6 +79,20 @@ def test_missing_and_extra_parameters_rejected():
         MD5Family("5_4_5", {"lambda": 2.0})
 
 
+def test_family_keeps_its_own_copy_of_the_parameters():
+    params = {"lambda": 2.0}
+    fam = MD5Family("5_4_4", params)
+    params["lambda"] = 1.0
+    assert fam.params == {"lambda": 2.0}
+    assert fam.ad_block()[0, 0] == 2.0
+
+
+@pytest.mark.parametrize("bad", ["2", None, 1j, [2.0]])
+def test_non_numeric_parameter_rejected(bad):
+    with pytest.raises(ParameterDomainError, match="lambda must lie in"):
+        MD5Family.from_json({"family": "5_4_4", "params": {"lambda": bad}})
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("fid,name", [(fid, name) for fid in ALL_FAMILIES
                                       for name in FAMILIES[fid].params])
