@@ -72,7 +72,8 @@ class IndexInvariants:
 def _const_one_line() -> MatrixField:
     ev = lambda pts: np.ones((len(pts), 1, 1), dtype=complex)
     return MatrixField(evaluator=ev, dim=1, name="const_one",
-                       derivative=lambda pts: np.zeros((1, len(pts), 1, 1), dtype=complex))
+                       derivative=lambda pts: (ev(pts), np.zeros((1, len(pts), 1, 1),
+                                                                 dtype=complex)))
 
 
 def _store(res: IndexInvariants, integral: IntegralResult):

@@ -188,8 +188,11 @@ def solve_six_term(groups, known_maps=None, bound: int = 3,
     Every class is returned through its representative, and every
     representative is re-checked with `is_exact` (HNF image = kernel); a
     failure raises RuntimeError.  So a node test that accepted a non-exact
-    completion would either raise or change nothing.
+    completion would either raise or change nothing.  A negative bound is
+    refused with ValueError: its box is empty, which is not a search.
     """
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0 (got {bound})")
     known = {i: as_zmatrix(m) for i, m in (known_maps or {}).items()}
     ranks = _infer_ranks(groups, known)
 

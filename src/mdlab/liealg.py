@@ -11,7 +11,9 @@ validation of `MD5Family`, `sample_family` and the CLI's family flags read it.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -164,15 +166,16 @@ class MD5Family:
     """A family tag plus its parameter values.
 
     `params` holds exactly the parameters `FAMILIES[family_id].params` lists,
-    each a finite value in its domain.
+    each a finite value in its domain, as a read-only mapping.
     """
 
     family_id: str
-    params: dict[str, float] = field(default_factory=dict)
+    params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        # A copy, so that changing the caller's dict cannot change a validated family.
-        object.__setattr__(self, "params", dict(self.params))
+        # A read-only copy: neither the caller's dict nor the family's own
+        # mapping can change a validated family.
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         if self.family_id not in FAMILIES:
             raise ParameterDomainError(f"unknown family {self.family_id!r}")
         spec = FAMILIES[self.family_id]

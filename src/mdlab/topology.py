@@ -12,10 +12,17 @@ Grids are midpoint rules; sums are chunked and compensated (math.fsum), so
 the result is independent of the chunking to round-off.  Integer outputs are
 always reported together with the raw value and the pre-rounding residual.
 
+Both grid integrals run one chunk loop, `_grid_sum`: one call of the field's
+jet per chunk gives the values and every partial.  A field may declare a
+support outside which the integrand is exactly 0; the loop skips the grid
+points there, which leaves each chunk's correctly rounded fsum unchanged, and
+the promise is checked at seeded points outside the support.
+
 The grid integrals take k×k fields with k <= 2 (every witness is 1×1 or 2×2)
 and refuse larger ones.  Their kernels are closed forms for those sizes:
-products and traces written out entry by entry, the inverse by the adjugate,
-and the smallest singular value as |det| / σ_max.
+products written out entry by entry, Tr(P [A, B]) from the traceless
+commutator, the inverse by the adjugate, and the smallest singular value as
+|det| / σ_max.
 """
 
 from __future__ import annotations
@@ -119,11 +126,14 @@ class MatrixField:
     """A matrix-valued function sampled pointwise.
 
     evaluator maps an (N, dim) array of points to (N, size, size) complex
-    values.  derivative(pts) returns the exact partials along every
-    coordinate in one call, stacked as (dim, N, size, size); the integrals
-    need it, and fields without one can only be evaluated.  `nonsmooth`
-    marks points to skip in finite-difference cross-checks (e.g. chart seams
-    of a frozen extension).
+    values.  derivative(pts) returns the 1-jet (values, partials) in one
+    call: the values exactly as the evaluator gives them, and the exact
+    partials along every coordinate stacked as (dim, N, size, size).  The
+    integrals need it, and fields without one can only be evaluated.
+    `nonsmooth` marks points to skip in finite-difference cross-checks (e.g.
+    chart seams of a frozen extension).  `support(pts)` marks the points
+    where the grid integrals need the field; outside it their integrands are
+    exactly 0, a promise they check at seeded points.
     """
 
     evaluator: Callable
@@ -132,6 +142,7 @@ class MatrixField:
     derivative: Callable | None = None
     default_domain: GridDomain | None = None
     nonsmooth: Callable | None = None
+    support: Callable | None = None
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -167,7 +178,7 @@ def derivative_check(field: MatrixField, pts) -> float:
         pts = pts[~field.nonsmooth(pts)]
     if len(pts) == 0:
         return 0.0
-    exact = _derivative(field)(pts)
+    _, exact = _derivative(field)(pts)
     return float(np.max([np.abs(exact[axis]
                                 - _central_difference(field.evaluator, pts, axis, FD_STEP)).max()
                          for axis in range(field.dim)]))
@@ -268,10 +279,8 @@ def winding_1d(f: MatrixField, side: str = "+", tol: float = 1e-8) -> IntegralRe
             return 0.0 + 0.0j
         z = sgn * w / (1.0 - w)
         dz = sgn / (1.0 - w) ** 2  # dz/dw of the outward path
-        pt = np.array([[z]])
-        df = derivative(pt)[0, 0]
-        val = f(pt)[0]
-        tr = np.trace(df @ np.linalg.inv(val))
+        val, df = derivative(np.array([[z]]))
+        tr = np.trace(df[0, 0] @ np.linalg.inv(val[0]))
         return tr * dz
 
     total = _adaptive_simpson(integrand, 0.0, 1.0 - 1e-12, tol)
@@ -302,12 +311,25 @@ def _mul2(a, b):
     return out
 
 
-def _trace_mul2(a, b):
-    """Tr(a b) for k×k stacks (k <= 2), without forming a b."""
-    if a.shape[-1] == 1:
-        return a[..., 0, 0] * b[..., 0, 0]
-    return ((a[..., 0, 0] * b[..., 0, 0] + a[..., 0, 1] * b[..., 1, 0])
-            + (a[..., 1, 0] * b[..., 0, 1] + a[..., 1, 1] * b[..., 1, 1]))
+def _trace_commutator2(p, a, b):
+    """Tr(p [a, b]) for k×k stacks (k <= 2), without forming a b or b a.
+
+    c = [a, b] is traceless, so Tr(p c) = (p11 - p22) c11 + p12 c21 + p21 c12
+    with c11 = a12 b21 - b12 a21, c12 = b12 (a11 - a22) - a12 (b11 - b22) and
+    c21 = a21 (b11 - b22) - b21 (a11 - a22): 9 complex products.  A NaN
+    entry gives NaN.  A 1×1 commutator is 0: a finite 1×1 stack gives exactly
+    0, and a NaN or inf entry NaN.  (a b - b a would not do: numpy's complex
+    product may round a b and b a apart.)
+    """
+    if p.shape[-1] == 1:
+        return 0.0 * (p[..., 0, 0] + a[..., 0, 0] + b[..., 0, 0])
+    a12, a21, b12, b21 = a[..., 0, 1], a[..., 1, 0], b[..., 0, 1], b[..., 1, 0]
+    da = a[..., 0, 0] - a[..., 1, 1]
+    db = b[..., 0, 0] - b[..., 1, 1]
+    c11 = a12 * b21 - b12 * a21
+    c12 = b12 * da - a12 * db
+    c21 = a21 * db - b21 * da
+    return (p[..., 0, 0] - p[..., 1, 1]) * c11 + p[..., 0, 1] * c21 + p[..., 1, 0] * c12
 
 
 def _inv2(m):
@@ -390,15 +412,55 @@ def _edge_constancy(field: MatrixField, domain: GridDomain) -> float:
     return float(np.max(worst))
 
 
+def _interior_points(domain: GridDomain, n: int, seed: int) -> np.ndarray:
+    """n seeded points, uniform in the domain shrunk by one grid step per side."""
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.uniform(a.lo + a.step, a.hi - a.step, n) for a in domain.axes], axis=1)
+
+
 def _sampled_derivative_check(field: MatrixField, domain: GridDomain, n: int) -> float:
-    """derivative_check at n seeded interior points; a gap above 1e-6 is refused."""
-    rng = np.random.default_rng(0)
-    sample = np.stack([rng.uniform(a.lo + a.step, a.hi - a.step, n)
-                       for a in domain.axes], axis=1)
+    """derivative_check at n seeded interior points; a gap above 1e-6 is refused.
+
+    The jet's values must also equal the evaluator's exactly (NaN never does),
+    since the grid integrals take their values from the jet.
+    """
+    sample = _interior_points(domain, n, 0)
+    values, _ = _derivative(field)(sample)
+    if not np.array_equal(values, field.evaluator(sample)):
+        raise ValueError(f"{field.name or 'field'}: derivative values differ from the evaluator")
     dev = derivative_check(field, sample)
     if not dev <= 1e-6:
         raise ValueError(f"{field.name or 'field'}: analytic/FD derivative gap {dev:.3g} > 1e-6")
     return dev
+
+
+def _grid_sum(field: MatrixField, domain: GridDomain, integrand: Callable) -> complex:
+    """fsum of integrand(values, partials) over the midpoint grid of the domain.
+
+    Chunks are CHUNK_SLABS slabs along the first axis, each with one jet call
+    over the points inside the field's support; a chunk with none adds 0j.
+    Outside the support the integrand must be exactly 0, so skipping those
+    points leaves each chunk's correctly rounded sum as it was.  The promise
+    is checked at 512 seeded points: any point outside the support whose
+    integrand is not exactly 0 is refused.
+    """
+    jet = _derivative(field)
+    first, *rest = (ax.midpoints() for ax in domain.axes)
+    chunks = []
+    for block in np.array_split(first, max(1, len(first) // CHUNK_SLABS[domain.dim])):
+        mesh = np.stack(np.meshgrid(block, *rest, indexing="ij"), axis=-1).reshape(-1, domain.dim)
+        if field.support is not None:
+            mesh = mesh[field.support(mesh)]
+        chunks.append(_fsum_complex(integrand(*jet(mesh))) if len(mesh) else 0j)
+    if field.support is not None:
+        outside = _interior_points(domain, 512, 1)
+        outside = outside[~field.support(outside)]
+        if len(outside):
+            leak = np.abs(integrand(*jet(outside)))
+            if not np.all(leak == 0.0):  # NaN fails too
+                raise ValueError(f"{field.name or 'field'}: integrand up to {leak.max():.3g} "
+                                 "outside the declared support")
+    return _fsum_complex(chunks)
 
 
 def _boundary_identity_residual(field: MatrixField, domain: GridDomain) -> float:
@@ -427,24 +489,14 @@ def chern_2d(p: MatrixField, domain: GridDomain | None = None) -> IntegralResult
         raise BoundaryConditionError(
             f"{p.name or 'field'}: boundary variation {edge_var:.3g} > {BOUNDARY_TOL_2D} "
             "(field must be constant on each boundary component)")
-    derivative = _derivative(p)
-
-    xs = domain.axes[0].midpoints()
-    ys = domain.axes[1].midpoints()
     proj_res = [0.0]
-    chunks = []
-    for x_block in np.array_split(xs, max(1, len(xs) // CHUNK_SLABS[2])):
-        mesh = np.stack(np.meshgrid(x_block, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-        pv = p(mesh)
+
+    def integrand(pv, partials):
         _check_size(p, pv)
         proj_res.append(np.abs(_mul2(pv, pv) - pv).max())
-        d1, d2 = derivative(mesh)
-        comm = _mul2(d1, d2) - _mul2(d2, d1)
-        integrand = _trace_mul2(pv, comm)
-        del pv, d1, d2, comm  # free before the sum's lists and the next chunk's arrays
-        chunks.append(_fsum_complex(integrand))
-    total = _fsum_complex(chunks) * domain.cell_volume / (2.0j * math.pi)
+        return _trace_commutator2(pv, *partials)
 
+    total = _grid_sum(p, domain, integrand) * domain.cell_volume / (2.0j * math.pi)
     proj_res = float(np.max(proj_res))
     if not proj_res <= 1e-10:
         raise ValueError(f"{p.name or 'field'}: projection residual {proj_res:.3g} > 1e-10")
@@ -473,26 +525,20 @@ def winding_3d(g: MatrixField, domain: GridDomain | None = None) -> IntegralResu
         raise BoundaryConditionError(
             f"{g.name or 'field'}: boundary-identity residual {brv:.3g} > {BOUNDARY_TOL_3D}; "
             "enlarge the truncated domain")
-    derivative = _derivative(g)
-
-    xs, ys, zs = (ax.midpoints() for ax in domain.axes)
-    chunks = []
     sv_min = [1.0]
-    for x_block in np.array_split(xs, max(1, len(xs) // CHUNK_SLABS[3])):
-        mesh = np.stack(np.meshgrid(x_block, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
-        gv = g(mesh)
+
+    def integrand(gv, partials):
         _check_size(g, gv)
         sv_min.append(_sigma_min2(gv).min())
-        a0, a1, a2 = _mul2(_inv2(gv), derivative(mesh))
-        comm = _mul2(a1, a2) - _mul2(a2, a1)
-        integrand = _trace_mul2(a0, comm)
-        del gv, a0, a1, a2, comm  # as in chern_2d
-        chunks.append(_fsum_complex(integrand))
+        a0, a1, a2 = _mul2(_inv2(gv), partials)
+        return _trace_commutator2(a0, a1, a2)
+
+    total = _grid_sum(g, domain, integrand)
     sv_floor = float(np.min(sv_min))
     if not sv_floor > SIGMA_FLOOR:
         raise NonInvertibleFieldError(
             f"{g.name or 'field'}: min singular value {sv_floor:.3g} on the grid")
     # epsilon-contraction = 3 Tr(A0 [A1, A2]); normalization -(1/24π²).
-    total = _fsum_complex(chunks) * 3.0 * domain.cell_volume * (-1.0 / (24.0 * math.pi ** 2))
+    total = total * 3.0 * domain.cell_volume * (-1.0 / (24.0 * math.pi ** 2))
     extra = {"derivative_check": _sampled_derivative_check(g, domain, 48)}
     return _finish(total, brv, domain.shape(), g.name or "winding_3d", extra)

@@ -52,27 +52,23 @@ __all__ = [
 TAU = 2.0 * math.pi
 
 
-def _phat_values(x, y):
-    """phat entries, frozen at diag(1,0) outside the unit disk."""
-    r = np.hypot(x, y)
-    inside = r < 1.0
-    c = np.cos(math.pi * r)
-    half_sinc = 0.5 * math.pi * np.sinc(r)  # sin(pi r) / (2 r), finite at r = 0
-    p = np.zeros(x.shape + (2, 2), dtype=complex)
-    p[..., 0, 0] = np.where(inside, 0.5 * (1.0 - c), 1.0)
-    p[..., 1, 1] = np.where(inside, 0.5 * (1.0 + c), 0.0)
-    off = (x + 1j * y) * half_sinc
-    p[..., 0, 1] = np.where(inside, off, 0.0)
-    p[..., 1, 0] = np.conj(p[..., 0, 1])
-    return p
-
-
-def _phat_grad(x, y):
-    """Exact partials of phat along x and y, stacked; zero outside the unit disk."""
+def _phat_jet(x, y):
+    """phat entries, frozen at diag(1,0) outside the unit disk, and their exact
+    partials along x and y, stacked; the partials are zero outside the disk."""
     r = np.hypot(x, y)
     inside = r < 1.0
     c = np.cos(math.pi * r)
     sinc = np.sinc(r)  # sin(pi r)/(pi r)
+    half_sinc = 0.5 * math.pi * sinc  # sin(pi r) / (2 r), finite at r = 0
+    # The jets fill every entry of np.empty blocks, and write conjugates in
+    # place: a large np.zeros block, or a temporary, comes fresh from the
+    # system on every grid chunk and page-faults as it is first written.
+    p = np.empty(x.shape + (2, 2), dtype=complex)
+    p[..., 0, 0] = np.where(inside, 0.5 * (1.0 - c), 1.0)
+    p[..., 1, 1] = np.where(inside, 0.5 * (1.0 + c), 0.0)
+    off = (x + 1j * y) * half_sinc
+    p[..., 0, 1] = np.where(inside, off, 0.0)
+    np.conjugate(p[..., 0, 1], out=p[..., 1, 0])
     # (pi c r - sin(pi r)) / r^3 = pi (c - sinc) / r^2, with its r -> 0 limit.
     small = r < 1e-3
     rs = np.where(small, 1.0, r)
@@ -81,14 +77,14 @@ def _phat_grad(x, y):
                   math.pi * (c - sinc) / (rs * rs))
     t = np.stack((x, y))
     unit = np.array([[1.0], [1.0j]])
-    d = np.zeros(t.shape + (2, 2), dtype=complex)
+    d = np.empty(t.shape + (2, 2), dtype=complex)
     d11 = 0.5 * math.pi ** 2 * t * sinc
     d[..., 0, 0] = np.where(inside, d11, 0.0)
-    d[..., 1, 1] = -d[..., 0, 0]
+    np.negative(d[..., 0, 0], out=d[..., 1, 1])
     doff = 0.5 * (math.pi * sinc * unit + (x + 1j * y) * t * w3)
     d[..., 0, 1] = np.where(inside, doff, 0.0)
-    d[..., 1, 0] = np.conj(d[..., 0, 1])
-    return d
+    np.conjugate(d[..., 0, 1], out=d[..., 1, 0])
+    return p, d
 
 
 def _phat_nonsmooth(pts):
@@ -99,14 +95,15 @@ def _phat_nonsmooth(pts):
 def phat() -> MatrixField:
     """The hedgehog projection on the plane (Cartesian chart)."""
     return MatrixField(
-        evaluator=lambda pts: _phat_values(pts[:, 0], pts[:, 1]),
+        evaluator=lambda pts: _phat_jet(pts[:, 0], pts[:, 1])[0],
         dim=2, name="phat",
-        derivative=lambda pts: _phat_grad(pts[:, 0], pts[:, 1]),
+        derivative=lambda pts: _phat_jet(pts[:, 0], pts[:, 1]),
         nonsmooth=_phat_nonsmooth,
     )
 
 
-def _phat_polar_values(r, th):
+def _phat_polar_jet(r, th):
+    """phat in the polar chart and its exact partials along r and theta."""
     c = np.cos(math.pi * r)
     s = np.sin(math.pi * r)
     e = np.exp(1j * th)
@@ -114,21 +111,15 @@ def _phat_polar_values(r, th):
     p[..., 0, 0] = 0.5 * (1.0 - c)
     p[..., 1, 1] = 0.5 * (1.0 + c)
     p[..., 0, 1] = 0.5 * e * s
-    p[..., 1, 0] = np.conj(p[..., 0, 1])
-    return p
-
-
-def _phat_polar_grad(r, th):
-    c = np.cos(math.pi * r)
-    s = np.sin(math.pi * r)
-    e = np.exp(1j * th)
-    d = np.zeros((2,) + r.shape + (2, 2), dtype=complex)
+    np.conjugate(p[..., 0, 1], out=p[..., 1, 0])
+    d = np.empty((2,) + r.shape + (2, 2), dtype=complex)
     d[0, ..., 0, 0] = 0.5 * math.pi * s
     d[0, ..., 1, 1] = -0.5 * math.pi * s
     d[0, ..., 0, 1] = 0.5 * math.pi * c * e
+    d[1, ..., 0, 0] = d[1, ..., 1, 1] = 0.0
     d[1, ..., 0, 1] = 0.5j * s * e
-    d[..., 1, 0] = np.conj(d[..., 0, 1])
-    return d
+    np.conjugate(d[..., 0, 1], out=d[..., 1, 0])
+    return p, d
 
 
 def phat_disk(n: int = 512) -> MatrixField:
@@ -140,9 +131,9 @@ def phat_disk(n: int = 512) -> MatrixField:
     """
     dom = GridDomain((Axis(0.0, 1.0, n, "constant"), Axis(0.0, TAU, n, "periodic")))
     return MatrixField(
-        evaluator=lambda pts: _phat_polar_values(pts[:, 0], pts[:, 1]),
+        evaluator=lambda pts: _phat_polar_jet(pts[:, 0], pts[:, 1])[0],
         dim=2, name="phat_disk",
-        derivative=lambda pts: _phat_polar_grad(pts[:, 0], pts[:, 1]),
+        derivative=lambda pts: _phat_polar_jet(pts[:, 0], pts[:, 1]),
         default_domain=dom,
     )
 
@@ -150,7 +141,7 @@ def phat_disk(n: int = 512) -> MatrixField:
 def ptilde() -> MatrixField:
     """Self-adjoint lift phat(x, y)/sqrt(1 + z^2) of the hedgehog projection."""
     def ev(pts):
-        base = _phat_values(pts[:, 0], pts[:, 1])
+        base = _phat_jet(pts[:, 0], pts[:, 1])[0]
         return base / np.sqrt(1.0 + pts[:, 2] ** 2)[:, None, None]
     return MatrixField(evaluator=ev, dim=3, name="ptilde")
 
@@ -170,8 +161,8 @@ def exp_ptilde(side: str, n: int = 128) -> MatrixField:
     dom = GridDomain((Axis(-1.5, 1.5, n, "constant"), Axis(-1.5, 1.5, n, "constant"),
                       Axis(0.0, 1.0, n, "constant")))
 
-    def pieces(pts):
-        p = _phat_values(pts[:, 0], pts[:, 1])
+    def jet(pts):
+        p, dp = _phat_jet(pts[:, 0], pts[:, 1])
         # chi = 2 pi / sqrt(1 + z^2) with z = -+tan(pi v/2): even in z.
         chi = TAU * np.cos(0.5 * math.pi * pts[:, 2])
         e = np.exp(1j * chi)
@@ -179,40 +170,30 @@ def exp_ptilde(side: str, n: int = 128) -> MatrixField:
         # diagonal right factor scales columns, so it is kept as its diagonal.
         kdiag = np.stack((np.conj(e), np.ones_like(e)), axis=-1)[:, None, :]
         gmat = np.eye(2)[None, :, :] + (e - 1.0)[:, None, None] * p
-        return p, chi, e, kdiag, gmat
-
-    def ev(pts):
-        _, _, _, kdiag, gmat = pieces(pts)
-        return gmat * kdiag
-
-    def dv(pts):
-        p, chi, e, kdiag, gmat = pieces(pts)
         d = np.empty((3,) + p.shape, dtype=complex)
-        d[:2] = (e - 1.0)[:, None, None] * (_phat_grad(pts[:, 0], pts[:, 1]) * kdiag)
+        d[:2] = (e - 1.0)[:, None, None] * (dp * kdiag)
         dchi = -math.pi ** 2 * np.sin(0.5 * math.pi * pts[:, 2])
         dg = (1j * dchi * e)[:, None, None] * p
         dkdiag = np.stack((-1j * dchi * np.conj(e), np.zeros_like(e)), axis=-1)[:, None, :]
         d[2] = dg * kdiag + gmat * dkdiag
-        return d
+        return gmat * kdiag, d
 
-    return MatrixField(evaluator=ev, dim=3, name=name,
-                       derivative=dv, default_domain=dom, nonsmooth=_phat_nonsmooth)
+    # phat is frozen outside the unit disk: there the x and y partials are
+    # exactly 0, and so is the winding integrand Tr(A0 [A1, A2]).
+    return MatrixField(evaluator=lambda pts: jet(pts)[0], dim=3, name=name, derivative=jet,
+                       default_domain=dom, nonsmooth=_phat_nonsmooth,
+                       support=lambda pts: np.hypot(pts[:, 0], pts[:, 1]) < 1.0)
 
 
 def _phase_field(name: str, sign: float) -> MatrixField:
     # u(z) = exp(2 pi i (sign * z / sqrt(1+z^2))); derivative in closed form.
-    def ev(pts):
+    def jet(pts):
         z = pts[:, 0]
-        theta = TAU * sign * z / np.sqrt(1.0 + z * z)
-        return np.exp(1j * theta)[:, None, None]
-
-    def dv(pts):
-        z = pts[:, 0]
-        theta = TAU * sign * z / np.sqrt(1.0 + z * z)
+        u = np.exp(1j * (TAU * sign * z / np.sqrt(1.0 + z * z)))
         dtheta = TAU * sign * (1.0 + z * z) ** -1.5
-        return (1j * dtheta * np.exp(1j * theta))[None, :, None, None]
+        return u[:, None, None], (1j * dtheta * u)[None, :, None, None]
 
-    return MatrixField(evaluator=ev, dim=1, name=name, derivative=dv)
+    return MatrixField(evaluator=lambda pts: jet(pts)[0], dim=1, name=name, derivative=jet)
 
 
 def uplus() -> MatrixField:
@@ -230,30 +211,27 @@ def u_gamma3() -> MatrixField:
 
     Chart coordinates (theta1, theta2, phi); det = 1 identically.
     """
-    def ev(pts):
+    def jet(pts):
         t1, t2, ph = pts[:, 0], pts[:, 1], pts[:, 2]
         e = np.exp(1j * (ph + t1))
+        c, s = np.cos(t2), np.sin(t2)
         u = np.empty((len(pts), 2, 2), dtype=complex)
-        u[:, 0, 0] = e * np.cos(t2)
-        u[:, 0, 1] = -np.sin(t2)
-        u[:, 1, 0] = np.sin(t2)
-        u[:, 1, 1] = np.conj(e) * np.cos(t2)
-        return u
-
-    def dv(pts):
-        t1, t2, ph = pts[:, 0], pts[:, 1], pts[:, 2]
-        e = np.exp(1j * (ph + t1))
+        u[:, 0, 0] = e * c
+        u[:, 0, 1] = -s
+        u[:, 1, 0] = s
+        u[:, 1, 1] = np.conj(e) * c
         d = np.zeros((3, len(pts), 2, 2), dtype=complex)
-        d[0, :, 0, 0] = 1j * e * np.cos(t2)
-        d[0, :, 1, 1] = -1j * np.conj(e) * np.cos(t2)
+        d[0, :, 0, 0] = 1j * e * c
+        d[0, :, 1, 1] = -1j * np.conj(e) * c
         d[2] = d[0]  # theta1 and phi enter only through phi + theta1
-        d[1, :, 0, 0] = -e * np.sin(t2)
-        d[1, :, 0, 1] = -np.cos(t2)
-        d[1, :, 1, 0] = np.cos(t2)
-        d[1, :, 1, 1] = -np.conj(e) * np.sin(t2)
-        return d
+        d[1, :, 0, 0] = -e * s
+        d[1, :, 0, 1] = -c
+        d[1, :, 1, 0] = c
+        d[1, :, 1, 1] = -np.conj(e) * s
+        return u, d
 
-    return MatrixField(evaluator=ev, dim=3, name="u_gamma3", derivative=dv)
+    return MatrixField(evaluator=lambda pts: jet(pts)[0], dim=3, name="u_gamma3",
+                       derivative=jet)
 
 
 def q_const() -> MatrixField:
@@ -263,7 +241,8 @@ def q_const() -> MatrixField:
         q[:, 0, 0] = 1.0
         return q
     return MatrixField(evaluator=ev, dim=2, name="q",
-                       derivative=lambda pts: np.zeros((2, len(pts), 2, 2), dtype=complex))
+                       derivative=lambda pts: (ev(pts),
+                                               np.zeros((2, len(pts), 2, 2), dtype=complex)))
 
 
 def epsilon1_field(n: int = 128) -> MatrixField:
@@ -275,19 +254,21 @@ def epsilon1_field(n: int = 128) -> MatrixField:
 
 
 def _uqu(t2, phase):
-    """u q u^{-1} for the unitary of `u_gamma3` with phi + theta1 = phase."""
+    """u q u^{-1} for the unitary of `u_gamma3` with phi + theta1 = phase, and
+    the e^{i phase}, cos t2 and sin t2 it is built from."""
     e = np.exp(1j * phase)
+    c, s = np.cos(t2), np.sin(t2)
     p = np.empty((len(t2), 2, 2), dtype=complex)
-    p[:, 0, 0] = np.cos(t2) ** 2
-    p[:, 1, 1] = np.sin(t2) ** 2
-    p[:, 0, 1] = e * np.cos(t2) * np.sin(t2)
-    p[:, 1, 0] = np.conj(p[:, 0, 1])
-    return p
+    p[:, 0, 0] = c ** 2
+    p[:, 1, 1] = s ** 2
+    p[:, 0, 1] = e * c * s
+    np.conjugate(p[:, 0, 1], out=p[:, 1, 0])
+    return p, e, c, s
 
 
 def p_gamma3() -> MatrixField:
     """p = u q u^{-1}: the rank-1 projection onto the first column of u."""
-    return MatrixField(evaluator=lambda pts: _uqu(pts[:, 1], pts[:, 2] + pts[:, 0]),
+    return MatrixField(evaluator=lambda pts: _uqu(pts[:, 1], pts[:, 2] + pts[:, 0])[0],
                        dim=3, name="p_gamma3")
 
 
@@ -301,19 +282,20 @@ def gamma3_disk(n: int = 512) -> MatrixField:
     """
     dom = GridDomain((Axis(0.0, 0.5 * math.pi, n, "constant"), Axis(0.0, TAU, n, "periodic")))
 
-    def dv(pts):
-        t2, ph = pts[:, 0], pts[:, 1]
-        e = np.exp(1j * ph)
-        d = np.zeros((2, len(pts), 2, 2), dtype=complex)
-        d[0, :, 0, 0] = -np.sin(2 * t2)
-        d[0, :, 1, 1] = np.sin(2 * t2)
+    def jet(pts):
+        t2 = pts[:, 0]
+        p, e, c, s = _uqu(t2, pts[:, 1])
+        d = np.empty((2, len(pts), 2, 2), dtype=complex)
+        np.sin(2 * t2, out=d[0, :, 1, 1])
+        np.negative(d[0, :, 1, 1], out=d[0, :, 0, 0])
         d[0, :, 0, 1] = e * np.cos(2 * t2)
-        d[1, :, 0, 1] = 1j * e * np.cos(t2) * np.sin(t2)
-        d[..., 1, 0] = np.conj(d[..., 0, 1])
-        return d
+        d[1, :, 0, 0] = d[1, :, 1, 1] = 0.0
+        d[1, :, 0, 1] = 1j * e * c * s
+        np.conjugate(d[..., 0, 1], out=d[..., 1, 0])
+        return p, d
 
-    return MatrixField(evaluator=lambda pts: _uqu(pts[:, 0], pts[:, 1]), dim=2,
-                       name="p_gamma3_disk", derivative=dv,
+    return MatrixField(evaluator=lambda pts: _uqu(pts[:, 0], pts[:, 1])[0], dim=2,
+                       name="p_gamma3_disk", derivative=jet,
                        default_domain=dom)
 
 
@@ -325,7 +307,8 @@ def _constant_identity(size: int, name: str) -> MatrixField:
         return np.broadcast_to(np.eye(size, dtype=complex), (len(pts), size, size)).copy()
 
     return MatrixField(evaluator=ev, dim=3, name=name,
-                       derivative=lambda pts: np.zeros((3, len(pts), size, size), dtype=complex),
+                       derivative=lambda pts: (ev(pts), np.zeros((3, len(pts), size, size),
+                                                                 dtype=complex)),
                        default_domain=dom)
 
 

@@ -112,6 +112,16 @@ def test_sixterm_json_and_determinism(capsys):
     assert report["checks"][0]["metrics"]["completions"][0]["groups"] == [1] * 6
 
 
+def test_sixterm_negative_bound_is_a_usage_error(capsys):
+    assert main(["sixterm", "--preset", "gamma2", "--bound=-1", "--json"]) == 64
+    out = capsys.readouterr()
+    assert out.out == "" and "bound must be >= 0 (got -1)" in out.err
+    # Bound 0 searches the zero maps only: a report, whose gamma2 check fails.
+    assert main(["sixterm", "--preset", "gamma2", "--bound", "0", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"][0]["metrics"]["completions"] == []
+
+
 def test_sixterm_judges_completions_as_the_registry_does(monkeypatch, capsys):
     solve = ktheory.solve_six_term
     alternating = solve(*ktheory.hexagon_preset("allZ"), bound=3)

@@ -2,8 +2,9 @@
 
 Each kernel is compared with the general numpy routine it replaces.  The
 tolerance is 1e-12 relative to the scale at which round-off enters: the
-entries of |a| @ |b| for products and traces, σ_max for σ_min (an SVD is only
-accurate to eps·σ_max), and the largest entry of the inverse.
+entries of |a| @ |b| for products, Tr(|p| (|a| |b| + |b| |a|)) for
+Tr(p [a, b]), σ_max for σ_min (an SVD is only accurate to eps·σ_max), and the
+largest entry of the inverse.
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mdlab.topology import _inv2, _mul2, _sigma_min2, _trace_mul2, chern_2d, winding_3d
+from mdlab.topology import _inv2, _mul2, _sigma_min2, _trace_commutator2, chern_2d, winding_3d
 from mdlab.witnesses import exp_ptilde, gamma3_disk, phat_disk
 
 RTOL = 1e-12
@@ -44,10 +45,15 @@ def _batches(rng, k, n=200):
 def _check_kernels(a, b):
     scale = np.abs(a) @ np.abs(b)
     assert np.all(np.abs(_mul2(a, b) - a @ b) <= RTOL * scale)
-    trace = np.trace(a @ b, axis1=-2, axis2=-1)
-    assert np.all(np.abs(_trace_mul2(a, b) - trace) <= RTOL * np.trace(scale, axis1=-2, axis2=-1))
     sv = np.linalg.svd(a, compute_uv=False)
     assert np.all(np.abs(_sigma_min2(a) - sv[..., -1]) <= RTOL * sv[..., 0])
+
+
+def _check_trace_commutator(p, a, b):
+    trace = np.trace(p @ (a @ b - b @ a), axis1=-2, axis2=-1)
+    pa, aa, ab = np.abs(p), np.abs(a), np.abs(b)
+    scale = np.trace(pa @ (aa @ ab + ab @ aa), axis1=-2, axis2=-1)
+    assert np.all(np.abs(_trace_commutator2(p, a, b) - trace) <= RTOL * scale)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -58,6 +64,8 @@ def test_kernels_match_the_general_routines(k, kind):
     b = _complex(rng, a.shape)
     _check_kernels(a, b)
     _check_kernels(a, a)
+    _check_trace_commutator(a, b, _complex(rng, a.shape))
+    _check_trace_commutator(_complex(rng, a.shape), a, b)
     inv = np.linalg.inv(a)
     assert np.all(np.abs(_inv2(a) - inv) <= RTOL * np.abs(inv).max(axis=(-2, -1), keepdims=True))
     if kind in ("unitary", "near_singular"):
@@ -107,19 +115,41 @@ def test_kernels_property_random_complex_entries(entries):
         assert np.all(np.abs(_inv2(a) - inv) <= RTOL * np.abs(inv).max())
 
 
+_stacks = st.integers(1, 4).flatmap(
+    lambda n: st.lists(_entries, min_size=12 * n, max_size=12 * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=_stacks, nan_at=st.integers(0, 11))
+def test_trace_commutator_property(entries, nan_at):
+    # p, a and b as stacks of n 2x2 matrices; then their 1x1 corners.
+    p, a, b = np.array(entries, dtype=complex).reshape(3, -1, 2, 2)
+    _check_trace_commutator(p, a, b)
+    corners = _trace_commutator2(p[..., :1, :1], a[..., :1, :1], b[..., :1, :1])
+    assert np.array_equal(corners, np.zeros(len(p)))
+    # A NaN in any entry of the first matrices gives NaN there and nowhere else.
+    pab = np.stack([p, a, b])
+    pab[nan_at // 4, 0, (nan_at % 4) // 2, nan_at % 2] = np.nan
+    out = _trace_commutator2(*pab)
+    assert np.isnan(out[0]) and not np.isnan(out[1:]).any()
+    corner = _trace_commutator2(*pab[..., :1, :1])
+    assert np.isnan(corner[0]) == (nan_at % 4 == 0)
+
+
 def _midpoint_reference(field, kind):
     """The grid integral by the general routines: @, np.trace, np.linalg.inv and an SVD floor."""
     domain = field.default_domain
     axes = np.meshgrid(*(ax.midpoints() for ax in domain.axes), indexing="ij")
     mesh = np.stack(axes, axis=-1).reshape(-1, domain.dim)
     vals = field(mesh)
+    _, partials = field.derivative(mesh)
     if kind == "chern":
-        d1, d2 = field.derivative(mesh)
+        d1, d2 = partials
         integrand = np.trace(vals @ (d1 @ d2 - d2 @ d1), axis1=1, axis2=2)
         scale = domain.cell_volume / (2.0j * math.pi)
     else:
         assert np.linalg.svd(vals, compute_uv=False)[:, -1].min() > 1e-6
-        a0, a1, a2 = np.linalg.inv(vals) @ field.derivative(mesh)
+        a0, a1, a2 = np.linalg.inv(vals) @ partials
         integrand = np.trace(a0 @ (a1 @ a2 - a2 @ a1), axis1=1, axis2=2)
         scale = 3.0 * domain.cell_volume * (-1.0 / (24.0 * math.pi ** 2))
     total = complex(math.fsum(z.real for z in integrand), math.fsum(z.imag for z in integrand))

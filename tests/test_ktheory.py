@@ -97,6 +97,12 @@ def test_exact_at_agrees_with_membership_oracle():
             assert exact_at(seq, node) == _oracle_exact_at(seq, node)
 
 
+def test_negative_bound_is_refused():
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        solve_six_term(*hexagon_preset("gamma2"), bound=-1)
+    assert solve_six_term(*hexagon_preset("gamma2"), bound=0) == []
+
+
 def test_all_z_completions_are_the_two_alternating_patterns():
     groups, known = hexagon_preset("allZ")
     sols = solve_six_term(groups, known, bound=3)

@@ -87,6 +87,15 @@ def test_family_keeps_its_own_copy_of_the_parameters():
     assert fam.ad_block()[0, 0] == 2.0
 
 
+def test_family_parameters_are_read_only():
+    fam = MD5Family("5_4_4", {"lambda": 2.0})
+    with pytest.raises(TypeError):
+        fam.params["lambda"] = 1.0
+    assert fam.ad_block()[0, 0] == 2.0
+    assert fam.to_json() == {"family": "5_4_4", "params": {"lambda": 2.0}}
+    assert type(fam.to_json()["params"]) is dict
+
+
 @pytest.mark.parametrize("bad", ["2", None, 1j, [2.0]])
 def test_non_numeric_parameter_rejected(bad):
     with pytest.raises(ParameterDomainError, match="lambda must lie in"):

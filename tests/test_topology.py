@@ -60,22 +60,31 @@ def test_winding_reference_phases():
 
 
 def test_winding_constant_is_zero():
-    const = MatrixField(lambda pts: np.full((len(pts), 1, 1), 2.0 + 0j), 1, "const",
-                        lambda pts: np.zeros((1, len(pts), 1, 1), complex))
+    def ev(pts):
+        return np.full((len(pts), 1, 1), 2.0 + 0j)
+
+    const = MatrixField(ev, 1, "const", lambda pts: (ev(pts), np.zeros((1, len(pts), 1, 1),
+                                                                       complex)))
     assert winding_1d(const, "+").rounded == 0
 
 
 def _phase_power(base: MatrixField, k: int) -> MatrixField:
-    return MatrixField(lambda pts: base.evaluator(pts) ** k, 1, f"{base.name}^{k}",
-                       lambda pts: k * base.evaluator(pts) ** (k - 1) * base.derivative(pts))
+    def jet(pts):
+        u, du = base.derivative(pts)
+        return u ** k, k * u ** (k - 1) * du
+
+    return MatrixField(lambda pts: base.evaluator(pts) ** k, 1, f"{base.name}^{k}", jet)
 
 
 def test_winding_additivity_under_products():
     up = uplus()
     assert winding_1d(_phase_power(up, 2), "+").rounded == 2
-    prod = MatrixField(
-        lambda pts: up.evaluator(pts) ** 2 * up.evaluator(pts), 1, "u3",
-        lambda pts: 3 * up.evaluator(pts) ** 2 * up.derivative(pts))
+
+    def jet(pts):
+        u, du = up.derivative(pts)
+        return u ** 2 * u, 3 * u ** 2 * du
+
+    prod = MatrixField(lambda pts: up.evaluator(pts) ** 2 * up.evaluator(pts), 1, "u3", jet)
     assert winding_1d(prod, "+").rounded == 3
 
 
@@ -112,9 +121,9 @@ def test_winding_1d_nan_derivative_stops_the_recursion():
     up = uplus()
 
     def derivative(pts):
-        out = up.derivative(pts)
+        vals, out = up.derivative(pts)
         out[:, (pts[:, 0] > 0.3) & (pts[:, 0] < 0.31)] = np.nan
-        return out
+        return vals, out
 
     with pytest.raises(ResidualError, match="not finite"):
         winding_1d(dataclasses.replace(up, derivative=derivative), "+")
@@ -157,7 +166,12 @@ def test_chern_rejects_nonconstant_boundary():
 
 def test_chern_rejects_non_projection():
     base = gamma3_disk(64)
-    bad = MatrixField(lambda pts: 0.5 * base.evaluator(pts), 2, "half", base.derivative,
+
+    def jet(pts):
+        vals, partials = base.derivative(pts)
+        return 0.5 * vals, 0.5 * partials
+
+    bad = MatrixField(lambda pts: 0.5 * base.evaluator(pts), 2, "half", jet,
                       base.default_domain)
     with pytest.raises(ValueError, match="projection residual|boundary"):
         chern_2d(bad)
@@ -210,16 +224,26 @@ def test_winding3d_rejects_bad_boundary():
         winding_3d(bad)
 
 
-def _nan_at(field, point, attr="evaluator", value=np.nan):
-    """field, except that its value (or its derivative) at one point is NaN (or value)."""
-    fn = getattr(field, attr)
+def _nan_at(field, point, part="value", value=np.nan):
+    """field, except that its value (or its partials) at one point is NaN (or value).
 
-    def nan_at_point(pts):
-        out = fn(pts)
+    A value is changed in the evaluator and in the jet alike, as the field's
+    own value; partials are changed in the jet.
+    """
+    def mark(pts, out):
         out[..., np.all(pts == point, axis=1), :, :] = value
         return out
 
-    return dataclasses.replace(field, **{attr: nan_at_point})
+    def jet(pts):
+        vals, partials = field.derivative(pts)
+        if part == "value":
+            return mark(pts, vals), partials
+        return vals, mark(pts, partials)
+
+    if part == "value":
+        return dataclasses.replace(field, derivative=jet,
+                                   evaluator=lambda pts: mark(pts, field.evaluator(pts)))
+    return dataclasses.replace(field, derivative=jet)
 
 
 _DISK_MIDPOINT = [ax.midpoints()[0] for ax in phat_disk(64).default_domain.axes]
@@ -233,9 +257,9 @@ _GUARD_POINT = [np.geomspace(1e-6, 1e6, 97)[40]]  # one of winding_1d's invertib
     (chern_2d, _nan_at(phat_disk(64), _DISK_MIDPOINT), ValueError, "projection residual"),
     (winding_3d, _nan_at(trivial_lift_eps1(), [-1.0, -1.0, 0.0]), BoundaryConditionError,
      "boundary-identity"),
-    (chern_2d, _nan_at(phat_disk(64), _DISK_MIDPOINT, "derivative"), ResidualError,
+    (chern_2d, _nan_at(phat_disk(64), _DISK_MIDPOINT, "partials"), ResidualError,
      "not finite"),
-    (winding_3d, _nan_at(exp_ptilde("+", 16), _BOX_MIDPOINT, "derivative"), ResidualError,
+    (winding_3d, _nan_at(exp_ptilde("+", 16), _BOX_MIDPOINT, "partials"), ResidualError,
      "not finite"),
     (lambda raw: _finish(raw, 0.0, (16,), "inf"), complex(math.inf, 0.0), ResidualError,
      "not finite"),
@@ -263,13 +287,17 @@ def _block_3x3(field, corner):
         out[..., :2, :2] = vals
         return out
 
-    def ev(pts):
-        out = pad(field.evaluator(pts))
+    def with_corner(vals):
+        out = pad(vals)
         out[..., 2, 2] = corner
         return out
 
-    return dataclasses.replace(field, name=f"{field.name}_3x3", evaluator=ev,
-                               derivative=lambda pts: pad(field.derivative(pts)))
+    def jet(pts):
+        vals, partials = field.derivative(pts)
+        return with_corner(vals), pad(partials)
+
+    return dataclasses.replace(field, name=f"{field.name}_3x3", derivative=jet,
+                               evaluator=lambda pts: with_corner(field.evaluator(pts)))
 
 
 def test_grid_integrals_refuse_fields_larger_than_2x2():
@@ -304,7 +332,9 @@ def test_analytic_derivatives_match_finite_differences():
     ]:
         pts = np.stack([rng.uniform(lo, hi, 200) for lo, hi in box], axis=1)
         size = field(pts).shape[-1]
-        assert field.derivative(pts).shape == (field.dim, len(pts), size, size), field.name
+        values, partials = field.derivative(pts)
+        assert np.array_equal(values, field(pts)), field.name
+        assert partials.shape == (field.dim, len(pts), size, size), field.name
         assert derivative_check(field, pts) < 1e-6, field.name
 
 
@@ -322,17 +352,81 @@ def _counting(field):
                                derivative=count(field.derivative)), seen
 
 
+def _grid(domain):
+    axes = np.meshgrid(*(ax.midpoints() for ax in domain.axes), indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, domain.dim)
+
+
 @pytest.mark.parametrize("integral, field, fixed", [
-    # 4 boundary faces of 17 points; 64 derivative-check samples at 1 + 2 * 2 calls.
-    (chern_2d, phat_disk(64), 4 * 17 + 64 * 5),
-    # 6 boundary faces of 17**2 points; at most 48 derivative-check samples at 1 + 2 * 3.
-    (winding_3d, exp_ptilde("+", 16), 6 * 17 ** 2 + 48 * 7),
+    # 4 boundary faces of 17 points; 64 derivative-check samples at 3 + 2 * 2 calls.
+    (chern_2d, phat_disk(64), 4 * 17 + 64 * 7),
+    # 6 boundary faces of 17**2 points; at most 48 derivative-check samples at
+    # 3 + 2 * 3 calls and 512 support-check samples.
+    (winding_3d, exp_ptilde("+", 16), 6 * 17 ** 2 + 48 * 9 + 512),
 ], ids=["chern_2d", "winding_3d"])
-def test_integrals_evaluate_each_grid_point_twice(integral, field, fixed):
+def test_integrals_evaluate_each_grid_point_in_the_support_once(integral, field, fixed):
     counted, seen = _counting(field)
-    grid_points = math.prod(field.default_domain.shape())
+    mesh = _grid(field.default_domain)
+    needed = len(mesh) if field.support is None else int(field.support(mesh).sum())
     integral(counted)
-    assert seen[0] <= 2 * grid_points + fixed
+    assert seen[0] <= needed + fixed
+
+
+def _radius_below(limit):
+    return lambda pts: np.hypot(pts[:, 0], pts[:, 1]) < limit
+
+
+def test_a_support_that_cuts_off_a_nonzero_integrand_is_refused():
+    # phat varies up to r = 1, so for 0.9 <= r < 1 the integrand is not 0.
+    narrow = dataclasses.replace(exp_ptilde("+", 16), support=_radius_below(0.9))
+    with pytest.raises(ValueError, match="exp_ptilde_plus: integrand up to .* outside the "
+                                         "declared support"):
+        winding_3d(narrow)
+
+
+@pytest.mark.parametrize("n, slabs", [(16, 8), (16, 1), (24, 8)])
+def test_the_support_skip_leaves_the_raw_integral_unchanged(n, slabs):
+    # One slab per chunk at 16^3 makes the chunks with |x| > 1 empty.
+    field = exp_ptilde("+", n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(topology.CHUNK_SLABS, 3, slabs)
+        skipped = winding_3d(field).raw
+        full = winding_3d(dataclasses.replace(field, support=None)).raw
+    assert repr(skipped) == repr(full)
+
+
+def test_the_singular_value_floor_covers_the_support_check_points():
+    # Outside the disk the x and y partials vanish, so a value scaled to
+    # sigma_min = 1e-8 leaves the integrand 0 and only the floor refuses it.
+    field = exp_ptilde("+", 16)
+    sample = topology._interior_points(field.default_domain, 512, 1)
+    point = sample[~field.support(sample)][0]
+
+    def jet(pts):
+        vals, partials = field.derivative(pts)
+        vals[np.all(pts == point, axis=1)] *= 1e-8
+        return vals, partials
+
+    with pytest.raises(NonInvertibleFieldError, match="min singular value 1e-08"):
+        winding_3d(dataclasses.replace(field, derivative=jet))
+
+
+@pytest.mark.parametrize("integral, field, n", [
+    (chern_2d, phat_disk(64), 64),
+    (winding_3d, exp_ptilde("+", 16), 48),
+], ids=["chern_2d", "winding_3d"])
+@pytest.mark.parametrize("shift", [1e-12, np.nan])
+def test_a_jet_whose_values_differ_from_the_evaluator_is_refused(integral, field, n, shift):
+    # The first of the derivative check's seeded points.
+    point = topology._interior_points(field.default_domain, n, 0)[0]
+
+    def jet(pts):
+        vals, partials = field.derivative(pts)
+        vals[np.all(pts == point, axis=1)] += shift
+        return vals, partials
+
+    with pytest.raises(ValueError, match="derivative values differ from the evaluator"):
+        integral(dataclasses.replace(field, derivative=jet))
 
 
 def test_projection_and_singular_value_helpers():
