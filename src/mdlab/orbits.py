@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 import scipy.linalg
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-8
-RANK_BLOCK = 2048  # covectors per SVD, so that memory does not grow with the sample count
+RANK_BLOCK = 2048  # covectors per rank block, so that memory does not grow with the sample count
 # Largest deviation of the matrix-exponential flow from a closed-form orbit.
 FLOW_TOL = 1e-9
 # Rounding a coordinate of size v errs by up to v * eps, so on an orbit that
@@ -54,17 +55,59 @@ def kirillov_form(alg: LieAlgebra, f) -> np.ndarray:
     return np.einsum("ijk,...k->...ij", alg.sc, f)
 
 
+# The upper entries B[k, l], k < l, of a skew 5x5 form, and for each of its five
+# 4x4 principal minors (a, b, c, d) the positions among them of the Pfaffian's
+# factors: Pf = B_ab B_cd - B_ac B_bd + B_ad B_bc.
+_UPPER = np.triu_indices(5, 1)
+_POS = {(k, l): i for i, (k, l) in enumerate(zip(*_UPPER))}
+_AB, _CD, _AC, _BD, _AD, _BC = np.array(
+    [[_POS[a, b], _POS[c, d], _POS[a, c], _POS[b, d], _POS[a, d], _POS[b, c]]
+     for a, b, c, d in combinations(range(5), 4)]).T
+
+
+def _singular_values(upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two distinct singular values s1 >= s2 of skew 5x5 forms given by their upper entries.
+
+    For a real skew 5x5 form, det(tI - B^T B) = t (t^2 - p t + q)^2, with p the
+    sum of the squared upper entries and q the sum of the squared Pfaffians of
+    the five 4x4 principal minors; so s1^2 = (p + sqrt(p^2 - 4q)) / 2 and
+    s2 = sqrt(q) / s1.  Each row is divided by its largest |entry| first and
+    the values multiplied back, so no form overflows or underflows in the
+    squares.  A form with a non-finite entry gets NaN for both.
+    """
+    m = np.abs(upper).max(axis=1)
+    finite = np.isfinite(m)
+    scale = np.where(finite & (m > 0), m, 1.0)
+    u = np.where(finite[:, None], upper / scale[:, None], 0.0)
+    p = (u * u).sum(axis=1)
+    pf = u[:, _AB] * u[:, _CD] - u[:, _AC] * u[:, _BD] + u[:, _AD] * u[:, _BC]
+    q = (pf * pf).sum(axis=1)
+    s1 = np.sqrt((p + np.sqrt(np.maximum(p * p - 4.0 * q, 0.0))) / 2.0)
+    s2 = np.sqrt(q) / np.where(s1 > 0, s1, 1.0)
+    scale[~finite] = np.nan
+    with np.errstate(over="ignore"):  # entries past about 5e307 can give s1 = inf
+        return s1 * scale, s2 * scale
+
+
 def _batched_ranks(alg: LieAlgebra, fs: np.ndarray) -> np.ndarray:
+    """Numeric ranks of the Kirillov forms at the covectors fs (N, 5).
+
+    Each of s1, s2 counts twice when it exceeds RANK_TOL * max(1, s1).  A form
+    with a non-finite entry, or whose s1 is past the float range, has rank -1.
+    """
+    sc_upper = alg.sc[_UPPER]
     ranks = np.empty(len(fs), dtype=int)
     for lo in range(0, len(fs), RANK_BLOCK):
-        sv = np.linalg.svd(kirillov_form(alg, fs[lo:lo + RANK_BLOCK]), compute_uv=False)
-        cut = RANK_TOL * np.maximum(1.0, sv[:, 0])
-        ranks[lo:lo + RANK_BLOCK] = (sv > cut[:, None]).sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            upper = fs[lo:lo + RANK_BLOCK] @ sc_upper.T
+        s1, s2 = _singular_values(upper)
+        cut = RANK_TOL * np.maximum(1.0, s1)
+        ranks[lo:lo + RANK_BLOCK] = np.where(np.isfinite(s1), 2 * (s1 > cut) + 2 * (s2 > cut), -1)
     return ranks
 
 
 def orbit_dimension(alg: LieAlgebra, f) -> int:
-    """Numeric rank of the Kirillov form at F (always even)."""
+    """Numeric rank of the Kirillov form at F: 0, 2 or 4, or -1 if the form is not finite."""
     f = np.asarray(f, dtype=float)
     return int(_batched_ranks(alg, f[None, :])[0])
 
@@ -111,9 +154,10 @@ def md_verify(alg: LieAlgebra, n_samples: int, seed: int) -> MDReport:
 
     The n_samples covectors come from default_rng(seed): uniform directions
     with log-uniform radii in [1e-3, 1e3], which probe the scale robustness
-    of the rank cut.  The dimension-0 probes _BOUNDARY_ALPHAS are appended,
-    and blocked SVDs give every rank.  Violations are report content,
-    not exceptions.
+    of the rank cut.  The dimension-0 probes _BOUNDARY_ALPHAS are appended.
+    Each rank counts the closed-form singular values of the Kirillov form
+    above the cut (see _singular_values), in blocks of RANK_BLOCK covectors.
+    Violations are report content, not exceptions.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

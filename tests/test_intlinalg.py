@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mdlab.intlinalg import (
     as_zmatrix,
@@ -86,6 +87,26 @@ def test_invariant_factors_match_minor_gcd_oracle():
         shape = rng.integers(1, 5, 2)
         m = rng.integers(-5, 6, shape)
         assert invariant_factors(m) == minor_gcd_invariant_factors(m)
+
+
+@st.composite
+def _integer_matrices(draw):
+    """1x1 to 5x5 matrices with entries in [-9, 9], some rows and columns set to zero."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    m = np.array(draw(st.lists(st.integers(-9, 9), min_size=rows * cols,
+                               max_size=rows * cols))).reshape(rows, cols)
+    m[draw(st.lists(st.integers(0, rows - 1), max_size=rows)), :] = 0
+    m[:, draw(st.lists(st.integers(0, cols - 1), max_size=cols))] = 0
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_integer_matrices())
+@example(m=np.array([[0, 0, 0], [0, 4, 6], [0, 6, 9]]))
+@example(m=np.array([[2, 0, 4, 0, 6], [0, 0, 0, 0, 0], [3, 0, 9, 0, -3],
+                     [0, 0, 0, 0, 0], [5, 0, 1, 0, 7]]))
+def test_invariant_factors_match_minor_gcd_oracle_property(m):
+    assert invariant_factors(m) == minor_gcd_invariant_factors(m)
 
 
 def test_kernel_image_example():

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mdlab import orbits
-from mdlab.liealg import FAMILIES, MD5Family, build_md5, sample_family
+from mdlab.liealg import FAMILIES, LieAlgebra, MD5Family, build_md5, sample_family
 from mdlab.orbits import (
     closed_form_orbit,
     coadjoint_flow,
@@ -75,7 +76,6 @@ def test_md_verify_examples():
     report12 = md_verify(alg12, 10_000, seed=5)
     assert report12.dichotomy_holds
 
-    from mdlab.liealg import LieAlgebra
     zero = LieAlgebra(np.zeros((5, 5, 5)))
     rz = md_verify(zero, 500, seed=2)
     assert rz.rank_counts == {0: 506}
@@ -122,6 +122,85 @@ def test_md_verify_memory_stays_below_the_kirillov_forms_of_all_samples():
         tracemalloc.stop()
     assert report.rank_counts == {0: 6, 2: 100_000}
     assert peak < 16e6, peak
+
+
+@pytest.mark.parametrize("f, rank", [
+    ((np.nan, 0, 0, 0, 0), -1),
+    ((0, np.nan, 0, 0, 0), -1),
+    ((0, np.inf, 1, 1, 1), -1),
+    ((0, 1e200, 1, 1, 1), 2),
+    ((0, 1e-200, 0, 0, 0), 0),
+])
+def test_orbit_dimension_of_non_finite_and_extreme_covectors(f, rank):
+    # -1 never equals a predicted 0 or 2, so a non-finite form never passes the dichotomy.
+    rng = np.random.default_rng(8)
+    for fid in ALL_FAMILIES:
+        assert orbit_dimension(build_md5(sample_family(fid, rng)), f) == rank, fid
+
+
+# Where s1 and s2 meet, the double root of t^2 - p t + q loses half the digits:
+# the closed form then agrees with the SVD only to about sqrt(eps) * s1.
+VALUE_TOL = 1e-7
+
+
+def _assert_matches_the_svd(b):
+    """The closed form's values and rank of the skew form b (5, 5) against LAPACK's SVD."""
+    sv = np.linalg.svd(b, compute_uv=False)
+    cut = orbits.RANK_TOL * max(1.0, sv[0])
+    # Round-off of either route moves a value at the cut by up to about 1e-7 of
+    # the cut, so a value within 1e-6 of it has no stable numeric rank.
+    assume(np.all(np.abs(sv - cut) > 1e-6 * cut))
+    s1, s2 = orbits._singular_values(b[orbits._UPPER][None, :])
+    assert abs(s1[0] - sv[0]) <= VALUE_TOL * sv[0]
+    assert abs(s2[0] - sv[2]) <= VALUE_TOL * sv[0]
+    # The algebra with [X_i, X_j] = b_ij X_1 has Kirillov form b at F = e1.
+    sc = np.zeros((5, 5, 5))
+    sc[:, :, 0] = b
+    assert orbit_dimension(LieAlgebra(sc), covector(alpha=1.0)) == (sv > cut).sum()
+
+
+_exponents = st.floats(-300.0, 300.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(upper=st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10), exponent=_exponents)
+@example(upper=[0.0] * 10, exponent=0.0)
+@example(upper=[1.0] * 10, exponent=300.0)
+@example(upper=[1.0] * 10, exponent=-300.0)
+def test_closed_form_singular_values_match_the_svd_on_random_forms(upper, exponent):
+    b = np.zeros((5, 5))
+    b[orbits._UPPER] = np.asarray(upper) * 10.0 ** exponent
+    _assert_matches_the_svd(b - b.T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=_exponents,
+       ratio=st.sampled_from([1.0, 1.0 - 1e-12, 1e-4, 1e-12, 0.0]))
+@example(seed=0, exponent=0.0, ratio=1e-4)
+@example(seed=0, exponent=6.0, ratio=1e-12)  # s2 = 1e-6: above 1e-8, below the relative cut
+def test_closed_form_singular_values_match_the_svd_on_known_spectra(seed, exponent, ratio):
+    # Q J Q^T with J = diag(s1 R, s2 R, 0), R the quarter turn: singular values s1, s1, s2, s2, 0.
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((5, 5)))
+    s1 = 10.0 ** exponent
+    j = np.zeros((5, 5))
+    j[0, 1], j[2, 3] = s1, ratio * s1
+    b = q @ (j - j.T) @ q.T
+    _assert_matches_the_svd((b - b.T) / 2)
+
+
+@pytest.mark.parametrize("fid", ALL_FAMILIES)
+def test_closed_form_singular_values_on_the_catalogue(fid):
+    # The derived ideal is abelian: every Pfaffian is exactly 0, hence s2 too.
+    rng = np.random.default_rng(41)
+    alg = build_md5(sample_family(fid, rng))
+    fs = rng.standard_normal((200, 5)) * 10.0 ** rng.uniform(-300, 300, (200, 1))
+    forms = kirillov_form(alg, fs)
+    sv = np.linalg.svd(forms, compute_uv=False)
+    s1, s2 = orbits._singular_values(forms[:, orbits._UPPER[0], orbits._UPPER[1]])
+    assert np.all(s2 == 0.0)
+    assert np.all(np.abs(s1 - sv[:, 0]) <= 1e-14 * sv[:, 0])
+    cut = orbits.RANK_TOL * np.maximum(1.0, sv[:, :1])
+    assert np.array_equal(orbits._batched_ranks(alg, fs), (sv > cut).sum(axis=1))
 
 
 def test_flow_identity_at_zero():

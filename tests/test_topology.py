@@ -358,11 +358,11 @@ def _grid(domain):
 
 
 @pytest.mark.parametrize("integral, field, fixed", [
-    # 4 boundary faces of 17 points; 64 derivative-check samples at 3 + 2 * 2 calls.
-    (chern_2d, phat_disk(64), 4 * 17 + 64 * 7),
+    # 4 boundary faces of 17 points; 64 derivative-check samples at 2 + 2 * 2 calls.
+    (chern_2d, phat_disk(64), 4 * 17 + 64 * 6),
     # 6 boundary faces of 17**2 points; at most 48 derivative-check samples at
-    # 3 + 2 * 3 calls and 512 support-check samples.
-    (winding_3d, exp_ptilde("+", 16), 6 * 17 ** 2 + 48 * 9 + 512),
+    # 2 + 2 * 3 calls and 512 support-check samples.
+    (winding_3d, exp_ptilde("+", 16), 6 * 17 ** 2 + 48 * 8 + 512),
 ], ids=["chern_2d", "winding_3d"])
 def test_integrals_evaluate_each_grid_point_in_the_support_once(integral, field, fixed):
     counted, seen = _counting(field)
