@@ -1,11 +1,11 @@
-"""Cyclic six-term sequences of free abelian groups, and the K-group catalogue.
+"""Cyclic six-term sequences of free abelian groups.
 
 Hexagon positions follow the fixed convention
     G0 = K0(J) -> G1 = K0(A) -> G2 = K0(B)
       -> G3 = K1(J) -> G4 = K1(A) -> G5 = K1(B) -> G0,
 so maps[2] is the exponential connecting map (delta0) and maps[5] the index
-connecting map (delta1).  All groups are free (Z^r); torsion never occurs in
-the catalogue and is rejected where it would arise.
+connecting map (delta1).  All groups are free (Z^r); torsion never occurs
+and is rejected where it would arise.
 """
 
 from __future__ import annotations
@@ -35,21 +35,6 @@ __all__ = [
     "hexagon_preset",
     "COMPLETIONS",
     "completions_hold",
-    "KDescriptor",
-    "KGroups",
-    "CatalogueError",
-    "point",
-    "euclidean",
-    "sphere",
-    "half_line",
-    "leaf_half_line",
-    "named",
-    "tensor_K",
-    "crossed_R2",
-    "times_euclidean",
-    "times_circle",
-    "disjoint_union",
-    "ktable",
 ]
 
 NODES = ("K0(J)", "K0(A)", "K0(B)", "K1(J)", "K1(A)", "K1(B)")
@@ -274,8 +259,14 @@ def solve_six_term(groups, known_maps=None, bound: int = 3,
     return solutions
 
 
+# The J and B nodes (positions 0, 3 and 2, 5) are K_* of the extension-tower
+# algebras J1/B1 (gamma1), J2/B2 (gamma2) and J3/B3 (gamma3), whose leaf-space
+# models `foliation.STRATUM_MODELS` names (all but B1's).  Their ranks are input,
+# taken from Vu-Hoa's tower construction (VU-HO10).  Only the J nodes of gamma1
+# and gamma2 follow from Bott periodicity, on the models R^3 ⊔ R^3 and R^2 ⊔ R^2:
+# K_*(C0(R^n ⊔ R^n)) is Z^2 in degree n mod 2.
 def hexagon_preset(name: str, delta0=None, delta1=None) -> tuple[list, dict]:
-    """(groups, known_maps) for the catalogue hexagons.
+    """(groups, known_maps) for the paper's hexagons gamma1-gamma3, and allZ.
 
     gamma1: the V1-tower hexagon, delta0 defaults to [[0,1],[0,1]];
     gamma2: the W1-tower hexagon, delta1 defaults to (1,1)^T;
@@ -324,201 +315,3 @@ def completions_hold(preset: str, sols) -> bool:
     if preset == "gamma1":
         return sols[0].groups == (0, 1, 2, 2, 1, 0)
     return True
-
-
-# ---------------------------------------------------------------------------
-# K-group catalogue
-
-class CatalogueError(ValueError):
-    """Descriptor falls outside the encoded catalogue."""
-
-
-@dataclass(frozen=True)
-class KDescriptor:
-    op: str
-    args: tuple = ()
-
-    def __str__(self):
-        if self.op == "atom":
-            return self.args[0]
-        if self.op == "euclidean":
-            return f"C0(R^{self.args[0]})"
-        if self.op == "sphere":
-            return f"C(S^{self.args[0]})"
-        if self.op == "half_line":
-            return f"C0(R{self.args[0]})"
-        if self.op == "named":
-            return self.args[0]
-        if self.op == "tensor_K":
-            return f"{self.args[0]} ⊗ K"
-        if self.op == "crossed_R2":
-            return f"{self.args[0]} ⋊ R^2"
-        if self.op == "times_euclidean":
-            return f"{self.args[0]} ⊗ C0(R^{self.args[1]})"
-        if self.op == "times_circle":
-            return f"{self.args[0]} ⊗ C(S^1)"
-        if self.op == "union":
-            return " ⊕ ".join(str(a) for a in self.args)
-        return repr(self)  # pragma: no cover
-
-
-def point() -> KDescriptor:
-    return KDescriptor("atom", ("point",))
-
-
-def euclidean(n: int) -> KDescriptor:
-    return KDescriptor("euclidean", (int(n),))
-
-
-def sphere(n: int) -> KDescriptor:
-    return KDescriptor("sphere", (int(n),))
-
-
-def half_line(sign: str) -> KDescriptor:
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    return KDescriptor("half_line", (sign,))
-
-
-def leaf_half_line() -> KDescriptor:
-    """The leaf-space half-line R_+ carrying the B2/B3 presentation."""
-    return KDescriptor("atom", ("R+",))
-
-
-def named(name: str) -> KDescriptor:
-    return KDescriptor("named", (name,))
-
-
-def tensor_K(d: KDescriptor) -> KDescriptor:
-    return KDescriptor("tensor_K", (d,))
-
-
-def crossed_R2(d: KDescriptor) -> KDescriptor:
-    return KDescriptor("crossed_R2", (d,))
-
-
-def times_euclidean(d: KDescriptor, k: int) -> KDescriptor:
-    return KDescriptor("times_euclidean", (d, int(k)))
-
-
-def times_circle(d: KDescriptor) -> KDescriptor:
-    return KDescriptor("times_circle", (d,))
-
-
-def disjoint_union(*ds: KDescriptor) -> KDescriptor:
-    return KDescriptor("union", tuple(ds))
-
-
-@dataclass(frozen=True)
-class KGroups:
-    k0: int
-    k1: int
-    gens0: tuple[str, ...] = ()
-    gens1: tuple[str, ...] = ()
-
-    def ranks(self) -> tuple[int, int]:
-        return (self.k0, self.k1)
-
-
-def _euclidean_groups(n: int) -> KGroups:
-    if n < 0:
-        raise CatalogueError("negative-dimensional Euclidean space")
-    if n == 0:
-        return KGroups(1, 0, ("[1]",), ())
-    if n % 2 == 0:
-        return KGroups(1, 0, ("⊠".join(["[b]"] * (n // 2)),), ())
-    return KGroups(0, 1, (), ("[b]⊠" * (n // 2) + "[u]",))
-
-
-_SPHERES = {
-    0: KGroups(2, 0, ("[1]+", "[1]-"), ()),
-    1: KGroups(1, 1, ("[1]",), ("[Id]",)),
-    2: KGroups(2, 0, ("[1hat]", "[phat]-[eps1]"), ()),
-    3: KGroups(1, 1, ("[1]",), ("[g3]",)),
-}
-
-# Seeded catalogue entries: the extension-tower algebras with their tabulated
-# K-groups and generator labels.  The R+ atom carries the B2/B3 presentation
-# (the crossed-product route), not the contractible-half-line value; the
-# signed fiber half-lines R± keep the true value K1 = Z generated by [u±].
-_ATOMS = {
-    "point": KGroups(1, 0, ("[1]",), ()),
-    "R+": KGroups(1, 1, ("[1]⊠[u+]",), ("[p]-[eps1]",)),
-}
-
-_NAMED: dict[str, KGroups] = {
-    "J1": KGroups(0, 2, (), ("[b]⊠[u+]", "[b]⊠[u-]")),
-    "J2": KGroups(2, 0, ("[b]⊠[u+]", "[b]⊠[u-]"), ()),
-    "B1": KGroups(2, 0, ("[1hat]", "[phat]-[eps1]"), ()),
-    "B2": KGroups(1, 1, ("[1]⊠[u+]",), ("[p]-[eps1]",)),
-    "J3": KGroups(1, 1, ("[1]",), ("[Id]",)),
-    "B3": KGroups(1, 1, ("[1]",), ("[Id]",)),
-    "CF2": KGroups(1, 1, ("[k0]",), ("[k1]",)),
-    "CF3": KGroups(1, 1, ("[k0]",), ("[k1]",)),
-}
-
-# Model descriptors of the named algebras (rank cross-checks; labels differ
-# because the named entries carry the tower presentation of their generators).
-NAMED_MODELS: dict[str, KDescriptor] = {
-    "J1": tensor_K(disjoint_union(times_euclidean(half_line("+"), 2),
-                                  times_euclidean(half_line("-"), 2))),
-    "J2": tensor_K(disjoint_union(euclidean(2), euclidean(2))),
-    "B2": tensor_K(leaf_half_line()),
-    "B3": tensor_K(leaf_half_line()),
-    "J3": tensor_K(times_euclidean(times_circle(euclidean(2)), 2)),
-    "CF3": tensor_K(times_euclidean(sphere(3), 2)),
-}
-
-
-def ktable(d: KDescriptor) -> KGroups:
-    """K0/K1 ranks and generator labels of a catalogue descriptor.
-
-    Rules: ⊗K and ⋊R^2 (Thom–Connes) are identities; ×R^2 is the Bott
-    degree-preserving shift (labels gain a [b]⊠ factor); ×R swaps degrees;
-    ×S^1 mixes both degrees; disjoint unions add.
-    """
-    if d.op == "atom":
-        try:
-            return _ATOMS[d.args[0]]
-        except KeyError:
-            raise CatalogueError(f"no atom rule for {d.args[0]!r}") from None
-    if d.op == "euclidean":
-        return _euclidean_groups(d.args[0])
-    if d.op == "sphere":
-        try:
-            return _SPHERES[d.args[0]]
-        except KeyError:
-            raise CatalogueError(f"no sphere rule for S^{d.args[0]}") from None
-    if d.op == "half_line":
-        sign = d.args[0]
-        return KGroups(0, 1, (), (f"[u{sign}]",))
-    if d.op == "named":
-        try:
-            return _NAMED[d.args[0]]
-        except KeyError:
-            raise CatalogueError(f"no named entry {d.args[0]!r}") from None
-    if d.op in ("tensor_K", "crossed_R2"):
-        return ktable(d.args[0])
-    if d.op == "times_euclidean":
-        g = ktable(d.args[0])
-        k = d.args[1]
-        if k % 2 == 1:
-            g = KGroups(g.k1, g.k0, g.gens1, g.gens0)
-            k -= 1
-        pre = "[b]⊠" * (k // 2)
-        if not pre:
-            return g
-        return KGroups(g.k0, g.k1,
-                       tuple(pre + s for s in g.gens0),
-                       tuple(pre + s for s in g.gens1))
-    if d.op == "times_circle":
-        g = ktable(d.args[0])
-        gens0 = tuple(s + "⊠[1]" for s in g.gens0) + tuple(s + "⊠[Id]" for s in g.gens1)
-        gens1 = tuple(s + "⊠[1]" for s in g.gens1) + tuple(s + "⊠[Id]" for s in g.gens0)
-        return KGroups(g.k0 + g.k1, g.k0 + g.k1, gens0, gens1)
-    if d.op == "union":
-        parts = [ktable(a) for a in d.args]
-        return KGroups(sum(p.k0 for p in parts), sum(p.k1 for p in parts),
-                       tuple(s for p in parts for s in p.gens0),
-                       tuple(s for p in parts for s in p.gens1))
-    raise CatalogueError(f"no rule for descriptor op {d.op!r}")

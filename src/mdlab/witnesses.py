@@ -44,7 +44,6 @@ __all__ = [
     "q_const",
     "p_gamma3",
     "gamma3_disk",
-    "epsilon1_field",
     "trivial_lift_unit",
     "trivial_lift_eps1",
 ]
@@ -243,14 +242,6 @@ def q_const() -> MatrixField:
     return MatrixField(evaluator=ev, dim=2, name="q",
                        derivative=lambda pts: (ev(pts),
                                                np.zeros((2, len(pts), 2, 2), dtype=complex)))
-
-
-def epsilon1_field(n: int = 128) -> MatrixField:
-    """q with a default 2D domain, for the constant-projection Chern check."""
-    f = q_const()
-    dom = GridDomain((Axis(-1.0, 1.0, n, "constant"), Axis(-1.0, 1.0, n, "constant")))
-    return MatrixField(evaluator=f.evaluator, dim=2, name="eps1", derivative=f.derivative,
-                       default_domain=dom)
 
 
 def _uqu(t2, phase):

@@ -1,4 +1,4 @@
-"""Tests for six-term sequences, completion search and the K-group catalogue."""
+"""Tests for six-term sequences and the completion search."""
 
 import itertools
 
@@ -8,29 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdlab import ktheory
+from mdlab.foliation import STRATUM_MODELS
 from mdlab.intlinalg import as_zmatrix, image_basis, invariant_factors, kernel_basis, snf
 from mdlab.ktheory import (
-    CatalogueError,
-    KGroups,
     SearchSpaceError,
     SixTerm,
-    crossed_R2,
-    disjoint_union,
-    euclidean,
     exact_at,
-    half_line,
     hexagon_preset,
     is_exact,
-    ktable,
-    leaf_half_line,
-    named,
-    NAMED_MODELS,
-    point,
     solve_six_term,
-    sphere,
-    tensor_K,
-    times_circle,
-    times_euclidean,
     zmap,
 )
 
@@ -133,6 +119,17 @@ def test_gamma2_hexagon_unique_completion():
     seq = sols[0]
     assert seq.groups == (2, 2, 1, 0, 0, 1)
     assert [int(x) for x in seq.delta1.reshape(-1)] == [1, 1]
+
+
+def test_j_nodes_follow_from_bott_on_the_leaf_space_model():
+    # K_*(C0(R^n ⊔ R^n)) is Z^2 in degree n mod 2, n the model's dimension.
+    for preset, stratum, algebra, ranks in [("gamma1", "V1", "J1", (0, 2)),
+                                            ("gamma2", "V2", "J2", (2, 0))]:
+        groups, _ = hexagon_preset(preset)
+        _, n, name = STRATUM_MODELS[stratum]
+        assert name == algebra
+        assert (groups[0], groups[3]) == ranks
+        assert ranks == ((2, 0) if n % 2 == 0 else (0, 2))
 
 
 def test_gamma3_forced_to_alternating_pattern():
@@ -322,74 +319,3 @@ def test_sixterm_serialization():
     assert obj["maps"] == [[0], [1], [0], [1], [0], [1]]
     assert obj["exact"] == [True] * 6
 
-
-# --- catalogue ---
-
-def test_ktable_J1():
-    g = ktable(named("J1"))
-    assert g.ranks() == (0, 2)
-    assert g.gens1 == ("[b]⊠[u+]", "[b]⊠[u-]")
-    model = ktable(NAMED_MODELS["J1"])
-    assert model.ranks() == (0, 2)
-    assert model.gens1 == ("[b]⊠[u+]", "[b]⊠[u-]")
-
-
-def test_ktable_circle():
-    g = ktable(sphere(1))
-    assert g.ranks() == (1, 1)
-    assert g.gens0 == ("[1]",) and g.gens1 == ("[Id]",)
-
-
-def test_ktable_leaf_half_line_uses_tower_presentation():
-    # The catalogue value for C0(R+) ⊗ K is the tabulated (Z, Z), not the
-    # contractible-half-line value.
-    g = ktable(tensor_K(leaf_half_line()))
-    assert g.ranks() == (1, 1)
-    assert g.gens0 == ("[1]⊠[u+]",)
-    assert g.gens1 == ("[p]-[eps1]",)
-    # The signed fiber half-lines keep K1 = Z generated by [u±].
-    gp = ktable(half_line("+"))
-    assert gp.ranks() == (0, 1) and gp.gens1 == ("[u+]",)
-
-
-def test_ktable_functorial_under_stability_and_crossed_product():
-    descriptors = [named("J1"), sphere(2), euclidean(3),
-                   disjoint_union(euclidean(2), sphere(1)), leaf_half_line()]
-    for d in descriptors:
-        base = ktable(d)
-        assert ktable(tensor_K(d)) == base
-        assert ktable(crossed_R2(d)) == base
-        assert ktable(crossed_R2(tensor_K(d))) == base
-
-
-def test_ktable_bott_and_suspension():
-    assert ktable(euclidean(2)).ranks() == (1, 0)
-    assert ktable(euclidean(3)).ranks() == (0, 1)
-    assert ktable(euclidean(3)).gens1 == ("[b]⊠[u]",)
-    # x R^2 preserves degrees, x R swaps them.
-    assert ktable(times_euclidean(sphere(1), 2)).ranks() == (1, 1)
-    assert ktable(times_euclidean(sphere(2), 1)).ranks() == (0, 2)
-
-
-def test_ktable_r2_times_circle():
-    g = ktable(times_circle(euclidean(2)))
-    assert g.ranks() == (1, 1)
-    assert g.gens0 == ("[b]⊠[1]",) and g.gens1 == ("[b]⊠[Id]",)
-
-
-def test_ktable_named_models_match_ranks():
-    for name, model in NAMED_MODELS.items():
-        assert ktable(named(name)).ranks() == ktable(model).ranks()
-
-
-def test_ktable_rejects_unknown():
-    with pytest.raises(CatalogueError, match="sphere"):
-        ktable(sphere(4))
-    with pytest.raises(CatalogueError, match="named"):
-        ktable(named("nope"))
-
-
-def test_ktable_point_and_s0():
-    assert ktable(point()).ranks() == (1, 0)
-    assert ktable(sphere(0)).ranks() == (2, 0)
-    assert ktable(disjoint_union(point(), point())) == KGroups(2, 0, ("[1]", "[1]"), ())

@@ -26,11 +26,11 @@ from mdlab.topology import (
 )
 from mdlab.invariants import _const_one_line
 from mdlab.witnesses import (
-    epsilon1_field,
     exp_ptilde,
     gamma3_disk,
     phat,
     phat_disk,
+    q_const,
     trivial_lift_eps1,
     trivial_lift_unit,
     u_gamma3,
@@ -142,7 +142,8 @@ def test_chern_cartesian_chart_agrees():
 
 
 def test_chern_constant_projection_is_zero():
-    r = chern_2d(epsilon1_field(64))
+    dom = GridDomain((Axis(-1.0, 1.0, 64, "constant"), Axis(-1.0, 1.0, 64, "constant")))
+    r = chern_2d(q_const(), dom)
     assert r.rounded == 0 and abs(r.raw) < 1e-12
 
 
@@ -325,7 +326,7 @@ def test_analytic_derivatives_match_finite_differences():
         (uplus(), [(0.1, 5.0)]),
         (uminus(), [(-5.0, -0.1)]),
         (u_gamma3(), [(-1.5, 1.5)] * 3),
-        (epsilon1_field(), [(-1, 1)] * 2),
+        (q_const(), [(-1, 1)] * 2),
         (trivial_lift_unit(), [(-1, 1), (-1, 1), (0, 1)]),
         (trivial_lift_eps1(), [(-1, 1), (-1, 1), (0, 1)]),
         (_const_one_line(), [(-5, 5)]),
