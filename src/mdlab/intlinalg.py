@@ -67,98 +67,56 @@ def snf(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smith normal form: returns (U, D, V) with U @ M @ V = D.
 
     U and V are unimodular; D is diagonal with nonnegative entries and
-    d1 | d2 | ... down the diagonal.
+    d1 | d2 | ... down the diagonal.  Each pivot t goes round one loop: move a
+    minimal-magnitude nonzero entry of d[t:, t:] to (t, t) and reduce row and
+    column t against it.  A nonzero remainder goes round again; so does an
+    entry d[i, j] (i, j > t) the pivot fails to divide, after row i is added
+    to row t.  Either way the next round leaves a nonzero remainder smaller
+    than |pivot| in row or column t, so |pivot| strictly shrinks and the loop
+    ends, with the pivot dividing all of d[t + 1:, t + 1:]: the divisibility
+    chain.
     """
     d = as_zmatrix(m).copy()
     rows, cols = d.shape
     u = identity(rows)
     v = identity(cols)
-
-    def pivot_to(t):
-        # Move a minimal-magnitude nonzero entry of d[t:, t:] to (t, t).
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i, j] != 0 and (best is None or abs(d[i, j]) < abs(d[best[0], best[1]])):
-                    best = (i, j)
-        if best is None:
-            return False
-        i, j = best
-        if i != t:
-            _swap_rows(d, t, i)
-            _swap_rows(u, t, i)
-        if j != t:
-            _swap_cols(d, t, j)
-            _swap_cols(v, t, j)
-        return True
-
-    def clear_cross(t):
-        # Eliminate row/column t against the pivot until both are clear.
+    for t in range(min(rows, cols)):
         while True:
-            if not pivot_to(t):
-                return
+            nonzero = [(abs(d[i, j]), i, j) for i in range(t, rows)
+                       for j in range(t, cols) if d[i, j] != 0]
+            if not nonzero:
+                return u, d, v
+            _, i, j = min(nonzero)
+            if i != t:
+                _swap_rows(d, t, i)
+                _swap_rows(u, t, i)
+            if j != t:
+                _swap_cols(d, t, j)
+                _swap_cols(v, t, j)
+            p = d[t, t]
             for i in range(t + 1, rows):
                 if d[i, t] != 0:
-                    q = d[i, t] // d[t, t]
+                    q = d[i, t] // p
                     d[i, :] -= q * d[t, :]
                     u[i, :] -= q * u[t, :]
             for j in range(t + 1, cols):
                 if d[t, j] != 0:
-                    q = d[t, j] // d[t, t]
+                    q = d[t, j] // p
                     d[:, j] -= q * d[:, t]
                     v[:, j] -= q * v[:, t]
-            if all(d[i, t] == 0 for i in range(t + 1, rows)) and \
-               all(d[t, j] == 0 for j in range(t + 1, cols)):
-                return
-
-    for t in range(min(rows, cols)):
-        clear_cross(t)
-
-    # Enforce the divisibility chain with the 2x2 gcd/lcm transform:
-    # diag(a, b) -> diag(gcd(a, b), lcm(a, b)).
-    changed = True
-    while changed:
-        changed = False
-        for t in range(min(rows, cols) - 1):
-            a, b = d[t, t], d[t + 1, t + 1]
-            if a == 0 or b == 0 or b % a == 0:
+            if any(d[i, t] != 0 for i in range(t + 1, rows)) or \
+               any(d[t, j] != 0 for j in range(t + 1, cols)):
                 continue
-            changed = True
-            d[t, :] += d[t + 1, :]
-            u[t, :] += u[t + 1, :]
-            g, x, y = _xgcd(a, b)
-            # Unimodular column mix [[x, -b/g], [y, a/g]] on columns (t, t+1).
-            ct, ct1 = d[:, t].copy(), d[:, t + 1].copy()
-            d[:, t] = x * ct + y * ct1
-            d[:, t + 1] = (-(b // g)) * ct + (a // g) * ct1
-            wt, wt1 = v[:, t].copy(), v[:, t + 1].copy()
-            v[:, t] = x * wt + y * wt1
-            v[:, t + 1] = (-(b // g)) * wt + (a // g) * wt1
-            q = d[t + 1, t] // d[t, t]
-            d[t + 1, :] -= q * d[t, :]
-            u[t + 1, :] -= q * u[t, :]
-
-    # Normalize signs.
-    for t in range(min(rows, cols)):
+            i = next((i for i in range(t + 1, rows)
+                      for j in range(t + 1, cols) if d[i, j] % p != 0), None)
+            if i is None:
+                break
+            d[t, :] += d[i, :]
+            u[t, :] += u[i, :]
         if d[t, t] < 0:
             d[t, :] = -d[t, :]
             u[t, :] = -u[t, :]
     return u, d, v
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """g, x, y with x*a + y*b = g = gcd(a, b) >= 0."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        g, x, y = -g, -x, -y
-    return g, x, y
 
 
 def invariant_factors(m) -> list[int]:

@@ -70,10 +70,7 @@ class IndexInvariants:
 
 
 def _const_one_line() -> MatrixField:
-    ev = lambda pts: np.ones((len(pts), 1, 1), dtype=complex)
-    return MatrixField(evaluator=ev, dim=1, name="const_one",
-                       derivative=lambda pts: (ev(pts), np.zeros((1, len(pts), 1, 1),
-                                                                 dtype=complex)))
+    return MatrixField.constant(np.ones((1, 1)), 1, "const_one")
 
 
 def _store(res: IndexInvariants, integral: IntegralResult):

@@ -31,6 +31,7 @@ __all__ = [
     "exact_at",
     "is_exact",
     "SearchSpaceError",
+    "MAX_CANDIDATES",
     "solve_six_term",
     "hexagon_preset",
     "COMPLETIONS",
@@ -95,29 +96,36 @@ class SearchSpaceError(ValueError):
     """The bounded completion search would be too large."""
 
 
+# The largest unpruned candidate box `solve_six_term` will search.
+MAX_CANDIDATES = 5_000_000
+
+
 def _infer_ranks(groups, known) -> list[int]:
+    """The six ranks, with each `None` filled in where exactness forces it.
+
+    Take G_{i-2} --f--> G_{i-1} -> G_i -> G_{i+1} --h--> G_{i+2}.  Exactness
+    gives 0 -> coker f -> G_i -> ker h -> 0, so rank G_i is the free rank of
+    coker f plus the nullity of h.  Each part is 0 when its neighbour group
+    (G_{i-1}, resp. G_{i+1}) is 0, and otherwise needs its map known.  A
+    cokernel with torsion is refused: the groups must be free.
+    """
     g = list(groups)
     progress = True
-    while progress and any(x is None for x in g):
+    while progress and None in g:
         progress = False
         for i in range(6):
             if g[i] is not None:
                 continue
-            # 0 -> G_i -> G_{i+1} --f--> G_{i+2} forces G_i = ker f.
-            j1 = (i + 1) % 6
-            if g[(i - 1) % 6] == 0 and known.get(j1) is not None:
-                g[i] = kernel_basis(known[j1]).shape[1]
-                progress = True
+            f, h = known.get((i - 2) % 6), known.get((i + 1) % 6)
+            coker_zero, ker_zero = g[(i - 1) % 6] == 0, g[(i + 1) % 6] == 0
+            if (f is None and not coker_zero) or (h is None and not ker_zero):
                 continue
-            # G_{i-2} --f--> G_{i-1} -> G_i -> 0 forces G_i = coker f (must be free).
-            j2 = (i - 2) % 6
-            if g[(i + 1) % 6] == 0 and known.get(j2) is not None:
-                free, torsion = cokernel(known[j2])
-                if torsion:
-                    raise ValueError(
-                        f"cokernel at node {i} has torsion {torsion}; groups must be free")
-                g[i] = free
-                progress = True
+            free, torsion = (0, []) if coker_zero else cokernel(f)
+            if torsion:
+                raise ValueError(
+                    f"cokernel at node {i} has torsion {torsion}; groups must be free")
+            g[i] = free + (0 if ker_zero else h.shape[1] - len(invariant_factors(h)))
+            progress = True
     missing = [i for i in range(6) if g[i] is None]
     if missing:
         raise ValueError(f"cannot infer ranks of groups at positions {missing}")
@@ -147,8 +155,7 @@ def _node_test(n: int, fa: list[int], fb: list[int]) -> bool:
     return len(fa) + len(fb) == n and all(f == 1 for f in fa)
 
 
-def solve_six_term(groups, known_maps=None, bound: int = 3,
-                   max_candidates: int = 5_000_000) -> list[SixTerm]:
+def solve_six_term(groups, known_maps=None, bound: int = 3) -> list[SixTerm]:
     """All exact completions of a partially known hexagon, up to automorphism.
 
     `groups` lists the six ranks (None = inferred where exactness forces it);
@@ -156,7 +163,7 @@ def solve_six_term(groups, known_maps=None, bound: int = 3,
     are searched with entries in [-bound, bound].  Completions are grouped by
     the tuple of per-map invariant factors (unimodular base changes preserve
     them) and one lexicographically minimal representative per class is kept.
-    `max_candidates` bounds the unpruned box, the product over the unknown
+    `MAX_CANDIDATES` bounds the unpruned box, the product over the unknown
     maps of (2 bound + 1) ** entries, and the search refuses to start beyond it.
 
     Each unknown map's candidates form one exact (count, rows, cols) box.  The
@@ -197,9 +204,9 @@ def solve_six_term(groups, known_maps=None, bound: int = 3,
         else:
             open_idx.append(i)
             total *= (2 * bound + 1) ** (shape[0] * shape[1])
-    if total > max_candidates:
+    if total > MAX_CANDIDATES:
         raise SearchSpaceError(
-            f"completion search needs about {total:.3g} candidates (> {max_candidates})")
+            f"completion search needs about {total:.3g} candidates (> {MAX_CANDIDATES})")
     for i in open_idx:
         boxes[i] = _box(shapes[i], bound)
 
@@ -272,7 +279,15 @@ def hexagon_preset(name: str, delta0=None, delta1=None) -> tuple[list, dict]:
     gamma2: the W1-tower hexagon, delta1 defaults to (1,1)^T;
     gamma3: the all-Z hexagon with delta1 = 1;
     allZ:   six copies of Z, nothing known.
+
+    A delta the preset's hexagon does not take is refused with ValueError.
     """
+    takes = {"gamma1": "delta0", "gamma2": "delta1", "gamma3": "delta1", "allZ": None}
+    if name not in takes:
+        raise ValueError(f"unknown preset {name!r}")
+    for arg, value in (("delta0", delta0), ("delta1", delta1)):
+        if value is not None and arg != takes[name]:
+            raise ValueError(f"preset {name!r} takes no {arg}")
     if name == "gamma1":
         d0 = zmap(2, 2, delta0 if delta0 is not None else [[0, 1], [0, 1]])
         return [0, None, 2, 2, None, 0], {2: d0}
@@ -282,9 +297,7 @@ def hexagon_preset(name: str, delta0=None, delta1=None) -> tuple[list, dict]:
     if name == "gamma3":
         d1 = zmap(1, 1, delta1 if delta1 is not None else [[1]])
         return [1, 1, 1, 1, 1, 1], {5: d1}
-    if name == "allZ":
-        return [1, 1, 1, 1, 1, 1], {}
-    raise ValueError(f"unknown preset {name!r}")
+    return [1, 1, 1, 1, 1, 1], {}
 
 
 # The number of exact completions of each `hexagon_preset` hexagon.

@@ -182,16 +182,6 @@ def md_verify(alg: LieAlgebra, n_samples: int, seed: int) -> MDReport:
 # ---------------------------------------------------------------------------
 # Flows and closed-form orbits
 
-def _ad_block(alg_or_family) -> np.ndarray:
-    if isinstance(alg_or_family, MD5Family):
-        return alg_or_family.ad_block()
-    alg = alg_or_family
-    if alg.family is not None:
-        return alg.family.ad_block()
-    # Read the block off the structure constants: column j is [X1, X_{j+2}].
-    return np.array([[alg.sc[0, j + 1, i + 1] for j in range(4)] for i in range(4)])
-
-
 def exp_ad_transpose(family: MD5Family, a: float) -> np.ndarray:
     """Closed-form block evaluation of exp(a * M^T), M the ad_{X1} block.
 
@@ -232,7 +222,8 @@ def coadjoint_flow(alg: LieAlgebra, f, a, x) -> np.ndarray:
     """
     f = np.asarray(f, dtype=float)
     a = np.asarray(a, dtype=float)
-    e = scipy.linalg.expm(a[..., None, None] * _ad_block(alg).T)
+    # sc[0, j, 1:] is [X1, X_{j+1}], column j - 1 of M, so sc[0, 1:, 1:] is M^T.
+    e = scipy.linalg.expm(a[..., None, None] * alg.sc[0, 1:, 1:])
     out = np.empty(np.broadcast_shapes(a.shape, np.shape(x)) + (5,))
     out[..., 0] = x
     out[..., 1:] = e @ f[1:]
@@ -374,8 +365,6 @@ _CLOSED_FORMS = {
 @dataclass(frozen=True)
 class OrbitDescriptor:
     stratum: str  # "zero_dim" | "two_dim"
-    family: MD5Family
-    base_point: np.ndarray
     closed_form: callable  # (x, a) -> point(s) of R^5
 
     @property
@@ -387,15 +376,11 @@ def closed_form_orbit(family: MD5Family, f) -> OrbitDescriptor:
     """Explicit per-family orbit parametrization through the covector F."""
     f = np.asarray(f, dtype=float).copy()
     if in_zero_stratum(f):
-        fro = f.copy()
-        fro.setflags(write=False)
-
         def const(x, a):
             shape = np.broadcast_shapes(np.shape(x), np.shape(a))
-            return np.broadcast_to(fro, shape + (5,)).copy()
-        return OrbitDescriptor("zero_dim", family, f, const)
-    cf = _CLOSED_FORMS[family.family_id](family.params, f)
-    return OrbitDescriptor("two_dim", family, f, cf)
+            return np.broadcast_to(f, shape + (5,)).copy()
+        return OrbitDescriptor("zero_dim", const)
+    return OrbitDescriptor("two_dim", _CLOSED_FORMS[family.family_id](family.params, f))
 
 
 def flow_vs_closed_form(family: MD5Family, f, avals=None) -> float:
@@ -424,10 +409,9 @@ def orbit_tangent_residual(alg: LieAlgebra, f) -> float:
     f = np.asarray(f, dtype=float)
     if in_zero_stratum(f):
         raise ValueError("tangent comparison requires a 2-dimensional orbit")
-    m = _ad_block(alg)
     t = np.zeros((5, 2))
     t[0, 0] = 1.0
-    t[1:, 1] = m.T @ f[1:]
+    t[1:, 1] = alg.sc[0, 1:, 1:] @ f[1:]  # M^T f', as in `coadjoint_flow`
     b = kirillov_form(alg, f)
     u, s, _ = np.linalg.svd(b)
     img = u[:, :2]

@@ -148,6 +148,19 @@ class MatrixField:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return self.evaluator(pts)
 
+    @classmethod
+    def constant(cls, value, dim: int, name: str,
+                 default_domain: GridDomain | None = None) -> "MatrixField":
+        """The field equal to the matrix `value` everywhere, with zero partials."""
+        value = np.asarray(value, dtype=complex)
+
+        def ev(pts):
+            return np.broadcast_to(value, (len(pts),) + value.shape).copy()
+
+        return cls(evaluator=ev, dim=dim, name=name, default_domain=default_domain,
+                   derivative=lambda pts: (ev(pts), np.zeros((dim, len(pts)) + value.shape,
+                                                             dtype=complex)))
+
 
 def _derivative(field: MatrixField) -> Callable:
     if field.derivative is None:

@@ -235,13 +235,7 @@ def u_gamma3() -> MatrixField:
 
 def q_const() -> MatrixField:
     """The constant rank-1 projection diag(1, 0) on the plane."""
-    def ev(pts):
-        q = np.zeros((len(pts), 2, 2), dtype=complex)
-        q[:, 0, 0] = 1.0
-        return q
-    return MatrixField(evaluator=ev, dim=2, name="q",
-                       derivative=lambda pts: (ev(pts),
-                                               np.zeros((2, len(pts), 2, 2), dtype=complex)))
+    return MatrixField.constant(np.diag([1.0, 0.0]), 2, "q")
 
 
 def _uqu(t2, phase):
@@ -293,14 +287,7 @@ def gamma3_disk(n: int = 512) -> MatrixField:
 def _constant_identity(size: int, name: str) -> MatrixField:
     dom = GridDomain((Axis(-1.0, 1.0, 16, "constant"), Axis(-1.0, 1.0, 16, "constant"),
                       Axis(0.0, 1.0, 16, "constant")))
-
-    def ev(pts):
-        return np.broadcast_to(np.eye(size, dtype=complex), (len(pts), size, size)).copy()
-
-    return MatrixField(evaluator=ev, dim=3, name=name,
-                       derivative=lambda pts: (ev(pts), np.zeros((3, len(pts), size, size),
-                                                                 dtype=complex)),
-                       default_domain=dom)
+    return MatrixField.constant(np.eye(size), 3, name, dom)
 
 
 def trivial_lift_unit() -> MatrixField:

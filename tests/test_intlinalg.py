@@ -100,13 +100,34 @@ def _integer_matrices(draw):
     return m
 
 
+# In diag(2, 3), diag(4, 6) and [[2, 4], [4, 5]] the first pivot clears its
+# row and column but fails to divide an entry of the rest, so the Smith form
+# takes its divisibility step; in [[0, 0, 0], [0, 4, 6], [0, 6, 9]] the first
+# pivot leaves a nonzero remainder in its row instead.
+_STEP_EXAMPLES = [np.diag([2, 3]), np.diag([4, 6]), np.array([[2, 4], [4, 5]]),
+                  np.array([[0, 0, 0], [0, 4, 6], [0, 6, 9]])]
+
+
+def _with_step_examples(test):
+    for m in _STEP_EXAMPLES:
+        test = example(m=m)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(m=_integer_matrices())
-@example(m=np.array([[0, 0, 0], [0, 4, 6], [0, 6, 9]]))
+@_with_step_examples
 @example(m=np.array([[2, 0, 4, 0, 6], [0, 0, 0, 0, 0], [3, 0, 9, 0, -3],
                      [0, 0, 0, 0, 0], [5, 0, 1, 0, 7]]))
 def test_invariant_factors_match_minor_gcd_oracle_property(m):
     assert invariant_factors(m) == minor_gcd_invariant_factors(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_integer_matrices())
+@_with_step_examples
+def test_snf_contract_property(m):
+    assert_snf_contract(m)
 
 
 def test_kernel_image_example():

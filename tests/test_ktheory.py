@@ -302,14 +302,43 @@ def test_node_test_needs_unit_factors_of_the_incoming_map():
     assert not _node_exact_by_hnf(a, b)
 
 
-def test_search_space_overflow():
+def test_search_space_overflow(monkeypatch):
+    monkeypatch.setattr(ktheory, "MAX_CANDIDATES", 1000)
     with pytest.raises(SearchSpaceError, match="candidates"):
-        solve_six_term([4, 4, 4, 4, 4, 4], {}, bound=3, max_candidates=1000)
+        solve_six_term([4, 4, 4, 4, 4, 4], {}, bound=3)
 
 
 def test_rank_inference_failure_is_reported():
     with pytest.raises(ValueError, match="cannot infer"):
         solve_six_term([1, None, 1, 1, 1, 1], {}, bound=1)
+
+
+@pytest.mark.parametrize("groups, known, ranks", [
+    # coker delta1 = Z / Z is 0 and ker delta0 = Z give K0(A) = Z; coker
+    # delta0 = Z and ker delta1 = 0 give K1(A) = Z.
+    ([1, None, 1, 1, None, 1], {2: [[0]], 5: [[1]]}, [1, 1, 1, 1, 1, 1]),
+    (*hexagon_preset("gamma1"), [0, 1, 2, 2, 1, 0]),
+])
+def test_ranks_are_the_free_cokernel_plus_the_kernel(groups, known, ranks):
+    assert ktheory._infer_ranks(groups, {i: as_zmatrix(m) for i, m in known.items()}) == ranks
+    assert [s.groups for s in solve_six_term(groups, known, bound=1)] == [tuple(ranks)]
+
+
+def test_rank_inference_refuses_a_cokernel_with_torsion():
+    with pytest.raises(ValueError, match="torsion"):
+        solve_six_term([1, None, 1, 1, None, 1], {2: [[2]], 5: [[0]]}, bound=1)
+
+
+@pytest.mark.parametrize("name, deltas", [
+    ("gamma1", {"delta1": [[7]]}),
+    ("gamma2", {"delta0": [[5]]}),
+    ("gamma3", {"delta0": [[0]]}),
+    ("allZ", {"delta0": [[0]]}),
+    ("allZ", {"delta1": [[1]]}),
+])
+def test_preset_refuses_a_delta_its_hexagon_does_not_take(name, deltas):
+    with pytest.raises(ValueError, match="takes no delta"):
+        hexagon_preset(name, **deltas)
 
 
 def test_sixterm_serialization():
