@@ -12,17 +12,32 @@ Grids are midpoint rules; sums are chunked and compensated (math.fsum), so
 the result is independent of the chunking to round-off.  Integer outputs are
 always reported together with the raw value and the pre-rounding residual.
 
-Both grid integrals run one chunk loop, `_grid_sum`: one call of the field's
-jet per chunk gives the values and every partial.  A field may declare a
-support outside which the integrand is exactly 0; the loop skips the grid
-points there, which leaves each chunk's correctly rounded fsum unchanged, and
-the promise is checked at seeded points outside the support.
+Both grid integrals run one loop, `_grid_sum`, with two units:
+  * the chunk, CHUNK_SLABS slabs along the first axis, is the rounding unit:
+    each chunk's integrand values are summed by one correctly rounded fsum,
+    so the raw values depend on it, to round-off only (one fsum over the
+    whole 28^3 grid moves its raw value by 1 ulp);
+  * the block, at most BLOCK_POINTS points, is the memory unit: each chunk is
+    evaluated block by block, so that temporaries stay in cache and are not
+    faulted in from the system on every chunk.  It moves no value.
+A block is some leading points (all coordinates but the last) times every
+midpoint of the last axis.  A separable field has a per-axis jet for it,
+which computes what depends only on the leading coordinates, or only on the
+last, once per side; other fields are evaluated through their derivative at
+the block's points.  A field may declare a support outside which the
+integrand is exactly 0; the loop skips the grid points there, which leaves
+each chunk's correctly rounded fsum unchanged, and the promise is checked at
+seeded points outside the support.  A field with a per-axis jet promises
+that its support reads the leading coordinates only.
 
 The grid integrals take k×k fields with k <= 2 (every witness is 1×1 or 2×2)
 and refuse larger ones.  Their kernels are closed forms for those sizes:
 products written out entry by entry, Tr(P [A, B]) from the traceless
 commutator, the inverse by the adjugate, and the smallest singular value as
-|det| / σ_max.
+|det| / σ_max.  They take entry-major stacks, a[i, j] being the (i, j) entry
+of every matrix, shaped (k, k, ...), so that each entry they read is one
+contiguous array when the field fills entry-major buffers; on (N, k, k)
+values they get `np.moveaxis` views, and give the same bits.
 """
 
 from __future__ import annotations
@@ -65,9 +80,15 @@ BOUNDARY_TOL_3D = 1e-2
 SIGMA_FLOOR = 1e-6
 # Step of the central differences that cross-check the exact derivatives.
 FD_STEP = 1e-6
-# Grid slabs along the first axis per chunk, by domain dimension; results are
-# independent of it to round-off, it bounds only the memory of one chunk.
+# Grid slabs along the first axis per chunk, by domain dimension: the rounding
+# unit of the grid integrals, whose raw values depend on it to round-off (one
+# fsum over the whole 28^3 grid moves its raw value by 1 ulp).
 CHUNK_SLABS = {2: 64, 3: 8}
+# Grid points per evaluation block: the memory unit, which moves no value.  One
+# complex entry of a block is 64 KB, so a block's temporaries stay in cache
+# and are reused from the heap; a whole chunk's came fresh from the system,
+# and page-faulted, on every chunk.
+BLOCK_POINTS = 4096
 
 
 class BoundaryConditionError(ValueError):
@@ -134,6 +155,14 @@ class MatrixField:
     chart seams of a frozen extension).  `support(pts)` marks the points
     where the grid integrals need the field; outside it their integrands are
     exactly 0, a promise they check at seeded points.
+
+    `axis_jet(lead, last)`, optional, is the jet on a product of points: the
+    (m, dim - 1) leading coordinates times the (n,) last coordinates, point
+    i·n + j being (lead[i], last[j]).  It returns entry-major values
+    (size, size, m·n) and partials (size, size, dim, m·n), equal to the
+    derivative's bit for bit.  A field that has one promises that its
+    support reads the leading coordinates only.  `from_jet` builds it, and
+    the evaluator and derivative, from one function.
     """
 
     evaluator: Callable
@@ -143,6 +172,7 @@ class MatrixField:
     default_domain: GridDomain | None = None
     nonsmooth: Callable | None = None
     support: Callable | None = None
+    axis_jet: Callable | None = None
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -160,6 +190,29 @@ class MatrixField:
         return cls(evaluator=ev, dim=dim, name=name, default_domain=default_domain,
                    derivative=lambda pts: (ev(pts), np.zeros((dim, len(pts)) + value.shape,
                                                              dtype=complex)))
+
+    @classmethod
+    def from_jet(cls, jet: Callable, dim: int, name: str, **fields) -> "MatrixField":
+        """The field of an entry-major jet whose coordinates broadcast.
+
+        jet(*coords), given dim coordinate arrays of a common broadcast shape
+        s, returns values (size, size, *s) and partials (size, size, dim, *s)
+        in fresh C-contiguous arrays.  Called with the columns of N points it
+        is the derivative (as (N, ...) views) and the evaluator; called with
+        the leading coordinates as (m, 1) columns and the last as (n,), it is
+        the per-axis jet, which computes whatever depends on one side once
+        per side.
+        """
+        def derivative(pts):
+            return tuple(np.moveaxis(a, (0, 1), (-2, -1)) for a in jet(*pts.T))
+
+        def axis_jet(lead, last):
+            values, partials = jet(*lead.T[:, :, None], last)
+            return (values.reshape(values.shape[:2] + (-1,)),
+                    partials.reshape(partials.shape[:3] + (-1,)))
+
+        return cls(evaluator=lambda pts: derivative(pts)[0], dim=dim, name=name,
+                   derivative=derivative, axis_jet=axis_jet, **fields)
 
 
 def _derivative(field: MatrixField) -> Callable:
@@ -280,7 +333,7 @@ def winding_1d(f: MatrixField, side: str = "+", tol: float = 1e-8) -> IntegralRe
     sgn = 1.0 if side == "+" else -1.0
 
     zs = sgn * np.geomspace(1e-6, 1e6, 97)
-    guard = f(zs[:, None])
+    guard = np.moveaxis(f(zs[:, None]), 0, -1)
     _check_size(f, guard)
     sv_min = float(np.min(_sigma_min2(guard)))
     if not sv_min > SIGMA_FLOOR:  # a NaN σ_min fails too
@@ -314,25 +367,26 @@ def winding_1d(f: MatrixField, side: str = "+", tol: float = 1e-8) -> IntegralRe
 
 def _check_size(field: MatrixField, vals: np.ndarray) -> None:
     """The closed-form kernels below take k×k values with k <= 2 only."""
-    k = vals.shape[-1]
+    k = vals.shape[0]
     if k > 2:
         raise ValueError(f"{field.name or 'field'}: {k}x{k} values; the grid integrals "
                          "and the winding_1d guard take 1x1 and 2x2 fields only")
 
 
 def _mul2(a, b):
-    """a @ b for k×k stacks (k <= 2), entry by entry; leading axes broadcast."""
-    if a.shape[-1] == 1:
-        return a * b
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    """a @ b for entry-major k×k stacks (k <= 2), entry by entry; trailing axes broadcast."""
+    if a.shape[0] == 1:
+        return (a[0, 0] * b[0, 0])[None, None]
+    out = np.empty((2, 2) + np.broadcast_shapes(a.shape[2:], b.shape[2:]),
+                   dtype=np.result_type(a, b))
     for i in range(2):
         for j in range(2):
-            np.add(a[..., i, 0] * b[..., 0, j], a[..., i, 1] * b[..., 1, j], out=out[..., i, j])
+            np.add(a[i, 0] * b[0, j], a[i, 1] * b[1, j], out=out[i, j])
     return out
 
 
 def _trace_commutator2(p, a, b):
-    """Tr(p [a, b]) for k×k stacks (k <= 2), without forming a b or b a.
+    """Tr(p [a, b]) for entry-major k×k stacks (k <= 2), without forming a b or b a.
 
     c = [a, b] is traceless, so Tr(p c) = (p11 - p22) c11 + p12 c21 + p21 c12
     with c11 = a12 b21 - b12 a21, c12 = b12 (a11 - a22) - a12 (b11 - b22) and
@@ -341,37 +395,37 @@ def _trace_commutator2(p, a, b):
     0, and a NaN or inf entry NaN.  (a b - b a would not do: numpy's complex
     product may round a b and b a apart.)
     """
-    if p.shape[-1] == 1:
-        return 0.0 * (p[..., 0, 0] + a[..., 0, 0] + b[..., 0, 0])
-    a12, a21, b12, b21 = a[..., 0, 1], a[..., 1, 0], b[..., 0, 1], b[..., 1, 0]
-    da = a[..., 0, 0] - a[..., 1, 1]
-    db = b[..., 0, 0] - b[..., 1, 1]
+    if p.shape[0] == 1:
+        return 0.0 * (p[0, 0] + a[0, 0] + b[0, 0])
+    a12, a21, b12, b21 = a[0, 1], a[1, 0], b[0, 1], b[1, 0]
+    da = a[0, 0] - a[1, 1]
+    db = b[0, 0] - b[1, 1]
     c11 = a12 * b21 - b12 * a21
     c12 = b12 * da - a12 * db
     c21 = a21 * db - b21 * da
-    return (p[..., 0, 0] - p[..., 1, 1]) * c11 + p[..., 0, 1] * c21 + p[..., 1, 0] * c12
+    return (p[0, 0] - p[1, 1]) * c11 + p[0, 1] * c21 + p[1, 0] * c12
 
 
 def _inv2(m):
-    """Inverse of k×k stacks (k <= 2) by the adjugate.
+    """Inverse of entry-major k×k stacks (k <= 2) by the adjugate.
 
     A singular or NaN entry gives inf or NaN without a warning: the callers'
     σ_min floor is what refuses such a field.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if m.shape[-1] == 1:
+        if m.shape[0] == 1:
             return 1.0 / m
-        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         out = np.empty_like(m)
-        out[..., 0, 0] = m[..., 1, 1]
-        out[..., 1, 1] = m[..., 0, 0]
-        out[..., 0, 1] = -m[..., 0, 1]
-        out[..., 1, 0] = -m[..., 1, 0]
-        return out / det[..., None, None]
+        out[0, 0] = m[1, 1]
+        out[1, 1] = m[0, 0]
+        np.negative(m[0, 1], out=out[0, 1])
+        np.negative(m[1, 0], out=out[1, 0])
+        return np.divide(out, det, out=out)
 
 
 def _sigma_min2(m):
-    """Smallest singular value of k×k stacks (k <= 2): |det| / σ_max.
+    """Smallest singular value of entry-major k×k stacks (k <= 2): |det| / σ_max.
 
     σ_max² = (‖m‖_F² + √(‖m‖_F⁴ − 4|det|²)) / 2 is the larger eigenvalue of
     h = m mᴴ.  The root is taken as hypot(h11 − h22, 2|h12|), which is the
@@ -379,9 +433,9 @@ def _sigma_min2(m):
     unitary witnesses, where σ1 = σ2.  A zero matrix gives 0 and a NaN entry
     gives NaN.
     """
-    if m.shape[-1] == 1:
-        return np.abs(m[..., 0, 0])
-    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    if m.shape[0] == 1:
+        return np.abs(m[0, 0])
+    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
     h11 = a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2
     h22 = c.real ** 2 + c.imag ** 2 + d.real ** 2 + d.imag ** 2
     h12 = np.abs(a * np.conj(c) + b * np.conj(d))
@@ -406,29 +460,34 @@ def _fsum_complex(values) -> complex:
     return complex(math.fsum(floats(values.real)), math.fsum(floats(values.imag)))
 
 
-def _face_points(domain: GridDomain, axis: int, where: str):
-    grids = []
-    for i, ax in enumerate(domain.axes):
-        if i == axis:
-            grids.append(np.array([ax.lo if where == "lo" else ax.hi]))
-        else:
-            grids.append(np.linspace(ax.lo, ax.hi, 17))
-    mesh = np.meshgrid(*grids, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+def _face_points(domain: GridDomain, axes) -> np.ndarray:
+    """The lo and then the hi face of each given axis, 17 points per edge, face after face."""
+    faces = []
+    for axis in axes:
+        for end in ("lo", "hi"):
+            grids = [np.array([getattr(ax, end)]) if i == axis else np.linspace(ax.lo, ax.hi, 17)
+                     for i, ax in enumerate(domain.axes)]
+            mesh = np.meshgrid(*grids, indexing="ij")
+            faces.append(np.stack([m.reshape(-1) for m in mesh], axis=1))
+    return np.concatenate(faces)
 
 
 def _edge_constancy(field: MatrixField, domain: GridDomain) -> float:
-    """Max in-edge variation over non-periodic edges; periodic axes checked for wraparound."""
+    """Max in-edge variation over non-periodic edges; periodic axes checked for wraparound.
+
+    One evaluator call covers every face.  Each face's mean is taken over a
+    C-contiguous copy, so that it sums in one order whatever the layout of
+    the evaluator's result.
+    """
+    vals = np.ascontiguousarray(field(_face_points(domain, range(domain.dim))))
+    faces = vals.reshape((2 * domain.dim, -1) + vals.shape[1:])
     worst = [0.0]
     for axis, ax in enumerate(domain.axes):
+        lo, hi = faces[2 * axis], faces[2 * axis + 1]
         if ax.tag == "periodic":
-            lo = field(_face_points(domain, axis, "lo"))
-            hi = field(_face_points(domain, axis, "hi"))
             worst.append(np.abs(lo - hi).max())
         else:
-            for where in ("lo", "hi"):
-                vals = field(_face_points(domain, axis, where))
-                worst.append(np.abs(vals - vals.mean(axis=0)).max())
+            worst += [np.abs(face - face.mean(axis=0)).max() for face in (lo, hi)]
     return float(np.max(worst))
 
 
@@ -454,44 +513,74 @@ def _sampled_derivative_check(field: MatrixField, domain: GridDomain, n: int) ->
     return dev
 
 
+def _entry_major(values, partials):
+    """(N, k, k) values and (dim, N, k, k) partials as (k, k, N) and (k, k, dim, N) views."""
+    return np.moveaxis(values, 0, -1), np.moveaxis(partials, (2, 3), (0, 1))
+
+
 def _grid_sum(field: MatrixField, domain: GridDomain, integrand: Callable) -> complex:
     """fsum of integrand(values, partials) over the midpoint grid of the domain.
 
-    Chunks are CHUNK_SLABS slabs along the first axis, each with one jet call
-    over the points inside the field's support; a chunk with none adds 0j.
-    Outside the support the integrand must be exactly 0, so skipping those
-    points leaves each chunk's correctly rounded sum as it was.  The promise
-    is checked at 512 seeded points: any point outside the support whose
-    integrand is not exactly 0 is refused.
+    The integrand takes entry-major values (k, k, N) and partials (k, k, dim, N).
+    Each chunk of CHUNK_SLABS slabs along the first axis is summed by one fsum,
+    and the chunk sums by another.  A chunk is evaluated in blocks of at most
+    BLOCK_POINTS points (one row of the last axis, if that is longer), whose
+    integrand values fill one buffer that serves every chunk.
+
+    A field with a per-axis jet gets a block's leading points inside its
+    support; any other field gets the block's points, less those outside its
+    support, through its derivative.  Outside the support the integrand must
+    be exactly 0, so skipping those points leaves each chunk's sum as it was.
+    The promise is checked at 512 seeded points: any point outside the
+    support whose integrand is not exactly 0 is refused.
     """
     jet = _derivative(field)
-    first, *rest = (ax.midpoints() for ax in domain.axes)
-    chunks = []
-    for block in np.array_split(first, max(1, len(first) // CHUNK_SLABS[domain.dim])):
-        mesh = np.stack(np.meshgrid(block, *rest, indexing="ij"), axis=-1).reshape(-1, domain.dim)
-        if field.support is not None:
-            mesh = mesh[field.support(mesh)]
-        chunks.append(_fsum_complex(integrand(*jet(mesh))) if len(mesh) else 0j)
+    *lead_axes, last = (ax.midpoints() for ax in domain.axes)
+    chunks = np.array_split(lead_axes[0], max(1, len(lead_axes[0]) // CHUNK_SLABS[domain.dim]))
+    rest = math.prod(len(ax) for ax in lead_axes[1:]) * len(last)
+    buffer = np.empty(len(chunks[0]) * rest, dtype=complex)
+    rows = max(1, BLOCK_POINTS // len(last))  # leading points per block
+    sums = []
+    for chunk in chunks:
+        lead = np.stack(np.meshgrid(chunk, *lead_axes[1:], indexing="ij"),
+                        axis=-1).reshape(-1, domain.dim - 1)
+        if field.axis_jet is not None and field.support is not None:
+            lead = lead[field.support(np.column_stack((lead, np.full(len(lead), last[0]))))]
+        filled = 0
+        for start in range(0, len(lead), rows):
+            block = lead[start:start + rows]
+            if field.axis_jet is not None:
+                values, partials = field.axis_jet(block, last)
+            else:
+                pts = np.column_stack((np.repeat(block, len(last), axis=0),
+                                       np.tile(last, len(block))))
+                if field.support is not None:
+                    pts = pts[field.support(pts)]
+                if not len(pts):
+                    continue
+                values, partials = _entry_major(*jet(pts))
+            part = integrand(values, partials)
+            buffer[filled:filled + len(part)] = part
+            filled += len(part)
+        sums.append(_fsum_complex(buffer[:filled]))
     if field.support is not None:
         outside = _interior_points(domain, 512, 1)
         outside = outside[~field.support(outside)]
         if len(outside):
-            leak = np.abs(integrand(*jet(outside)))
+            leak = np.abs(integrand(*_entry_major(*jet(outside))))
             if not np.all(leak == 0.0):  # NaN fails too
                 raise ValueError(f"{field.name or 'field'}: integrand up to {leak.max():.3g} "
                                  "outside the declared support")
-    return _fsum_complex(chunks)
+    return _fsum_complex(sums)
 
 
 def _boundary_identity_residual(field: MatrixField, domain: GridDomain) -> float:
-    worst = [0.0]
-    for axis in range(domain.dim):
-        if domain.axes[axis].tag == "periodic":
-            continue
-        for where in ("lo", "hi"):
-            vals = field(_face_points(domain, axis, where))
-            worst.append(np.abs(vals - np.eye(vals.shape[-1])).max())
-    return float(np.max(worst))
+    """Max deviation from the identity on the non-periodic faces, from one evaluator call."""
+    axes = [axis for axis, ax in enumerate(domain.axes) if ax.tag != "periodic"]
+    if not axes:
+        return 0.0
+    vals = field(_face_points(domain, axes))
+    return float(np.abs(vals - np.eye(vals.shape[-1])).max())
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +603,7 @@ def chern_2d(p: MatrixField, domain: GridDomain | None = None) -> IntegralResult
     def integrand(pv, partials):
         _check_size(p, pv)
         proj_res.append(np.abs(_mul2(pv, pv) - pv).max())
-        return _trace_commutator2(pv, *partials)
+        return _trace_commutator2(pv, partials[:, :, 0], partials[:, :, 1])
 
     total = _grid_sum(p, domain, integrand) * domain.cell_volume / (2.0j * math.pi)
     proj_res = float(np.max(proj_res))
@@ -550,8 +639,8 @@ def winding_3d(g: MatrixField, domain: GridDomain | None = None) -> IntegralResu
     def integrand(gv, partials):
         _check_size(g, gv)
         sv_min.append(_sigma_min2(gv).min())
-        a0, a1, a2 = _mul2(_inv2(gv), partials)
-        return _trace_commutator2(a0, a1, a2)
+        a = _mul2(_inv2(gv), partials)
+        return _trace_commutator2(a[:, :, 0], a[:, :, 1], a[:, :, 2])
 
     total = _grid_sum(g, domain, integrand)
     sv_floor = float(np.min(sv_min))

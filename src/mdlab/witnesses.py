@@ -23,6 +23,11 @@ The remaining witnesses are the scalar phases u_pm on the half-lines, the
 unitary u over the 3-sphere chart (theta1, theta2, phi), the constant
 projection q = diag(1, 0), and p = u q u^{-1} together with its transverse
 disk slice used for the 2D Chern pairing.
+
+The jets of phat, its polar chart, the exponentials and the disk slice fill
+entry-major buffers, (2, 2, ...) arrays as the kernels of `mdlab.topology`
+read them, and take coordinates that broadcast, so `MatrixField.from_jet`
+makes one function both the derivative and the per-axis jet of the field.
 """
 
 from __future__ import annotations
@@ -53,36 +58,36 @@ TAU = 2.0 * math.pi
 
 def _phat_jet(x, y):
     """phat entries, frozen at diag(1,0) outside the unit disk, and their exact
-    partials along x and y, stacked; the partials are zero outside the disk."""
+    partials along x and y, entry-major: (2, 2, *s) and (2, 2, 2, *s) for x and
+    y of broadcast shape s.  The partials are zero outside the disk."""
     r = np.hypot(x, y)
     inside = r < 1.0
     c = np.cos(math.pi * r)
     sinc = np.sinc(r)  # sin(pi r)/(pi r)
     half_sinc = 0.5 * math.pi * sinc  # sin(pi r) / (2 r), finite at r = 0
     # The jets fill every entry of np.empty blocks, and write conjugates in
-    # place: a large np.zeros block, or a temporary, comes fresh from the
-    # system on every grid chunk and page-faults as it is first written.
-    p = np.empty(x.shape + (2, 2), dtype=complex)
-    p[..., 0, 0] = np.where(inside, 0.5 * (1.0 - c), 1.0)
-    p[..., 1, 1] = np.where(inside, 0.5 * (1.0 + c), 0.0)
+    # place, so that no entry costs a second temporary.
+    p = np.empty((2, 2) + r.shape, dtype=complex)
+    p[0, 0] = np.where(inside, 0.5 * (1.0 - c), 1.0)
+    p[1, 1] = np.where(inside, 0.5 * (1.0 + c), 0.0)
     off = (x + 1j * y) * half_sinc
-    p[..., 0, 1] = np.where(inside, off, 0.0)
-    np.conjugate(p[..., 0, 1], out=p[..., 1, 0])
+    p[0, 1] = np.where(inside, off, 0.0)
+    np.conjugate(p[0, 1], out=p[1, 0])
     # (pi c r - sin(pi r)) / r^3 = pi (c - sinc) / r^2, with its r -> 0 limit.
     small = r < 1e-3
     rs = np.where(small, 1.0, r)
     w3 = np.where(small,
                   -math.pi ** 3 / 3.0 + math.pi ** 5 * r * r / 30.0,
                   math.pi * (c - sinc) / (rs * rs))
-    t = np.stack((x, y))
-    unit = np.array([[1.0], [1.0j]])
-    d = np.empty(t.shape + (2, 2), dtype=complex)
+    t = np.stack(np.broadcast_arrays(x, y))
+    unit = np.array([1.0, 1.0j]).reshape((2,) + (1,) * r.ndim)
+    d = np.empty((2, 2) + t.shape, dtype=complex)
     d11 = 0.5 * math.pi ** 2 * t * sinc
-    d[..., 0, 0] = np.where(inside, d11, 0.0)
-    np.negative(d[..., 0, 0], out=d[..., 1, 1])
+    d[0, 0] = np.where(inside, d11, 0.0)
+    np.negative(d[0, 0], out=d[1, 1])
     doff = 0.5 * (math.pi * sinc * unit + (x + 1j * y) * t * w3)
-    d[..., 0, 1] = np.where(inside, doff, 0.0)
-    np.conjugate(d[..., 0, 1], out=d[..., 1, 0])
+    d[0, 1] = np.where(inside, doff, 0.0)
+    np.conjugate(d[0, 1], out=d[1, 0])
     return p, d
 
 
@@ -93,31 +98,27 @@ def _phat_nonsmooth(pts):
 
 def phat() -> MatrixField:
     """The hedgehog projection on the plane (Cartesian chart)."""
-    return MatrixField(
-        evaluator=lambda pts: _phat_jet(pts[:, 0], pts[:, 1])[0],
-        dim=2, name="phat",
-        derivative=lambda pts: _phat_jet(pts[:, 0], pts[:, 1]),
-        nonsmooth=_phat_nonsmooth,
-    )
+    return MatrixField.from_jet(_phat_jet, 2, "phat", nonsmooth=_phat_nonsmooth)
 
 
 def _phat_polar_jet(r, th):
-    """phat in the polar chart and its exact partials along r and theta."""
+    """phat in the polar chart and its exact partials along r and theta, entry-major."""
     c = np.cos(math.pi * r)
     s = np.sin(math.pi * r)
     e = np.exp(1j * th)
-    p = np.empty(r.shape + (2, 2), dtype=complex)
-    p[..., 0, 0] = 0.5 * (1.0 - c)
-    p[..., 1, 1] = 0.5 * (1.0 + c)
-    p[..., 0, 1] = 0.5 * e * s
-    np.conjugate(p[..., 0, 1], out=p[..., 1, 0])
-    d = np.empty((2,) + r.shape + (2, 2), dtype=complex)
-    d[0, ..., 0, 0] = 0.5 * math.pi * s
-    d[0, ..., 1, 1] = -0.5 * math.pi * s
-    d[0, ..., 0, 1] = 0.5 * math.pi * c * e
-    d[1, ..., 0, 0] = d[1, ..., 1, 1] = 0.0
-    d[1, ..., 0, 1] = 0.5j * s * e
-    np.conjugate(d[..., 0, 1], out=d[..., 1, 0])
+    shape = np.broadcast_shapes(r.shape, th.shape)
+    p = np.empty((2, 2) + shape, dtype=complex)
+    p[0, 0] = 0.5 * (1.0 - c)
+    p[1, 1] = 0.5 * (1.0 + c)
+    np.multiply(0.5 * e, s, out=p[0, 1])
+    np.conjugate(p[0, 1], out=p[1, 0])
+    d = np.empty((2, 2, 2) + shape, dtype=complex)
+    d[0, 0, 0] = 0.5 * math.pi * s
+    d[1, 1, 0] = -0.5 * math.pi * s
+    np.multiply(0.5 * math.pi * c, e, out=d[0, 1, 0])
+    d[0, 0, 1] = d[1, 1, 1] = 0.0
+    np.multiply(0.5j * s, e, out=d[0, 1, 1])
+    np.conjugate(d[0, 1], out=d[1, 0])
     return p, d
 
 
@@ -129,19 +130,14 @@ def phat_disk(n: int = 512) -> MatrixField:
     this domain is the orientation calibration reference +1.
     """
     dom = GridDomain((Axis(0.0, 1.0, n, "constant"), Axis(0.0, TAU, n, "periodic")))
-    return MatrixField(
-        evaluator=lambda pts: _phat_polar_jet(pts[:, 0], pts[:, 1])[0],
-        dim=2, name="phat_disk",
-        derivative=lambda pts: _phat_polar_jet(pts[:, 0], pts[:, 1]),
-        default_domain=dom,
-    )
+    return MatrixField.from_jet(_phat_polar_jet, 2, "phat_disk", default_domain=dom)
 
 
 def ptilde() -> MatrixField:
     """Self-adjoint lift phat(x, y)/sqrt(1 + z^2) of the hedgehog projection."""
     def ev(pts):
         base = _phat_jet(pts[:, 0], pts[:, 1])[0]
-        return base / np.sqrt(1.0 + pts[:, 2] ** 2)[:, None, None]
+        return np.moveaxis(base / np.sqrt(1.0 + pts[:, 2] ** 2), -1, 0)
     return MatrixField(evaluator=ev, dim=3, name="ptilde")
 
 
@@ -160,28 +156,43 @@ def exp_ptilde(side: str, n: int = 128) -> MatrixField:
     dom = GridDomain((Axis(-1.5, 1.5, n, "constant"), Axis(-1.5, 1.5, n, "constant"),
                       Axis(0.0, 1.0, n, "constant")))
 
-    def jet(pts):
-        p, dp = _phat_jet(pts[:, 0], pts[:, 1])
+    def jet(x, y, v):
+        p, dp = _phat_jet(x, y)
         # chi = 2 pi / sqrt(1 + z^2) with z = -+tan(pi v/2): even in z.
-        chi = TAU * np.cos(0.5 * math.pi * pts[:, 2])
+        chi = TAU * np.cos(0.5 * math.pi * v)
         e = np.exp(1j * chi)
-        # k = diag(conj(e), 1) divides out the value at (x, y)-infinity; a
-        # diagonal right factor scales columns, so it is kept as its diagonal.
-        kdiag = np.stack((np.conj(e), np.ones_like(e)), axis=-1)[:, None, :]
-        gmat = np.eye(2)[None, :, :] + (e - 1.0)[:, None, None] * p
-        d = np.empty((3,) + p.shape, dtype=complex)
-        d[:2] = (e - 1.0)[:, None, None] * (dp * kdiag)
-        dchi = -math.pi ** 2 * np.sin(0.5 * math.pi * pts[:, 2])
-        dg = (1j * dchi * e)[:, None, None] * p
-        dkdiag = np.stack((-1j * dchi * np.conj(e), np.zeros_like(e)), axis=-1)[:, None, :]
-        d[2] = dg * kdiag + gmat * dkdiag
-        return gmat * kdiag, d
+        # g = 1 + (e - 1) phat, times k = diag(conj(e), 1), which divides out the
+        # value at (x, y)-infinity: k scales the first column by conj(e) and
+        # leaves the second as it is.  The products are grouped as in
+        # (e - 1) (dphat conj(e)) and (de phat) conj(e) + g dconj(e); another
+        # grouping would round differently.
+        ce = np.conj(e)
+        em1 = e - 1.0
+        dchi = -math.pi ** 2 * np.sin(0.5 * math.pi * v)
+        de = 1j * dchi * e
+        dce = -1j * dchi * ce
+        shape = np.broadcast_shapes(p.shape[2:], v.shape)
+        g = np.empty((2, 2) + shape, dtype=complex)
+        d = np.empty((2, 2, 3) + shape, dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                np.multiply(em1, p[i, j], out=g[i, j])
+            g[i, i] += 1.0
+            for axis in range(2):
+                np.multiply(dp[i, 0, axis], ce, out=d[i, 0, axis])
+                np.multiply(em1, d[i, 0, axis], out=d[i, 0, axis])
+                np.multiply(em1, dp[i, 1, axis], out=d[i, 1, axis])
+            np.multiply(de, p[i, 0], out=d[i, 0, 2])
+            d[i, 0, 2] *= ce
+            d[i, 0, 2] += g[i, 0] * dce
+            np.multiply(de, p[i, 1], out=d[i, 1, 2])
+            g[i, 0] *= ce
+        return g, d
 
     # phat is frozen outside the unit disk: there the x and y partials are
     # exactly 0, and so is the winding integrand Tr(A0 [A1, A2]).
-    return MatrixField(evaluator=lambda pts: jet(pts)[0], dim=3, name=name, derivative=jet,
-                       default_domain=dom, nonsmooth=_phat_nonsmooth,
-                       support=lambda pts: np.hypot(pts[:, 0], pts[:, 1]) < 1.0)
+    return MatrixField.from_jet(jet, 3, name, default_domain=dom, nonsmooth=_phat_nonsmooth,
+                                support=lambda pts: np.hypot(pts[:, 0], pts[:, 1]) < 1.0)
 
 
 def _phase_field(name: str, sign: float) -> MatrixField:
@@ -239,22 +250,23 @@ def q_const() -> MatrixField:
 
 
 def _uqu(t2, phase):
-    """u q u^{-1} for the unitary of `u_gamma3` with phi + theta1 = phase, and
-    the e^{i phase}, cos t2 and sin t2 it is built from."""
+    """u q u^{-1} (entry-major) for the unitary of `u_gamma3` with phi + theta1 =
+    phase, and the e^{i phase}, cos t2 and sin t2 it is built from."""
     e = np.exp(1j * phase)
     c, s = np.cos(t2), np.sin(t2)
-    p = np.empty((len(t2), 2, 2), dtype=complex)
-    p[:, 0, 0] = c ** 2
-    p[:, 1, 1] = s ** 2
-    p[:, 0, 1] = e * c * s
-    np.conjugate(p[:, 0, 1], out=p[:, 1, 0])
+    p = np.empty((2, 2) + np.broadcast_shapes(t2.shape, phase.shape), dtype=complex)
+    p[0, 0] = c ** 2
+    p[1, 1] = s ** 2
+    np.multiply(e * c, s, out=p[0, 1])
+    np.conjugate(p[0, 1], out=p[1, 0])
     return p, e, c, s
 
 
 def p_gamma3() -> MatrixField:
     """p = u q u^{-1}: the rank-1 projection onto the first column of u."""
-    return MatrixField(evaluator=lambda pts: _uqu(pts[:, 1], pts[:, 2] + pts[:, 0])[0],
-                       dim=3, name="p_gamma3")
+    return MatrixField(
+        evaluator=lambda pts: np.moveaxis(_uqu(pts[:, 1], pts[:, 2] + pts[:, 0])[0], -1, 0),
+        dim=3, name="p_gamma3")
 
 
 def gamma3_disk(n: int = 512) -> MatrixField:
@@ -267,21 +279,18 @@ def gamma3_disk(n: int = 512) -> MatrixField:
     """
     dom = GridDomain((Axis(0.0, 0.5 * math.pi, n, "constant"), Axis(0.0, TAU, n, "periodic")))
 
-    def jet(pts):
-        t2 = pts[:, 0]
-        p, e, c, s = _uqu(t2, pts[:, 1])
-        d = np.empty((2, len(pts), 2, 2), dtype=complex)
-        np.sin(2 * t2, out=d[0, :, 1, 1])
-        np.negative(d[0, :, 1, 1], out=d[0, :, 0, 0])
-        d[0, :, 0, 1] = e * np.cos(2 * t2)
-        d[1, :, 0, 0] = d[1, :, 1, 1] = 0.0
-        d[1, :, 0, 1] = 1j * e * c * s
-        np.conjugate(d[..., 0, 1], out=d[..., 1, 0])
+    def jet(t2, phi):
+        p, e, c, s = _uqu(t2, phi)
+        d = np.empty((2, 2, 2) + p.shape[2:], dtype=complex)
+        d[1, 1, 0] = np.sin(2 * t2)
+        np.negative(d[1, 1, 0], out=d[0, 0, 0])
+        np.multiply(e, np.cos(2 * t2), out=d[0, 1, 0])
+        d[0, 0, 1] = d[1, 1, 1] = 0.0
+        np.multiply(1j * e * c, s, out=d[0, 1, 1])
+        np.conjugate(d[0, 1], out=d[1, 0])
         return p, d
 
-    return MatrixField(evaluator=lambda pts: _uqu(pts[:, 0], pts[:, 1])[0], dim=2,
-                       name="p_gamma3_disk", derivative=jet,
-                       default_domain=dom)
+    return MatrixField.from_jet(jet, 2, "p_gamma3_disk", default_domain=dom)
 
 
 def _constant_identity(size: int, name: str) -> MatrixField:

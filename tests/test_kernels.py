@@ -1,6 +1,8 @@
 """The closed-form k×k kernels (k <= 2) of the grid integrals, and an independent route.
 
-Each kernel is compared with the general numpy routine it replaces.  The
+The kernels take entry-major stacks (k, k, ...), so the tests hand them
+`np.moveaxis` views of (..., k, k) stacks.  Each kernel is compared with the
+general numpy routine it replaces.  The
 tolerance is 1e-12 relative to the scale at which round-off enters: the
 entries of |a| @ |b| for products, Tr(|p| (|a| |b| + |b| |a|)) for
 Tr(p [a, b]), σ_max for σ_min (an SVD is only accurate to eps·σ_max), and the
@@ -17,6 +19,11 @@ from mdlab.topology import _inv2, _mul2, _sigma_min2, _trace_commutator2, chern_
 from mdlab.witnesses import exp_ptilde, gamma3_disk, phat_disk
 
 RTOL = 1e-12
+
+
+def _em(a):
+    """A (..., k, k) stack as an entry-major (k, k, ...) view."""
+    return np.moveaxis(a, (-2, -1), (0, 1))
 
 
 def _complex(rng, shape):
@@ -44,16 +51,16 @@ def _batches(rng, k, n=200):
 
 def _check_kernels(a, b):
     scale = np.abs(a) @ np.abs(b)
-    assert np.all(np.abs(_mul2(a, b) - a @ b) <= RTOL * scale)
+    assert np.all(np.abs(_mul2(_em(a), _em(b)) - _em(a @ b)) <= RTOL * _em(scale))
     sv = np.linalg.svd(a, compute_uv=False)
-    assert np.all(np.abs(_sigma_min2(a) - sv[..., -1]) <= RTOL * sv[..., 0])
+    assert np.all(np.abs(_sigma_min2(_em(a)) - sv[..., -1]) <= RTOL * sv[..., 0])
 
 
 def _check_trace_commutator(p, a, b):
     trace = np.trace(p @ (a @ b - b @ a), axis1=-2, axis2=-1)
     pa, aa, ab = np.abs(p), np.abs(a), np.abs(b)
     scale = np.trace(pa @ (aa @ ab + ab @ aa), axis1=-2, axis2=-1)
-    assert np.all(np.abs(_trace_commutator2(p, a, b) - trace) <= RTOL * scale)
+    assert np.all(np.abs(_trace_commutator2(_em(p), _em(a), _em(b)) - trace) <= RTOL * scale)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -67,10 +74,11 @@ def test_kernels_match_the_general_routines(k, kind):
     _check_trace_commutator(a, b, _complex(rng, a.shape))
     _check_trace_commutator(_complex(rng, a.shape), a, b)
     inv = np.linalg.inv(a)
-    assert np.all(np.abs(_inv2(a) - inv) <= RTOL * np.abs(inv).max(axis=(-2, -1), keepdims=True))
+    assert np.all(np.abs(_inv2(_em(a)) - _em(inv))
+                  <= RTOL * np.abs(inv).max(axis=(-2, -1), keepdims=True).T)
     if kind in ("unitary", "near_singular"):
         sv = np.linalg.svd(a, compute_uv=False)[..., -1]
-        assert np.all(np.abs(_sigma_min2(a) - sv) <= RTOL * sv)
+        assert np.all(np.abs(_sigma_min2(_em(a)) - sv) <= RTOL * sv)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -78,19 +86,36 @@ def test_mul2_broadcasts_a_stack_against_its_partials(k):
     rng = np.random.default_rng(3)
     a = _complex(rng, (100, k, k))
     d = _complex(rng, (3, 100, k, k))
-    out = _mul2(a, d)
-    assert out.shape == (3, 100, k, k)
-    assert np.all(np.abs(out - a @ d) <= RTOL * (np.abs(a) @ np.abs(d)))
+    out = _mul2(_em(a), _em(d))
+    assert out.shape == (k, k, 3, 100)
+    assert np.all(np.abs(out - _em(a @ d)) <= RTOL * _em(np.abs(a) @ np.abs(d)))
 
 
 def test_sigma_min2_edge_values():
     zero = np.zeros((2, 2, 2), complex)
-    assert np.array_equal(_sigma_min2(zero), [0.0, 0.0])
+    assert np.array_equal(_sigma_min2(_em(zero)), [0.0, 0.0])
     nan = np.eye(2, dtype=complex)[None].repeat(2, axis=0)
     nan[1, 0, 1] = np.nan
-    out = _sigma_min2(nan)
+    out = _sigma_min2(_em(nan))
     assert out[0] == 1.0 and np.isnan(out[1])
     assert np.array_equal(_sigma_min2(np.array([[[-3.0 + 4.0j]]])), [5.0])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_kernels_give_the_same_bits_on_a_view_and_on_its_contiguous_copy(k):
+    # The grid integrals hand the kernels contiguous entries from entry-major
+    # jets and strided ones from (N, k, k) derivatives; both must round alike.
+    rng = np.random.default_rng(5)
+    p, a = (_em(_complex(rng, (100, k, k))) for _ in range(2))
+    b, c = (_em(_complex(rng, (3, 100, k, k))) for _ in range(2))
+    for kernel, args in [(_mul2, (p, b)), (_mul2, (p, a)), (_inv2, (a,)), (_sigma_min2, (a,)),
+                         (_trace_commutator2, (p, b[:, :, 0], c[:, :, 1]))]:
+        assert k == 1 or not any(arg.flags.c_contiguous for arg in args)
+        view = kernel(*args)
+        copy = kernel(*(np.ascontiguousarray(arg) for arg in args))
+        assert view.shape == copy.shape, kernel.__name__
+        assert np.ascontiguousarray(view).tobytes() == np.ascontiguousarray(copy).tobytes(), \
+            kernel.__name__
 
 
 _entries = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
@@ -112,7 +137,7 @@ def test_kernels_property_random_complex_entries(entries):
         inv = np.linalg.inv(a)
         # The comparison needs an inverse that float64 can represent.
         assume(np.isfinite(inv).all())
-        assert np.all(np.abs(_inv2(a) - inv) <= RTOL * np.abs(inv).max())
+        assert np.all(np.abs(_inv2(_em(a)) - _em(inv)) <= RTOL * np.abs(inv).max())
 
 
 _stacks = st.integers(1, 4).flatmap(
@@ -125,14 +150,14 @@ def test_trace_commutator_property(entries, nan_at):
     # p, a and b as stacks of n 2x2 matrices; then their 1x1 corners.
     p, a, b = np.array(entries, dtype=complex).reshape(3, -1, 2, 2)
     _check_trace_commutator(p, a, b)
-    corners = _trace_commutator2(p[..., :1, :1], a[..., :1, :1], b[..., :1, :1])
+    corners = _trace_commutator2(*(_em(m[..., :1, :1]) for m in (p, a, b)))
     assert np.array_equal(corners, np.zeros(len(p)))
     # A NaN in any entry of the first matrices gives NaN there and nowhere else.
     pab = np.stack([p, a, b])
     pab[nan_at // 4, 0, (nan_at % 4) // 2, nan_at % 2] = np.nan
-    out = _trace_commutator2(*pab)
+    out = _trace_commutator2(*(_em(m) for m in pab))
     assert np.isnan(out[0]) and not np.isnan(out[1:]).any()
-    corner = _trace_commutator2(*pab[..., :1, :1])
+    corner = _trace_commutator2(*(_em(m[..., :1, :1]) for m in pab))
     assert np.isnan(corner[0]) == (nan_at % 4 == 0)
 
 

@@ -225,11 +225,16 @@ def test_winding3d_rejects_bad_boundary():
         winding_3d(bad)
 
 
+def _product(lead, last):
+    """The points of a per-axis jet call: (lead[i], last[j]) at i * len(last) + j."""
+    return np.array([[*point, z] for point in lead for z in last]).reshape(-1, lead.shape[1] + 1)
+
+
 def _nan_at(field, point, part="value", value=np.nan):
     """field, except that its value (or its partials) at one point is NaN (or value).
 
-    A value is changed in the evaluator and in the jet alike, as the field's
-    own value; partials are changed in the jet.
+    A value is changed in the evaluator, the jet and the per-axis jet alike,
+    as the field's own value; partials are changed in both jets.
     """
     def mark(pts, out):
         out[..., np.all(pts == point, axis=1), :, :] = value
@@ -241,10 +246,18 @@ def _nan_at(field, point, part="value", value=np.nan):
             return mark(pts, vals), partials
         return vals, mark(pts, partials)
 
+    def axis_jet(lead, last):
+        vals, partials = field.axis_jet(lead, last)
+        (vals if part == "value" else partials)[..., np.all(_product(lead, last) == point,
+                                                            axis=1)] = value
+        return vals, partials
+
+    changes = {"derivative": jet}
+    if field.axis_jet is not None:
+        changes["axis_jet"] = axis_jet
     if part == "value":
-        return dataclasses.replace(field, derivative=jet,
-                                   evaluator=lambda pts: mark(pts, field.evaluator(pts)))
-    return dataclasses.replace(field, derivative=jet)
+        changes["evaluator"] = lambda pts: mark(pts, field.evaluator(pts))
+    return dataclasses.replace(field, **changes)
 
 
 _DISK_MIDPOINT = [ax.midpoints()[0] for ax in phat_disk(64).default_domain.axes]
@@ -297,8 +310,17 @@ def _block_3x3(field, corner):
         vals, partials = field.derivative(pts)
         return with_corner(vals), pad(partials)
 
-    return dataclasses.replace(field, name=f"{field.name}_3x3", derivative=jet,
-                               evaluator=lambda pts: with_corner(field.evaluator(pts)))
+    def entry_major(fn, stack):
+        return np.moveaxis(fn(np.moveaxis(stack, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+
+    def axis_jet(lead, last):
+        vals, partials = field.axis_jet(lead, last)
+        return entry_major(with_corner, vals), entry_major(pad, partials)
+
+    changes = {"derivative": jet, "evaluator": lambda pts: with_corner(field.evaluator(pts))}
+    if field.axis_jet is not None:
+        changes["axis_jet"] = axis_jet
+    return dataclasses.replace(field, name=f"{field.name}_3x3", **changes)
 
 
 def test_grid_integrals_refuse_fields_larger_than_2x2():
@@ -340,7 +362,7 @@ def test_analytic_derivatives_match_finite_differences():
 
 
 def _counting(field):
-    """field with its evaluator and derivative counting the points passed to them."""
+    """field with its evaluator, derivative and per-axis jet counting the points they give."""
     seen = [0]
 
     def count(fn):
@@ -349,8 +371,14 @@ def _counting(field):
             return fn(pts)
         return counted
 
-    return dataclasses.replace(field, evaluator=count(field.evaluator),
-                               derivative=count(field.derivative)), seen
+    def axis_jet(lead, last):
+        seen[0] += len(lead) * len(last)
+        return field.axis_jet(lead, last)
+
+    changes = {"evaluator": count(field.evaluator), "derivative": count(field.derivative)}
+    if field.axis_jet is not None:
+        changes["axis_jet"] = axis_jet
+    return dataclasses.replace(field, **changes), seen
 
 
 def _grid(domain):
@@ -396,6 +424,49 @@ def test_the_support_skip_leaves_the_raw_integral_unchanged(n, slabs):
     assert repr(skipped) == repr(full)
 
 
+_ROUTE_CASES = ([(winding_3d, exp_ptilde(side, n)) for n in (16, 24) for side in "+-"]
+                + [(chern_2d, disk(n)) for n in (64, 128) for disk in (phat_disk, gamma3_disk)])
+
+
+@pytest.mark.parametrize("integral, field", _ROUTE_CASES,
+                         ids=[f"{f.name}_{f.default_domain.axes[0].n}" for _, f in _ROUTE_CASES])
+def test_the_per_axis_jet_and_the_blocks_leave_the_raw_integral_unchanged(integral, field):
+    # The values are the same bits on every route and each chunk of
+    # CHUNK_SLABS slabs is summed by one fsum, so neither the route nor the
+    # block size may move the raw value by an ulp.
+    default = repr(integral(field).raw)
+    mesh_route = dataclasses.replace(field, axis_jet=None)
+    assert repr(integral(mesh_route).raw) == default
+    one_slab = math.prod(field.default_domain.shape()[1:])
+    for block in (one_slab, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(topology, "BLOCK_POINTS", block)
+            assert repr(integral(field).raw) == default
+            assert repr(integral(mesh_route).raw) == default
+
+
+def test_each_chunk_is_summed_by_one_fsum_whatever_the_block_size():
+    # On the 16 x 16 grid (one chunk) each row is 1e20, with a sign that
+    # alternates from row to row, at its first point and 1 at its 15 others.
+    # One exact sum per chunk cancels the 1e20s and keeps the 240 ones; a sum
+    # rounded per row, or per block of rows, would lose them.
+    domain = GridDomain((Axis(0.0, 1.0, 16), Axis(0.0, 1.0, 16)))
+    first = domain.axes[1].midpoints()[0]
+
+    def jet(x, y):
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        big = np.where(np.floor(16 * x) % 2 == 0, 1e20, -1e20)
+        values = np.broadcast_to(np.where(y == first, big, 1.0), shape).astype(complex)
+        return values.reshape((1, 1) + shape), np.zeros((1, 1, 2) + shape, complex)
+
+    field = MatrixField.from_jet(jet, 2, "rows")
+    for routed in (field, dataclasses.replace(field, axis_jet=None)):
+        for block in (topology.BLOCK_POINTS, 16, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(topology, "BLOCK_POINTS", block)
+                assert topology._grid_sum(routed, domain, lambda v, p: v[0, 0]) == 240
+
+
 def test_the_singular_value_floor_covers_the_support_check_points():
     # Outside the disk the x and y partials vanish, so a value scaled to
     # sigma_min = 1e-8 leaves the integrand 0 and only the floor refuses it.
@@ -435,7 +506,7 @@ def test_projection_and_singular_value_helpers():
     pts = rng.uniform(-2, 2, (500, 2))
     assert projection_residual(phat(), pts) < 1e-12
     zpts = rng.uniform(0.1, 5.0, (100, 1))
-    assert _sigma_min2(uplus()(zpts)).min() == pytest.approx(1.0, abs=1e-12)
+    assert _sigma_min2(np.moveaxis(uplus()(zpts), 0, -1)).min() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expi_hermitian_matches_projection_identity():

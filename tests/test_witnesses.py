@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from mdlab.topology import expi_hermitian, projection_residual
+from mdlab.topology import Axis, GridDomain, expi_hermitian, projection_residual
 from mdlab.witnesses import (
     exp_ptilde,
     gamma3_disk,
     p_gamma3,
     phat,
+    phat_disk,
     ptilde,
     q_const,
     u_gamma3,
@@ -134,3 +135,32 @@ def test_uplus_values():
     expected = np.exp(2j * math.pi * (-1.0 / math.sqrt(2.0)))
     assert vals[1] == pytest.approx(expected, abs=1e-14)
 
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("field", [
+    phat_disk(64), gamma3_disk(64), exp_ptilde("+", 16), exp_ptilde("-", 16), phat(),
+], ids=lambda field: field.name)
+def test_the_per_axis_jet_is_the_derivative_bit_for_bit(field):
+    domain = field.default_domain or GridDomain((Axis(-1.5, 1.5, 24), Axis(-1.5, 1.5, 20)))
+    *lead_axes, last = (ax.midpoints() for ax in domain.axes)
+    lead = np.stack(np.meshgrid(*lead_axes, indexing="ij"), axis=-1).reshape(-1, field.dim - 1)
+    leads = [lead]
+    if field.support is not None:
+        # The per-axis contract: the support reads the leading coordinates only.
+        inside = field.support(np.array([[*point, z] for point in lead for z in last]))
+        inside = inside.reshape(len(lead), len(last))
+        assert np.all(inside == inside[:, :1]) and 0 < inside.sum() < inside.size
+        leads.append(lead[inside[:, 0]])
+    for lead in leads:
+        values, partials = field.axis_jet(lead, last)
+        pts = np.array([[*point, z] for point in lead for z in last])
+        want_values, want_partials = field.derivative(pts)
+        size = want_values.shape[-1]
+        assert values.shape == (size, size, len(pts))
+        assert partials.shape == (size, size, field.dim, len(pts))
+        assert _bits(np.moveaxis(values, -1, 0)) == _bits(want_values)
+        assert _bits(np.moveaxis(partials, (0, 1), (-2, -1))) == _bits(want_partials)
