@@ -17,7 +17,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .liealg import MD5Family, build_md5
 from .orbits import closed_form_orbit, kirillov_form
@@ -248,10 +247,43 @@ def _diff_rank(fn, p) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     jac = _jacobian(lambda q: fn(q)[0], p, 1e-5 * (1.0 + np.linalg.norm(p, axis=-1)))
-    finite = np.isfinite(jac).all(axis=(-2, -1))
-    ranks = np.full(finite.shape, -1)
-    ranks[finite] = (np.linalg.svd(jac[finite], compute_uv=False) > 1e-6).sum(axis=-1)
-    return ranks
+    return _on_finite(lambda j: (np.linalg.svd(j, compute_uv=False) > 1e-6).sum(axis=-1),
+                      -1, jac)
+
+
+def _on_finite(fn, fill, *stacks) -> np.ndarray:
+    """fn on the points whose matrices are finite in every stack (..., m, n), fill elsewhere.
+
+    numpy's SVD raises on a non-finite matrix, so LAPACK sees only finite ones.
+    """
+    finite = np.logical_and.reduce([np.isfinite(x).all(axis=(-2, -1)) for x in stacks])
+    res = np.asarray(fn(*(x[finite] for x in stacks)))
+    out = np.full(finite.shape + res.shape[1:], fill, dtype=res.dtype)
+    out[finite] = res
+    return out
+
+
+def _principal_angles(a, b) -> np.ndarray:
+    """Principal angles between the column spans of a and b, point by point.
+
+    a and b are stacks (..., n, k) of bases of k-planes, each of full rank.
+    This is scipy.linalg.subspace_angles's algorithm (Bjorck and Golub, Math.
+    Comp. 27 (1973) 579) on whole stacks, with scipy's order of the k angles
+    and its choice of branch: with P and Q orthonormal bases of the two spans
+    from their SVDs, the cosines are the singular values of P^T Q, and where
+    a cosine squared reaches 0.5 the angle comes from the sines, the singular
+    values of Q - P P^T Q, which resolve the small angles that arccos loses.
+    A point with a non-finite entry gets NaN angles.
+    """
+    def angles(a, b):
+        p = np.linalg.svd(a, full_matrices=False)[0]
+        q = np.linalg.svd(b, full_matrices=False)[0]
+        ptq = np.swapaxes(p, -1, -2) @ q
+        cos = np.linalg.svd(ptq, compute_uv=False)
+        sin = np.linalg.svd(q - p @ ptq, compute_uv=False)
+        return np.where(cos ** 2 >= 0.5, np.arcsin(np.clip(sin, -1.0, 1.0)),
+                        np.arccos(np.clip(cos[..., ::-1], -1.0, 1.0)))
+    return _on_finite(angles, math.nan, a, b)
 
 
 def _rank_counts(ranks) -> dict[int, int]:
@@ -358,11 +390,16 @@ def integrability_check(action: str, n_samples: int, seed: int) -> Integrability
     jac = _jacobian(lambda q: action_generators(action, q).reshape(q.shape[:-1] + (10,)),
                     pts, 1e-6)
     lie = jac[..., 5:, :] @ gen[..., 0, :, None] - jac[..., :5, :] @ gen[..., 1, :, None]
-    sv = np.linalg.svd(gen, compute_uv=False)
-    ranks = (sv > 1e-10 * np.fmax(1.0, sv[..., :1])).sum(axis=-1)
+
+    def rank(g):
+        sv = np.linalg.svd(g, compute_uv=False)
+        return (sv > 1e-10 * np.fmax(1.0, sv[..., :1])).sum(axis=-1)
+
+    ranks = _on_finite(rank, -1, gen)
     ub = np.linalg.svd(kirillov_form(alg, pts))[0]
-    # Principal angles point by point: scipy's routine is the independent reference.
-    angles = [np.max(scipy.linalg.subspace_angles(g.T, u[:, :2])) for g, u in zip(gen, ub)]
+    # The generators' span against the Kirillov image, all points at once; a
+    # generator with a non-finite entry gives a NaN angle, and rank -1 above.
+    angles = _principal_angles(np.swapaxes(gen, -1, -2), ub[..., :2])
     return IntegrabilityReport(action, n_samples, seed, _max(np.abs(lie)),
                                _rank_counts(ranks), _max(angles))
 

@@ -3,8 +3,10 @@
 Covectors are length-5 arrays (alpha, beta, gamma, delta, sigma) in the dual
 basis.  The one-parameter coadjoint flow on the last four coordinates is
 exp(a * M^T) where M is the ad_{X1} block; the first coordinate is the free
-orbit parameter.  That sign and transpose convention is not assumed: it is
-validated against the per-family closed forms by `flow_vs_closed_form`.
+orbit parameter.  The flow exponentiates the whole stack of a * M^T at once by
+scaling and squaring a Pade approximant (`_expm`), a route that shares nothing
+with the per-family closed forms.  Its sign and transpose convention is not
+assumed: it is validated against the closed forms by `flow_vs_closed_form`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
+import scipy  # scipy.linalg loads on first use: only `orbit_tangent_residual` needs it
 
 from .liealg import FAMILIES, LieAlgebra, MD5Family, build_md5
 
@@ -40,6 +42,15 @@ FLOW_TOL = 1e-9
 # Rounding a coordinate of size v errs by up to v * eps, so on an orbit that
 # grows past this size round-off alone exceeds the absolute FLOW_TOL.
 FLOW_SCALE_LIMIT = FLOW_TOL / np.finfo(float).eps
+
+# Higham's degree-13 Pade approximant to exp (SIAM J. Matrix Anal. Appl. 26
+# (2005) 1179): its coefficients b_k divided by b_0, so that exp(0) = I
+# exactly, and the 1-norm up to which it is accurate to double precision.
+_PADE13 = np.array([
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+    129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+    40840800, 960960, 16380, 182, 1], dtype=float) / 64764752532480000
+_THETA13 = 5.371920351148152
 
 # Fixed probes of the dimension-0 stratum, appended to every verification run.
 _BOUNDARY_ALPHAS = (0.0, 7.0, -3.0, 0.5, 1000.0, -0.001)
@@ -214,16 +225,53 @@ def exp_ad_transpose(family: MD5Family, a: float) -> np.ndarray:
     return out
 
 
+def _expm(m: np.ndarray) -> np.ndarray:
+    """exp of every matrix of the stack m (..., n, n), by scaling and squaring.
+
+    Each matrix is scaled by 2^-s, with s the least power that brings its
+    1-norm within _THETA13; then one batched solve gives the degree-13 Pade
+    approximant of every matrix, and s masked rounds square it back.  Every
+    matrix takes the same steps whatever the stack around it.  A matrix with
+    a non-finite entry, or whose 1-norm overflows, comes back NaN, and LAPACK
+    never sees it.
+    """
+    m = np.asarray(m, dtype=float)
+    stack = m.reshape((-1,) + m.shape[-2:])
+    with np.errstate(over="ignore"):
+        norm = np.abs(stack).sum(axis=1).max(axis=1)
+    finite = np.isfinite(norm)
+    stack = np.where(finite[:, None, None], stack, 0.0)
+    norm[~finite] = 0.0
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    a = np.ldexp(stack, -s[:, None, None])
+    eye = np.eye(m.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    b = _PADE13
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(s.max(initial=0)):
+        rows = np.flatnonzero(s > k)
+        r[rows] = r[rows] @ r[rows]
+    r[~finite] = np.nan
+    return r.reshape(m.shape)
+
+
 def coadjoint_flow(alg: LieAlgebra, f, a, x) -> np.ndarray:
     """Point(s) of the orbit through F at flow time(s) a, first coordinate set to x.
 
     a and x broadcast; the result has shape broadcast(a, x) + (5,), from one
-    expm call on the stack of a * M^T.
+    `_expm` of the stack of a * M^T.  A non-finite flow time gives NaN in its
+    point only.
     """
     f = np.asarray(f, dtype=float)
     a = np.asarray(a, dtype=float)
     # sc[0, j, 1:] is [X1, X_{j+1}], column j - 1 of M, so sc[0, 1:, 1:] is M^T.
-    e = scipy.linalg.expm(a[..., None, None] * alg.sc[0, 1:, 1:])
+    with np.errstate(invalid="ignore"):  # inf * 0 at an infinite flow time
+        e = _expm(a[..., None, None] * alg.sc[0, 1:, 1:])
     out = np.empty(np.broadcast_shapes(a.shape, np.shape(x)) + (5,))
     out[..., 0] = x
     out[..., 1:] = e @ f[1:]
@@ -387,9 +435,9 @@ def flow_vs_closed_form(family: MD5Family, f, avals=None) -> float:
     """Max deviation between the matrix-exponential flow and the closed form.
 
     Defaults to 100 flow times in [-3, 3]; the free coordinate varies as
-    x = 0.7 a + 0.1.  The two routes are independent (scipy expm vs
-    hand-written formulas).  NaN if any deviation is NaN, so a non-finite
-    orbit never passes a bound.
+    x = 0.7 a + 0.1.  The two routes are independent: the Pade scaling and
+    squaring of `_expm` against hand-written formulas.  NaN if any deviation
+    is NaN, so a non-finite orbit never passes a bound.
     """
     if avals is None:
         avals = np.linspace(-3.0, 3.0, 100)

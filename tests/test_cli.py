@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from mdlab import cli, criteria, foliation, ktheory
+from mdlab import cli, criteria, foliation, ktheory, orbits
 from mdlab.cli import ConfigError, RunConfig, main, parse_config
 from mdlab.topology import ResidualError
 
@@ -194,6 +194,26 @@ def test_orbit_command(capsys):
     m = rep["checks"][0]["metrics"]
     assert m["stratum"] == "two_dim"
     assert m["flow_deviation"] < 1e-9
+
+
+def test_orbit_command_judges_a_large_orbit_relative_to_its_size(capsys):
+    # The orbit reaches about 4e6, where round-off can exceed the absolute 1e-9.
+    orbit = ["orbit", "--family", "5_4_9", "--lambda", "2", "--F", "0,1e4,1,1,1", "--json"]
+    assert main(orbit) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["status"] == "pass"
+
+
+def test_orbit_command_fails_a_flow_with_one_sign_flipped(monkeypatch, capsys):
+    flow = orbits.coadjoint_flow
+
+    def flipped(*args):
+        out = flow(*args)
+        out[..., 4] *= -1.0
+        return out
+
+    monkeypatch.setattr(orbits, "coadjoint_flow", flipped)
+    for covector in ("0,1,1,1,1", "0,1e4,1,1,1"):
+        assert main(["orbit", "--family", "5_4_9", "--lambda", "2", "--F", covector]) == 1
 
 
 def test_orbit_rejects_malformed_covector():

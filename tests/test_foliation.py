@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from mdlab import foliation
@@ -306,7 +307,7 @@ def _nan_on_call(fn, k, rows=slice(None)):
      "constancy_residual"),
     (foliation, "_jacobian", 1, slice(None), lambda: integrability_check("lambda12", 10, 0),
      "bracket_residual"),
-    (foliation.scipy.linalg, "subspace_angles", 1, slice(None),
+    (foliation, "_principal_angles", 1, slice(None),
      lambda: integrability_check("lambda12", 10, 0), "tangent_residual"),
     (foliation, "_sphere_map", 2, slice(None), lambda: f1_fibration_check(10, 0),
      "constancy_residual"),
@@ -316,11 +317,14 @@ def _nan_on_call(fn, k, rows=slice(None)):
      "constancy_residual"),
     (foliation, "_jacobian", 1, 3, lambda: integrability_check("lambda12", 10, 0),
      "bracket_residual"),
+    (foliation, "_principal_angles", 1, 3, lambda: integrability_check("lambda12", 10, 0),
+     "tangent_residual"),
     (foliation, "_sphere_map", 2, 3, lambda: f1_fibration_check(10, 0), "constancy_residual"),
     (foliation._INVARIANTS, "V1", 2, 3, lambda: p1_submersion_audit(10, 0),
      "invariant_residual"),
 ], ids=["strata", "bracket", "tangent", "fibration", "p1_audit",
-        "strata_one_row", "bracket_one_row", "fibration_one_row", "p1_audit_one_row"])
+        "strata_one_row", "bracket_one_row", "tangent_one_row", "fibration_one_row",
+        "p1_audit_one_row"])
 def test_nan_at_one_sample_fails_the_check(monkeypatch, owner, name, call, rows, run, metric):
     if isinstance(owner, dict):
         monkeypatch.setitem(owner, name, _nan_on_call(owner[name], call, rows))
@@ -329,6 +333,53 @@ def test_nan_at_one_sample_fails_the_check(monkeypatch, owner, name, call, rows,
     report = run()
     assert math.isnan(getattr(report, metric))
     assert not getattr(report, "ok", False)
+
+
+@pytest.mark.parametrize("action", ACTIONS)
+def test_nan_in_the_generators_at_one_point_fails_the_integrability_check(monkeypatch, action):
+    # Every check on the generators sees the NaN point: no LAPACK error, NaN
+    # residuals, rank -1 there, and a failed check.
+    monkeypatch.setattr(foliation, "action_generators",
+                        _nan_on_call(foliation.action_generators, 1, 3))
+    report = integrability_check(action, 10, 0)
+    assert math.isnan(report.tangent_residual)
+    assert math.isnan(report.bracket_residual)
+    assert report.rank_counts == {-1: 1, 2: 9}
+    assert not report.ok
+
+
+def _plane_pairs(rng, n):
+    """Random pairs of 2-plane bases in R^5: general, nearly aligned and nearly orthogonal."""
+    a = rng.standard_normal((n, 5, 2))
+    complement = np.linalg.qr(a, mode="complete")[0][..., 2:4]
+    return {
+        "random": (a, rng.standard_normal((n, 5, 2))),
+        "aligned": (a, a + 1e-9 * rng.standard_normal((n, 5, 2))),
+        "orthogonal": (a, complement + 1e-9 * a),
+    }
+
+
+@pytest.mark.parametrize("kind", ["random", "aligned", "orthogonal"])
+def test_principal_angles_match_scipy_point_by_point(kind):
+    a, b = _plane_pairs(np.random.default_rng(41), 200)[kind]
+    angles = foliation._principal_angles(a, b)
+    expected = np.array([scipy.linalg.subspace_angles(x, y) for x, y in zip(a, b)])
+    assert angles.shape == expected.shape == (200, 2)
+    assert np.abs(angles - expected).max() <= 1e-14
+    # The aligned pairs take the sine branch and the orthogonal ones the cosine branch.
+    if kind == "aligned":
+        assert expected.max() < 1e-7
+    if kind == "orthogonal":
+        assert expected.min() > np.pi / 2 - 1e-7
+
+
+def test_principal_angles_of_a_non_finite_point_are_nan_in_that_point_only():
+    a, b = _plane_pairs(np.random.default_rng(43), 6)["random"]
+    a[1, 0, 0], b[4, 2, 1] = np.nan, np.inf
+    angles = foliation._principal_angles(a, b)
+    assert np.isnan(angles[[1, 4]]).all()
+    keep = [0, 2, 3, 5]
+    assert np.array_equal(angles[keep], foliation._principal_angles(a[keep], b[keep]))
 
 
 @pytest.mark.parametrize("rows", [slice(None), 3], ids=["all", "one_row"])

@@ -245,6 +245,31 @@ def test_closed_form_exponential_matches_pade(fid):
             assert np.abs(e1 - e2).max() <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("fid", ALL_FAMILIES)
+def test_batched_expm_matches_scipy(fid):
+    # The flow's own Pade route against scipy's, one matrix at a time and as a stack.
+    rng = np.random.default_rng(19)
+    for _ in range(5):
+        m = sample_family(fid, rng).ad_block().T
+        for a in (-3.0, -0.9, 0.0, 0.4, 3.0):
+            e = scipy.linalg.expm(a * m)
+            assert np.abs(orbits._expm(a * m) - e).max() <= 1e-12 * max(1.0, np.abs(e).max())
+        stack = np.linspace(-3.0, 3.0, 100)[:, None, None] * m
+        e = scipy.linalg.expm(stack)
+        scale = np.maximum(1.0, np.abs(e).max(axis=(1, 2)))
+        assert np.all(np.abs(orbits._expm(stack) - e).max(axis=(1, 2)) <= 1e-12 * scale)
+
+
+def test_a_non_finite_flow_time_gives_nan_in_its_point_only():
+    alg = build_md5(MD5Family("5_4_9", {"lambda": 2.0}))
+    f = covector(0, 1, 1, 1, 1)
+    avals = np.array([-1.0, np.nan, 0.5, np.inf, -np.inf, 2.0])
+    out = coadjoint_flow(alg, f, avals, 0.0)
+    bad = ~np.isfinite(avals)
+    assert np.isnan(out[bad, 1:]).all()
+    assert np.array_equal(out[~bad], coadjoint_flow(alg, f, avals[~bad], 0.0))
+
+
 def test_closed_form_orbit_family_9_quadratic_term():
     fam = MD5Family("5_4_9", {"lambda": 2.0})
     f = covector(0, 0.0, 1.0, 0.0, 0.0)  # gamma = 1 isolates the a^2 e^a / 2 term
