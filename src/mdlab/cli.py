@@ -145,22 +145,24 @@ def cmd_orbit(args, config: RunConfig) -> list[dict]:
     f = np.array([float(v) for v in args.F.split(",")])
     if f.shape != (5,) or not np.isfinite(f).all():
         raise ConfigError("--F needs 5 finite comma-separated coordinates")
-    desc = orbits.closed_form_orbit(fam, f)
     avals = np.linspace(-3.0, 3.0, 41)
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = np.array([desc.closed_form(0.0, a) for a in avals])
-    scale = float(np.abs(samples).max())
+        samples = orbits.closed_form_orbit(fam, f, 0.0, avals)
+    # The free first coordinate is set, not flowed, so it carries no round-off.
+    scale = float(np.abs(samples[:, 1:]).max())
     if not scale <= orbits.FLOW_SCALE_LIMIT:
         raise ConfigError(f"--F {args.F} is out of range: its orbit on [-3, 3] reaches "
-                          f"{scale:.3g}, past {orbits.FLOW_SCALE_LIMIT:.3g} where round-off "
-                          f"exceeds the absolute {orbits.FLOW_TOL} tolerance")
+                          f"{scale:.3g}, past {orbits.FLOW_SCALE_LIMIT:.3g}, where the tolerance "
+                          f"{orbits.FLOW_TOL} * scale would pass errors in its coordinates "
+                          f"of size about 1")
     # Round-off grows with the coordinates, so the claim is relative to the
     # orbit's size; criterion 02 keeps the absolute FLOW_TOL.
     dev = orbits.flow_vs_closed_form(fam, f, avals=avals)
     return [_check("orbit", dev < orbits.FLOW_TOL * max(1.0, scale),
                    "matrix-exponential flow matches the closed-form orbit, "
                    "relative to the orbit's size",
-                   stratum=desc.stratum, flow_deviation=dev,
+                   stratum="zero_dim" if orbits.in_zero_stratum(f) else "two_dim",
+                   flow_deviation=dev,
                    closed_form_samples=[[float(x) for x in s] for s in samples[:5]])]
 
 

@@ -4,21 +4,22 @@ Covectors are length-5 arrays (alpha, beta, gamma, delta, sigma) in the dual
 basis.  The one-parameter coadjoint flow on the last four coordinates is
 exp(a * M^T) where M is the ad_{X1} block; the first coordinate is the free
 orbit parameter.  The flow exponentiates the whole stack of a * M^T at once by
-scaling and squaring a Pade approximant (`_expm`), a route that shares nothing
-with the per-family closed forms.  Its sign and transpose convention is not
-assumed: it is validated against the closed forms by `flow_vs_closed_form`.
+scaling and squaring a Pade approximant (`_expm`).  The closed forms are a
+second route that shares nothing with it: one table, `_ORBITS`, holds each
+family's four hand-written coordinate formulas, and `closed_form_orbit`
+evaluates them.  The flow's sign and transpose convention is not assumed: it
+is validated against the closed forms by `flow_vs_closed_form`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 import scipy  # scipy.linalg loads on first use: only `orbit_tangent_residual` needs it
 
-from .liealg import FAMILIES, LieAlgebra, MD5Family, build_md5
+from .liealg import LieAlgebra, MD5Family, build_md5
 
 __all__ = [
     "covector",
@@ -27,10 +28,8 @@ __all__ = [
     "in_zero_stratum",
     "md_verify",
     "MDReport",
-    "exp_ad_transpose",
     "coadjoint_flow",
     "closed_form_orbit",
-    "OrbitDescriptor",
     "flow_vs_closed_form",
     "orbit_tangent_residual",
 ]
@@ -39,8 +38,11 @@ RANK_TOL = 1e-8
 RANK_BLOCK = 2048  # covectors per rank block, so that memory does not grow with the sample count
 # Largest deviation of the matrix-exponential flow from a closed-form orbit.
 FLOW_TOL = 1e-9
-# Rounding a coordinate of size v errs by up to v * eps, so on an orbit that
-# grows past this size round-off alone exceeds the absolute FLOW_TOL.
+# `mdlab orbit` judges the flow to FLOW_TOL * scale, relative to the orbit's
+# size.  That tolerance grows with the scale until it swallows errors in the
+# coordinates of size about 1: with no limit, a flow with one coordinate's
+# sign flipped passed on an orbit of size 4e12.  So the command refuses an
+# orbit past this size, where the tolerance is FLOW_TOL**2 / eps, about 4.5e-3.
 FLOW_SCALE_LIMIT = FLOW_TOL / np.finfo(float).eps
 
 # Higham's degree-13 Pade approximant to exp (SIAM J. Matrix Anal. Appl. 26
@@ -123,16 +125,15 @@ def orbit_dimension(alg: LieAlgebra, f) -> int:
     return int(_batched_ranks(alg, f[None, :])[0])
 
 
-def in_zero_stratum(f) -> bool:
-    """True iff the orbit through F is the point {F}.
+def in_zero_stratum(f):
+    """True iff the orbit through F is the point {F}; covectors (..., 5) give a (...) mask.
 
     For every catalogue family the predicate reduces to
     (beta, gamma, delta, sigma) = 0: the complex identifications
     beta + i*gamma = delta = sigma = 0 and beta + i*gamma = delta + i*sigma = 0
     say the same thing in real coordinates.
     """
-    f = np.asarray(f, dtype=float)
-    return bool(np.all(f[1:] == 0.0))
+    return np.all(np.asarray(f, dtype=float)[..., 1:] == 0.0, axis=-1)
 
 
 @dataclass
@@ -182,7 +183,7 @@ def md_verify(alg: LieAlgebra, n_samples: int, seed: int) -> MDReport:
 
     ranks = _batched_ranks(alg, fs)
     values, counts = np.unique(ranks, return_counts=True)
-    predicted = np.where(np.all(fs[:, 1:] == 0.0, axis=1), 0, 2)
+    predicted = np.where(in_zero_stratum(fs), 0, 2)
     counterexamples = [(fs[i], int(ranks[i]), int(predicted[i]))
                        for i in np.flatnonzero(ranks != predicted)]
     fam = alg.family.family_id if alg.family is not None else None
@@ -192,38 +193,6 @@ def md_verify(alg: LieAlgebra, n_samples: int, seed: int) -> MDReport:
 
 # ---------------------------------------------------------------------------
 # Flows and closed-form orbits
-
-def exp_ad_transpose(family: MD5Family, a: float) -> np.ndarray:
-    """Closed-form block evaluation of exp(a * M^T), M the ad_{X1} block.
-
-    Per block: exp(a*J_k(l)^T) is e^{al} times the lower-triangular Toeplitz
-    matrix of a^m/m!; a rotation block R(phi) gives e^{a cos(phi)} R(-a sin(phi));
-    the block [[l,-mu],[mu,l]] gives e^{al} R(-a mu).
-    """
-    blocks = FAMILIES[family.family_id].blocks(family.params)
-    out = np.zeros((4, 4))
-    k = 0
-    for b in blocks:
-        if b[0] == "jordan":
-            lam, n = b[1], b[2]
-            blk = np.zeros((n, n))
-            for i in range(n):
-                for j in range(i + 1):
-                    blk[i, j] = a ** (i - j) / math.factorial(i - j)
-            blk *= math.exp(a * lam)
-        elif b[0] == "rot":
-            c, s = math.cos(-a * math.sin(b[1])), math.sin(-a * math.sin(b[1]))
-            blk = math.exp(a * math.cos(b[1])) * np.array([[c, -s], [s, c]])
-            n = 2
-        else:  # srot
-            lam, mu = b[1], b[2]
-            c, s = math.cos(-a * mu), math.sin(-a * mu)
-            blk = math.exp(a * lam) * np.array([[c, -s], [s, c]])
-            n = 2
-        out[k:k + n, k:k + n] = blk
-        k += n
-    return out
-
 
 def _expm(m: np.ndarray) -> np.ndarray:
     """exp of every matrix of the stack m (..., n, n), by scaling and squaring.
@@ -278,173 +247,88 @@ def coadjoint_flow(alg: LieAlgebra, f, a, x) -> np.ndarray:
     return out
 
 
-def _w_rot(beta, gamma, phi, a):
-    # (beta + i gamma) * exp(a e^{-i phi}), returned as (re, im).
-    w = (beta + 1j * gamma) * np.exp(a * np.exp(-1j * phi))
-    return w.real, w.imag
-
-
 _E = np.exp
 
 
-def _cf_5_4_1(p, F):
-    l1, l2, l3 = p["lambda1"], p["lambda2"], p["lambda3"]
-    _, b, g, d, s = F
-    return lambda x, a: np.stack(np.broadcast_arrays(
-        x, b * _E(a * l1), g * _E(a * l2), d * _E(a * l3), s * _E(a)), axis=-1)
+def _rot(u, v, z):
+    # (u + i v) * e^z as its (re, im) pair: two coordinates that turn together.
+    w = (u + 1j * v) * _E(z)
+    return w.real, w.imag
 
 
-def _cf_5_4_2(p, F):
-    l1, l2 = p["lambda1"], p["lambda2"]
-    _, b, g, d, s = F
-    return lambda x, a: np.stack(np.broadcast_arrays(
-        x, b * _E(a * l1), g * _E(a * l2), d * _E(a), s * _E(a)), axis=-1)
-
-
-def _cf_5_4_3(p, F):
-    l = p["lambda"]
-    _, b, g, d, s = F
-    return lambda x, a: np.stack(np.broadcast_arrays(
-        x, b * _E(a * l), g * _E(a * l), d * _E(a), s * _E(a)), axis=-1)
-
-
-def _cf_5_4_4(p, F):
-    l = p["lambda"]
-    _, b, g, d, s = F
-    return lambda x, a: np.stack(np.broadcast_arrays(
-        x, b * _E(a * l), g * _E(a), d * _E(a), s * _E(a)), axis=-1)
-
-
-def _cf_5_4_5(p, F):
-    _, b, g, d, s = F
-    return lambda x, a: np.stack(np.broadcast_arrays(
-        x, b * _E(a), g * _E(a), d * _E(a), s * _E(a)), axis=-1)
-
-
-def _cf_5_4_6(p, F):
-    l1, l2 = p["lambda1"], p["lambda2"]
-    _, b, g, d, s = F
-    return lambda x, a: np.stack(np.broadcast_arrays(
-        x, b * _E(a * l1), g * _E(a * l2), d * _E(a), d * a * _E(a) + s * _E(a)), axis=-1)
-
-
-def _cf_5_4_7(p, F):
-    l = p["lambda"]
-    _, b, g, d, s = F
-    return lambda x, a: np.stack(np.broadcast_arrays(
-        x, b * _E(a * l), g * _E(a * l), d * _E(a), d * a * _E(a) + s * _E(a)), axis=-1)
-
-
-def _cf_5_4_8(p, F):
-    l = p["lambda"]
-    _, b, g, d, s = F
-    return lambda x, a: np.stack(np.broadcast_arrays(
-        x, b * _E(a * l), b * a * _E(a * l) + g * _E(a * l),
-        d * _E(a), d * a * _E(a) + s * _E(a)), axis=-1)
-
-
-def _cf_5_4_9(p, F):
-    l = p["lambda"]
-    _, b, g, d, s = F
-    return lambda x, a: np.stack(np.broadcast_arrays(
-        x, b * _E(a * l), g * _E(a), g * a * _E(a) + d * _E(a),
-        g * a * a * _E(a) / 2 + d * a * _E(a) + s * _E(a)), axis=-1)
-
-
-def _cf_5_4_10(p, F):
-    _, b, g, d, s = F
-    return lambda x, a: np.stack(np.broadcast_arrays(
-        x, b * _E(a), b * a * _E(a) + g * _E(a),
-        b * a * a * _E(a) / 2 + g * a * _E(a) + d * _E(a),
-        b * a ** 3 * _E(a) / 6 + g * a * a * _E(a) / 2 + d * a * _E(a) + s * _E(a)), axis=-1)
-
-
-def _cf_5_4_11(p, F):
-    l1, l2, phi = p["lambda1"], p["lambda2"], p["phi"]
-    _, b, g, d, s = F
-
-    def cf(x, a):
-        re, im = _w_rot(b, g, phi, np.asarray(a, dtype=float))
-        return np.stack(np.broadcast_arrays(x, re, im, d * _E(a * l1), s * _E(a * l2)), axis=-1)
-    return cf
-
-
-def _cf_5_4_12(p, F):
-    l, phi = p["lambda"], p["phi"]
-    _, b, g, d, s = F
-
-    def cf(x, a):
-        re, im = _w_rot(b, g, phi, np.asarray(a, dtype=float))
-        return np.stack(np.broadcast_arrays(x, re, im, d * _E(a * l), s * _E(a * l)), axis=-1)
-    return cf
-
-
-def _cf_5_4_13(p, F):
-    l, phi = p["lambda"], p["phi"]
-    _, b, g, d, s = F
-
-    def cf(x, a):
-        re, im = _w_rot(b, g, phi, np.asarray(a, dtype=float))
-        return np.stack(np.broadcast_arrays(
-            x, re, im, d * _E(a * l), d * a * _E(a * l) + s * _E(a * l)), axis=-1)
-    return cf
-
-
-def _cf_5_4_14(p, F):
-    l, mu, phi = p["lambda"], p["mu"], p["phi"]
-    _, b, g, d, s = F
-
-    def cf(x, a):
-        a = np.asarray(a, dtype=float)
-        re, im = _w_rot(b, g, phi, a)
-        v = (d + 1j * s) * np.exp(a * (l - 1j * mu))
-        return np.stack(np.broadcast_arrays(x, re, im, v.real, v.imag), axis=-1)
-    return cf
-
-
-_CLOSED_FORMS = {
-    "5_4_1": _cf_5_4_1, "5_4_2": _cf_5_4_2, "5_4_3": _cf_5_4_3, "5_4_4": _cf_5_4_4,
-    "5_4_5": _cf_5_4_5, "5_4_6": _cf_5_4_6, "5_4_7": _cf_5_4_7, "5_4_8": _cf_5_4_8,
-    "5_4_9": _cf_5_4_9, "5_4_10": _cf_5_4_10, "5_4_11": _cf_5_4_11, "5_4_12": _cf_5_4_12,
-    "5_4_13": _cf_5_4_13, "5_4_14": _cf_5_4_14,
+# The orbit of each family through F = (x, b, g, d, s): its last four
+# coordinates at flow time a, written out by hand from the family's blocks.
+# An entry reads only the parameters p, never the matrix M that the flow
+# exponentiates.
+_ORBITS = {
+    "5_4_1": lambda p, b, g, d, s, a: (
+        b * _E(a * p["lambda1"]), g * _E(a * p["lambda2"]), d * _E(a * p["lambda3"]), s * _E(a)),
+    "5_4_2": lambda p, b, g, d, s, a: (
+        b * _E(a * p["lambda1"]), g * _E(a * p["lambda2"]), d * _E(a), s * _E(a)),
+    "5_4_3": lambda p, b, g, d, s, a: (
+        b * _E(a * p["lambda"]), g * _E(a * p["lambda"]), d * _E(a), s * _E(a)),
+    "5_4_4": lambda p, b, g, d, s, a: (
+        b * _E(a * p["lambda"]), g * _E(a), d * _E(a), s * _E(a)),
+    "5_4_5": lambda p, b, g, d, s, a: (
+        b * _E(a), g * _E(a), d * _E(a), s * _E(a)),
+    "5_4_6": lambda p, b, g, d, s, a: (
+        b * _E(a * p["lambda1"]), g * _E(a * p["lambda2"]), d * _E(a), d * a * _E(a) + s * _E(a)),
+    "5_4_7": lambda p, b, g, d, s, a: (
+        b * _E(a * p["lambda"]), g * _E(a * p["lambda"]), d * _E(a), d * a * _E(a) + s * _E(a)),
+    "5_4_8": lambda p, b, g, d, s, a: (
+        b * _E(a * p["lambda"]), b * a * _E(a * p["lambda"]) + g * _E(a * p["lambda"]),
+        d * _E(a), d * a * _E(a) + s * _E(a)),
+    "5_4_9": lambda p, b, g, d, s, a: (
+        b * _E(a * p["lambda"]), g * _E(a), g * a * _E(a) + d * _E(a),
+        g * a * a * _E(a) / 2 + d * a * _E(a) + s * _E(a)),
+    "5_4_10": lambda p, b, g, d, s, a: (
+        b * _E(a), b * a * _E(a) + g * _E(a), b * a * a * _E(a) / 2 + g * a * _E(a) + d * _E(a),
+        b * a ** 3 * _E(a) / 6 + g * a * a * _E(a) / 2 + d * a * _E(a) + s * _E(a)),
+    "5_4_11": lambda p, b, g, d, s, a: (
+        *_rot(b, g, a * _E(-1j * p["phi"])), d * _E(a * p["lambda1"]), s * _E(a * p["lambda2"])),
+    "5_4_12": lambda p, b, g, d, s, a: (
+        *_rot(b, g, a * _E(-1j * p["phi"])), d * _E(a * p["lambda"]), s * _E(a * p["lambda"])),
+    "5_4_13": lambda p, b, g, d, s, a: (
+        *_rot(b, g, a * _E(-1j * p["phi"])), d * _E(a * p["lambda"]),
+        d * a * _E(a * p["lambda"]) + s * _E(a * p["lambda"])),
+    "5_4_14": lambda p, b, g, d, s, a: (
+        *_rot(b, g, a * _E(-1j * p["phi"])), *_rot(d, s, a * (p["lambda"] - 1j * p["mu"]))),
 }
 
 
-@dataclass(frozen=True)
-class OrbitDescriptor:
-    stratum: str  # "zero_dim" | "two_dim"
-    closed_form: callable  # (x, a) -> point(s) of R^5
+def closed_form_orbit(family: MD5Family, f, x, a) -> np.ndarray:
+    """Point(s) of the orbit through F at flow time(s) a, first coordinate set to x.
 
-    @property
-    def is_point(self) -> bool:
-        return self.stratum == "zero_dim"
-
-
-def closed_form_orbit(family: MD5Family, f) -> OrbitDescriptor:
-    """Explicit per-family orbit parametrization through the covector F."""
-    f = np.asarray(f, dtype=float).copy()
+    x and a broadcast as in `coadjoint_flow`; the last four coordinates come
+    from the family's entry of `_ORBITS`.  On the zero stratum the orbit is
+    the point {F}, which every (x, a) gives.
+    """
+    f = np.asarray(f, dtype=float)
     if in_zero_stratum(f):
-        def const(x, a):
-            shape = np.broadcast_shapes(np.shape(x), np.shape(a))
-            return np.broadcast_to(f, shape + (5,)).copy()
-        return OrbitDescriptor("zero_dim", const)
-    return OrbitDescriptor("two_dim", _CLOSED_FORMS[family.family_id](family.params, f))
+        shape = np.broadcast_shapes(np.shape(x), np.shape(a))
+        return np.broadcast_to(f, shape + (5,)).copy()
+    # a goes in as given: numpy's a ** 3 on a 0-d array rounds apart from
+    # Python's on a float.
+    coords = _ORBITS[family.family_id](family.params, *f[1:], a)
+    return np.stack(np.broadcast_arrays(x, *coords), axis=-1)
 
 
 def flow_vs_closed_form(family: MD5Family, f, avals=None) -> float:
     """Max deviation between the matrix-exponential flow and the closed form.
 
     Defaults to 100 flow times in [-3, 3]; the free coordinate varies as
-    x = 0.7 a + 0.1.  The two routes are independent: the Pade scaling and
-    squaring of `_expm` against hand-written formulas.  NaN if any deviation
-    is NaN, so a non-finite orbit never passes a bound.
+    x = 0.7 a + 0.1, or stays at F's own on the zero stratum, where the orbit
+    is {F}.  The two routes are independent: the Pade scaling and squaring of
+    `_expm` against hand-written formulas.  NaN if any deviation is NaN, so a
+    non-finite orbit never passes a bound.
     """
+    f = np.asarray(f, dtype=float)
     if avals is None:
         avals = np.linspace(-3.0, 3.0, 100)
     avals = np.atleast_1d(np.asarray(avals, dtype=float))
-    xs = 0.7 * avals + 0.1
+    xs = f[0] if in_zero_stratum(f) else 0.7 * avals + 0.1
     flow = coadjoint_flow(build_md5(family), f, avals, xs)
-    return float(np.max(np.abs(flow - closed_form_orbit(family, f).closed_form(xs, avals))))
+    return float(np.max(np.abs(flow - closed_form_orbit(family, f, xs, avals))))
 
 
 def orbit_tangent_residual(alg: LieAlgebra, f) -> float:

@@ -196,6 +196,16 @@ def test_orbit_command(capsys):
     assert m["flow_deviation"] < 1e-9
 
 
+def test_orbit_command_on_the_zero_stratum(capsys):
+    # The orbit through (alpha, 0, 0, 0, 0) is the point itself, so the flow
+    # stays there, and a large alpha, which nothing flows, is no reason to refuse.
+    for covector in ("1,0,0,0,0", "1e7,0,0,0,0"):
+        assert main(["orbit", "--family", "5_4_5", "--F", covector, "--json"]) == 0
+        m = json.loads(capsys.readouterr().out)["checks"][0]["metrics"]
+        assert m["stratum"] == "zero_dim"
+        assert m["flow_deviation"] == 0.0
+
+
 def test_orbit_command_judges_a_large_orbit_relative_to_its_size(capsys):
     # The orbit reaches about 4e6, where round-off can exceed the absolute 1e-9.
     orbit = ["orbit", "--family", "5_4_9", "--lambda", "2", "--F", "0,1e4,1,1,1", "--json"]

@@ -8,12 +8,13 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mdlab import orbits
+from mdlab.cli import RunConfig
+from mdlab.criteria import REGISTRY
 from mdlab.liealg import FAMILIES, LieAlgebra, MD5Family, build_md5, sample_family
 from mdlab.orbits import (
     closed_form_orbit,
     coadjoint_flow,
     covector,
-    exp_ad_transpose,
     flow_vs_closed_form,
     in_zero_stratum,
     kirillov_form,
@@ -233,14 +234,17 @@ def test_flow_family_10_cubic_terms():
 
 @pytest.mark.parametrize("fid", ALL_FAMILIES)
 def test_closed_form_exponential_matches_pade(fid):
-    # Route A (scipy Padé scaling-and-squaring) vs route B (block closed forms).
+    # Route A (scipy Padé scaling-and-squaring) vs route B (the hand-written
+    # closed forms, whose orbits through the four unit covectors are the
+    # columns of exp(a * M^T)).
     rng = np.random.default_rng(17)
+    units = np.eye(5)[1:]
     for _ in range(5):
         fam = sample_family(fid, rng)
         m = fam.ad_block()
         for a in (-3.0, -0.9, 0.0, 0.4, 3.0):
             e1 = scipy.linalg.expm(a * m.T)
-            e2 = exp_ad_transpose(fam, a)
+            e2 = np.stack([closed_form_orbit(fam, u, 0.0, a)[1:] for u in units], axis=1)
             scale = max(1.0, np.abs(e2).max())
             assert np.abs(e1 - e2).max() <= 1e-12 * scale
 
@@ -273,20 +277,18 @@ def test_a_non_finite_flow_time_gives_nan_in_its_point_only():
 def test_closed_form_orbit_family_9_quadratic_term():
     fam = MD5Family("5_4_9", {"lambda": 2.0})
     f = covector(0, 0.0, 1.0, 0.0, 0.0)  # gamma = 1 isolates the a^2 e^a / 2 term
-    desc = closed_form_orbit(fam, f)
-    assert desc.stratum == "two_dim"
+    assert not in_zero_stratum(f)
     a = 0.9
-    pt = desc.closed_form(0.0, a)
+    pt = closed_form_orbit(fam, f, 0.0, a)
     assert np.isclose(pt[4], a * a * np.exp(a) / 2)
 
 
 def test_closed_form_orbit_zero_stratum_is_constant():
     fam = MD5Family("5_4_13", {"lambda": 1.5, "phi": 0.7})
     f = covector(alpha=2.0)
-    desc = closed_form_orbit(fam, f)
-    assert desc.is_point
-    assert np.array_equal(desc.closed_form(3.0, -1.0), f)
-    grid = desc.closed_form(np.zeros(4), np.linspace(-1, 1, 4))
+    assert in_zero_stratum(f)
+    assert np.array_equal(closed_form_orbit(fam, f, 3.0, -1.0), f)
+    grid = closed_form_orbit(fam, f, np.zeros(4), np.linspace(-1, 1, 4))
     assert grid.shape == (4, 5)
     assert np.all(grid == f)
 
@@ -295,9 +297,8 @@ def test_closed_form_orbit_family_13_slots():
     lam, phi = 1.5, 0.7
     fam = MD5Family("5_4_13", {"lambda": lam, "phi": phi})
     d, s = 0.8, -0.3
-    desc = closed_form_orbit(fam, covector(0, 0.1, 0.2, d, s))
     a = 1.2
-    pt = desc.closed_form(0.0, a)
+    pt = closed_form_orbit(fam, covector(0, 0.1, 0.2, d, s), 0.0, a)
     assert np.isclose(pt[3], d * np.exp(a * lam))
     assert np.isclose(pt[4], d * a * np.exp(a * lam) + s * np.exp(a * lam))
 
@@ -327,6 +328,18 @@ def test_flow_vs_closed_form_random(fid):
         fam = sample_family(fid, rng)
         f = rng.standard_normal(5)
         assert flow_vs_closed_form(fam, f, avals=np.linspace(-3, 3, 25)) < 1e-9
+        # The orbit through a zero-stratum covector is the point itself.
+        assert flow_vs_closed_form(fam, covector(alpha=2.0), avals=np.linspace(-3, 3, 25)) == 0.0
+
+
+def test_criterion_02_fails_when_one_closed_form_term_is_dropped(monkeypatch):
+    # 5_4_9 without the g a e^a term of its third coordinate.
+    monkeypatch.setitem(orbits._ORBITS, "5_4_9", lambda p, b, g, d, s, a: (
+        b * np.exp(a * p["lambda"]), g * np.exp(a), d * np.exp(a),
+        g * a * a * np.exp(a) / 2 + d * a * np.exp(a) + s * np.exp(a)))
+    (entry,) = [e for e in REGISTRY if e.name == "orbit_closed_forms"]
+    (check,) = entry.run(RunConfig(seed=202))
+    assert check["status"] == "fail"
 
 
 @pytest.mark.parametrize("fid", ALL_FAMILIES)
@@ -358,6 +371,9 @@ def test_flow_group_law():
 def test_zero_stratum_predicate():
     assert in_zero_stratum(covector(alpha=5.0))
     assert not in_zero_stratum(covector(sigma=1e-300))
+    # Elementwise on a stack of covectors.
+    fs = np.array([[[5.0, 0, 0, 0, 0], [0, 0, 0, 0, 1e-300]], [[0, 0, 0, 0, 0], [0, 1, 0, 0, 0]]])
+    assert np.array_equal(in_zero_stratum(fs), [[True, False], [True, False]])
 
 
 @pytest.mark.parametrize("fid", ALL_FAMILIES)
