@@ -436,8 +436,7 @@ def f1_fibration_check(n_samples: int, seed: int) -> FibrationReport:
     pts = rng.standard_normal((n_samples, 5))
     pts = np.vstack([pts, [0.0, 1.0, 0.0, 0.0, 0.0]])
     ranks = _rank_counts(_diff_rank(_sphere_map, pts))
-    # One closed-form orbit per point, evaluated at every a at once.
-    orbit = np.stack([closed_form_orbit(fam, p, 0.0, avals) for p in pts])
+    orbit = closed_form_orbit(fam, pts[:, None, :], 0.0, avals)  # (points, a, 5)
     base, _ = _sphere_map(pts)
     d, _ = _sphere_map(orbit)
     d -= base[:, None, :]

@@ -105,8 +105,10 @@ def _singular_values(upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _batched_ranks(alg: LieAlgebra, fs: np.ndarray) -> np.ndarray:
     """Numeric ranks of the Kirillov forms at the covectors fs (N, 5).
 
-    Each of s1, s2 counts twice when it exceeds RANK_TOL * max(1, s1).  A form
-    with a non-finite entry, or whose s1 is past the float range, has rank -1.
+    s1 counts twice when it is above 0, and s2 twice when it exceeds
+    RANK_TOL * s1: the cut is relative at every scale, so a form from 1e-300 to
+    1e300 gets the rank of its unit multiple.  A form with a non-finite entry,
+    or whose s1 is past the float range, has rank -1.
     """
     sc_upper = alg.sc[_UPPER]
     ranks = np.empty(len(fs), dtype=int)
@@ -114,8 +116,8 @@ def _batched_ranks(alg: LieAlgebra, fs: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             upper = fs[lo:lo + RANK_BLOCK] @ sc_upper.T
         s1, s2 = _singular_values(upper)
-        cut = RANK_TOL * np.maximum(1.0, s1)
-        ranks[lo:lo + RANK_BLOCK] = np.where(np.isfinite(s1), 2 * (s1 > cut) + 2 * (s2 > cut), -1)
+        ranks[lo:lo + RANK_BLOCK] = np.where(np.isfinite(s1),
+                                             2 * (s1 > 0.0) + 2 * (s2 > RANK_TOL * s1), -1)
     return ranks
 
 
@@ -299,18 +301,20 @@ _ORBITS = {
 def closed_form_orbit(family: MD5Family, f, x, a) -> np.ndarray:
     """Point(s) of the orbit through F at flow time(s) a, first coordinate set to x.
 
-    x and a broadcast as in `coadjoint_flow`; the last four coordinates come
-    from the family's entry of `_ORBITS`.  On the zero stratum the orbit is
-    the point {F}, which every (x, a) gives.
+    F may be a stack (..., 5) of covectors; its leading shape, x and a
+    broadcast, and the result has that shape + (5,).  The last four
+    coordinates come from the family's entry of `_ORBITS`.  On the zero
+    stratum the orbit is the point {F}, which every (x, a) gives.
     """
     f = np.asarray(f, dtype=float)
-    if in_zero_stratum(f):
-        shape = np.broadcast_shapes(np.shape(x), np.shape(a))
+    zero = in_zero_stratum(f)[..., None]
+    if zero.all():
+        shape = np.broadcast_shapes(f.shape[:-1], np.shape(x), np.shape(a))
         return np.broadcast_to(f, shape + (5,)).copy()
     # a goes in as given: numpy's a ** 3 on a 0-d array rounds apart from
     # Python's on a float.
-    coords = _ORBITS[family.family_id](family.params, *f[1:], a)
-    return np.stack(np.broadcast_arrays(x, *coords), axis=-1)
+    coords = _ORBITS[family.family_id](family.params, *np.moveaxis(f, -1, 0)[1:], a)
+    return np.where(zero, f, np.stack(np.broadcast_arrays(x, *coords), axis=-1))
 
 
 def flow_vs_closed_form(family: MD5Family, f, avals=None) -> float:

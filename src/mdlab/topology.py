@@ -8,15 +8,17 @@ Three detectors:
   winding_3d  - -(1/24π²) ∫ Tr((g^{-1}dg)^3) over a 3D grid domain,
                 orientation given by the coordinate order.
 
-Grids are midpoint rules; sums are chunked and compensated (math.fsum), so
-the result is independent of the chunking to round-off.  Integer outputs are
-always reported together with the raw value and the pre-rounding residual.
+Grids are midpoint rules; each chunk of a grid is summed exactly and rounded
+once, so the result is independent of the chunking to round-off.  Integer
+outputs are always reported together with the raw value and the pre-rounding
+residual.
 
 Both grid integrals run one loop, `_grid_sum`, with two units:
   * the chunk, CHUNK_SLABS slabs along the first axis, is the rounding unit:
-    each chunk's integrand values are summed by one correctly rounded fsum,
-    so the raw values depend on it, to round-off only (one fsum over the
-    whole 28^3 grid moves its raw value by 1 ulp);
+    each chunk's integrand values are summed exactly and rounded once, which
+    gives the bits of math.fsum over them, so the raw values depend on it, to
+    round-off only (one exact sum over the whole 28^3 grid moves its raw value
+    by 1 ulp);
   * the block, at most BLOCK_POINTS points, is the memory unit: each chunk is
     evaluated block by block, so that temporaries stay in cache and are not
     faulted in from the system on every chunk.  It moves no value.
@@ -26,7 +28,7 @@ which computes what depends only on the leading coordinates, or only on the
 last, once per side; other fields are evaluated through their derivative at
 the block's points.  A field may declare a support outside which the
 integrand is exactly 0; the loop skips the grid points there, which leaves
-each chunk's correctly rounded fsum unchanged, and the promise is checked at
+each chunk's correctly rounded sum unchanged, and the promise is checked at
 seeded points outside the support.  A field with a per-axis jet promises
 that its support reads the leading coordinates only.
 
@@ -42,7 +44,6 @@ values they get `np.moveaxis` views, and give the same bits.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
@@ -82,7 +83,8 @@ SIGMA_FLOOR = 1e-6
 FD_STEP = 1e-6
 # Grid slabs along the first axis per chunk, by domain dimension: the rounding
 # unit of the grid integrals, whose raw values depend on it to round-off (one
-# fsum over the whole 28^3 grid moves its raw value by 1 ulp).
+# exact, correctly rounded sum over the whole 28^3 grid moves its raw value by
+# 1 ulp).
 CHUNK_SLABS = {2: 64, 3: 8}
 # Grid points per evaluation block: the memory unit, which moves no value.  One
 # complex entry of a block is 64 KB, so a block's temporaries stay in cache
@@ -444,20 +446,43 @@ def _sigma_min2(m):
     return np.divide(adet, smax, out=np.zeros_like(adet), where=smax != 0.0)
 
 
-def _fsum_complex(values) -> complex:
-    """Compensated sum of complex values.
+def _exact_sum_complex(values) -> complex:
+    """The correctly rounded sum of complex values, each part summed exactly.
 
-    math.fsum is fed Python floats from .tolist() 4096 at a time, which gives
-    the same sum as iterating numpy scalars, faster, and never holds a list as
-    long as a grid chunk.
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31 (2008) 189, ExtractVector)
+    on one (2, n) copy of the real and imaginary parts.  With 2^M >= n and
+    max|x| < 2^E, let σ = 2^(E+M) per part: q = (σ + x) − σ and x − q are
+    exact, every q is a multiple of ulp(σ)/2, or of the least subnormal when
+    σ is below 2^-1021, and Σ|q| <= σ, so numpy sums the q of a level
+    exactly in any order.  Each level takes about 53 − M bits off the
+    remainders; when they are all 0, math.fsum of the few exact level sums
+    rounds the exact total once, which gives the bits of math.fsum over the
+    values.  A NaN or inf, or a σ past 2^1022, where math.fsum may overflow
+    on the way, sends the values to math.fsum itself, which gives the value
+    or raises as it does on them.
     """
     values = np.asarray(values)
-
-    def floats(part):
-        return itertools.chain.from_iterable(part[i:i + 4096].tolist()
-                                             for i in range(0, len(part), 4096))
-
-    return complex(math.fsum(floats(values.real)), math.fsum(floats(values.imag)))
+    x = np.empty((2, len(values)))
+    x[0] = values.real
+    x[1] = values.imag
+    q = np.empty_like(x)
+    sigma = np.empty((2, 1))
+    headroom = (len(values) - 1).bit_length()
+    levels = []
+    while True:
+        top = np.abs(x, out=q).max(axis=1, initial=0.0).tolist()
+        if not (top[0] or top[1]):
+            return complex(math.fsum(levels[0::2]), math.fsum(levels[1::2]))
+        # A part that is all 0 gets σ = 2^M, which leaves it as it is.
+        exponents = [math.frexp(t)[1] + headroom for t in top]
+        if not (math.isfinite(top[0] + top[1]) and max(exponents) <= 1022):
+            return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+        sigma[:, 0] = [math.ldexp(1.0, e) for e in exponents]
+        np.add(x, sigma, out=q)
+        q -= sigma
+        x -= q
+        levels += q.sum(axis=1).tolist()
 
 
 def _face_points(domain: GridDomain, axes) -> np.ndarray:
@@ -519,13 +544,14 @@ def _entry_major(values, partials):
 
 
 def _grid_sum(field: MatrixField, domain: GridDomain, integrand: Callable) -> complex:
-    """fsum of integrand(values, partials) over the midpoint grid of the domain.
+    """Sum of integrand(values, partials) over the midpoint grid of the domain.
 
     The integrand takes entry-major values (k, k, N) and partials (k, k, dim, N).
-    Each chunk of CHUNK_SLABS slabs along the first axis is summed by one fsum,
-    and the chunk sums by another.  A chunk is evaluated in blocks of at most
-    BLOCK_POINTS points (one row of the last axis, if that is longer), whose
-    integrand values fill one buffer that serves every chunk.
+    Each chunk of CHUNK_SLABS slabs along the first axis is summed by one
+    exact, correctly rounded sum (`_exact_sum_complex`), and the chunk sums
+    by another.  A chunk is evaluated in blocks of at most BLOCK_POINTS
+    points (one row of the last axis, if that is longer), whose integrand
+    values fill one buffer that serves every chunk.
 
     A field with a per-axis jet gets a block's leading points inside its
     support; any other field gets the block's points, less those outside its
@@ -562,7 +588,7 @@ def _grid_sum(field: MatrixField, domain: GridDomain, integrand: Callable) -> co
             part = integrand(values, partials)
             buffer[filled:filled + len(part)] = part
             filled += len(part)
-        sums.append(_fsum_complex(buffer[:filled]))
+        sums.append(_exact_sum_complex(buffer[:filled]))
     if field.support is not None:
         outside = _interior_points(domain, 512, 1)
         outside = outside[~field.support(outside)]
@@ -571,7 +597,7 @@ def _grid_sum(field: MatrixField, domain: GridDomain, integrand: Callable) -> co
             if not np.all(leak == 0.0):  # NaN fails too
                 raise ValueError(f"{field.name or 'field'}: integrand up to {leak.max():.3g} "
                                  "outside the declared support")
-    return _fsum_complex(sums)
+    return _exact_sum_complex(sums)
 
 
 def _boundary_identity_residual(field: MatrixField, domain: GridDomain) -> float:

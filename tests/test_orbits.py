@@ -130,13 +130,26 @@ def test_md_verify_memory_stays_below_the_kirillov_forms_of_all_samples():
     ((0, np.nan, 0, 0, 0), -1),
     ((0, np.inf, 1, 1, 1), -1),
     ((0, 1e200, 1, 1, 1), 2),
-    ((0, 1e-200, 0, 0, 0), 0),
+    ((0, 1e-200, 0, 0, 0), 2),
+    ((1e-200, 0, 0, 0, 0), 0),
 ])
 def test_orbit_dimension_of_non_finite_and_extreme_covectors(f, rank):
     # -1 never equals a predicted 0 or 2, so a non-finite form never passes the dichotomy.
     rng = np.random.default_rng(8)
     for fid in ALL_FAMILIES:
         assert orbit_dimension(build_md5(sample_family(fid, rng)), f) == rank, fid
+
+
+@pytest.mark.parametrize("fid", ALL_FAMILIES)
+def test_small_covectors_get_the_dimension_of_their_stratum(fid):
+    # The cut is relative, so a covector of any scale off the zero stratum has
+    # a 2-dimensional orbit, and one on it a point.
+    alg = build_md5(sample_family(fid, np.random.default_rng(9)))
+    for k in range(1, 301):
+        off, on = covector(beta=10.0 ** -k), covector(alpha=10.0 ** -k)
+        assert not in_zero_stratum(off) and in_zero_stratum(on)
+        assert orbit_dimension(alg, off) == 2, k
+        assert orbit_dimension(alg, on) == 0, k
 
 
 # Where s1 and s2 meet, the double root of t^2 - p t + q loses half the digits:
@@ -147,10 +160,11 @@ VALUE_TOL = 1e-7
 def _assert_matches_the_svd(b):
     """The closed form's values and rank of the skew form b (5, 5) against LAPACK's SVD."""
     sv = np.linalg.svd(b, compute_uv=False)
-    cut = orbits.RANK_TOL * max(1.0, sv[0])
+    cut = orbits.RANK_TOL * sv[0]
     # Round-off of either route moves a value at the cut by up to about 1e-7 of
-    # the cut, so a value within 1e-6 of it has no stable numeric rank.
-    assume(np.all(np.abs(sv - cut) > 1e-6 * cut))
+    # the cut, so a value within 1e-6 of it has no stable numeric rank.  The
+    # zero form (cut 0) has rank 0 on both routes.
+    assume(cut == 0.0 or np.all(np.abs(sv - cut) > 1e-6 * cut))
     s1, s2 = orbits._singular_values(b[orbits._UPPER][None, :])
     assert abs(s1[0] - sv[0]) <= VALUE_TOL * sv[0]
     assert abs(s2[0] - sv[2]) <= VALUE_TOL * sv[0]
@@ -200,7 +214,7 @@ def test_closed_form_singular_values_on_the_catalogue(fid):
     s1, s2 = orbits._singular_values(forms[:, orbits._UPPER[0], orbits._UPPER[1]])
     assert np.all(s2 == 0.0)
     assert np.all(np.abs(s1 - sv[:, 0]) <= 1e-14 * sv[:, 0])
-    cut = orbits.RANK_TOL * np.maximum(1.0, sv[:, :1])
+    cut = orbits.RANK_TOL * sv[:, :1]
     assert np.array_equal(orbits._batched_ranks(alg, fs), (sv > cut).sum(axis=1))
 
 
@@ -291,6 +305,21 @@ def test_closed_form_orbit_zero_stratum_is_constant():
     grid = closed_form_orbit(fam, f, np.zeros(4), np.linspace(-1, 1, 4))
     assert grid.shape == (4, 5)
     assert np.all(grid == f)
+
+
+@pytest.mark.parametrize("fid", ALL_FAMILIES)
+def test_closed_form_orbit_of_a_stack_is_the_orbit_of_each_covector(fid):
+    rng = np.random.default_rng(12)
+    fam = sample_family(fid, rng)
+    fs = rng.standard_normal((6, 5))
+    fs[[1, 4], 1:] = 0.0  # zero-stratum rows keep F itself
+    avals = np.linspace(-3.0, 3.0, 13)
+    stacked = closed_form_orbit(fam, fs[:, None, :], 0.5, avals)
+    assert stacked.shape == (6, 13, 5)
+    for f, orbit in zip(fs, stacked):
+        assert np.array_equal(orbit, closed_form_orbit(fam, f, 0.5, avals))
+    assert np.all(stacked[[1, 4]] == fs[[1, 4], None, :])
+    assert np.array_equal(closed_form_orbit(fam, fs[[1, 4]], 0.5, 0.0), fs[[1, 4]])
 
 
 def test_closed_form_orbit_family_13_slots():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdlab import topology
 from mdlab.topology import (
@@ -432,8 +432,8 @@ _ROUTE_CASES = ([(winding_3d, exp_ptilde(side, n)) for n in (16, 24) for side in
                          ids=[f"{f.name}_{f.default_domain.axes[0].n}" for _, f in _ROUTE_CASES])
 def test_the_per_axis_jet_and_the_blocks_leave_the_raw_integral_unchanged(integral, field):
     # The values are the same bits on every route and each chunk of
-    # CHUNK_SLABS slabs is summed by one fsum, so neither the route nor the
-    # block size may move the raw value by an ulp.
+    # CHUNK_SLABS slabs is summed by one exact sum, so neither the route nor
+    # the block size may move the raw value by an ulp.
     default = repr(integral(field).raw)
     mesh_route = dataclasses.replace(field, axis_jet=None)
     assert repr(integral(mesh_route).raw) == default
@@ -445,7 +445,7 @@ def test_the_per_axis_jet_and_the_blocks_leave_the_raw_integral_unchanged(integr
             assert repr(integral(mesh_route).raw) == default
 
 
-def test_each_chunk_is_summed_by_one_fsum_whatever_the_block_size():
+def test_each_chunk_is_summed_by_one_exact_sum_whatever_the_block_size():
     # On the 16 x 16 grid (one chunk) each row is 1e20, with a sign that
     # alternates from row to row, at its first point and 1 at its 15 others.
     # One exact sum per chunk cancels the 1e20s and keeps the 240 ones; a sum
@@ -465,6 +465,76 @@ def test_each_chunk_is_summed_by_one_fsum_whatever_the_block_size():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(topology, "BLOCK_POINTS", block)
                 assert topology._grid_sum(routed, domain, lambda v, p: v[0, 0]) == 240
+
+
+def _fsum_complex(values) -> complex:
+    """math.fsum of each part: the correctly rounded sum the exact chunk sum must equal."""
+    values = np.asarray(values)
+    return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+
+
+def _outcome(summed, values):
+    """repr of the sum, or the type of the exception it raises."""
+    try:
+        return repr(summed(values))
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _complex_view(real, imag, stride):
+    """real + i imag as every stride-th entry of a NaN-filled buffer."""
+    n = max(len(real), len(imag))
+    buffer = np.full(n * stride, complex(math.nan, math.nan))
+    view = buffer[::stride]
+    view.real = np.pad(real, (0, n - len(real)))
+    view.imag = np.pad(imag, (0, n - len(imag)))
+    return view
+
+
+# Magnitudes from 1e-300 to 1e300, subnormals and signed zeros, and multiples of
+# 1/8 next to 2^53, whose sums fall half-way between two floats.
+_finite = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-300, 300)),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.builds(lambda k, e: k / 8 * 2.0 ** e, st.integers(-2 ** 20, 2 ** 20), st.integers(-8, 56)),
+    st.sampled_from([0.0, -0.0, 2.0 ** 53, 1.0, 0.5, -2.0 ** 53]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(real=st.lists(_finite, max_size=40), imag=st.lists(_finite, max_size=40),
+       cancel=st.integers(0, 40), stride=st.sampled_from([1, 2, 3]))
+# 2^53 + 1 is half-way between two floats and only the third level's 2^-60
+# breaks the tie upwards, so the total must be rounded once, not level by level.
+@example(real=[2.0 ** 53, 1.0, 2.0 ** -60], imag=[], cancel=0, stride=1)
+def test_the_exact_chunk_sum_has_the_bits_of_fsum(real, imag, cancel, stride):
+    # Appending the negatives of a prefix makes exact cancellations.
+    real = real + [-v for v in real[:cancel]]
+    imag = imag + [-v for v in imag[:cancel]]
+    values = _complex_view(real, imag, stride)
+    assert repr(topology._exact_sum_complex(values)) == repr(_fsum_complex(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(real=st.lists(st.one_of(_finite, st.sampled_from([math.nan, math.inf, -math.inf,
+                                                          1e308, -1e308, 1.7e308])),
+                     max_size=8),
+       imag=st.lists(_finite, max_size=8))
+def test_the_exact_chunk_sum_fails_as_fsum_on_non_finite_and_overflowing_values(real, imag):
+    # NaN gives NaN, inf + (-inf) raises ValueError and a finite overflow OverflowError.
+    for values in (_complex_view(real, imag, 1), _complex_view(imag, real, 2)):
+        assert _outcome(topology._exact_sum_complex, values) == _outcome(_fsum_complex, values)
+
+
+_SUM_CASES = _ROUTE_CASES + [(chern_2d, phat_disk(512))]
+
+
+@pytest.mark.parametrize("integral, field", _SUM_CASES,
+                         ids=[f"{f.name}_{f.default_domain.axes[0].n}" for _, f in _SUM_CASES])
+def test_the_exact_chunk_sum_leaves_the_raw_integral_as_fsum_gave_it(integral, field):
+    exact = repr(integral(field).raw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(topology, "_exact_sum_complex", _fsum_complex)
+        assert repr(integral(field).raw) == exact
 
 
 def test_the_singular_value_floor_covers_the_support_check_points():
