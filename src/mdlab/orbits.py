@@ -1,7 +1,11 @@
 """Coadjoint machinery: Kirillov forms, orbit dimensions, flows and closed-form orbits.
 
 Covectors are length-5 arrays (alpha, beta, gamma, delta, sigma) in the dual
-basis.  The one-parameter coadjoint flow on the last four coordinates is
+basis.  The orbit dimension is the numeric rank of the Kirillov form, from
+closed-form singular values.  The rank kernel holds covectors as the columns
+of a (5, N) array and forms only the live upper entries of the forms, those
+not zero for every covector, as rows of an (L, N) array (`_live_forms`).  The
+one-parameter coadjoint flow on the last four coordinates is
 exp(a * M^T) where M is the ad_{X1} block; the first coordinate is the free
 orbit parameter.  The flow exponentiates the whole stack of a * M^T at once by
 scaling and squaring a Pade approximant (`_expm`).  The closed forms are a
@@ -68,63 +72,104 @@ def kirillov_form(alg: LieAlgebra, f) -> np.ndarray:
     return np.einsum("ijk,...k->...ij", alg.sc, f)
 
 
-# The upper entries B[k, l], k < l, of a skew 5x5 form, and for each of its five
-# 4x4 principal minors (a, b, c, d) the positions among them of the Pfaffian's
-# factors: Pf = B_ab B_cd - B_ac B_bd + B_ad B_bc.
+# The upper entries B[k, l], k < l, of a skew 5x5 form, in row order.  The
+# Pfaffian of each of its five 4x4 principal minors (a, b, c, d) is
+# B_ab B_cd - B_ac B_bd + B_ad B_bc, summed left to right; each term here is its
+# sign and the positions of its two factors among the upper entries.
 _UPPER = np.triu_indices(5, 1)
 _POS = {(k, l): i for i, (k, l) in enumerate(zip(*_UPPER))}
-_AB, _CD, _AC, _BD, _AD, _BC = np.array(
-    [[_POS[a, b], _POS[c, d], _POS[a, c], _POS[b, d], _POS[a, d], _POS[b, c]]
-     for a, b, c, d in combinations(range(5), 4)]).T
+_PFAFFIANS = [[(1, _POS[a, b], _POS[c, d]), (-1, _POS[a, c], _POS[b, d]),
+               (1, _POS[a, d], _POS[b, c])] for a, b, c, d in combinations(range(5), 4)]
+# numpy's order for the sum of a row of ten, (N, 10).sum(axis=1): eight
+# accumulators added pairwise, then the last two in turn.  p is summed in it.
+_P_ORDER = (((((0, 1), (2, 3)), ((4, 5), (6, 7))), 8), 9)
 
 
-def _singular_values(upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two distinct singular values s1 >= s2 of skew 5x5 forms given by their upper entries.
+def _prune(tree, row: dict):
+    """tree without its dead positions and its live ones renamed to rows; None if all are dead."""
+    if not isinstance(tree, tuple):
+        return row.get(tree)
+    kids = [k for k in (_prune(t, row) for t in tree) if k is not None]
+    return tuple(kids) if len(kids) == 2 else (kids[0] if kids else None)
+
+
+def _tree_sum(tree, x: np.ndarray) -> np.ndarray:
+    if not isinstance(tree, tuple):
+        return x[tree]
+    return _tree_sum(tree[0], x) + _tree_sum(tree[1], x)
+
+
+def _live_forms(alg: LieAlgebra):
+    """The Kirillov forms of alg, reduced to their live upper entries.
+
+    An upper entry B[k, l] is live when its row of sc[_UPPER] is not
+    identically zero; at a finite covector a dead entry is an exact 0.  So the
+    sum for p drops it and each Pfaffian drops every term with a dead factor,
+    and both keep their bits: x + 0 = x and x * 0 = 0.  Returns the live rows
+    (L, 5) of sc[_UPPER], the order of p over them (None if L = 0), and the
+    live terms (sign, row, row) of each Pfaffian that has any.  Every
+    catalogue family has the four live entries B[0, 1..4] and no Pfaffian term.
+    """
+    sc_upper = alg.sc[_UPPER]
+    live = np.flatnonzero(np.any(sc_upper != 0.0, axis=1)).tolist()
+    row = {e: r for r, e in enumerate(live)}
+    pfaffians = [[(s, row[i], row[j]) for s, i, j in terms if i in row and j in row]
+                 for terms in _PFAFFIANS]
+    return sc_upper[live], _prune(_P_ORDER, row), [t for t in pfaffians if t]
+
+
+def _singular_values(live, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two distinct singular values s1 >= s2 of the forms `live` at the covectors fs (5, n).
 
     For a real skew 5x5 form, det(tI - B^T B) = t (t^2 - p t + q)^2, with p the
     sum of the squared upper entries and q the sum of the squared Pfaffians of
     the five 4x4 principal minors; so s1^2 = (p + sqrt(p^2 - 4q)) / 2 and
-    s2 = sqrt(q) / s1.  Each row is divided by its largest |entry| first and
+    s2 = sqrt(q) / s1.  Each form is divided by its largest |entry| first and
     the values multiplied back, so no form overflows or underflows in the
-    squares.  A form with a non-finite entry gets NaN for both.
+    squares.  s1 is NaN for a form with a non-finite entry, and inf for a form
+    past about 5e307.
     """
-    m = np.abs(upper).max(axis=1)
-    finite = np.isfinite(m)
-    scale = np.where(finite & (m > 0), m, 1.0)
-    u = np.where(finite[:, None], upper / scale[:, None], 0.0)
-    p = (u * u).sum(axis=1)
-    pf = u[:, _AB] * u[:, _CD] - u[:, _AC] * u[:, _BD] + u[:, _AD] * u[:, _BC]
-    q = (pf * pf).sum(axis=1)
-    s1 = np.sqrt((p + np.sqrt(np.maximum(p * p - 4.0 * q, 0.0))) / 2.0)
-    s2 = np.sqrt(q) / np.where(s1 > 0, s1, 1.0)
-    scale[~finite] = np.nan
-    with np.errstate(over="ignore"):  # entries past about 5e307 can give s1 = inf
+    sc, p_order, pfaffians = live
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = sc @ fs
+        m = np.abs(b).max(axis=0, initial=0.0)
+        scale = np.where(m > 0.0, m, 1.0)  # an inf or NaN entry leaves a NaN in u, and so in p
+        u = b / scale
+        p = _tree_sum(p_order, u * u) if p_order is not None else np.zeros(len(m))
+        q = 0.0
+        for (sign, i, j), *rest in pfaffians:
+            pf = sign * (u[i] * u[j])
+            for sign, i, j in rest:
+                pf = pf + u[i] * u[j] if sign > 0 else pf - u[i] * u[j]
+            q = q + pf * pf
+        s1 = np.sqrt((p + np.sqrt(np.maximum(p * p - 4.0 * q, 0.0))) / 2.0)
+        s2 = np.sqrt(q) / np.where(s1 > 0, s1, 1.0)
         return s1 * scale, s2 * scale
 
 
 def _batched_ranks(alg: LieAlgebra, fs: np.ndarray) -> np.ndarray:
-    """Numeric ranks of the Kirillov forms at the covectors fs (N, 5).
+    """Numeric ranks of the Kirillov forms at the covectors fs (5, N), RANK_BLOCK columns at a time.
 
     s1 counts twice when it is above 0, and s2 twice when it exceeds
     RANK_TOL * s1: the cut is relative at every scale, so a form from 1e-300 to
-    1e300 gets the rank of its unit multiple.  A form with a non-finite entry,
-    or whose s1 is past the float range, has rank -1.
+    1e300 gets the rank of its unit multiple.  A non-finite covector, and a
+    form whose s1 is not finite, has rank -1.
     """
-    sc_upper = alg.sc[_UPPER]
-    ranks = np.empty(len(fs), dtype=int)
-    for lo in range(0, len(fs), RANK_BLOCK):
-        with np.errstate(over="ignore", invalid="ignore"):
-            upper = fs[lo:lo + RANK_BLOCK] @ sc_upper.T
-        s1, s2 = _singular_values(upper)
-        ranks[lo:lo + RANK_BLOCK] = np.where(np.isfinite(s1),
-                                             2 * (s1 > 0.0) + 2 * (s2 > RANK_TOL * s1), -1)
+    live = _live_forms(alg)
+    ranks = np.empty(fs.shape[1], dtype=int)
+    for lo in range(0, fs.shape[1], RANK_BLOCK):
+        f = fs[:, lo:lo + RANK_BLOCK]
+        s1, s2 = _singular_values(live, f)
+        r = ranks[lo:lo + RANK_BLOCK]
+        r[:] = 2 * (s1 > 0.0) + 2 * (s2 > RANK_TOL * s1)
+        r[~(np.isfinite(f).all(axis=0) & np.isfinite(s1))] = -1
     return ranks
 
 
 def orbit_dimension(alg: LieAlgebra, f) -> int:
-    """Numeric rank of the Kirillov form at F: 0, 2 or 4, or -1 if the form is not finite."""
+    """Numeric rank of the Kirillov form at F: 0, 2 or 4, or -1 if F or the form is not finite."""
     f = np.asarray(f, dtype=float)
-    return int(_batched_ranks(alg, f[None, :])[0])
+    return int(_batched_ranks(alg, f[:, None])[0])
 
 
 def in_zero_stratum(f):
@@ -168,29 +213,36 @@ def md_verify(alg: LieAlgebra, n_samples: int, seed: int) -> MDReport:
 
     The n_samples covectors come from default_rng(seed): uniform directions
     with log-uniform radii in [1e-3, 1e3], which probe the scale robustness
-    of the rank cut.  The dimension-0 probes _BOUNDARY_ALPHAS are appended.
-    Each rank counts the closed-form singular values of the Kirillov form
-    above the cut (see _singular_values), in blocks of RANK_BLOCK covectors.
-    Violations are report content, not exceptions.
+    of the rank cut.  Row i of standard_normal((n_samples, 5)), divided by
+    its Euclidean norm (the square root of its five squares summed in turn)
+    and multiplied by 10 ** uniform(-3, 3, n_samples)[i], is covector i.  The
+    dimension-0 probes _BOUNDARY_ALPHAS are appended.  The covectors are held
+    as the columns of a (5, N) array, and each rank counts the closed-form
+    singular values of the Kirillov form above the cut (see _singular_values),
+    in blocks of RANK_BLOCK covectors.  Violations are report content, not
+    exceptions.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal((n_samples, 5))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    v *= 10.0 ** rng.uniform(-3.0, 3.0, size=(n_samples, 1))
-    boundary = np.zeros((len(_BOUNDARY_ALPHAS), 5))
-    boundary[:, 0] = _BOUNDARY_ALPHAS
-    fs = np.vstack([v, boundary])
+    fs = np.zeros((5, n_samples + len(_BOUNDARY_ALPHAS)))
+    v = fs[:, :n_samples]
+    v[:] = rng.standard_normal((n_samples, 5)).T
+    norm2 = v[0] * v[0]
+    for x in v[1:]:
+        norm2 += x * x
+    v /= np.sqrt(norm2)
+    v *= 10.0 ** rng.uniform(-3.0, 3.0, size=n_samples)
+    fs[0, n_samples:] = _BOUNDARY_ALPHAS
 
     ranks = _batched_ranks(alg, fs)
-    values, counts = np.unique(ranks, return_counts=True)
-    predicted = np.where(in_zero_stratum(fs), 0, 2)
-    counterexamples = [(fs[i], int(ranks[i]), int(predicted[i]))
-                       for i in np.flatnonzero(ranks != predicted)]
+    counts = np.bincount(ranks + 1)  # ranks -1 .. 4
+    predicted = np.where(in_zero_stratum(fs.T), 0, 2)
+    bad = np.flatnonzero(ranks != predicted)
+    counterexamples = list(zip(fs[:, bad].T, ranks[bad].tolist(), predicted[bad].tolist()))
     fam = alg.family.family_id if alg.family is not None else None
-    return MDReport(fam, len(fs), seed, dict(zip(values.tolist(), counts.tolist())),
-                    counterexamples)
+    return MDReport(fam, fs.shape[1], seed,
+                    {r - 1: c for r, c in enumerate(counts.tolist()) if c}, counterexamples)
 
 
 # ---------------------------------------------------------------------------

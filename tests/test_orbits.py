@@ -1,6 +1,7 @@
 """Tests for Kirillov forms, the dimension dichotomy, flows and closed forms."""
 
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -85,6 +86,17 @@ def test_md_verify_examples():
     assert len(rz.counterexamples) == 500
 
 
+def test_md_verify_draws_the_documented_covectors():
+    # The abelian algebra reports every sample, so its counterexamples are the draw.
+    rz = md_verify(LieAlgebra(np.zeros((5, 5, 5))), 500, seed=2)
+    rng = np.random.default_rng(2)
+    v = rng.standard_normal((500, 5))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v *= 10.0 ** rng.uniform(-3.0, 3.0, size=(500, 1))
+    assert np.array([c for c, _, _ in rz.counterexamples]).tobytes() == v.tobytes()
+    assert {(r, p) for _, r, p in rz.counterexamples} == {(0, 2)}
+
+
 def test_md_verify_is_deterministic_for_any_sample_count():
     alg = build_md5("5_4_4", **{"lambda": 0.5})
     assert md_verify(alg, 3000, seed=7).to_json() == md_verify(alg, 3000, seed=7).to_json()
@@ -99,21 +111,21 @@ def test_batched_ranks_do_not_depend_on_the_svd_blocks(monkeypatch):
     alg = build_md5("5_4_4", **{"lambda": 0.5})
     block = orbits.RANK_BLOCK
     rng = np.random.default_rng(4)
-    fs = rng.standard_normal((3 * block + 5, 5)) * 10.0 ** rng.uniform(-3, 3, (3 * block + 5, 1))
+    fs = rng.standard_normal((5, 3 * block + 5)) * 10.0 ** rng.uniform(-3, 3, 3 * block + 5)
     # Zero-stratum covectors on both sides of each block boundary.
-    zero = [0, block - 1, block, 2 * block - 1, 2 * block, 3 * block, len(fs) - 1]
-    fs[zero, 1:] = 0.0
+    zero = [0, block - 1, block, 2 * block - 1, 2 * block, 3 * block, fs.shape[1] - 1]
+    fs[1:, zero] = 0.0
     ranks = orbits._batched_ranks(alg, fs)
     assert np.flatnonzero(ranks == 0).tolist() == zero
     assert set(ranks.tolist()) == {0, 2}
-    for size in (1, 7, len(fs)):  # one covector per SVD ... one SVD for all
+    for size in (1, 7, fs.shape[1]):  # one covector per block ... one block for all
         monkeypatch.setattr(orbits, "RANK_BLOCK", size)
         assert np.array_equal(orbits._batched_ranks(alg, fs), ranks), size
 
 
 def test_md_verify_memory_stays_below_the_kirillov_forms_of_all_samples():
-    # The Kirillov forms of 100 006 covectors alone take 20 MB; the blocked
-    # SVD never holds more than RANK_BLOCK of them.
+    # The Kirillov forms of 100 006 covectors alone take 20 MB; the rank
+    # kernel never holds more than RANK_BLOCK of them.
     alg = build_md5("5_4_4", **{"lambda": 0.5})
     tracemalloc.start()
     try:
@@ -132,12 +144,26 @@ def test_md_verify_memory_stays_below_the_kirillov_forms_of_all_samples():
     ((0, 1e200, 1, 1, 1), 2),
     ((0, 1e-200, 0, 0, 0), 2),
     ((1e-200, 0, 0, 0, 0), 0),
+    ((np.inf, 1, 0, 0, 0), -1),
+    ((np.nan, 1, 0, 0, 0), -1),
 ])
 def test_orbit_dimension_of_non_finite_and_extreme_covectors(f, rank):
-    # -1 never equals a predicted 0 or 2, so a non-finite form never passes the dichotomy.
+    # -1 never equals a predicted 0 or 2, so a non-finite covector or form never
+    # passes the dichotomy.
     rng = np.random.default_rng(8)
+    block = np.random.default_rng(9).standard_normal((5, 9))
     for fid in ALL_FAMILIES:
-        assert orbit_dimension(build_md5(sample_family(fid, rng)), f) == rank, fid
+        alg = build_md5(sample_family(fid, rng))
+        assert orbit_dimension(alg, f) == rank, fid
+        # Inside a block of finite covectors it changes no neighbour's rank.
+        alone = orbits._batched_ranks(alg, block)
+        fs = block.copy()
+        fs[:, 4] = f
+        alone[4] = rank
+        assert np.array_equal(orbits._batched_ranks(alg, fs), alone), fid
+    if rank == -1:
+        # No Kirillov form entry is formed on the abelian algebra: the covector alone gives -1.
+        assert orbit_dimension(LieAlgebra(np.zeros((5, 5, 5))), f) == -1
 
 
 @pytest.mark.parametrize("fid", ALL_FAMILIES)
@@ -165,13 +191,15 @@ def _assert_matches_the_svd(b):
     # the cut, so a value within 1e-6 of it has no stable numeric rank.  The
     # zero form (cut 0) has rank 0 on both routes.
     assume(cut == 0.0 or np.all(np.abs(sv - cut) > 1e-6 * cut))
-    s1, s2 = orbits._singular_values(b[orbits._UPPER][None, :])
-    assert abs(s1[0] - sv[0]) <= VALUE_TOL * sv[0]
-    assert abs(s2[0] - sv[2]) <= VALUE_TOL * sv[0]
-    # The algebra with [X_i, X_j] = b_ij X_1 has Kirillov form b at F = e1.
+    # The algebra with [X_i, X_j] = b_ij X_1 has Kirillov form b at F = e1, and
+    # its live entries are the nonzero entries of b.
     sc = np.zeros((5, 5, 5))
     sc[:, :, 0] = b
-    assert orbit_dimension(LieAlgebra(sc), covector(alpha=1.0)) == (sv > cut).sum()
+    alg = LieAlgebra(sc)
+    s1, s2 = orbits._singular_values(orbits._live_forms(alg), covector(alpha=1.0)[:, None])
+    assert abs(s1[0] - sv[0]) <= VALUE_TOL * sv[0]
+    assert abs(s2[0] - sv[2]) <= VALUE_TOL * sv[0]
+    assert orbit_dimension(alg, covector(alpha=1.0)) == (sv > cut).sum()
 
 
 _exponents = st.floats(-300.0, 300.0)
@@ -186,6 +214,60 @@ def test_closed_form_singular_values_match_the_svd_on_random_forms(upper, expone
     b = np.zeros((5, 5))
     b[orbits._UPPER] = np.asarray(upper) * 10.0 ** exponent
     _assert_matches_the_svd(b - b.T)
+
+
+# The factors of the three Pfaffian terms of the minor (0, 1, 2, 3), and of its first term alone.
+_ONE_MINOR = [orbits._POS[k] for k in [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]]
+_ONE_TERM = _ONE_MINOR[:2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(live=st.sets(st.integers(0, 9)),
+       upper=st.lists(st.floats(0.5, 1.0) | st.floats(-1.0, -0.5), min_size=10, max_size=10),
+       exponent=_exponents)
+@example(live=set(), upper=[1.0] * 10, exponent=0.0)
+@example(live=set(_ONE_TERM), upper=[1.0] * 10, exponent=0.0)
+@example(live=set(_ONE_MINOR), upper=[1.0] * 10, exponent=200.0)
+@example(live=set(_ONE_MINOR), upper=[1.0, 0.5] + [1.0] * 8, exponent=-200.0)
+@example(live=set(range(10)), upper=[1.0] * 10, exponent=300.0)
+def test_ranks_on_any_pattern_of_dead_entries_match_the_svd(live, upper, exponent):
+    # A dead entry is left out of p and out of every Pfaffian term it is a factor of.
+    b = np.zeros((5, 5))
+    b[orbits._UPPER] = np.where(np.isin(np.arange(10), list(live)), upper, 0.0) * 10.0 ** exponent
+    _assert_matches_the_svd(b - b.T)
+
+
+def _dense_singular_values(upper):
+    """The closed form on all ten upper entries (N, 10), dead ones included, summed by numpy."""
+    m = np.abs(upper).max(axis=1)
+    scale = np.where(m > 0, m, 1.0)
+    u = upper / scale[:, None]
+    p = (u * u).sum(axis=1)
+    pos = orbits._POS
+    ab, cd, ac, bd, ad, bc = np.array(
+        [[pos[a, b], pos[c, d], pos[a, c], pos[b, d], pos[a, d], pos[b, c]]
+         for a, b, c, d in combinations(range(5), 4)]).T
+    pf = u[:, ab] * u[:, cd] - u[:, ac] * u[:, bd] + u[:, ad] * u[:, bc]
+    q = (pf * pf).sum(axis=1)
+    s1 = np.sqrt((p + np.sqrt(np.maximum(p * p - 4.0 * q, 0.0))) / 2.0)
+    s2 = np.sqrt(q) / np.where(s1 > 0, s1, 1.0)
+    return s1 * scale, s2 * scale
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dropping_dead_entries_keeps_every_bit_of_the_dense_closed_form(seed):
+    # x + 0 = x and x * 0 = 0, so leaving the dead entries out changes no bit of s1 or s2.
+    rng = np.random.default_rng(seed)
+    sc = rng.standard_normal((5, 5, 5)) * (rng.random((5, 5, 5)) < rng.uniform(0.05, 0.6))
+    sc -= sc.transpose(1, 0, 2)
+    live = orbits._live_forms(LieAlgebra(sc))
+    fs = rng.standard_normal((5, 300)) * 10.0 ** rng.uniform(-300, 300, 300)
+    upper = np.zeros((300, 10))
+    upper[:, np.any(sc[orbits._UPPER] != 0, axis=1)] = (live[0] @ fs).T
+    s1, s2 = orbits._singular_values(live, fs)
+    d1, d2 = _dense_singular_values(upper)
+    assert s1.tobytes() == d1.tobytes()
+    assert s2.tobytes() == d2.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -209,13 +291,26 @@ def test_closed_form_singular_values_on_the_catalogue(fid):
     rng = np.random.default_rng(41)
     alg = build_md5(sample_family(fid, rng))
     fs = rng.standard_normal((200, 5)) * 10.0 ** rng.uniform(-300, 300, (200, 1))
-    forms = kirillov_form(alg, fs)
-    sv = np.linalg.svd(forms, compute_uv=False)
-    s1, s2 = orbits._singular_values(forms[:, orbits._UPPER[0], orbits._UPPER[1]])
+    sv = np.linalg.svd(kirillov_form(alg, fs), compute_uv=False)
+    s1, s2 = orbits._singular_values(orbits._live_forms(alg), fs.T)
     assert np.all(s2 == 0.0)
     assert np.all(np.abs(s1 - sv[:, 0]) <= 1e-14 * sv[:, 0])
     cut = orbits.RANK_TOL * sv[:, :1]
-    assert np.array_equal(orbits._batched_ranks(alg, fs), (sv > cut).sum(axis=1))
+    assert np.array_equal(orbits._batched_ranks(alg, fs.T), (sv > cut).sum(axis=1))
+
+
+@pytest.mark.parametrize("fid", ALL_FAMILIES)
+def test_catalogue_forms_live_on_the_first_row_alone(fid):
+    # Only [X1, .] brackets are nonzero and ad_X1 is invertible on the derived
+    # ideal, so the live entries are B[0, 1..4]: p is (B01^2 + B02^2) + (B03^2 +
+    # B04^2), and no Pfaffian term has two live factors.
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        alg = build_md5(sample_family(fid, rng))
+        sc, p_order, pfaffians = orbits._live_forms(alg)
+        assert np.array_equal(sc, alg.sc[0, 1:])
+        assert p_order == ((0, 1), (2, 3))
+        assert pfaffians == []
 
 
 def test_flow_identity_at_zero():
