@@ -73,7 +73,7 @@ def _md_dichotomy(cfg) -> list[dict]:
                for fid in liealg.FAMILIES for k in range(5)]
     return [check("md_dichotomy", all(rep.dichotomy_holds for rep in reports),
                   "orbit dimensions in {0, 2}, zero exactly on the predicted stratum",
-                  counterexamples=sum(len(rep.counterexamples) for rep in reports),
+                  counterexamples=sum(rep.n_counterexamples for rep in reports),
                   samples=sum(rep.n_samples for rep in reports),
                   ranks=sorted(set().union(*(rep.rank_counts for rep in reports))))]
 

@@ -1,7 +1,12 @@
 """Exact integer linear algebra: Smith/Hermite forms, kernels, images, cokernels.
 
-Matrices are numpy arrays with dtype=object holding Python ints, so nothing
-ever overflows.  A map Z^n -> Z^m is an m x n matrix acting on column vectors.
+A map Z^n -> Z^m is an m x n matrix acting on column vectors.  Matrices come
+in as anything numpy reads as a 2D array of integers and go out as numpy
+arrays with dtype=object holding Python ints, so nothing ever overflows.
+Inside, each function converts its input once, by `_rows`, to a list of rows
+of Python ints (refusing any entry that is not an integer), runs its
+elimination on lists, and builds object arrays only for the matrices it
+returns.
 """
 
 from __future__ import annotations
@@ -26,20 +31,47 @@ __all__ = [
 ]
 
 
+def _int(v) -> int:
+    if type(v) is int:
+        return v
+    try:
+        iv = int(v)
+    except (OverflowError, ValueError):  # inf, nan
+        iv = None
+    if iv is None or iv != v:
+        raise ValueError(f"entry {v!r} is not an integer")
+    return iv
+
+
+def _rows(m) -> tuple[list[list[int]], int]:
+    """The rows of the matrix m as new lists of Python ints, and its column count."""
+    a = np.asarray(m)
+    if a.ndim != 2:
+        if a.ndim > 2:
+            raise ValueError(f"expected a matrix, got an array of shape {a.shape}")
+        a = np.atleast_2d(a)
+    if a.dtype.kind in "iu":
+        return a.tolist(), a.shape[1]
+    return [[_int(v) for v in row] for row in a.tolist()], a.shape[1]
+
+
+def _matrix(rows: list[list[int]], cols: int) -> np.ndarray:
+    """An exact (dtype=object) matrix with the given rows of `cols` entries."""
+    return np.array(rows, dtype=object).reshape(len(rows), cols)
+
+
+def _eye(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _diagonal(d: list[list[int]], cols: int) -> list[int]:
+    """The nonzero diagonal entries of the rows d."""
+    return [d[i][i] for i in range(min(len(d), cols)) if d[i][i]]
+
+
 def as_zmatrix(m) -> np.ndarray:
     """Copy input to an exact integer (dtype=object) matrix."""
-    a = np.array(m)
-    if a.ndim != 2:
-        a = np.atleast_2d(a)
-    out = np.empty(a.shape, dtype=object)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            v = a[i, j]
-            iv = int(v)
-            if iv != v:
-                raise ValueError(f"entry {v!r} is not an integer")
-            out[i, j] = iv
-    return out
+    return _matrix(*_rows(m))
 
 
 def zeros(m: int, n: int) -> np.ndarray:
@@ -49,18 +81,56 @@ def zeros(m: int, n: int) -> np.ndarray:
 
 
 def identity(n: int) -> np.ndarray:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i, i] = 1
-    return out
+    return _matrix(_eye(n), n)
 
 
-def _swap_rows(a, i, j):
-    a[[i, j], :] = a[[j, i], :]
+def _snf(d: list[list[int]], cols: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Bring the rows d to Smith normal form in place; return the rows of U and of V^T.
 
-
-def _swap_cols(a, i, j):
-    a[:, [i, j]] = a[:, [j, i]]
+    The algorithm is the one `snf` documents.  Column operations on V are row
+    operations on V^T, so both transforms stay lists of rows.
+    """
+    rows = len(d)
+    u, vt = _eye(rows), _eye(cols)
+    for t in range(min(rows, cols)):
+        while True:
+            nonzero = [(abs(x), i, j) for i in range(t, rows)
+                       for j, x in enumerate(d[i][t:], t) if x]
+            if not nonzero:
+                return u, vt
+            _, i, j = min(nonzero)
+            if i != t:
+                d[t], d[i] = d[i], d[t]
+                u[t], u[i] = u[i], u[t]
+            if j != t:
+                for row in d:
+                    row[t], row[j] = row[j], row[t]
+                vt[t], vt[j] = vt[j], vt[t]
+            dt, ut, vtt = d[t], u[t], vt[t]
+            p = dt[t]
+            for i in range(t + 1, rows):
+                q = d[i][t] // p
+                if q:
+                    d[i] = [x - q * y for x, y in zip(d[i], dt)]
+                    u[i] = [x - q * y for x, y in zip(u[i], ut)]
+            for j in range(t + 1, cols):
+                q = dt[j] // p
+                if q:
+                    for row in d:
+                        row[j] -= q * row[t]
+                    vt[j] = [x - q * y for x, y in zip(vt[j], vtt)]
+            if any(d[i][t] for i in range(t + 1, rows)) or any(dt[t + 1:]):
+                continue
+            i = next((i for i in range(t + 1, rows)
+                      if any(x % p for x in d[i][t + 1:])), None)
+            if i is None:
+                break
+            d[t] = [x + y for x, y in zip(dt, d[i])]
+            u[t] = [x + y for x, y in zip(ut, u[i])]
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+    return u, vt
 
 
 def snf(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -76,53 +146,15 @@ def snf(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ends, with the pivot dividing all of d[t + 1:, t + 1:]: the divisibility
     chain.
     """
-    d = as_zmatrix(m).copy()
-    rows, cols = d.shape
-    u = identity(rows)
-    v = identity(cols)
-    for t in range(min(rows, cols)):
-        while True:
-            nonzero = [(abs(d[i, j]), i, j) for i in range(t, rows)
-                       for j in range(t, cols) if d[i, j] != 0]
-            if not nonzero:
-                return u, d, v
-            _, i, j = min(nonzero)
-            if i != t:
-                _swap_rows(d, t, i)
-                _swap_rows(u, t, i)
-            if j != t:
-                _swap_cols(d, t, j)
-                _swap_cols(v, t, j)
-            p = d[t, t]
-            for i in range(t + 1, rows):
-                if d[i, t] != 0:
-                    q = d[i, t] // p
-                    d[i, :] -= q * d[t, :]
-                    u[i, :] -= q * u[t, :]
-            for j in range(t + 1, cols):
-                if d[t, j] != 0:
-                    q = d[t, j] // p
-                    d[:, j] -= q * d[:, t]
-                    v[:, j] -= q * v[:, t]
-            if any(d[i, t] != 0 for i in range(t + 1, rows)) or \
-               any(d[t, j] != 0 for j in range(t + 1, cols)):
-                continue
-            i = next((i for i in range(t + 1, rows)
-                      for j in range(t + 1, cols) if d[i, j] % p != 0), None)
-            if i is None:
-                break
-            d[t, :] += d[i, :]
-            u[t, :] += u[i, :]
-        if d[t, t] < 0:
-            d[t, :] = -d[t, :]
-            u[t, :] = -u[t, :]
-    return u, d, v
+    d, cols = _rows(m)
+    u, vt = _snf(d, cols)
+    return _matrix(u, len(d)), _matrix(d, cols), _matrix(vt, cols).T
 
 
 def invariant_factors(m) -> list[int]:
     """Nonzero diagonal of the Smith normal form, in divisibility order."""
     _, d, _ = snf(m)
-    return [int(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0]
+    return [x for x in d.diagonal().tolist() if x]
 
 
 def minor_gcd_invariant_factors(m) -> list[int]:
@@ -130,18 +162,18 @@ def minor_gcd_invariant_factors(m) -> list[int]:
 
     Exponential in the matrix size; intended for small matrices in tests.
     """
-    a = as_zmatrix(m)
-    rows, cols = a.shape
+    a, cols = _rows(m)
+    rows = len(a)
 
     def det(sub_r, sub_c):
         k = len(sub_r)
         if k == 1:
-            return a[sub_r[0], sub_c[0]]
+            return a[sub_r[0]][sub_c[0]]
         total = 0
         sign = 1
         for idx, r in enumerate(sub_r):
             minor = det(sub_r[:idx] + sub_r[idx + 1:], sub_c[1:])
-            total += sign * a[r, sub_c[0]] * minor
+            total += sign * a[r][sub_c[0]] * minor
             sign = -sign
         return total
 
@@ -150,7 +182,7 @@ def minor_gcd_invariant_factors(m) -> list[int]:
         g = 0
         for sr in combinations(range(rows), k):
             for sc in combinations(range(cols), k):
-                g = gcd(g, int(det(list(sr), list(sc))))
+                g = gcd(g, det(sr, sc))
         if g == 0:
             break
         gcds.append(g)
@@ -162,6 +194,59 @@ def minor_gcd_invariant_factors(m) -> list[int]:
     return factors
 
 
+def _hnf(a: list[list[int]], rows: int) -> list[list[int]]:
+    """Column Hermite form of the columns a (lists of `rows` entries), in place.
+
+    Returns the nonzero columns: the canonical generators `hnf_columns`
+    documents.
+    """
+    cols = len(a)
+    # Column echelon via unimodular column operations, pivoting down the rows.
+    c = 0
+    for r in range(rows):
+        if c >= cols:
+            break
+        # gcd-out the row r among columns c..end.
+        while True:
+            nz = [j for j in range(c, cols) if a[j][r]]
+            if not nz:
+                break
+            jmin = min(nz, key=lambda j: abs(a[j][r]))
+            if jmin != c:
+                a[c], a[jmin] = a[jmin], a[c]
+            ac = a[c]
+            done = True
+            for j in range(c + 1, cols):
+                if a[j][r]:
+                    q = a[j][r] // ac[r]
+                    a[j] = [x - q * y for x, y in zip(a[j], ac)]
+                    if a[j][r]:
+                        done = False
+            if done:
+                break
+        if a[c][r]:
+            if a[c][r] < 0:
+                a[c] = [-x for x in a[c]]
+            ac = a[c]
+            # Reduce earlier columns above this pivot.
+            for j in range(c):
+                q = a[j][r] // ac[r]
+                if q:
+                    a[j] = [x - q * y for x, y in zip(a[j], ac)]
+            c += 1
+    return [col for col in a if any(col)]
+
+
+def _column_hnf(m) -> tuple[list[list[int]], int]:
+    """The column Hermite form of m as a list of columns, and its row count."""
+    rows, cols = _rows(m)
+    return _hnf([[row[j] for row in rows] for j in range(cols)], len(rows)), len(rows)
+
+
+def _from_columns(columns: list[list[int]], rows: int) -> np.ndarray:
+    return _matrix(columns, rows).T
+
+
 def hnf_columns(m) -> np.ndarray:
     """Column-style Hermite normal form of the column lattice of M.
 
@@ -170,66 +255,31 @@ def hnf_columns(m) -> np.ndarray:
     Two integer matrices generate the same subgroup of Z^m iff their forms
     are equal.
     """
-    a = as_zmatrix(m).copy()
-    rows, cols = a.shape
-    # Column echelon via unimodular column operations, pivoting down the rows.
-    c = 0
-    for r in range(rows):
-        if c >= cols:
-            break
-        # gcd-out the row r among columns c..end.
-        while True:
-            nz = [j for j in range(c, cols) if a[r, j] != 0]
-            if not nz:
-                break
-            jmin = min(nz, key=lambda j: abs(a[r, j]))
-            if jmin != c:
-                _swap_cols(a, c, jmin)
-            done = True
-            for j in range(c + 1, cols):
-                if a[r, j] != 0:
-                    q = a[r, j] // a[r, c]
-                    a[:, j] -= q * a[:, c]
-                    if a[r, j] != 0:
-                        done = False
-            if done:
-                break
-        if a[r, c] != 0:
-            if a[r, c] < 0:
-                a[:, c] = -a[:, c]
-            # Reduce earlier columns above this pivot.
-            for j in range(c):
-                q = a[r, j] // a[r, c]
-                a[:, j] -= q * a[:, c]
-            c += 1
-    keep = [j for j in range(cols) if any(a[i, j] != 0 for i in range(rows))]
-    return a[:, keep] if keep else zeros(rows, 0)
+    return _from_columns(*_column_hnf(m))
 
 
 def kernel_basis(m) -> np.ndarray:
     """Columns form a primitive basis of ker(M) in the source Z^n."""
-    a = as_zmatrix(m)
-    _, d, v = snf(a)
-    n = a.shape[1]
-    rank = sum(1 for i in range(min(d.shape)) if d[i, i] != 0)
-    return hnf_columns(v[:, rank:]) if rank < n else zeros(n, 0)
+    d, n = _rows(m)
+    _, vt = _snf(d, n)
+    rank = len(_diagonal(d, n))
+    # The last n - rank columns of V span the kernel.
+    return _from_columns(_hnf(vt[rank:], n), n)
 
 
 def image_basis(m) -> np.ndarray:
     """Columns generate im(M) in the target Z^m (canonical HNF generators)."""
-    return hnf_columns(as_zmatrix(m))
+    return hnf_columns(m)
 
 
 def cokernel(m) -> tuple[int, list[int]]:
     """(free rank, torsion factors > 1) of Z^m / im(M)."""
-    a = as_zmatrix(m)
-    facs = invariant_factors(a)
-    free = a.shape[0] - len(facs)
-    torsion = [f for f in facs if f > 1]
-    return free, torsion
+    d, cols = _rows(m)
+    _snf(d, cols)
+    facs = _diagonal(d, cols)
+    return len(d) - len(facs), [f for f in facs if f > 1]
 
 
 def subgroup_equal(a, b) -> bool:
     """Whether two generator matrices span the same subgroup of the same Z^m."""
-    ha, hb = hnf_columns(a), hnf_columns(b)
-    return ha.shape == hb.shape and np.array_equal(ha, hb)
+    return _column_hnf(a) == _column_hnf(b)

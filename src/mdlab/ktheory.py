@@ -11,6 +11,8 @@ and is rejected where it would arise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import factorial
 
 import numpy as np
 
@@ -133,11 +135,61 @@ def _infer_ranks(groups, known) -> list[int]:
 
 
 def _box(shape: tuple[int, int], bound: int) -> np.ndarray:
-    """Every matrix of `shape` with entries in [-bound, bound], as an exact
-    (count, rows, cols) stack in lexicographic order of the row-major entries."""
+    """Every matrix of `shape` with entries in [-bound, bound], as an int64
+    (count, rows, cols) stack in lexicographic order of the row-major entries.
+
+    The stack is a view of a (rows, cols, count) array, so entry (i, j) of
+    all candidates is one contiguous row for `_box_factors`.
+    """
     k, e = len(range(-bound, bound + 1)), shape[0] * shape[1]
-    digits = np.arange(k ** e)[:, None] // k ** np.arange(e - 1, -1, -1) % k
-    return (digits - bound).astype(object).reshape(-1, *shape)
+    entries = np.arange(k ** e) // k ** np.arange(e - 1, -1, -1)[:, None]
+    entries %= k
+    entries -= bound
+    return np.moveaxis(entries.reshape(*shape, -1), -1, 0)
+
+
+def _minor(e: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
+    """The minor on `rows` and `cols` of every candidate, by Laplace expansion
+    along its first row; e[i, j] holds entry (i, j) of every candidate."""
+    if len(rows) == 1:
+        return e[rows[0], cols[0]]
+    total = e[rows[0], cols[0]] * _minor(e, rows[1:], cols[1:])
+    for t in range(1, len(cols)):
+        term = e[rows[0], cols[t]] * _minor(e, rows[1:], cols[:t] + cols[t + 1:])
+        if t % 2:
+            total -= term
+        else:
+            total += term
+    return total
+
+
+def _box_factors(box: np.ndarray, bound: int) -> np.ndarray:
+    """The invariant factors of every candidate of an int64 box, in one pass.
+
+    Row j holds candidate j's nonzero factors d1 | d2 | ..., padded with
+    zeros to min(rows, cols).  By the minor-gcd theorem d1 ... dk is the gcd
+    g_k of the k x k minors, so dk = g_k / g_(k-1); g_k is 0 above the rank,
+    and k goes up only while some candidate has g_k != 0.  Entries lie in
+    [-bound, bound] and a k-minor sums k! products of k entries, so
+    |k-minor| <= k! bound^k.  `MAX_CANDIDATES` keeps (2 bound + 1) **
+    (rows cols) <= 5e6, so min(rows, cols) <= 2 at bound 3 and <= 3 at
+    bounds 1-2, and k! bound^k stays at most 2.5e6, far below 2^62: no minor
+    or gcd overflows.  A box beyond that bound is refused.
+    """
+    count, rows, cols = box.shape
+    m = min(rows, cols)
+    if factorial(m) * bound ** m >= 2 ** 62:
+        raise SearchSpaceError(f"{m} x {m} minors of entries up to {bound} may overflow int64")
+    e = np.ascontiguousarray(np.moveaxis(box, 0, -1))  # e[i, j]: entry (i, j) of all
+    g = np.zeros((m + 1, count), dtype=np.int64)  # g[k] = g_k of every candidate
+    g[0] = 1
+    for k in range(1, m + 1):
+        for r in combinations(range(rows), k):
+            for c in combinations(range(cols), k):
+                np.gcd(g[k], _minor(e, r, c), out=g[k])
+        if not g[k].any():
+            break
+    return (g[1:] // np.maximum(g[:-1], 1)).T
 
 
 def _node_test(n: int, fa: list[int], fb: list[int]) -> bool:
@@ -166,16 +218,18 @@ def solve_six_term(groups, known_maps=None, bound: int = 3) -> list[SixTerm]:
     `MAX_CANDIDATES` bounds the unpruned box, the product over the unknown
     maps of (2 bound + 1) ** entries, and the search refuses to start beyond it.
 
-    Each unknown map's candidates form one exact (count, rows, cols) box.  The
-    search assigns the unknown maps one at a time.  Consecutive maps of an
-    exact sequence compose to zero (im a = ker b implies b a = 0), so each
-    level first keeps the candidates of its whole box that compose to zero
-    with the neighbours already assigned, one batched product per neighbour;
-    this prunes no completion.  A node is then tested as soon as both of its
-    maps are assigned, by `_node_test` on the invariant factors of its maps:
-    rank a + rank b = n and unit factors of a.  Nodes between two fixed maps
-    are tested once, before the search.  Each candidate's factors are
-    computed at most once per call and also give its class key.
+    Each unknown map's candidates form one int64 (count, rows, cols) box.
+    The invariant factors of all of them come from one batched pass over the
+    box, `_box_factors`, by the minor-gcd theorem; a fixed map's come from its
+    Smith form.  The search assigns the unknown maps one at a time.
+    Consecutive maps of an exact sequence compose to zero (im a = ker b
+    implies b a = 0), so each level first keeps the candidates of its whole
+    box that compose to zero with the neighbours already assigned, one
+    batched product per neighbour; this prunes no completion.  A node is then
+    tested as soon as both of its maps are assigned, by `_node_test` on the
+    invariant factors of its maps: rank a + rank b = n and unit factors of a.
+    Nodes between two fixed maps are tested once, before the search.  A
+    candidate's factors also give its class key.
 
     Every class is returned through its representative, and every
     representative is re-checked with `is_exact` (HNF image = kernel); a
@@ -189,43 +243,52 @@ def solve_six_term(groups, known_maps=None, bound: int = 3) -> list[SixTerm]:
     ranks = _infer_ranks(groups, known)
 
     shapes = [(ranks[(i + 1) % 6], ranks[i]) for i in range(6)]
-    # A fixed map is a box of one candidate, assigned from the start.
-    boxes: dict[int, np.ndarray] = {}  # position -> (count, rows, cols) candidates
-    chosen: dict[int, int] = {}  # position -> index of its assigned candidate
+    fixed: dict[int, np.ndarray] = {}  # position -> known map, or a map from or to 0
     open_idx: list[int] = []
     total = 1
     for i, shape in enumerate(shapes):
         if i in known:
             if known[i].shape != shape:
                 raise ValueError(f"known map {i} has shape {known[i].shape}, expected {shape}")
-            boxes[i], chosen[i] = known[i][None], 0
+            fixed[i] = known[i]
         elif shape[0] == 0 or shape[1] == 0:
-            boxes[i], chosen[i] = zeros(*shape)[None], 0
+            fixed[i] = zeros(*shape)
         else:
             open_idx.append(i)
             total *= (2 * bound + 1) ** (shape[0] * shape[1])
     if total > MAX_CANDIDATES:
         raise SearchSpaceError(
             f"completion search needs about {total:.3g} candidates (> {MAX_CANDIDATES})")
-    for i in open_idx:
-        boxes[i] = _box(shapes[i], bound)
 
-    factors: dict[tuple[int, int], list[int]] = {}
+    # A fixed map is a box of one candidate, assigned from the start, whose
+    # factors come from its Smith form.
+    chosen = dict.fromkeys(fixed, 0)  # position -> index of its assigned candidate
+    factors = {(i, 0): invariant_factors(m) for i, m in fixed.items()}
+    for node in range(6):
+        a, b = (node - 1) % 6, node
+        if a in fixed and b in fixed and ((fixed[b] @ fixed[a]).any() or not _node_test(
+                ranks[node], factors[a, 0], factors[b, 0])):
+            return []
+
+    # The composition filter multiplies in int64 when no sum of rank-many
+    # products of entries can reach 2^62, and exactly otherwise.
+    largest = max([bound] + [abs(x) for m in fixed.values() for x in m.flat])
+    dtype = np.int64 if max(ranks) * largest ** 2 < 2 ** 62 else object
+    boxes = {i: m.astype(dtype)[None] for i, m in fixed.items()}  # (count, rows, cols)
+    box_factors = {}
+    for i in open_idx:
+        box = _box(shapes[i], bound)
+        box_factors[i] = _box_factors(box, bound)
+        boxes[i] = box.astype(dtype, copy=False)
 
     def facs(i, j):
         if (i, j) not in factors:
-            factors[i, j] = invariant_factors(boxes[i][j])
+            factors[i, j] = [f for f in box_factors[i][j].tolist() if f]
         return factors[i, j]
 
     def exact_node(node, ja, jb):
         # Node `node` with candidate ja of its incoming map, jb of its outgoing one.
         return _node_test(ranks[node], facs((node - 1) % 6, ja), facs(node, jb))
-
-    for node in range(6):
-        a, b = (node - 1) % 6, node
-        if a in chosen and b in chosen and (
-                (boxes[b][0] @ boxes[a][0]).any() or not exact_node(node, 0, 0)):
-            return []
 
     # The search visits completions in lexicographic order of their entries,
     # so the first completion of each class is its minimal representative.
@@ -258,7 +321,7 @@ def solve_six_term(groups, known_maps=None, bound: int = 3) -> list[SixTerm]:
     solutions = []
     for key in sorted(classes):
         seq = SixTerm(tuple(ranks),
-                      tuple(boxes[i][j].copy() for i, j in enumerate(classes[key])))
+                      tuple(boxes[i][j].astype(object) for i, j in enumerate(classes[key])))
         if not is_exact(seq):
             raise RuntimeError("the node test accepted a non-exact completion "
                                f"{[[int(x) for x in m.reshape(-1)] for m in seq.maps]}")

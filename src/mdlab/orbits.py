@@ -40,6 +40,7 @@ __all__ = [
 
 RANK_TOL = 1e-8
 RANK_BLOCK = 2048  # covectors per rank block, so that memory does not grow with the sample count
+KEPT_COUNTEREXAMPLES = 10  # counterexamples an MDReport lists; it counts all of them
 # Largest deviation of the matrix-exponential flow from a closed-form orbit.
 FLOW_TOL = 1e-9
 # `mdlab orbit` judges the flow to FLOW_TOL * scale, relative to the orbit's
@@ -189,11 +190,12 @@ class MDReport:
     n_samples: int
     seed: int
     rank_counts: dict[int, int]
-    counterexamples: list = field(default_factory=list)
+    n_counterexamples: int
+    counterexamples: list = field(default_factory=list)  # the first KEPT_COUNTEREXAMPLES
 
     @property
     def dichotomy_holds(self) -> bool:
-        return not self.counterexamples
+        return not self.n_counterexamples
 
     def to_json(self) -> dict:
         return {
@@ -201,6 +203,7 @@ class MDReport:
             "n_samples": self.n_samples,
             "seed": self.seed,
             "rank_counts": {str(k): v for k, v in sorted(self.rank_counts.items())},
+            "n_counterexamples": self.n_counterexamples,
             "counterexamples": [
                 {"covector": list(map(float, c)), "rank": int(r), "predicted_dim": int(p)}
                 for c, r, p in self.counterexamples
@@ -220,7 +223,8 @@ def md_verify(alg: LieAlgebra, n_samples: int, seed: int) -> MDReport:
     as the columns of a (5, N) array, and each rank counts the closed-form
     singular values of the Kirillov form above the cut (see _singular_values),
     in blocks of RANK_BLOCK covectors.  Violations are report content, not
-    exceptions.
+    exceptions: the report counts them and lists the first
+    KEPT_COUNTEREXAMPLES, in sample order.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -239,10 +243,12 @@ def md_verify(alg: LieAlgebra, n_samples: int, seed: int) -> MDReport:
     counts = np.bincount(ranks + 1)  # ranks -1 .. 4
     predicted = np.where(in_zero_stratum(fs.T), 0, 2)
     bad = np.flatnonzero(ranks != predicted)
-    counterexamples = list(zip(fs[:, bad].T, ranks[bad].tolist(), predicted[bad].tolist()))
+    kept = bad[:KEPT_COUNTEREXAMPLES]
+    counterexamples = list(zip(fs[:, kept].T, ranks[kept].tolist(), predicted[kept].tolist()))
     fam = alg.family.family_id if alg.family is not None else None
     return MDReport(fam, fs.shape[1], seed,
-                    {r - 1: c for r, c in enumerate(counts.tolist()) if c}, counterexamples)
+                    {r - 1: c for r, c in enumerate(counts.tolist()) if c}, len(bad),
+                    counterexamples)
 
 
 # ---------------------------------------------------------------------------

@@ -412,18 +412,29 @@ def _inv2(m):
     """Inverse of entry-major k×k stacks (k <= 2) by the adjugate.
 
     A singular or NaN entry gives inf or NaN without a warning: the callers'
-    σ_min floor is what refuses such a field.
+    σ_min floor is what refuses such a field.  A determinant below 2^-900
+    may have underflowed, so such a matrix is inverted again scaled by
+    2^600, which is exact.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if m.shape[0] == 1:
             return 1.0 / m
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        out = np.empty_like(m)
-        out[0, 0] = m[1, 1]
-        out[1, 1] = m[0, 0]
-        np.negative(m[0, 1], out=out[0, 1])
-        np.negative(m[1, 0], out=out[1, 0])
-        return np.divide(out, det, out=out)
+        out, det = _inv2_unscaled(m)
+        small = np.hypot(det.real, det.imag, out=det.real) < 2.0 ** -900  # |det|, in place
+        if small.any():
+            out[..., small] = _inv2_unscaled(m[..., small] * 2.0 ** 600)[0] * 2.0 ** 600
+        return out
+
+
+def _inv2_unscaled(m):
+    """(inverse, determinant) of entry-major 2×2 stacks, by the adjugate."""
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    out = np.empty_like(m)
+    out[0, 0] = m[1, 1]
+    out[1, 1] = m[0, 0]
+    np.negative(m[0, 1], out=out[0, 1])
+    np.negative(m[1, 0], out=out[1, 0])
+    return np.divide(out, det, out=out), det
 
 
 def _sigma_min2(m):
@@ -433,17 +444,29 @@ def _sigma_min2(m):
     h = m mᴴ.  The root is taken as hypot(h11 − h22, 2|h12|), which is the
     same number without the cancellation that costs √eps (1e-8) at the
     unitary witnesses, where σ1 = σ2.  A zero matrix gives 0 and a NaN entry
-    gives NaN.
+    gives NaN.  Squares of entries below about 1e-154 underflow, so a matrix
+    with ‖m‖_F² < 2^-800 is solved again scaled by 2^600, which is exact.
     """
     if m.shape[0] == 1:
         return np.abs(m[0, 0])
+    out, norm2 = _sigma_min2_unscaled(m)
+    small = norm2 < 2.0 ** -800
+    if small.any():
+        out[small] = _sigma_min2_unscaled(m[..., small] * 2.0 ** 600)[0] * 2.0 ** -600
+    return out
+
+
+def _sigma_min2_unscaled(m):
+    """(σ_min, ‖m‖_F²) of entry-major 2×2 stacks, as `_sigma_min2` documents."""
     a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
     h11 = a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2
     h22 = c.real ** 2 + c.imag ** 2 + d.real ** 2 + d.imag ** 2
     h12 = np.abs(a * np.conj(c) + b * np.conj(d))
-    smax = np.sqrt(0.5 * (h11 + h22 + np.hypot(h11 - h22, 2.0 * h12)))
+    root = np.hypot(h11 - h22, 2.0 * h12)
+    norm2 = np.add(h11, h22, out=h11)
+    smax = np.sqrt(0.5 * (norm2 + root))
     adet = np.abs(a * d - b * c)
-    return np.divide(adet, smax, out=np.zeros_like(adet), where=smax != 0.0)
+    return np.divide(adet, smax, out=np.zeros_like(adet), where=smax != 0.0), norm2
 
 
 def _exact_sum_complex(values) -> complex:

@@ -200,3 +200,48 @@ def test_hnf_drops_zero_columns():
     h = hnf_columns([[0, 2], [0, 0]])
     assert h.shape == (2, 1)
     assert list(h[:, 0]) == [2, 0]
+
+
+_BIG = 2 ** 80  # beyond int64: the list kernels work on Python ints
+
+
+def test_entries_beyond_int64_survive_every_kernel():
+    m = [[_BIG, 0, 3], [0, 2 * _BIG, 6]]
+    assert_snf_contract(m)
+    assert invariant_factors(m) == minor_gcd_invariant_factors(m) == [1, 2 * _BIG]
+    assert cokernel([[_BIG, 0], [0, 3 * _BIG]]) == (0, [_BIG, 3 * _BIG])
+    assert minor_gcd_invariant_factors([[_BIG, 0], [0, 3 * _BIG]]) == [_BIG, 3 * _BIG]
+    # gcd(2^80, 2^80 + 1) = 1: the row generates Z, and its kernel is one primitive vector.
+    row = np.array([[_BIG, _BIG + 1]], dtype=object)
+    assert hnf_columns(row).tolist() == [[1]]
+    k = kernel_basis(row)
+    assert k.shape == (2, 1) and sorted(abs(x) for x in k[:, 0]) == [_BIG, _BIG + 1]
+    assert (row @ k).tolist() == [[0]]
+    assert subgroup_equal([[_BIG], [1]], [[-_BIG], [-1]])
+    assert not subgroup_equal([[_BIG], [0]], [[_BIG + 1], [0]])
+
+
+@pytest.mark.parametrize("bad", [0.5, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kernel", [as_zmatrix, snf, invariant_factors,
+                                    minor_gcd_invariant_factors, hnf_columns, kernel_basis,
+                                    image_basis, cokernel])
+def test_non_integer_entries_are_refused(kernel, bad):
+    with pytest.raises(ValueError, match="not an integer"):
+        kernel([[1, bad], [0, 2]])
+    with pytest.raises(ValueError, match="not an integer"):
+        kernel(np.array([[1, bad]], dtype=object))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_empty_shapes(shape):
+    rows, cols = shape
+    u, d, v = snf(zeros(rows, cols))
+    assert (u.shape, d.shape, v.shape) == ((rows, rows), shape, (cols, cols))
+    assert invariant_factors(zeros(rows, cols)) == [] == minor_gcd_invariant_factors(
+        zeros(rows, cols))
+    assert hnf_columns(zeros(rows, cols)).shape == (rows, 0)
+    assert image_basis(zeros(rows, cols)).shape == (rows, 0)
+    # A map from Z^cols has all of Z^cols as its kernel; Z^rows is its cokernel.
+    assert np.array_equal(kernel_basis(zeros(rows, cols)), identity(cols))
+    assert cokernel(zeros(rows, cols)) == (rows, [])
+    assert subgroup_equal(zeros(rows, cols), zeros(rows, 0))

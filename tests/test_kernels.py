@@ -128,6 +128,9 @@ _pairs = st.sampled_from([1, 4]).flatmap(
 @given(entries=_pairs)
 # A subnormal 1×1 entry: its inverse, 4.5e308, overflows float64.
 @example(entries=([2.225073858507203e-309 + 0j], [1.0 + 0j]))
+# Entries whose squares underflow to 0: σ_min = 5.4e-247, not 0.
+@example(entries=([5.397181587520103e-247 + 0j, 0j, 0j, 5.397181587520103e-247 + 0j],
+                  [0j, 0j, 0j, 0j]))
 def test_kernels_property_random_complex_entries(entries):
     k = math.isqrt(len(entries[0]))
     a, b = (np.array(e, dtype=complex).reshape(1, k, k) for e in entries)

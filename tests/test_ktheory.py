@@ -238,11 +238,98 @@ def test_composition_rule_prunes_the_gamma2_search(monkeypatch):
     exactness_calls = _counting(monkeypatch, "subgroup_equal")
     sols = solve_six_term(*hexagon_preset("gamma2"), bound=3)
     assert len(sols) == 1
-    # One Smith form per fixed map (4) and per candidate that survives the
-    # b a = 0 filter: 49 of the 2 401 for map 0, all 49 for map 1.
-    assert factor_calls[0] == 102
+    # One Smith form per fixed map: the known delta1 and the three maps from
+    # or to 0.  The candidates of the two open boxes get their factors from
+    # one batched minor-gcd pass per box.
+    assert factor_calls[0] == 4
     # The HNF image = kernel route runs only in the re-check: 6 nodes per completion.
     assert exactness_calls[0] == 6 * len(sols)
+
+
+def _row_codes(stack, bound):
+    """One code per matrix of a (count, rows, cols) stack of entries in
+    [-bound, bound], equal for two matrices whose rows agree up to sign and order."""
+    k = 2 * bound + 1
+    top = k ** stack.shape[2] - 1  # the codes of a row and of its negative sum to top
+    keys = []
+    for row in np.moveaxis(stack, 0, -1):
+        key = np.zeros(len(stack), dtype=np.int64)
+        for entry in row:
+            key = key * k + entry + bound
+        keys.append(np.minimum(key, top - key))
+    code = np.zeros(len(stack), dtype=np.int64)
+    for key in np.sort(np.stack(keys, axis=1), axis=1).T:
+        code = code * (top + 1) + key
+    return code
+
+
+def _equivalent_candidates(box, bound):
+    """(reps, cls): candidate j equals candidate reps[cls[j]] up to the signs
+    and order of its rows and then of its columns, so both have the same
+    invariant factors."""
+    _, by_rows, row_cls = np.unique(_row_codes(box, bound), return_index=True,
+                                    return_inverse=True)
+    _, by_cols, col_cls = np.unique(_row_codes(box[by_rows].swapaxes(1, 2), bound),
+                                    return_index=True, return_inverse=True)
+    return by_rows[by_cols], col_cls[row_cls]
+
+
+# Every box shape up to 4 x 4 that MAX_CANDIDATES admits at bounds 0-3: a
+# rank-3 3 x 3 box at bound 2 and a 3 x 4 box at bound 1 are the largest.
+# Wider boxes at bound >= 1 have min(rows, cols) <= 2 and no new minor order.
+_BOX_SHAPES = [(bound, (rows, cols)) for bound in range(4)
+               for rows in range(1, 5) for cols in range(1, 5)
+               if (2 * bound + 1) ** (rows * cols) <= ktheory.MAX_CANDIDATES]
+
+
+@pytest.mark.parametrize("bound, shape", _BOX_SHAPES,
+                         ids=[f"bound{b}-{r}x{c}" for b, (r, c) in _BOX_SHAPES])
+def test_box_factors_are_the_invariant_factors_of_every_candidate(bound, shape):
+    box = ktheory._box(shape, bound)
+    assert box.dtype == np.int64 and box.shape == ((2 * bound + 1) ** (shape[0] * shape[1]),
+                                                    *shape)
+    got = ktheory._box_factors(box, bound)
+    reps, cls = _equivalent_candidates(box, bound)
+    want = np.zeros((len(reps), min(shape)), dtype=np.int64)
+    for row, j in zip(want, reps.tolist()):
+        factors = invariant_factors(box[j])
+        row[:len(factors)] = factors
+    assert np.array_equal(got, want[cls])
+
+
+def test_box_factors_refuse_minors_that_could_overflow():
+    with pytest.raises(SearchSpaceError, match="overflow"):
+        ktheory._box_factors(np.zeros((1, 2, 2), dtype=np.int64), 2 ** 31)
+
+
+@pytest.mark.parametrize("preset", ["gamma1", "gamma2", "gamma3", "allZ"])
+def test_a_corrupted_box_factor_breaks_the_search(monkeypatch, preset):
+    # Give the first representative's candidate in one open box a factor 2:
+    # the search must raise in the is_exact re-check or disagree with the
+    # unpruned enumeration.
+    groups, known = hexagon_preset(preset)
+    expected = _reference_completions(groups, known, 1)
+    first = solve_six_term(groups, known, bound=1)[0]
+    open_maps = [m for i, m in enumerate(first.maps) if i not in known and 0 not in m.shape]
+    box_factors = ktheory._box_factors
+    for n, m in enumerate(open_maps):
+        j = int(np.flatnonzero((ktheory._box(m.shape, 1) == m).all(axis=(1, 2)))[0])
+        calls = []
+
+        def corrupted(box, bound, n=n, j=j):
+            factors = box_factors(box, bound)
+            calls.append(box.shape)
+            if len(calls) == n + 1:  # boxes are built in order of position
+                factors[j, 0] = 2
+            return factors
+
+        monkeypatch.setattr(ktheory, "_box_factors", corrupted)
+        try:
+            got = _completions(groups, known, 1)
+        except RuntimeError:
+            got = None
+        assert len(calls) == len(open_maps)
+        assert got != expected, (preset, n, j)
 
 
 def test_node_test_that_accepts_everything_makes_the_search_raise(monkeypatch):
@@ -300,6 +387,15 @@ def test_node_test_needs_unit_factors_of_the_incoming_map():
     a, b = zmap(1, 1, [[2]]), zmap(1, 1, [[0]])
     assert not _node_exact_by_factors(a, b)
     assert not _node_exact_by_hnf(a, b)
+
+
+@pytest.mark.parametrize("preset, deltas", [
+    ("gamma2", {"delta1": [[2 ** 70], [1]]}),
+    ("gamma3", {"delta1": [[2 ** 70]]}),
+])
+def test_known_maps_beyond_int64_are_searched_exactly(preset, deltas):
+    groups, known = hexagon_preset(preset, **deltas)
+    assert _completions(groups, known, 1) == _reference_completions(groups, known, 1)
 
 
 def test_search_space_overflow(monkeypatch):

@@ -83,18 +83,26 @@ def test_md_verify_examples():
     assert rz.rank_counts == {0: 506}
     assert rz.n_samples == 506
     # Every nonzero sample contradicts the two_dim prediction on the abelian algebra.
-    assert len(rz.counterexamples) == 500
+    assert rz.n_counterexamples == 500
+    assert not rz.dichotomy_holds
 
 
 def test_md_verify_draws_the_documented_covectors():
-    # The abelian algebra reports every sample, so its counterexamples are the draw.
+    # The abelian algebra contradicts every sample, so the counterexamples it
+    # keeps are the first covectors of the draw.
     rz = md_verify(LieAlgebra(np.zeros((5, 5, 5))), 500, seed=2)
     rng = np.random.default_rng(2)
     v = rng.standard_normal((500, 5))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     v *= 10.0 ** rng.uniform(-3.0, 3.0, size=(500, 1))
-    assert np.array([c for c, _, _ in rz.counterexamples]).tobytes() == v.tobytes()
+    assert rz.n_counterexamples == 500
+    assert len(rz.counterexamples) == orbits.KEPT_COUNTEREXAMPLES
+    kept = np.array([c for c, _, _ in rz.counterexamples])
+    assert kept.tobytes() == v[:orbits.KEPT_COUNTEREXAMPLES].tobytes()
     assert {(r, p) for _, r, p in rz.counterexamples} == {(0, 2)}
+    report = rz.to_json()
+    assert report["n_counterexamples"] == 500
+    assert len(report["counterexamples"]) == orbits.KEPT_COUNTEREXAMPLES
 
 
 def test_md_verify_is_deterministic_for_any_sample_count():
@@ -135,6 +143,14 @@ def test_md_verify_memory_stays_below_the_kirillov_forms_of_all_samples():
         tracemalloc.stop()
     assert report.rank_counts == {0: 6, 2: 100_000}
     assert peak < 16e6, peak
+
+
+def test_md_verify_report_does_not_grow_with_its_counterexamples():
+    # On the abelian algebra all 100 000 samples are counterexamples; the
+    # report counts them and keeps only the first few.
+    rz = md_verify(LieAlgebra(np.zeros((5, 5, 5))), 100_000, seed=1)
+    assert rz.n_counterexamples == 100_000
+    assert len(rz.to_json()["counterexamples"]) == orbits.KEPT_COUNTEREXAMPLES
 
 
 @pytest.mark.parametrize("f, rank", [
