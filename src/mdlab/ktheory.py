@@ -22,7 +22,6 @@ from .intlinalg import (
     image_basis,
     invariant_factors,
     kernel_basis,
-    subgroup_equal,
     zeros,
 )
 
@@ -84,10 +83,15 @@ class SixTerm:
 
 
 def exact_at(seq: SixTerm, node: int) -> bool:
-    """Exactness at one node: image of the incoming map equals kernel of the outgoing."""
+    """Exactness at one node: image of the incoming map equals kernel of the outgoing.
+
+    Both bases are canonical column Hermite forms (`image_basis`,
+    `kernel_basis`), and two subgroups are equal iff their forms are, so the
+    bases are compared as they are.
+    """
     img = image_basis(seq.maps[(node - 1) % 6])
     ker = kernel_basis(seq.maps[node % 6])
-    return subgroup_equal(img, ker)
+    return np.array_equal(img, ker)
 
 
 def is_exact(seq: SixTerm) -> bool:
@@ -192,19 +196,21 @@ def _box_factors(box: np.ndarray, bound: int) -> np.ndarray:
     return (g[1:] // np.maximum(g[:-1], 1)).T
 
 
-def _node_test(n: int, fa: list[int], fb: list[int]) -> bool:
+def _node_test(n: int, rank_a, unit_a, rank_b):
     """Exactness at a node Z^n whose maps a (in) and b (out) satisfy b a = 0.
 
-    `fa` and `fb` are the nonzero invariant factors of a and b.  The node is
-    exact iff rank a + rank b = n and every factor in `fa` is 1.  Proof:
-    b a = 0 puts im a inside ker b, which is saturated (Z^n / ker b embeds in
-    the free target of b) and has rank n - rank b.  Unit factors say that
-    Z^n / im a is free, i.e. im a is saturated; a saturated sublattice of the
-    same rank inside ker b is all of it, since ker b / im a is then torsion
-    inside the free Z^n / im a.  Conversely, im a = ker b is saturated and
-    has rank n - rank b.
+    A map's rank is its count of nonzero invariant factors, and `unit_a` says
+    whether every nonzero factor of a is 1.  The arguments may be arrays that
+    broadcast, one entry per candidate.  The node is exact iff
+    rank a + rank b = n and every factor of a is 1.  Proof: b a = 0 puts
+    im a inside ker b, which is saturated (Z^n / ker b embeds in the free
+    target of b) and has rank n - rank b.  Unit factors say that Z^n / im a
+    is free, i.e. im a is saturated; a saturated sublattice of the same rank
+    inside ker b is all of it, since ker b / im a is then torsion inside the
+    free Z^n / im a.  Conversely, im a = ker b is saturated and has rank
+    n - rank b.
     """
-    return len(fa) + len(fb) == n and all(f == 1 for f in fa)
+    return (rank_a + rank_b == n) & unit_a
 
 
 def solve_six_term(groups, known_maps=None, bound: int = 3) -> list[SixTerm]:
@@ -221,17 +227,28 @@ def solve_six_term(groups, known_maps=None, bound: int = 3) -> list[SixTerm]:
     Each unknown map's candidates form one int64 (count, rows, cols) box.
     The invariant factors of all of them come from one batched pass over the
     box, `_box_factors`, by the minor-gcd theorem; a fixed map's come from its
-    Smith form.  The search assigns the unknown maps one at a time.
-    Consecutive maps of an exact sequence compose to zero (im a = ker b
-    implies b a = 0), so each level first keeps the candidates of its whole
-    box that compose to zero with the neighbours already assigned, one
-    batched product per neighbour; this prunes no completion.  A node is then
-    tested as soon as both of its maps are assigned, by `_node_test` on the
-    invariant factors of its maps: rank a + rank b = n and unit factors of a.
-    Nodes between two fixed maps are tested once, before the search.  A
-    candidate's factors also give its class key.
+    Smith form.  The search runs level by level, one unknown map per level,
+    on whole boxes.  The partial completions are the rows of an index array,
+    one column per unknown map assigned so far, in lexicographic order; a
+    level pairs every row with every candidate of the next box and keeps the
+    pairs that pass, in that order.  Consecutive maps of an exact sequence
+    compose to zero (im a = ker b implies b a = 0), so a pair is kept only if
+    the candidate composes to zero with each neighbour already assigned (one
+    batched product per neighbour), which prunes no completion, and if every
+    node between the two passes `_node_test`, on each candidate's rank and
+    unit flag read from its invariant factors: rank a + rank b = n and unit
+    factors of a.  Nodes between two fixed maps are tested once, before the
+    search.  Rows are paired in slabs of at most max(L, T / L) pairs, L the
+    largest box and T the unpruned box: one big box is searched in slabs of
+    its own size, so that a level's temporaries stay within a few times that
+    box, and a search of small boxes, where T / L is the larger and still
+    small, takes each level in one slab.
 
-    Every class is returned through its representative, and every
+    A completion's class key is the row of its maps' invariant factors.  The
+    rows are in lexicographic order of the completions' entries, and a stable
+    sort of the keys keeps that order within a key, so the first row of each
+    key is the class's minimal representative, and the keys come out in
+    order (zero-padded factor rows sort as the factor tuples do).  Every
     representative is re-checked with `is_exact` (HNF image = kernel); a
     failure raises RuntimeError.  So a node test that accepted a non-exact
     completion would either raise or change nothing.  A negative bound is
@@ -260,14 +277,17 @@ def solve_six_term(groups, known_maps=None, bound: int = 3) -> list[SixTerm]:
         raise SearchSpaceError(
             f"completion search needs about {total:.3g} candidates (> {MAX_CANDIDATES})")
 
-    # A fixed map is a box of one candidate, assigned from the start, whose
+    # Per map, each candidate's rank (count of nonzero invariant factors) and
+    # unit flag (every factor 1).  A fixed map is a box of one candidate, whose
     # factors come from its Smith form.
-    chosen = dict.fromkeys(fixed, 0)  # position -> index of its assigned candidate
-    factors = {(i, 0): invariant_factors(m) for i, m in fixed.items()}
+    rank, unit = {}, {}
+    for i, m in fixed.items():
+        f = invariant_factors(m)
+        rank[i], unit[i] = np.array([len(f)]), np.array([all(x == 1 for x in f)])
     for node in range(6):
         a, b = (node - 1) % 6, node
-        if a in fixed and b in fixed and ((fixed[b] @ fixed[a]).any() or not _node_test(
-                ranks[node], factors[a, 0], factors[b, 0])):
+        if a in fixed and b in fixed and ((fixed[b] @ fixed[a]).any() or not np.all(_node_test(
+                ranks[node], rank[a], unit[a], rank[b]))):
             return []
 
     # The composition filter multiplies in int64 when no sum of rank-many
@@ -275,53 +295,55 @@ def solve_six_term(groups, known_maps=None, bound: int = 3) -> list[SixTerm]:
     largest = max([bound] + [abs(x) for m in fixed.values() for x in m.flat])
     dtype = np.int64 if max(ranks) * largest ** 2 < 2 ** 62 else object
     boxes = {i: m.astype(dtype)[None] for i, m in fixed.items()}  # (count, rows, cols)
-    box_factors = {}
+    factors = {}  # open map -> its (count, min(rows, cols)) factor rows
     for i in open_idx:
         box = _box(shapes[i], bound)
-        box_factors[i] = _box_factors(box, bound)
+        factors[i] = _box_factors(box, bound)
+        rank[i], unit[i] = (factors[i] != 0).sum(axis=1), (factors[i] <= 1).all(axis=1)
         boxes[i] = box.astype(dtype, copy=False)
+    largest_box = max([len(boxes[i]) for i in open_idx], default=1)
+    limit = max(largest_box, total // largest_box)  # pairs per slab
 
-    def facs(i, j):
-        if (i, j) not in factors:
-            factors[i, j] = [f for f in box_factors[i][j].tolist() if f]
-        return factors[i, j]
+    rows = np.zeros((1, 0), dtype=np.intp)  # the partial completions
+    column: dict[int, int] = {}  # assigned unknown map -> its column of rows
+    for i in open_idx:
+        box, prev, nxt = boxes[i], (i - 1) % 6, (i + 1) % 6
+        step = max(1, limit // len(box))
+        extended = []
+        for start in range(0, len(rows), step):
+            slab = rows[start:start + step]
+            keep = np.ones((len(slab), len(box)), dtype=bool)
+            for other, node in ((prev, i), (nxt, nxt)):
+                if other not in fixed and other not in column:
+                    continue
+                # The other map's candidate in each row of the slab, as a
+                # column against the box's row; a fixed map has one.
+                j = slab[:, column[other]] if other in column else slice(None)
+                mine = box[None], rank[i][None], unit[i][None]
+                theirs = boxes[other][j][:, None], rank[other][j][:, None], unit[other][j][:, None]
+                a, b = (theirs, mine) if other == prev else (mine, theirs)  # into, out of the node
+                keep &= ~np.matmul(b[0], a[0]).any(axis=(2, 3))
+                keep &= _node_test(ranks[node], a[1], a[2], b[1])
+            r, c = np.nonzero(keep)
+            extended.append(np.concatenate((slab[r], c[:, None]), axis=1))
+        rows = np.concatenate(extended)
+        if not len(rows):
+            return []
+        column[i] = rows.shape[1] - 1
 
-    def exact_node(node, ja, jb):
-        # Node `node` with candidate ja of its incoming map, jb of its outgoing one.
-        return _node_test(ranks[node], facs((node - 1) % 6, ja), facs(node, jb))
-
-    # The search visits completions in lexicographic order of their entries,
-    # so the first completion of each class is its minimal representative.
-    classes: dict[tuple, tuple[int, ...]] = {}
-
-    def dfs(k):
-        if k == len(open_idx):
-            key = tuple((shapes[i], tuple(facs(i, chosen[i]))) for i in range(6))
-            classes.setdefault(key, tuple(chosen[i] for i in range(6)))
-            return
-        i = open_idx[k]
-        box = boxes[i]
-        prev, nxt = (i - 1) % 6, (i + 1) % 6
-        keep = np.ones(len(box), dtype=bool)
-        if prev in chosen:
-            keep &= ~((box @ boxes[prev][chosen[prev]]) != 0).any(axis=(1, 2))
-        if nxt in chosen:
-            keep &= ~((boxes[nxt][chosen[nxt]] @ box) != 0).any(axis=(1, 2))
-        for j in np.flatnonzero(keep).tolist():
-            if prev in chosen and not exact_node(i, chosen[prev], j):
-                continue
-            if nxt in chosen and not exact_node(nxt, j, chosen[nxt]):
-                continue
-            chosen[i] = j
-            dfs(k + 1)
-            del chosen[i]
-
-    dfs(0)
-
+    # The key of each row, after a constant column that lets `np.lexsort` take
+    # a search without unknown maps; the stable sort keeps the rows of one key
+    # in order, so the first of them is the class's minimal representative.
+    keys = np.concatenate([np.zeros((len(rows), 1), dtype=np.int64)]
+                          + [factors[i][rows[:, column[i]]] for i in open_idx], axis=1)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     solutions = []
-    for key in sorted(classes):
-        seq = SixTerm(tuple(ranks),
-                      tuple(boxes[i][j].astype(object) for i, j in enumerate(classes[key])))
+    for row in rows[order[first]]:
+        seq = SixTerm(tuple(ranks), tuple(boxes[i][row[column[i]] if i in column else 0]
+                                          .astype(object) for i in range(6)))
         if not is_exact(seq):
             raise RuntimeError("the node test accepted a non-exact completion "
                                f"{[[int(x) for x in m.reshape(-1)] for m in seq.maps]}")

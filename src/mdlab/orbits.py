@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-import scipy  # scipy.linalg loads on first use: only `orbit_tangent_residual` needs it
 
 from .liealg import LieAlgebra, MD5Family, build_md5
 
@@ -35,7 +34,6 @@ __all__ = [
     "coadjoint_flow",
     "closed_form_orbit",
     "flow_vs_closed_form",
-    "orbit_tangent_residual",
 ]
 
 RANK_TOL = 1e-8
@@ -393,21 +391,10 @@ def flow_vs_closed_form(family: MD5Family, f, avals=None) -> float:
     return float(np.max(np.abs(flow - closed_form_orbit(family, f, xs, avals))))
 
 
-def orbit_tangent_residual(alg: LieAlgebra, f) -> float:
-    """Largest principal angle between the orbit tangent plane and im(B_F).
-
-    The tangent plane at a=0 is spanned by the free direction e1 and
-    d/da of the flow, i.e. (0, M^T f'); the Kirillov form's column space
-    is the coadjoint tangent space.  Requires the 2-dimensional stratum.
-    """
-    f = np.asarray(f, dtype=float)
-    if in_zero_stratum(f):
-        raise ValueError("tangent comparison requires a 2-dimensional orbit")
-    t = np.zeros((5, 2))
-    t[0, 0] = 1.0
-    t[1:, 1] = alg.sc[0, 1:, 1:] @ f[1:]  # M^T f', as in `coadjoint_flow`
-    b = kirillov_form(alg, f)
-    u, s, _ = np.linalg.svd(b)
-    img = u[:, :2]
-    angles = scipy.linalg.subspace_angles(t, img)
-    return float(np.max(angles)) if angles.size else 0.0
+def __getattr__(name):
+    # perfbench's tracer counts the calls made through `orbits.scipy.linalg.expm`;
+    # scipy is imported only when something asks for that name.
+    if name == "scipy":
+        import scipy
+        return scipy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

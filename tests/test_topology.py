@@ -387,10 +387,10 @@ def _grid(domain):
 
 
 @pytest.mark.parametrize("integral, field, fixed", [
-    # 4 boundary faces of 17 points; 64 derivative-check samples at 2 + 2 * 2 calls.
+    # 4 boundary faces of 17 points; 64 derivative-check samples at 2 + 2 * 2 points each.
     (chern_2d, phat_disk(64), 4 * 17 + 64 * 6),
     # 6 boundary faces of 17**2 points; at most 48 derivative-check samples at
-    # 2 + 2 * 3 calls and 512 support-check samples.
+    # 2 + 2 * 3 points each and 512 support-check samples.
     (winding_3d, exp_ptilde("+", 16), 6 * 17 ** 2 + 48 * 8 + 512),
 ], ids=["chern_2d", "winding_3d"])
 def test_integrals_evaluate_each_grid_point_in_the_support_once(integral, field, fixed):
@@ -464,7 +464,7 @@ def test_each_chunk_is_summed_by_one_exact_sum_whatever_the_block_size():
         for block in (topology.BLOCK_POINTS, 16, 1):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(topology, "BLOCK_POINTS", block)
-                assert topology._grid_sum(routed, domain, lambda v, p: v[0, 0]) == 240
+                assert topology._grid_sum(routed, domain, lambda v, p: v[0, 0], None) == 240
 
 
 def _fsum_complex(values) -> complex:
@@ -584,3 +584,131 @@ def test_expi_hermitian_matches_projection_identity():
     pts = rng.uniform(-2, 2, (200, 2))
     p = phat()(pts)
     assert np.abs(expi_hermitian(p, 2 * math.pi) - np.eye(2)).max() < 1e-12
+
+
+def _box_domain(n):
+    return GridDomain((Axis(-1.0, 1.0, n), Axis(-1.0, 1.0, n), Axis(0.0, 1.0, n)))
+
+
+# Every witness of the grid integrals at two grids each: (integral, field,
+# domain, derivative-check sample size).
+_GUARD_CASES = ([(chern_2d, disk(n), None, 64) for disk in (phat_disk, gamma3_disk)
+                 for n in (64, 128)]
+                + [(winding_3d, exp_ptilde(side, n), None, 48) for side in "+-" for n in (16, 24)]
+                + [(winding_3d, lift(), _box_domain(n), 48)
+                   for lift in (trivial_lift_unit, trivial_lift_eps1) for n in (16, 24)])
+
+
+def _winding_integrand(values, partials):
+    """Tr(A0 [A1, A2]) with A = g^-1 dg, from separate (N, k, k) and (dim, N, k, k) jets."""
+    g, dg = topology._entry_major(values, partials)
+    a = topology._mul2(topology._inv2(g), dg)
+    return topology._trace_commutator2(a[:, :, 0], a[:, :, 1], a[:, :, 2])
+
+
+@pytest.mark.parametrize("integral, field, domain, n", _GUARD_CASES,
+                         ids=[f"{f.name}_{(d or f.default_domain).axes[0].n}"
+                              for _, f, d, _ in _GUARD_CASES])
+def test_the_guards_read_the_values_of_separate_calls(integral, field, domain, n):
+    # One evaluator call and one jet call give every guard its points; each
+    # guard must read what separate public calls on its own points give.
+    domain = domain or field.default_domain
+    res = integral(field, domain)
+    if integral is chern_2d:
+        faces = field(topology._face_points(domain, range(2)))
+        assert res.boundary_residual == topology._edge_constancy(faces, domain)
+    else:
+        faces = field(topology._face_points(domain, range(3)))
+        assert res.boundary_residual == float(np.abs(faces - np.eye(faces.shape[-1])).max())
+    sample = topology._interior_points(domain, n, 0)
+    assert res.extra["derivative_check"] == derivative_check(field, sample)
+    if field.support is not None:
+        outside = topology._interior_points(domain, 512, 1)
+        outside = outside[~field.support(outside)]
+        assert len(outside)
+        # The integral passed the leak check, so separate calls must see no leak.
+        assert np.all(_winding_integrand(*field.derivative(outside)) == 0.0)
+
+
+def _counting_calls(field):
+    """field whose evaluator and derivative count their calls."""
+    calls = {"evaluator": 0, "derivative": 0}
+
+    def count(name, fn):
+        def counted(pts):
+            calls[name] += 1
+            return fn(pts)
+        return counted
+
+    return dataclasses.replace(field, evaluator=count("evaluator", field.evaluator),
+                               derivative=count("derivative", field.derivative)), calls
+
+
+@pytest.mark.parametrize("integral, field", [
+    (chern_2d, phat_disk(64)), (chern_2d, gamma3_disk(64)),
+    (winding_3d, exp_ptilde("+", 16)), (winding_3d, exp_ptilde("-", 24)),
+], ids=["phat_disk", "gamma3_disk", "exp_ptilde_plus", "exp_ptilde_minus"])
+def test_the_guards_take_one_evaluator_call_and_one_jet_call(integral, field):
+    # These fields' grids run on their per-axis jets, so every evaluator and
+    # derivative call is a guard's.
+    counted, calls = _counting_calls(field)
+    integral(counted)
+    assert calls == {"evaluator": 1, "derivative": 1}
+
+
+def _partials_off_at(field, point, delta):
+    """field, except that its jet's partials at one point are off by delta."""
+    def jet(pts):
+        vals, partials = field.derivative(pts)
+        partials[:, np.all(pts == point, axis=1)] += delta
+        return vals, partials
+
+    return dataclasses.replace(field, derivative=jet)
+
+
+def _sample_point(field, n):
+    """The first of the derivative check's seeded points."""
+    return topology._interior_points(field.default_domain, n, 0)[0]
+
+
+def _value_scaled_outside(field, scale):
+    """field, except that its jet's value at one support-check point outside the
+    support is scaled: with the x and y partials 0 there the integrand stays 0."""
+    sample = topology._interior_points(field.default_domain, 512, 1)
+    point = sample[~field.support(sample)][0]
+
+    def jet(pts):
+        vals, partials = field.derivative(pts)
+        vals[np.all(pts == point, axis=1)] *= scale
+        return vals, partials
+
+    return dataclasses.replace(field, derivative=jet)
+
+
+_W = exp_ptilde("+", 16)
+_C = phat_disk(64)
+
+
+@pytest.mark.parametrize("integral, field, error, match", [
+    (chern_2d, _partials_off_at(_C, _sample_point(_C, 64), 1e-3), ValueError,
+     "analytic/FD derivative gap"),
+    (winding_3d, _partials_off_at(_W, _sample_point(_W, 48), 1e-3), ValueError,
+     "analytic/FD derivative gap"),
+    # The sigma floor comes before the FD gap.
+    (winding_3d, _partials_off_at(_value_scaled_outside(_W, 1e-8), _sample_point(_W, 48), 1e-3),
+     NonInvertibleFieldError, "min singular value 1e-08"),
+    # The boundary comes before everything, and the leak inside the grid before
+    # the sigma floor and the FD gap.
+    (winding_3d, dataclasses.replace(
+        _partials_off_at(_value_scaled_outside(_W, 1e-8), _sample_point(_W, 48), 1e-3),
+        default_domain=GridDomain((Axis(-0.5, 0.5, 16),) + _W.default_domain.axes[1:])),
+     BoundaryConditionError, "boundary-identity"),
+    (winding_3d, dataclasses.replace(_partials_off_at(_value_scaled_outside(_W, 1e-8),
+                                                      _sample_point(_W, 48), 1e-3),
+                                     support=lambda pts: np.hypot(pts[:, 0], pts[:, 1]) < 0.9),
+     ValueError, "outside the declared support"),
+], ids=["chern_fd_gap", "winding_fd_gap", "sigma_floor_before_fd_gap",
+        "boundary_before_all", "leak_before_sigma_floor"])
+def test_each_guard_refuses_in_its_order(integral, field, error, match):
+    with pytest.raises(error, match=match):
+        integral(field)
