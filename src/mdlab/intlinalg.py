@@ -153,8 +153,9 @@ def snf(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def invariant_factors(m) -> list[int]:
     """Nonzero diagonal of the Smith normal form, in divisibility order."""
-    _, d, _ = snf(m)
-    return [x for x in d.diagonal().tolist() if x]
+    d, cols = _rows(m)
+    _snf(d, cols)
+    return _diagonal(d, cols)
 
 
 def minor_gcd_invariant_factors(m) -> list[int]:

@@ -11,6 +11,7 @@ and is rejected where it would arise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import factorial
 
@@ -73,12 +74,17 @@ class SixTerm:
     def delta1(self) -> np.ndarray:
         return self.maps[5]
 
+    @cached_property
+    def exact(self) -> tuple[bool, ...]:
+        """`exact_at` at each of the six nodes, computed once per hexagon."""
+        return tuple(bool(exact_at(self, i)) for i in range(6))
+
     def to_json(self) -> dict:
         return {
             "nodes": list(NODES),
             "groups": [int(g) for g in self.groups],
             "maps": [[int(x) for x in m.reshape(-1)] for m in self.maps],
-            "exact": [bool(exact_at(self, i)) for i in range(6)],
+            "exact": list(self.exact),
         }
 
 
@@ -221,92 +227,86 @@ def solve_six_term(groups, known_maps=None, bound: int = 3) -> list[SixTerm]:
     are searched with entries in [-bound, bound].  Completions are grouped by
     the tuple of per-map invariant factors (unimodular base changes preserve
     them) and one lexicographically minimal representative per class is kept.
-    `MAX_CANDIDATES` bounds the unpruned box, the product over the unknown
-    maps of (2 bound + 1) ** entries, and the search refuses to start beyond it.
+    `MAX_CANDIDATES` bounds the unpruned box, the product over the open maps
+    of (2 bound + 1) ** entries, and the search refuses to start beyond it.
+    Other than six groups, each None or an int >= 0, a known map at another
+    position, or a negative bound (an empty box) is refused with ValueError.
 
-    Each unknown map's candidates form one int64 (count, rows, cols) box.
-    The invariant factors of all of them come from one batched pass over the
-    box, `_box_factors`, by the minor-gcd theorem; a fixed map's come from its
-    Smith form.  The search runs level by level, one unknown map per level,
-    on whole boxes.  The partial completions are the rows of an index array,
-    one column per unknown map assigned so far, in lexicographic order; a
+    Each map's candidates form one (count, rows, cols) box.  A known map and a
+    map from or to 0 are fixed: boxes of one candidate, with factors from its
+    Smith form.  Every other map is open: its box, shared by the open maps of
+    its shape and built at the first level that needs it, holds every matrix
+    of that shape, and one batched pass, `_box_factors`, gives all their
+    invariant factors by the minor-gcd theorem.  The search runs level by
+    level, one map per level, on whole boxes: the fixed maps, then the open
+    ones, each in position order.  The partial completions are the rows of an
+    index array, one column per map assigned so far, in lexicographic order; a
     level pairs every row with every candidate of the next box and keeps the
     pairs that pass, in that order.  Consecutive maps of an exact sequence
     compose to zero (im a = ker b implies b a = 0), so a pair is kept only if
     the candidate composes to zero with each neighbour already assigned (one
     batched product per neighbour), which prunes no completion, and if every
-    node between the two passes `_node_test`, on each candidate's rank and
-    unit flag read from its invariant factors: rank a + rank b = n and unit
-    factors of a.  Nodes between two fixed maps are tested once, before the
-    search.  Rows are paired in slabs of at most max(L, T / L) pairs, L the
+    node between the two passes `_node_test` on each candidate's rank and unit
+    flag.  Rows are paired in slabs of at most max(L, T / L) pairs, L the
     largest box and T the unpruned box: one big box is searched in slabs of
     its own size, so that a level's temporaries stay within a few times that
     box, and a search of small boxes, where T / L is the larger and still
     small, takes each level in one slab.
 
-    A completion's class key is the row of its maps' invariant factors.  The
-    rows are in lexicographic order of the completions' entries, and a stable
-    sort of the keys keeps that order within a key, so the first row of each
-    key is the class's minimal representative, and the keys come out in
-    order (zero-padded factor rows sort as the factor tuples do).  Every
-    representative is re-checked with `is_exact` (HNF image = kernel); a
-    failure raises RuntimeError.  So a node test that accepted a non-exact
-    completion would either raise or change nothing.  A negative bound is
-    refused with ValueError: its box is empty, which is not a search.
+    A completion's class key is the row of its open maps' invariant factors.
+    The rows are in lexicographic order of the completions' entries, and a
+    stable sort of the keys keeps that order within a key, so the first row
+    of each key is the class's minimal representative, and the keys come out
+    in order (zero-padded factor rows sort as the factor tuples do).  A
+    representative with a node that is not `exact` (HNF image = kernel)
+    raises RuntimeError, so a node test that accepted a non-exact completion
+    would either raise or change nothing.
     """
+    groups, known_maps = list(groups), known_maps or {}
+    if len(groups) != 6 or not all(g is None or isinstance(g, (int, np.integer)) and g >= 0
+                                   for g in groups) or not all(i in range(6) for i in known_maps):
+        raise ValueError("a hexagon has six groups, each None or an int >= 0, and known maps "
+                         f"at positions 0..5 (got {groups} and maps at {list(known_maps)})")
     if bound < 0:
         raise ValueError(f"bound must be >= 0 (got {bound})")
-    known = {i: as_zmatrix(m) for i, m in (known_maps or {}).items()}
+    known = {i: as_zmatrix(m) for i, m in known_maps.items()}
     ranks = _infer_ranks(groups, known)
-
-    shapes = [(ranks[(i + 1) % 6], ranks[i]) for i in range(6)]
-    fixed: dict[int, np.ndarray] = {}  # position -> known map, or a map from or to 0
-    open_idx: list[int] = []
-    total = 1
-    for i, shape in enumerate(shapes):
-        if i in known:
-            if known[i].shape != shape:
-                raise ValueError(f"known map {i} has shape {known[i].shape}, expected {shape}")
-            fixed[i] = known[i]
-        elif shape[0] == 0 or shape[1] == 0:
-            fixed[i] = zeros(*shape)
-        else:
-            open_idx.append(i)
-            total *= (2 * bound + 1) ** (shape[0] * shape[1])
-    if total > MAX_CANDIDATES:
-        raise SearchSpaceError(
-            f"completion search needs about {total:.3g} candidates (> {MAX_CANDIDATES})")
-
-    # Per map, each candidate's rank (count of nonzero invariant factors) and
-    # unit flag (every factor 1).  A fixed map is a box of one candidate, whose
-    # factors come from its Smith form.
-    rank, unit = {}, {}
-    for i, m in fixed.items():
-        f = invariant_factors(m)
-        rank[i], unit[i] = np.array([len(f)]), np.array([all(x == 1 for x in f)])
-    for node in range(6):
-        a, b = (node - 1) % 6, node
-        if a in fixed and b in fixed and ((fixed[b] @ fixed[a]).any() or not np.all(_node_test(
-                ranks[node], rank[a], unit[a], rank[b]))):
-            return []
 
     # The composition filter multiplies in int64 when no sum of rank-many
     # products of entries can reach 2^62, and exactly otherwise.
-    largest = max([bound] + [abs(x) for m in fixed.values() for x in m.flat])
+    largest = max([bound] + [abs(x) for m in known.values() for x in m.flat])
     dtype = np.int64 if max(ranks) * largest ** 2 < 2 ** 62 else object
-    boxes = {i: m.astype(dtype)[None] for i, m in fixed.items()}  # (count, rows, cols)
-    factors = {}  # open map -> its (count, min(rows, cols)) factor rows
-    for i in open_idx:
-        box = _box(shapes[i], bound)
-        factors[i] = _box_factors(box, bound)
-        rank[i], unit[i] = (factors[i] != 0).sum(axis=1), (factors[i] <= 1).all(axis=1)
-        boxes[i] = box.astype(dtype, copy=False)
-    largest_box = max([len(boxes[i]) for i in open_idx], default=1)
+    # Per map, its box and a row of invariant factors per candidate (an open
+    # box's rows are padded with zeros to min(rows, cols)).
+    boxes, factors, rank, unit = {}, {}, {}, {}
+    shapes = [(ranks[(i + 1) % 6], ranks[i]) for i in range(6)]
+    open_idx, total, largest_box = [], 1, 1
+    for i, shape in enumerate(shapes):
+        if i in known and known[i].shape != shape:
+            raise ValueError(f"known map {i} has shape {known[i].shape}, expected {shape}")
+        if i in known or 0 in shape:
+            m = known[i] if i in known else zeros(*shape)
+            boxes[i], factors[i] = m.astype(dtype)[None], np.array([invariant_factors(m)])
+        else:
+            open_idx.append(i)
+            size = (2 * bound + 1) ** (shape[0] * shape[1])
+            total, largest_box = total * size, max(largest_box, size)
+    if total > MAX_CANDIDATES:
+        raise SearchSpaceError(
+            f"completion search needs about {total:.3g} candidates (> {MAX_CANDIDATES})")
     limit = max(largest_box, total // largest_box)  # pairs per slab
 
     rows = np.zeros((1, 0), dtype=np.intp)  # the partial completions
-    column: dict[int, int] = {}  # assigned unknown map -> its column of rows
-    for i in open_idx:
+    column: dict[int, int] = {}  # assigned map -> its column of rows
+    by_shape = {}  # open shape -> its box and factor rows, built at its first level
+    for i in sorted(range(6), key=lambda i: i in open_idx):  # the fixed maps first
+        if i in open_idx:
+            if shapes[i] not in by_shape:
+                box = _box(shapes[i], bound)
+                by_shape[shapes[i]] = box.astype(dtype, copy=False), _box_factors(box, bound)
+            boxes[i], factors[i] = by_shape[shapes[i]]
+        # Each candidate's rank (count of nonzero factors) and unit flag (every factor 1).
+        rank[i], unit[i] = (factors[i] != 0).sum(axis=1), (factors[i] <= 1).all(axis=1)
         box, prev, nxt = boxes[i], (i - 1) % 6, (i + 1) % 6
         step = max(1, limit // len(box))
         extended = []
@@ -314,11 +314,11 @@ def solve_six_term(groups, known_maps=None, bound: int = 3) -> list[SixTerm]:
             slab = rows[start:start + step]
             keep = np.ones((len(slab), len(box)), dtype=bool)
             for other, node in ((prev, i), (nxt, nxt)):
-                if other not in fixed and other not in column:
+                if other not in column:
                     continue
                 # The other map's candidate in each row of the slab, as a
-                # column against the box's row; a fixed map has one.
-                j = slab[:, column[other]] if other in column else slice(None)
+                # column against the box's row.
+                j = slab[:, column[other]]
                 mine = box[None], rank[i][None], unit[i][None]
                 theirs = boxes[other][j][:, None], rank[other][j][:, None], unit[other][j][:, None]
                 a, b = (theirs, mine) if other == prev else (mine, theirs)  # into, out of the node
@@ -332,7 +332,7 @@ def solve_six_term(groups, known_maps=None, bound: int = 3) -> list[SixTerm]:
         column[i] = rows.shape[1] - 1
 
     # The key of each row, after a constant column that lets `np.lexsort` take
-    # a search without unknown maps; the stable sort keeps the rows of one key
+    # a search without open maps; the stable sort keeps the rows of one key
     # in order, so the first of them is the class's minimal representative.
     keys = np.concatenate([np.zeros((len(rows), 1), dtype=np.int64)]
                           + [factors[i][rows[:, column[i]]] for i in open_idx], axis=1)
@@ -342,9 +342,9 @@ def solve_six_term(groups, known_maps=None, bound: int = 3) -> list[SixTerm]:
     first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     solutions = []
     for row in rows[order[first]]:
-        seq = SixTerm(tuple(ranks), tuple(boxes[i][row[column[i]] if i in column else 0]
-                                          .astype(object) for i in range(6)))
-        if not is_exact(seq):
+        seq = SixTerm(tuple(ranks), tuple(boxes[i][row[column[i]]].astype(object)
+                                          for i in range(6)))
+        if not all(seq.exact):
             raise RuntimeError("the node test accepted a non-exact completion "
                                f"{[[int(x) for x in m.reshape(-1)] for m in seq.maps]}")
         solutions.append(seq)

@@ -262,22 +262,14 @@ def projection_residual(field: MatrixField, pts) -> float:
     return float(max(idem, herm))
 
 
-def derivative_check(field: MatrixField, pts, partials=None) -> float:
-    """Max deviation between exact and finite-difference derivatives (NaN if any is NaN).
-
-    partials, the jet's partials (dim, n, k, k) at pts if the caller has them,
-    spare the jet call.
-    """
+def derivative_check(field: MatrixField, pts) -> float:
+    """Max deviation between exact and finite-difference derivatives (NaN if any is NaN)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if field.nonsmooth is not None:
-        smooth = ~field.nonsmooth(pts)
-        pts = pts[smooth]
-        if partials is not None:
-            partials = partials[:, smooth]
+        pts = pts[~field.nonsmooth(pts)]
     if len(pts) == 0:
         return 0.0
-    exact = _derivative(field)(pts)[1] if partials is None else partials
-    return _fd_gap(exact, field.evaluator(_fd_points(pts)))
+    return _fd_gap(_derivative(field)(pts)[1], field.evaluator(_fd_points(pts)))
 
 
 @dataclass

@@ -19,10 +19,10 @@ winding witnesses.  Two normalizations are built in:
     C0(R^2 x R_pm) and makes the field exactly the identity on every
     boundary face.
 
-The remaining witnesses are the scalar phases u_pm on the half-lines, the
-unitary u over the 3-sphere chart (theta1, theta2, phi), the constant
-projection q = diag(1, 0), and p = u q u^{-1} together with its transverse
-disk slice used for the 2D Chern pairing.
+The remaining witnesses are the scalar phase u_+ on the positive half-line,
+the unitary u over the 3-sphere chart (theta1, theta2, phi), and, for the
+constant projection q = diag(1, 0), p = u q u^{-1} together with its
+transverse disk slice used for the 2D Chern pairing.
 
 The jets of phat, its polar chart, the exponentials and the disk slice fill
 entry-major buffers, (2, 2, ...) arrays as the kernels of `mdlab.topology`
@@ -44,9 +44,7 @@ __all__ = [
     "ptilde",
     "exp_ptilde",
     "uplus",
-    "uminus",
     "u_gamma3",
-    "q_const",
     "p_gamma3",
     "gamma3_disk",
     "trivial_lift_unit",
@@ -211,11 +209,6 @@ def uplus() -> MatrixField:
     return _phase_field("uplus", -1.0)
 
 
-def uminus() -> MatrixField:
-    """u_-(z) = e^{2 pi i (+z/sqrt(1+z^2))} on the negative half-line."""
-    return _phase_field("uminus", 1.0)
-
-
 def u_gamma3() -> MatrixField:
     """The unitary [[e^{i(phi+t1)} cos t2, -sin t2], [sin t2, e^{-i(phi+t1)} cos t2]].
 
@@ -242,11 +235,6 @@ def u_gamma3() -> MatrixField:
 
     return MatrixField(evaluator=lambda pts: jet(pts)[0], dim=3, name="u_gamma3",
                        derivative=jet)
-
-
-def q_const() -> MatrixField:
-    """The constant rank-1 projection diag(1, 0) on the plane."""
-    return MatrixField.constant(np.diag([1.0, 0.0]), 2, "q")
 
 
 def _uqu(t2, phase):

@@ -113,6 +113,21 @@ def test_exact_at_compares_the_hermite_forms_as_subgroup_equal_does():
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("groups, known", [
+    ([1] * 6, {6: [[1]]}),
+    ([1] * 6, {-1: [[1]]}),
+    ([1] * 5, {}),
+    ([1] * 7, {}),
+    ([1, 1, 1, -1, 1, 1], {}),
+    ([1, 1, 1.5, 1, 1, 1], {}),
+], ids=["key6", "key-1", "five-groups", "seven-groups", "rank-1", "rank1.5"])
+def test_malformed_hexagon_is_refused_before_the_search(monkeypatch, groups, known):
+    calls = _counting(monkeypatch, "_box_factors")
+    with pytest.raises(ValueError, match="a hexagon has six groups"):
+        solve_six_term(groups, known, bound=1)
+    assert calls[0] == 0
+
+
 def test_negative_bound_is_refused():
     with pytest.raises(ValueError, match="bound must be >= 0"):
         solve_six_term(*hexagon_preset("gamma2"), bound=-1)
@@ -296,7 +311,7 @@ def test_the_search_holds_a_few_boxes_in_memory():
 
 
 def _counting(monkeypatch, name):
-    """Count the calls `ktheory` makes to one of its `intlinalg` imports."""
+    """Count the calls `ktheory` makes to one of its functions or `intlinalg` imports."""
     calls = [0]
     fn = getattr(ktheory, name)
 
@@ -320,6 +335,14 @@ def test_composition_rule_prunes_the_gamma2_search(monkeypatch):
     # The HNF image = kernel route (one `kernel_basis` per node) runs only in
     # the re-check: 6 nodes per completion.
     assert exactness_calls[0] == 6 * len(sols)
+
+
+@pytest.mark.parametrize("preset", ["gamma1", "gamma2", "gamma3", "allZ"])
+def test_to_json_reports_the_exactness_the_search_checked(monkeypatch, preset):
+    sols = solve_six_term(*hexagon_preset(preset), bound=3)
+    exactness_calls = _counting(monkeypatch, "kernel_basis")
+    assert [s.to_json()["exact"] for s in sols] == [[True] * 6] * len(sols)
+    assert exactness_calls[0] == 0
 
 
 def _row_codes(stack, bound):
@@ -378,24 +401,36 @@ def test_box_factors_refuse_minors_that_could_overflow():
         ktheory._box_factors(np.zeros((1, 2, 2), dtype=np.int64), 2 ** 31)
 
 
+@pytest.mark.parametrize("preset, shapes", [("gamma1", 2), ("gamma2", 2), ("gamma3", 1),
+                                            ("allZ", 1)])
+def test_one_box_per_open_shape(monkeypatch, preset, shapes):
+    # gamma3's five open maps and allZ's six are all 1 x 1.
+    calls = _counting(monkeypatch, "_box_factors")
+    solve_six_term(*hexagon_preset(preset), bound=3)
+    assert calls[0] == shapes
+
+
 @pytest.mark.parametrize("preset", ["gamma1", "gamma2", "gamma3", "allZ"])
 def test_a_corrupted_box_factor_breaks_the_search(monkeypatch, preset):
-    # Give the first representative's candidate in one open box a factor 2:
-    # the search must raise in the is_exact re-check or disagree with the
-    # unpruned enumeration.
+    # Give the first representative's candidate in one open box a factor 2,
+    # for one box shape at a time: the search must raise in its exactness
+    # re-check or disagree with the unpruned enumeration.
     groups, known = hexagon_preset(preset)
     expected = _reference_completions(groups, known, 1)
     first = solve_six_term(groups, known, bound=1)[0]
-    open_maps = [m for i, m in enumerate(first.maps) if i not in known and 0 not in m.shape]
+    picks = {}  # open shape -> the candidate of its first open map, in order of position
+    for i, m in enumerate(first.maps):
+        if i not in known and 0 not in m.shape and m.shape not in picks:
+            in_box = (ktheory._box(m.shape, 1) == m).all(axis=(1, 2))
+            picks[m.shape] = int(np.flatnonzero(in_box)[0])
     box_factors = ktheory._box_factors
-    for n, m in enumerate(open_maps):
-        j = int(np.flatnonzero((ktheory._box(m.shape, 1) == m).all(axis=(1, 2)))[0])
+    for n, j in enumerate(picks.values()):
         calls = []
 
         def corrupted(box, bound, n=n, j=j):
             factors = box_factors(box, bound)
             calls.append(box.shape)
-            if len(calls) == n + 1:  # boxes are built in order of position
+            if len(calls) == n + 1:  # one box per shape, built in order of position
                 factors[j, 0] = 2
             return factors
 
@@ -404,7 +439,7 @@ def test_a_corrupted_box_factor_breaks_the_search(monkeypatch, preset):
             got = _completions(groups, known, 1)
         except RuntimeError:
             got = None
-        assert len(calls) == len(open_maps)
+        assert len(calls) == len(picks)
         assert got != expected, (preset, n, j)
 
 
@@ -420,9 +455,11 @@ def test_node_test_that_accepts_everything_makes_the_search_raise(monkeypatch):
     # of the maps (2, 0, 1, 0, 1, 0) are exact, so only node 1 rules them out.
     {0: [[2]], 1: [[0]]},
 ])
-def test_non_exact_node_between_fixed_maps_has_no_completion(known):
+def test_non_exact_node_between_fixed_maps_has_no_completion(monkeypatch, known):
     groups = [1] * 6
+    box_calls = _counting(monkeypatch, "_box_factors")
     assert _completions(groups, known, 1) == [] == _reference_completions(groups, known, 1)
+    assert box_calls[0] == 0  # the fixed levels run first and end the search
 
 
 def _node_exact_by_factors(a, b):

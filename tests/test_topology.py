@@ -30,13 +30,12 @@ from mdlab.witnesses import (
     gamma3_disk,
     phat,
     phat_disk,
-    q_const,
     trivial_lift_eps1,
     trivial_lift_unit,
     u_gamma3,
-    uminus,
     uplus,
 )
+from witness_fields import q_const, uminus
 
 
 def test_axis_validation():

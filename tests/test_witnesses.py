@@ -13,10 +13,10 @@ from mdlab.witnesses import (
     phat,
     phat_disk,
     ptilde,
-    q_const,
     u_gamma3,
     uplus,
 )
+from witness_fields import q_const
 
 
 def test_phat_boundary_values():
