@@ -5,8 +5,10 @@ The connecting maps of the extension towers are evaluated numerically:
   * type F2: the exponential connecting map sends the two generators of the
     top K0 (the unit class and the hedgehog class) to lifts whose normalized
     exponentials are integrated by the 3D odd winding.  The unit and the
-    constant projection lift trivially (integral 0); the hedgehog lift winds
-    once over each half-space, giving
+    constant projection lift trivially (integral 0, with no grid point to
+    evaluate); the hedgehog lift winds once over each half-space.  Its two
+    half-space fields are one field under two names (see `exp_ptilde`), so
+    one winding gives both, and
 
         gamma1 = [[0, 1], [0, 1]]   and   gamma2 = (1, 1)^T
 
@@ -24,7 +26,7 @@ against the exact six-term completion search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,7 +95,7 @@ def index_invariant(kind: str, resolution_2d: int = 512,
         w_unit = _store(res, winding_3d(trivial_lift_unit()))
         w_eps = _store(res, winding_3d(trivial_lift_eps1()))
         w_plus = _store(res, winding_3d(exp_ptilde("+", resolution_3d)))
-        w_minus = _store(res, winding_3d(exp_ptilde("-", resolution_3d)))
+        w_minus = _store(res, replace(w_plus, name="exp_ptilde_minus", extra=dict(w_plus.extra)))
         # Columns = images of the K0 generators (unit, hedgehog - constant);
         # rows = coefficients on [b]x[u+], [b]x[u-].
         res.gamma1 = [[w_unit.rounded, w_plus.rounded],

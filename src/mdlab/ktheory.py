@@ -61,6 +61,12 @@ class SixTerm:
     def __post_init__(self):
         if len(self.groups) != 6 or len(self.maps) != 6:
             raise ValueError("a six-term sequence has 6 groups and 6 maps")
+        # Read-only copies, so that `exact`, computed once, cannot go stale;
+        # the caller's arrays stay writable.
+        maps = tuple(np.array(m) for m in self.maps)
+        for m in maps:
+            m.flags.writeable = False
+        object.__setattr__(self, "maps", maps)
         for i, m in enumerate(self.maps):
             want = (self.groups[(i + 1) % 6], self.groups[i])
             if m.shape != want:

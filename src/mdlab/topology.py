@@ -194,7 +194,13 @@ class MatrixField:
     @classmethod
     def constant(cls, value, dim: int, name: str,
                  default_domain: GridDomain | None = None) -> "MatrixField":
-        """The field equal to the matrix `value` everywhere, with zero partials."""
+        """The field equal to the matrix `value` everywhere, with zero partials.
+
+        Every integrand of the grid integrals is a product of partials, so it
+        is exactly 0 everywhere: the support is empty, the grid integrals
+        evaluate no grid point, and their support check runs the integrand,
+        with its σ_min floor or projection residual, at its seeded points.
+        """
         value = np.asarray(value, dtype=complex)
 
         def ev(pts):
@@ -202,7 +208,8 @@ class MatrixField:
 
         return cls(evaluator=ev, dim=dim, name=name, default_domain=default_domain,
                    derivative=lambda pts: (ev(pts), np.zeros((dim, len(pts)) + value.shape,
-                                                             dtype=complex)))
+                                                             dtype=complex)),
+                   support=lambda pts: np.zeros(len(pts), dtype=bool))
 
     @classmethod
     def from_jet(cls, jet: Callable, dim: int, name: str, **fields) -> "MatrixField":

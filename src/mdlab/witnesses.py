@@ -139,58 +139,64 @@ def ptilde() -> MatrixField:
     return MatrixField(evaluator=ev, dim=3, name="ptilde")
 
 
+def _exp_ptilde_jet(x, y, v):
+    """The jet of e^{2 pi i ptilde}, normalized, at (x, y, v), entry-major."""
+    p, dp = _phat_jet(x, y)
+    chi = TAU * np.cos(0.5 * math.pi * v)  # 2 pi / sqrt(1 + z^2), z = +-tan(pi v/2)
+    e = np.exp(1j * chi)
+    # g = 1 + (e - 1) phat, times k = diag(conj(e), 1), which divides out the
+    # value at (x, y)-infinity: k scales the first column by conj(e) and
+    # leaves the second as it is.  The products are grouped as in
+    # (e - 1) (dphat conj(e)) and (de phat) conj(e) + g dconj(e); another
+    # grouping would round differently.
+    ce = np.conj(e)
+    em1 = e - 1.0
+    dchi = -math.pi ** 2 * np.sin(0.5 * math.pi * v)
+    de = 1j * dchi * e
+    dce = -1j * dchi * ce
+    shape = np.broadcast_shapes(p.shape[2:], v.shape)
+    g = np.empty((2, 2) + shape, dtype=complex)
+    d = np.empty((2, 2, 3) + shape, dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            np.multiply(em1, p[i, j], out=g[i, j])
+        g[i, i] += 1.0
+        for axis in range(2):
+            np.multiply(dp[i, 0, axis], ce, out=d[i, 0, axis])
+            np.multiply(em1, d[i, 0, axis], out=d[i, 0, axis])
+            np.multiply(em1, dp[i, 1, axis], out=d[i, 1, axis])
+        np.multiply(de, p[i, 0], out=d[i, 0, 2])
+        d[i, 0, 2] *= ce
+        d[i, 0, 2] += g[i, 0] * dce
+        np.multiply(de, p[i, 1], out=d[i, 1, 2])
+        g[i, 0] *= ce
+    return g, d
+
+
+def _inside_disk(pts):
+    # phat is frozen outside the unit disk: there the x and y partials are
+    # exactly 0, and so is the winding integrand Tr(A0 [A1, A2]).
+    return np.hypot(pts[:, 0], pts[:, 1]) < 1.0
+
+
 def exp_ptilde(side: str, n: int = 128) -> MatrixField:
     """Normalized exponential e^{2 pi i ptilde} over one half-space.
 
     Coordinates are (x, y, v) with v in [0, 1] the compactified *outward*
     half-line coordinate, z = tan(pi v/2) on the plus side and
     z = -tan(pi v/2) on the minus side (the same outward orientation the 1D
-    winding uses; the lift 1/sqrt(1+z^2) is even in z).  The field is exactly
-    the identity on all six boundary faces of the box [-1.5, 1.5]^2 x [0, 1].
+    winding uses).  The lift's phase 2 pi / sqrt(1 + z^2) = 2 pi cos(pi v/2)
+    is even in z, so both sides are one field of (x, y, v), the same bits on
+    the same domain, and `side` only names it.  The field is exactly the
+    identity on all six boundary faces of the box [-1.5, 1.5]^2 x [0, 1].
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
     name = "exp_ptilde_plus" if side == "+" else "exp_ptilde_minus"
     dom = GridDomain((Axis(-1.5, 1.5, n, "constant"), Axis(-1.5, 1.5, n, "constant"),
                       Axis(0.0, 1.0, n, "constant")))
-
-    def jet(x, y, v):
-        p, dp = _phat_jet(x, y)
-        # chi = 2 pi / sqrt(1 + z^2) with z = -+tan(pi v/2): even in z.
-        chi = TAU * np.cos(0.5 * math.pi * v)
-        e = np.exp(1j * chi)
-        # g = 1 + (e - 1) phat, times k = diag(conj(e), 1), which divides out the
-        # value at (x, y)-infinity: k scales the first column by conj(e) and
-        # leaves the second as it is.  The products are grouped as in
-        # (e - 1) (dphat conj(e)) and (de phat) conj(e) + g dconj(e); another
-        # grouping would round differently.
-        ce = np.conj(e)
-        em1 = e - 1.0
-        dchi = -math.pi ** 2 * np.sin(0.5 * math.pi * v)
-        de = 1j * dchi * e
-        dce = -1j * dchi * ce
-        shape = np.broadcast_shapes(p.shape[2:], v.shape)
-        g = np.empty((2, 2) + shape, dtype=complex)
-        d = np.empty((2, 2, 3) + shape, dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                np.multiply(em1, p[i, j], out=g[i, j])
-            g[i, i] += 1.0
-            for axis in range(2):
-                np.multiply(dp[i, 0, axis], ce, out=d[i, 0, axis])
-                np.multiply(em1, d[i, 0, axis], out=d[i, 0, axis])
-                np.multiply(em1, dp[i, 1, axis], out=d[i, 1, axis])
-            np.multiply(de, p[i, 0], out=d[i, 0, 2])
-            d[i, 0, 2] *= ce
-            d[i, 0, 2] += g[i, 0] * dce
-            np.multiply(de, p[i, 1], out=d[i, 1, 2])
-            g[i, 0] *= ce
-        return g, d
-
-    # phat is frozen outside the unit disk: there the x and y partials are
-    # exactly 0, and so is the winding integrand Tr(A0 [A1, A2]).
-    return MatrixField.from_jet(jet, 3, name, default_domain=dom, nonsmooth=_phat_nonsmooth,
-                                support=lambda pts: np.hypot(pts[:, 0], pts[:, 1]) < 1.0)
+    return MatrixField.from_jet(_exp_ptilde_jet, 3, name, default_domain=dom,
+                                nonsmooth=_phat_nonsmooth, support=_inside_disk)
 
 
 def _phase_field(name: str, sign: float) -> MatrixField:

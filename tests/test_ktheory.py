@@ -345,6 +345,21 @@ def test_to_json_reports_the_exactness_the_search_checked(monkeypatch, preset):
     assert exactness_calls[0] == 0
 
 
+def test_a_hexagon_cannot_be_edited_after_its_exactness_is_reported():
+    # `exact` is computed once, so a map changed in place would leave it stale.
+    s = solve_six_term(*hexagon_preset("gamma3"), bound=1)[0]
+    assert all(s.to_json()["exact"])
+    with pytest.raises(ValueError, match="read-only"):
+        s.maps[0][0, 0] = 5
+    assert all(s.to_json()["exact"]) and is_exact(s)
+    # The arrays a caller passes in are copied and stay writable.
+    maps = tuple(zmap(1, 1, [[v]]) for v in [0, 1, 0, 1, 0, 1])
+    seq = SixTerm((1,) * 6, maps)
+    maps[0][0, 0] = 5
+    assert maps[0].flags.writeable and seq.maps[0][0, 0] == 0
+    assert all(seq.exact)
+
+
 def _row_codes(stack, bound):
     """One code per matrix of a (count, rows, cols) stack of entries in
     [-bound, bound], equal for two matrices whose rows agree up to sign and order."""

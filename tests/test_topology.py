@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mdlab import topology
+from mdlab import invariants, topology
 from mdlab.topology import (
     Axis,
     BoundaryConditionError,
@@ -398,6 +398,56 @@ def test_integrals_evaluate_each_grid_point_in_the_support_once(integral, field,
     needed = len(mesh) if field.support is None else int(field.support(mesh).sum())
     integral(counted)
     assert seen[0] <= needed + fixed
+
+
+def test_a_constant_field_is_integrated_without_a_grid_point():
+    # A constant field's support is empty.  6 boundary faces of 17**2 points;
+    # 48 derivative-check samples at 2 + 2 * 3 points each and 512 support-check
+    # samples, and none of the 16**3 grid points.
+    counted, seen = _counting(trivial_lift_eps1())
+    assert winding_3d(counted).raw == 0.0
+    assert seen[0] == 6 * 17 ** 2 + 48 * 8 + 512
+
+
+def test_a_constant_field_with_nonzero_partials_is_refused():
+    # Pauli partials at g = 1: Tr(A0 [A1, A2]) = Tr(sx [sy, sz]) = 4i at every
+    # point, which the empty support declares to be 0.
+    field = trivial_lift_eps1()
+    pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+    def jet(pts):
+        values, partials = field.derivative(pts)
+        partials[...] = pauli[:, None]
+        return values, partials
+
+    with pytest.raises(ValueError, match="exp_lift_eps1: integrand up to 4 outside the "
+                                         "declared support"):
+        winding_3d(dataclasses.replace(field, derivative=jet))
+
+
+def test_one_f2_index_call_winds_over_the_half_spaces_once(monkeypatch):
+    # exp_ptilde("-") is exp_ptilde("+") under another name, so the plus-side
+    # winding is reported for both half-spaces.
+    fields, wound = [], []
+
+    def counted_exp_ptilde(side, n=128):
+        fields.append(_counting(exp_ptilde(side, n)))
+        return fields[-1][0]
+
+    def named_winding_3d(field, domain=None):
+        wound.append(field.name)
+        return winding_3d(field, domain)
+
+    monkeypatch.setattr(invariants, "exp_ptilde", counted_exp_ptilde)
+    monkeypatch.setattr(invariants, "winding_3d", named_winding_3d)
+    res = invariants.index_invariant("F2", 64, 16)
+    assert wound == ["exp_lift_unit", "exp_lift_eps1", "exp_ptilde_plus"]
+    once, seen_once = _counting(exp_ptilde("+", 16))
+    winding_3d(once)
+    assert sum(seen[0] for _, seen in fields) == seen_once[0]
+    plus, minus = res.integrals["exp_ptilde_plus"], res.integrals["exp_ptilde_minus"]
+    assert minus == {**plus, "witness": "exp_ptilde_minus"}
+    assert res.gamma2 == [[1], [1]]
 
 
 def _radius_below(limit):

@@ -127,6 +127,29 @@ def test_exp_ptilde_is_special_unitary(side):
     assert np.abs(g.conj().transpose(0, 2, 1) @ g - np.eye(2)).max() <= 1e-14
 
 
+@pytest.mark.parametrize("side, sign", [("+", 1.0), ("-", -1.0)])
+def test_exp_ptilde_is_the_normalized_exponential_of_the_lift(side, sign):
+    # A second route: e^{2 pi i ptilde} by eigendecomposition at
+    # z = +-tan(pi v/2), times diag(conj(e^{2 pi i / sqrt(1 + z^2)}), 1).
+    rng = np.random.default_rng(10)
+    x, y = rng.uniform(-1.5, 1.5, (2, 2000))
+    v = rng.uniform(0.0, 0.99, 2000)
+    z = sign * np.tan(0.5 * math.pi * v)
+    g = expi_hermitian(ptilde()(np.stack([x, y, z], axis=1)), 2 * math.pi)
+    g[:, :, 0] *= np.exp(-2j * math.pi / np.sqrt(1.0 + z * z))[:, None]
+    assert np.abs(exp_ptilde(side, 16)(np.stack([x, y, v], axis=1)) - g).max() <= 1e-12
+
+
+def test_the_two_half_space_fields_are_the_same_bits():
+    # The lift is even in z, so the minus-side winding may reuse the plus side's.
+    plus, minus = exp_ptilde("+", 16), exp_ptilde("-", 16)
+    *lead_axes, last = (ax.midpoints() for ax in plus.default_domain.axes)
+    lead = np.stack(np.meshgrid(*lead_axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    assert plus.default_domain == minus.default_domain
+    for a, b in zip(plus.axis_jet(lead, last), minus.axis_jet(lead, last)):
+        assert _bits(a) == _bits(b)
+
+
 def test_uplus_values():
     f = uplus()
     z = np.array([[0.0], [1.0]])
