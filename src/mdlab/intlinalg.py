@@ -21,7 +21,6 @@ __all__ = [
     "snf",
     "invariant_factors",
     "minor_gcd_invariant_factors",
-    "hnf_columns",
     "kernel_basis",
     "image_basis",
     "cokernel",
@@ -198,7 +197,7 @@ def minor_gcd_invariant_factors(m) -> list[int]:
 def _hnf(a: list[list[int]], rows: int) -> list[list[int]]:
     """Column Hermite form of the columns a (lists of `rows` entries), in place.
 
-    Returns the nonzero columns: the canonical generators `hnf_columns`
+    Returns the nonzero columns: the canonical generators `image_basis`
     documents.
     """
     cols = len(a)
@@ -248,17 +247,6 @@ def _from_columns(columns: list[list[int]], rows: int) -> np.ndarray:
     return _matrix(columns, rows).T
 
 
-def hnf_columns(m) -> np.ndarray:
-    """Column-style Hermite normal form of the column lattice of M.
-
-    Returns a matrix whose columns are the canonical generators: zero columns
-    dropped, pivots positive, entries right of a pivot reduced mod the pivot.
-    Two integer matrices generate the same subgroup of Z^m iff their forms
-    are equal.
-    """
-    return _from_columns(*_column_hnf(m))
-
-
 def kernel_basis(m) -> np.ndarray:
     """Columns form a primitive basis of ker(M) in the source Z^n."""
     d, n = _rows(m)
@@ -269,8 +257,13 @@ def kernel_basis(m) -> np.ndarray:
 
 
 def image_basis(m) -> np.ndarray:
-    """Columns generate im(M) in the target Z^m (canonical HNF generators)."""
-    return hnf_columns(m)
+    """Columns generate im(M) in the target Z^m: the column Hermite normal form of M.
+
+    The columns are the canonical generators: zero columns dropped, pivots
+    positive, entries right of a pivot reduced mod the pivot.  Two integer
+    matrices generate the same subgroup of Z^m iff their forms are equal.
+    """
+    return _from_columns(*_column_hnf(m))
 
 
 def cokernel(m) -> tuple[int, list[int]]:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ktheory
-from .topology import GridDomain, IntegralResult, MatrixField, chern_2d, winding_1d, winding_3d
+from .topology import IntegralResult, MatrixField, chern_2d, winding_1d, winding_3d
 from .witnesses import (
     exp_ptilde,
     gamma3_disk,

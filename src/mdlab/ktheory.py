@@ -31,7 +31,6 @@ __all__ = [
     "SixTerm",
     "zmap",
     "exact_at",
-    "is_exact",
     "SearchSpaceError",
     "MAX_CANDIDATES",
     "solve_six_term",
@@ -104,10 +103,6 @@ def exact_at(seq: SixTerm, node: int) -> bool:
     img = image_basis(seq.maps[(node - 1) % 6])
     ker = kernel_basis(seq.maps[node % 6])
     return np.array_equal(img, ker)
-
-
-def is_exact(seq: SixTerm) -> bool:
-    return all(exact_at(seq, i) for i in range(6))
 
 
 class SearchSpaceError(ValueError):

@@ -23,25 +23,22 @@ Both grid integrals run one loop, `_grid_sum`, with two units:
     evaluated block by block, so that temporaries stay in cache and are not
     faulted in from the system on every chunk.  It moves no value.
 A block is some leading points (all coordinates but the last) times every
-midpoint of the last axis.  A separable field has a per-axis jet for it,
-which computes what depends only on the leading coordinates, or only on the
-last, once per side; other fields are evaluated through their derivative at
-the block's points.  A field may declare a support outside which the
-integrand is exactly 0; the loop skips the grid points there, which leaves
-each chunk's correctly rounded sum unchanged, and the promise is checked at
-seeded points outside the support.  A field with a per-axis jet promises
-that its support reads the leading coordinates only.
+midpoint of the last axis, and the field's per-axis jet evaluates it,
+computing what depends only on the leading coordinates, or only on the last,
+once per side; a field without a per-axis jet is refused.  A field may
+declare a support, which reads the leading coordinates only, outside which
+the integrand is exactly 0; the loop skips the grid points there, which
+leaves each chunk's correctly rounded sum unchanged, and the promise is
+checked at seeded points outside the support.
 
-Off the grid, each integral checks the field at guard points: the boundary
+The integrals read a field through its jets only, never its evaluator.  Off
+the grid, each integral checks the field at guard points: the boundary
 faces, a seeded sample where the exact derivative must match central
-differences and the jet's values the evaluator's, and the support-leak
-points.  `_Guards` evaluates all of them in one evaluator call (faces,
-sample, and the sample moved by ±FD_STEP) and one jet call (sample and leak
-points), whatever their number, since each call has a fixed cost; the
-checks read slices of the two results.  They refuse in a fixed order: the
-boundary before the grid, a support leak at the end of the grid, then the
-σ_min floor (or the projection residual), the evaluator/jet mismatch and
-the finite-difference gap.
+differences, and the support-leak points.  `_Guards` evaluates all of them
+in one derivative call, whatever their number, since each call has a fixed
+cost; the checks read slices of the result.  They refuse in a fixed order:
+the boundary before the grid, a support leak at the end of the grid, then
+the σ_min floor (or the projection residual) and the finite-difference gap.
 
 The grid integrals take k×k fields with k <= 2 (every witness is 1×1 or 2×2)
 and refuse larger ones.  Their kernels are closed forms for those sizes:
@@ -163,19 +160,20 @@ class MatrixField:
     values.  derivative(pts) returns the 1-jet (values, partials) in one
     call: the values exactly as the evaluator gives them, and the exact
     partials along every coordinate stacked as (dim, N, size, size).  The
-    integrals need it, and fields without one can only be evaluated.
-    `nonsmooth` marks points to skip in finite-difference cross-checks (e.g.
-    chart seams of a frozen extension).  `support(pts)` marks the points
-    where the grid integrals need the field; outside it their integrands are
-    exactly 0, a promise they check at seeded points.
+    integrals read the field through it, and never through the evaluator;
+    fields without one can only be evaluated.  `nonsmooth` marks points to
+    skip in finite-difference cross-checks (e.g. chart seams of a frozen
+    extension).  `support(pts)` marks the points where the grid integrals
+    need the field; outside it their integrands are exactly 0, a promise
+    they check at seeded points.
 
-    `axis_jet(lead, last)`, optional, is the jet on a product of points: the
-    (m, dim - 1) leading coordinates times the (n,) last coordinates, point
-    i·n + j being (lead[i], last[j]).  It returns entry-major values
-    (size, size, m·n) and partials (size, size, dim, m·n), equal to the
-    derivative's bit for bit.  A field that has one promises that its
-    support reads the leading coordinates only.  `from_jet` builds it, and
-    the evaluator and derivative, from one function.
+    `axis_jet(lead, last)`, which the grid integrals need, is the jet on a
+    product of points: the (m, dim - 1) leading coordinates times the (n,)
+    last coordinates, point i·n + j being (lead[i], last[j]).  It returns
+    entry-major values (size, size, m·n) and partials (size, size, dim, m·n),
+    equal to the derivative's bit for bit.  A field that has one promises
+    that its support reads the leading coordinates only.  `from_jet` builds
+    it, and the evaluator and derivative, from one function.
     """
 
     evaluator: Callable
@@ -203,13 +201,14 @@ class MatrixField:
         """
         value = np.asarray(value, dtype=complex)
 
-        def ev(pts):
-            return np.broadcast_to(value, (len(pts),) + value.shape).copy()
+        def jet(*coords):
+            shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+            values = np.broadcast_to(value.reshape(value.shape + (1,) * len(shape)),
+                                     value.shape + shape)
+            return values.copy(), np.zeros(value.shape + (dim,) + shape, dtype=complex)
 
-        return cls(evaluator=ev, dim=dim, name=name, default_domain=default_domain,
-                   derivative=lambda pts: (ev(pts), np.zeros((dim, len(pts)) + value.shape,
-                                                             dtype=complex)),
-                   support=lambda pts: np.zeros(len(pts), dtype=bool))
+        return cls.from_jet(jet, dim, name, default_domain=default_domain,
+                            support=lambda pts: np.zeros(len(pts), dtype=bool))
 
     @classmethod
     def from_jet(cls, jet: Callable, dim: int, name: str, **fields) -> "MatrixField":
@@ -235,10 +234,18 @@ class MatrixField:
                    derivative=derivative, axis_jet=axis_jet, **fields)
 
 
-def _derivative(field: MatrixField) -> Callable:
-    if field.derivative is None:
-        raise ValueError(f"{field.name or 'field'}: no exact derivative to integrate or check")
-    return field.derivative
+def _jet(field: MatrixField, part: str = "derivative") -> Callable:
+    """field.derivative or field.axis_jet, which the integrals read; refused if it is None."""
+    jet = getattr(field, part)
+    if jet is None:
+        what = "exact derivative" if part == "derivative" else "per-axis jet"
+        raise ValueError(f"{field.name or 'field'}: no {what} to integrate or check")
+    return jet
+
+
+def _smooth(field: MatrixField, pts: np.ndarray) -> np.ndarray:
+    """pts less the field's nonsmooth ones, which no finite difference checks."""
+    return pts if field.nonsmooth is None else pts[~field.nonsmooth(pts)]
 
 
 def _fd_points(pts: np.ndarray) -> np.ndarray:
@@ -252,13 +259,13 @@ def _fd_points(pts: np.ndarray) -> np.ndarray:
 
 
 def _fd_gap(partials: np.ndarray, moved: np.ndarray) -> float:
-    """Max |partial - central difference| over every axis (NaN if any is NaN).
+    """Max |partial - central difference| over every axis (NaN if any is NaN, 0 at no point).
 
     partials are the exact (dim, n, k, k) partials at n points, and moved the
     values at their `_fd_points`.
     """
-    moved = moved.reshape((len(partials), 2, -1) + moved.shape[1:])
-    return float(np.max([np.abs(exact - (up - dn) / (2 * FD_STEP)).max()
+    moved = moved.reshape((len(partials), 2, partials.shape[1]) + moved.shape[1:])
+    return float(np.max([np.abs(exact - (up - dn) / (2 * FD_STEP)).max(initial=0.0)
                          for exact, (up, dn) in zip(partials, moved)]))
 
 
@@ -270,13 +277,14 @@ def projection_residual(field: MatrixField, pts) -> float:
 
 
 def derivative_check(field: MatrixField, pts) -> float:
-    """Max deviation between exact and finite-difference derivatives (NaN if any is NaN)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if field.nonsmooth is not None:
-        pts = pts[~field.nonsmooth(pts)]
-    if len(pts) == 0:
-        return 0.0
-    return _fd_gap(_derivative(field)(pts)[1], field.evaluator(_fd_points(pts)))
+    """Max deviation between exact and finite-difference derivatives (NaN if any is NaN).
+
+    One derivative call gives the partials at the smooth points and the
+    values at those moved by ±FD_STEP.
+    """
+    pts = _smooth(field, np.atleast_2d(np.asarray(pts, dtype=float)))
+    values, partials = _jet(field)(np.concatenate([pts, _fd_points(pts)]))
+    return _fd_gap(partials[:, :len(pts)], values[len(pts):])
 
 
 @dataclass
@@ -349,25 +357,26 @@ def winding_1d(f: MatrixField, side: str = "+", tol: float = 1e-8) -> IntegralRe
     reference phase on either side wind +1.  The field must be safely
     invertible with a common limit at 0 and at infinity.  The half-line is
     compactified with z = sgn * w/(1-w) and integrated by adaptive Simpson.
+    One derivative call gives the values at the 97 guard points and the two
+    limit points.
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
     sgn = 1.0 if side == "+" else -1.0
 
+    derivative = _jet(f)
     zs = sgn * np.geomspace(1e-6, 1e6, 97)
-    guard = np.moveaxis(f(zs[:, None]), 0, -1)
+    values = derivative(np.append(zs, [0.0, sgn * 1e9])[:, None])[0]
+    guard = np.moveaxis(values[:-2], 0, -1)
     _check_size(f, guard)
     sv_min = float(np.min(_sigma_min2(guard)))
     if not sv_min > SIGMA_FLOOR:  # a NaN σ_min fails too
         raise NonInvertibleFieldError(
             f"{f.name or 'field'}: min singular value {sv_min:.3g} is not above {SIGMA_FLOOR}")
-    v0 = f(np.array([[0.0]]))[0]
-    vinf = f(np.array([[sgn * 1e9]]))[0]
-    limit_gap = float(np.abs(v0 - vinf).max())
+    limit_gap = float(np.abs(values[-2] - values[-1]).max())
     if not limit_gap <= 1e-6:
         raise BoundaryConditionError(
             f"{f.name or 'field'}: limits at 0 and infinity differ by {limit_gap:.3g}")
-    derivative = _derivative(f)
 
     def integrand(w):
         if w >= 1.0:
@@ -571,52 +580,39 @@ def _interior_points(domain: GridDomain, n: int, seed: int) -> np.ndarray:
 
 
 class _Guards:
-    """What a grid integral checks off its grid, from one evaluator call and one jet call.
+    """What a grid integral checks off its grid, from one derivative call.
 
-    The evaluator call covers, in this order, the faces of `face_axes`
-    (`_face_points`), the derivative check's n seeded interior points
-    (`_interior_points(domain, n, 0)`), and the smooth ones among those moved
-    by ±FD_STEP along each axis (`_fd_points`).  The jet call, made by
-    `jet()` once the faces have passed, covers the sample and then the
-    support-leak points: those of 512 seeded interior points
-    (`_interior_points(domain, 512, 1)`) outside the field's support.  Each
-    check reads its slice of the two results; fields are evaluated point by
-    point, so these are the values separate calls would give.
+    The call covers, in this order, the faces of `face_axes`
+    (`_face_points`), the smooth ones among the derivative check's n seeded
+    interior points (`_interior_points(domain, n, 0)`), those moved by
+    ±FD_STEP along each axis (`_fd_points`), and the support-leak points:
+    those of 512 seeded interior points (`_interior_points(domain, 512, 1)`)
+    outside the field's support.  Each check reads its slice of the result;
+    fields are evaluated point by point, so these are the values separate
+    calls would give, and the grid reads the same jet through the per-axis
+    jet, so what is checked is what is integrated.
     """
 
     def __init__(self, field: MatrixField, domain: GridDomain, face_axes, n: int):
-        self.field, self.domain = field, domain
-        faces = _face_points(domain, face_axes)
-        self.sample = _interior_points(domain, n, 0)
-        self.smooth = (np.ones(n, dtype=bool) if field.nonsmooth is None
-                       else ~field.nonsmooth(self.sample))
-        values = field(np.concatenate([faces, self.sample, _fd_points(self.sample[self.smooth])]))
-        self.faces, self.values, self.moved = np.split(values, [len(faces), len(faces) + n])
-
-    def jet(self):
-        """The jet at the leak points, for `_grid_sum`, or None if there are none."""
-        n = len(self.sample)
-        pts = self.sample
-        if self.field.support is not None:
-            outside = _interior_points(self.domain, 512, 1)
-            pts = np.concatenate([pts, outside[~self.field.support(outside)]])
-        values, partials = _derivative(self.field)(pts)
-        self.jet_values, self.partials = values[:n], partials[:, :n]
-        return (values[n:], partials[:, n:]) if len(pts) > n else None
+        self.name = field.name or "field"
+        sample = _smooth(field, _interior_points(domain, n, 0))
+        leak = np.empty((0, domain.dim))
+        if field.support is not None:
+            leak = _interior_points(domain, 512, 1)
+            leak = leak[~field.support(leak)]
+        parts = [_face_points(domain, face_axes), sample, _fd_points(sample), leak]
+        faces_end, sample_end, moved_end, _ = np.cumsum([len(part) for part in parts])
+        values, partials = _jet(field)(np.concatenate(parts))
+        self.faces = values[:faces_end]
+        self.gap = _fd_gap(partials[:, faces_end:sample_end], values[sample_end:moved_end])
+        # The jet at the leak points, for `_grid_sum`, or None if there are none.
+        self.leak = (values[moved_end:], partials[:, moved_end:]) if len(leak) else None
 
     def derivative_check(self) -> float:
-        """derivative_check at the sample, after `jet()`; a gap above 1e-6 is refused.
-
-        The jet's values must also equal the evaluator's exactly (NaN never
-        does), since the grid integrals take their values from the jet.
-        """
-        name = self.field.name or "field"
-        if not np.array_equal(self.jet_values, self.values):
-            raise ValueError(f"{name}: derivative values differ from the evaluator")
-        dev = _fd_gap(self.partials[:, self.smooth], self.moved) if self.smooth.any() else 0.0
-        if not dev <= 1e-6:
-            raise ValueError(f"{name}: analytic/FD derivative gap {dev:.3g} > 1e-6")
-        return dev
+        """derivative_check at the sample; a gap above 1e-6 is refused."""
+        if not self.gap <= 1e-6:
+            raise ValueError(f"{self.name}: analytic/FD derivative gap {self.gap:.3g} > 1e-6")
+        return self.gap
 
 
 def _entry_major(values, partials):
@@ -634,15 +630,14 @@ def _grid_sum(field: MatrixField, domain: GridDomain, integrand: Callable, leak)
     points (one row of the last axis, if that is longer), whose integrand
     values fill one buffer that serves every chunk.
 
-    A field with a per-axis jet gets a block's leading points inside its
-    support; any other field gets the block's points, less those outside its
-    support, through its derivative.  Outside the support the integrand must
-    be exactly 0, so skipping those points leaves each chunk's sum as it was.
-    `leak`, the jet (values, partials) at seeded points outside the support
-    that `_Guards.jet` gives, or None, checks the promise after the grid: any
-    of them whose integrand is not exactly 0 is refused.
+    The field's per-axis jet gets a block's leading points inside its
+    support.  Outside the support the integrand must be exactly 0, so
+    skipping those points leaves each chunk's sum as it was.  `leak`, the
+    jet (values, partials) at seeded points outside the support that
+    `_Guards` gives, or None, checks the promise after the grid: any of them
+    whose integrand is not exactly 0 is refused.
     """
-    jet = _derivative(field)
+    axis_jet = _jet(field, "axis_jet")
     *lead_axes, last = (ax.midpoints() for ax in domain.axes)
     chunks = np.array_split(lead_axes[0], max(1, len(lead_axes[0]) // CHUNK_SLABS[domain.dim]))
     rest = math.prod(len(ax) for ax in lead_axes[1:]) * len(last)
@@ -652,21 +647,11 @@ def _grid_sum(field: MatrixField, domain: GridDomain, integrand: Callable, leak)
     for chunk in chunks:
         lead = np.stack(np.meshgrid(chunk, *lead_axes[1:], indexing="ij"),
                         axis=-1).reshape(-1, domain.dim - 1)
-        if field.axis_jet is not None and field.support is not None:
+        if field.support is not None:
             lead = lead[field.support(np.column_stack((lead, np.full(len(lead), last[0]))))]
         filled = 0
         for start in range(0, len(lead), rows):
-            block = lead[start:start + rows]
-            if field.axis_jet is not None:
-                values, partials = field.axis_jet(block, last)
-            else:
-                pts = np.column_stack((np.repeat(block, len(last), axis=0),
-                                       np.tile(last, len(block))))
-                if field.support is not None:
-                    pts = pts[field.support(pts)]
-                if not len(pts):
-                    continue
-                values, partials = _entry_major(*jet(pts))
+            values, partials = axis_jet(lead[start:start + rows], last)
             part = integrand(values, partials)
             buffer[filled:filled + len(part)] = part
             filled += len(part)
@@ -709,7 +694,7 @@ def chern_2d(p: MatrixField, domain: GridDomain | None = None) -> IntegralResult
         proj_res.append(np.abs(_mul2(pv, pv) - pv).max())
         return _trace_commutator2(pv, partials[:, :, 0], partials[:, :, 1])
 
-    total = _grid_sum(p, domain, integrand, guards.jet()) * domain.cell_volume / (2.0j * math.pi)
+    total = _grid_sum(p, domain, integrand, guards.leak) * domain.cell_volume / (2.0j * math.pi)
     proj_res = float(np.max(proj_res))
     if not proj_res <= 1e-10:
         raise ValueError(f"{p.name or 'field'}: projection residual {proj_res:.3g} > 1e-10")
@@ -753,7 +738,7 @@ def winding_3d(g: MatrixField, domain: GridDomain | None = None) -> IntegralResu
         a = _mul2(inv, partials, out=buffer[0][:size].reshape(shape))
         return _trace_commutator2(a[:, :, 0], a[:, :, 1], a[:, :, 2])
 
-    total = _grid_sum(g, domain, integrand, guards.jet())
+    total = _grid_sum(g, domain, integrand, guards.leak)
     sv_floor = float(np.min(sv_min))
     if not sv_floor > SIGMA_FLOOR:
         raise NonInvertibleFieldError(

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from mdlab.intlinalg import (
     as_zmatrix,
     cokernel,
-    hnf_columns,
     identity,
     image_basis,
     invariant_factors,
@@ -197,7 +196,7 @@ def test_hnf_canonicalizes_subgroups():
 
 
 def test_hnf_drops_zero_columns():
-    h = hnf_columns([[0, 2], [0, 0]])
+    h = image_basis([[0, 2], [0, 0]])
     assert h.shape == (2, 1)
     assert list(h[:, 0]) == [2, 0]
 
@@ -213,7 +212,7 @@ def test_entries_beyond_int64_survive_every_kernel():
     assert minor_gcd_invariant_factors([[_BIG, 0], [0, 3 * _BIG]]) == [_BIG, 3 * _BIG]
     # gcd(2^80, 2^80 + 1) = 1: the row generates Z, and its kernel is one primitive vector.
     row = np.array([[_BIG, _BIG + 1]], dtype=object)
-    assert hnf_columns(row).tolist() == [[1]]
+    assert image_basis(row).tolist() == [[1]]
     k = kernel_basis(row)
     assert k.shape == (2, 1) and sorted(abs(x) for x in k[:, 0]) == [_BIG, _BIG + 1]
     assert (row @ k).tolist() == [[0]]
@@ -223,8 +222,8 @@ def test_entries_beyond_int64_survive_every_kernel():
 
 @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("kernel", [as_zmatrix, snf, invariant_factors,
-                                    minor_gcd_invariant_factors, hnf_columns, kernel_basis,
-                                    image_basis, cokernel])
+                                    minor_gcd_invariant_factors, kernel_basis, image_basis,
+                                    cokernel])
 def test_non_integer_entries_are_refused(kernel, bad):
     with pytest.raises(ValueError, match="not an integer"):
         kernel([[1, bad], [0, 2]])
@@ -239,7 +238,6 @@ def test_empty_shapes(shape):
     assert (u.shape, d.shape, v.shape) == ((rows, rows), shape, (cols, cols))
     assert invariant_factors(zeros(rows, cols)) == [] == minor_gcd_invariant_factors(
         zeros(rows, cols))
-    assert hnf_columns(zeros(rows, cols)).shape == (rows, 0)
     assert image_basis(zeros(rows, cols)).shape == (rows, 0)
     # A map from Z^cols has all of Z^cols as its kernel; Z^rows is its cokernel.
     assert np.array_equal(kernel_basis(zeros(rows, cols)), identity(cols))

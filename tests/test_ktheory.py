@@ -23,7 +23,6 @@ from mdlab.ktheory import (
     SixTerm,
     exact_at,
     hexagon_preset,
-    is_exact,
     solve_six_term,
     zmap,
 )
@@ -36,8 +35,8 @@ def hexagon_of_scalars(values):
 
 
 def test_alternating_patterns_are_exact():
-    assert is_exact(hexagon_of_scalars([0, 1, 0, 1, 0, 1]))
-    assert is_exact(hexagon_of_scalars([1, 0, 1, 0, 1, 0]))
+    assert all(hexagon_of_scalars([0, 1, 0, 1, 0, 1]).exact)
+    assert all(hexagon_of_scalars([1, 0, 1, 0, 1, 0]).exact)
 
 
 def test_non_exact_patterns():
@@ -143,7 +142,7 @@ def test_all_z_completions_are_the_two_alternating_patterns():
         patterns.add(tuple(abs(int(m[0, 0])) for m in s.maps))
     assert patterns == {(0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0)}
     for s in sols:
-        assert is_exact(s)
+        assert all(s.exact)
 
 
 def test_gamma1_hexagon_forces_middle_groups():
@@ -194,7 +193,7 @@ def _composes_to_zero(b, a):
 def _reference_completions(groups, known, bound):
     """solve_six_term without its node test or factors: every choice of maps,
     in lexicographic order, whose consecutive maps compose to zero (which
-    exactness implies), filtered with is_exact and then grouped."""
+    exactness implies), filtered by exactness at every node and then grouped."""
     known = {i: as_zmatrix(m) for i, m in known.items()}
     ranks = ktheory._infer_ranks(groups, known)
     choices = []
@@ -213,7 +212,7 @@ def _reference_completions(groups, known, bound):
     classes = {}
     for maps in partial:
         seq = SixTerm(tuple(ranks), maps)
-        if not _composes_to_zero(maps[0], maps[5]) or not is_exact(seq):
+        if not _composes_to_zero(maps[0], maps[5]) or not all(seq.exact):
             continue
         key = tuple((m.shape, tuple(invariant_factors(m))) for m in maps)
         flat = tuple(int(x) for m in maps for x in m.reshape(-1))
@@ -351,7 +350,7 @@ def test_a_hexagon_cannot_be_edited_after_its_exactness_is_reported():
     assert all(s.to_json()["exact"])
     with pytest.raises(ValueError, match="read-only"):
         s.maps[0][0, 0] = 5
-    assert all(s.to_json()["exact"]) and is_exact(s)
+    assert all(s.to_json()["exact"]) and all(exact_at(s, i) for i in range(6))
     # The arrays a caller passes in are copied and stay writable.
     maps = tuple(zmap(1, 1, [[v]]) for v in [0, 1, 0, 1, 0, 1])
     seq = SixTerm((1,) * 6, maps)
