@@ -247,13 +247,18 @@ def _from_columns(columns: list[list[int]], rows: int) -> np.ndarray:
     return _matrix(columns, rows).T
 
 
-def kernel_basis(m) -> np.ndarray:
-    """Columns form a primitive basis of ker(M) in the source Z^n."""
+def _kernel_columns(m) -> tuple[list[list[int]], int]:
+    """The columns of `kernel_basis(m)` as lists, and the source rank n."""
     d, n = _rows(m)
     _, vt = _snf(d, n)
     rank = len(_diagonal(d, n))
     # The last n - rank columns of V span the kernel.
-    return _from_columns(_hnf(vt[rank:], n), n)
+    return _hnf(vt[rank:], n), n
+
+
+def kernel_basis(m) -> np.ndarray:
+    """Columns form a primitive basis of ker(M) in the source Z^n."""
+    return _from_columns(*_kernel_columns(m))
 
 
 def image_basis(m) -> np.ndarray:

@@ -18,11 +18,11 @@ from math import factorial
 import numpy as np
 
 from .intlinalg import (
+    _column_hnf,
+    _kernel_columns,
     as_zmatrix,
     cokernel,
-    image_basis,
     invariant_factors,
-    kernel_basis,
     zeros,
 )
 
@@ -82,7 +82,7 @@ class SixTerm:
     @cached_property
     def exact(self) -> tuple[bool, ...]:
         """`exact_at` at each of the six nodes, computed once per hexagon."""
-        return tuple(bool(exact_at(self, i)) for i in range(6))
+        return tuple(exact_at(self, i) for i in range(6))
 
     def to_json(self) -> dict:
         return {
@@ -98,11 +98,10 @@ def exact_at(seq: SixTerm, node: int) -> bool:
 
     Both bases are canonical column Hermite forms (`image_basis`,
     `kernel_basis`), and two subgroups are equal iff their forms are, so the
-    bases are compared as they are.
+    bases are compared as they are: as the lists of columns, each with its
+    row count, that `intlinalg` computes them as, with no object array built.
     """
-    img = image_basis(seq.maps[(node - 1) % 6])
-    ker = kernel_basis(seq.maps[node % 6])
-    return np.array_equal(img, ker)
+    return _column_hnf(seq.maps[(node - 1) % 6]) == _kernel_columns(seq.maps[node % 6])
 
 
 class SearchSpaceError(ValueError):

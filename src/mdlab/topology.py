@@ -20,8 +20,10 @@ Both grid integrals run one loop, `_grid_sum`, with two units:
     round-off only (one exact sum over the whole 28^3 grid moves its raw value
     by 1 ulp);
   * the block, at most BLOCK_POINTS points, is the memory unit: each chunk is
-    evaluated block by block, so that temporaries stay in cache and are not
-    faulted in from the system on every chunk.  It moves no value.
+    evaluated block by block, and every block writes its jet and its
+    integrand's largest temporaries into the same arrays, one allocation per
+    integral (`_Scratch`), so that a warm integral faults in no memory.  It
+    moves no value.
 A block is some leading points (all coordinates but the last) times every
 midpoint of the last axis, and the field's per-axis jet evaluates it,
 computing what depends only on the leading coordinates, or only on the last,
@@ -95,9 +97,11 @@ FD_STEP = 1e-6
 # 1 ulp).
 CHUNK_SLABS = {2: 64, 3: 8}
 # Grid points per evaluation block: the memory unit, which moves no value.  One
-# complex entry of a block is 64 KB, so a block's temporaries stay in cache
-# and are reused from the heap; a whole chunk's came fresh from the system,
-# and page-faulted, on every chunk.
+# complex entry of a block is 64 KB.  The block's jet and the integrand's
+# largest temporaries live in one `_Scratch` allocation per integral, so a
+# warm 512^2 Chern integral takes about 1 minor page fault (2 336 when each
+# block made and freed its own) and a warm index_ladder pass 2 to 14 (about
+# 4 900).
 BLOCK_POINTS = 4096
 
 
@@ -167,13 +171,16 @@ class MatrixField:
     need the field; outside it their integrands are exactly 0, a promise
     they check at seeded points.
 
-    `axis_jet(lead, last)`, which the grid integrals need, is the jet on a
-    product of points: the (m, dim - 1) leading coordinates times the (n,)
-    last coordinates, point i·n + j being (lead[i], last[j]).  It returns
-    entry-major values (size, size, m·n) and partials (size, size, dim, m·n),
-    equal to the derivative's bit for bit.  A field that has one promises
-    that its support reads the leading coordinates only.  `from_jet` builds
-    it, and the evaluator and derivative, from one function.
+    `axis_jet(lead, last, out=None)`, which the grid integrals need, is the
+    jet on a product of points: the (m, dim - 1) leading coordinates times
+    the (n,) last coordinates, point i·n + j being (lead[i], last[j]).  It
+    returns entry-major values (size, size, m·n) and partials
+    (size, size, dim, m·n), equal to the derivative's bit for bit.  `out`,
+    if given, is a pair of C-contiguous arrays of those shapes, which it
+    fills and returns (as views), so that the grid integrals reuse one pair
+    for every block.  A field that has one promises that its support reads
+    the leading coordinates only.  `from_jet` builds it, and the evaluator
+    and derivative, from one function.
     """
 
     evaluator: Callable
@@ -201,11 +208,14 @@ class MatrixField:
         """
         value = np.asarray(value, dtype=complex)
 
-        def jet(*coords):
+        def jet(*coords, out=None):
             shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
-            values = np.broadcast_to(value.reshape(value.shape + (1,) * len(shape)),
-                                     value.shape + shape)
-            return values.copy(), np.zeros(value.shape + (dim,) + shape, dtype=complex)
+            if out is None:
+                out = (np.empty(value.shape + shape, dtype=complex),
+                       np.empty(value.shape + (dim,) + shape, dtype=complex))
+            out[0][...] = value.reshape(value.shape + (1,) * len(shape))
+            out[1][...] = 0.0
+            return out
 
         return cls.from_jet(jet, dim, name, default_domain=default_domain,
                             support=lambda pts: np.zeros(len(pts), dtype=bool))
@@ -214,19 +224,24 @@ class MatrixField:
     def from_jet(cls, jet: Callable, dim: int, name: str, **fields) -> "MatrixField":
         """The field of an entry-major jet whose coordinates broadcast.
 
-        jet(*coords), given dim coordinate arrays of a common broadcast shape
-        s, returns values (size, size, *s) and partials (size, size, dim, *s)
-        in fresh C-contiguous arrays.  Called with the columns of N points it
-        is the derivative (as (N, ...) views) and the evaluator; called with
-        the leading coordinates as (m, 1) columns and the last as (n,), it is
+        jet(*coords, out=None), given dim coordinate arrays of a common
+        broadcast shape s, returns values (size, size, *s) and partials
+        (size, size, dim, *s): written into `out`, a pair of C-contiguous
+        arrays of those shapes, which it returns, or else into fresh
+        C-contiguous arrays.  It writes every entry, so what `out` held
+        before moves no bit.  Called with the columns of N points it is the
+        derivative (as (N, ...) views) and the evaluator; called with the
+        leading coordinates as (m, 1) columns and the last as (n,), it is
         the per-axis jet, which computes whatever depends on one side once
         per side.
         """
         def derivative(pts):
             return tuple(np.moveaxis(a, (0, 1), (-2, -1)) for a in jet(*pts.T))
 
-        def axis_jet(lead, last):
-            values, partials = jet(*lead.T[:, :, None], last)
+        def axis_jet(lead, last, out=None):
+            if out is not None:  # C-contiguous, so these reshapes are views
+                out = tuple(a.reshape(a.shape[:-1] + (len(lead), len(last))) for a in out)
+            values, partials = jet(*lead.T[:, :, None], last, out=out)
             return (values.reshape(values.shape[:2] + (-1,)),
                     partials.reshape(partials.shape[:3] + (-1,)))
 
@@ -443,28 +458,30 @@ def _trace_commutator2(p, a, b):
     return (p[0, 0] - p[1, 1]) * c11 + p[0, 1] * c21 + p[1, 0] * c12
 
 
-def _inv2(m):
+def _inv2(m, out=None):
     """Inverse of entry-major k×k stacks (k <= 2) by the adjugate.
 
     A singular or NaN entry gives inf or NaN without a warning: the callers'
     σ_min floor is what refuses such a field.  A determinant below 2^-900
     may have underflowed, so such a matrix is inverted again scaled by
-    2^600, which is exact.
+    2^600, which is exact.  `out`, if given, is the array (shaped as m, not
+    m itself) the inverse is written to.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if m.shape[0] == 1:
-            return 1.0 / m
-        out, det = _inv2_unscaled(m)
+            return np.divide(1.0, m, out=out)
+        out, det = _inv2_unscaled(m, out)
         small = np.hypot(det.real, det.imag, out=det.real) < 2.0 ** -900  # |det|, in place
         if small.any():
             out[..., small] = _inv2_unscaled(m[..., small] * 2.0 ** 600)[0] * 2.0 ** 600
         return out
 
 
-def _inv2_unscaled(m):
-    """(inverse, determinant) of entry-major 2×2 stacks, by the adjugate."""
+def _inv2_unscaled(m, out=None):
+    """(inverse, determinant) of entry-major 2×2 stacks, by the adjugate, into out if given."""
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    out = np.empty_like(m)
+    if out is None:
+        out = np.empty_like(m)
     out[0, 0] = m[1, 1]
     out[1, 1] = m[0, 0]
     np.negative(m[0, 1], out=out[0, 1])
@@ -505,53 +522,67 @@ def _sigma_min2_unscaled(m):
 
 
 def _exact_sum_complex(values) -> complex:
-    """The correctly rounded sum of complex values, each part summed exactly.
+    """The correctly rounded sum of complex values: `_exact_sum` of each part."""
+    values = np.asarray(values)
+    return complex(_exact_sum(values.real), _exact_sum(values.imag))
+
+
+def _exact_sum(part: np.ndarray) -> float:
+    """The correctly rounded sum of real values: the bits of math.fsum over them.
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
     summation part I", SIAM J. Sci. Comput. 31 (2008) 189, ExtractVector)
-    on one (2, n) copy of the real and imaginary parts.  With 2^M >= n and
-    max|x| < 2^E, let σ = 2^(E+M) per part: q = (σ + x) − σ and x − q are
-    exact, every q is a multiple of ulp(σ)/2, or of the least subnormal when
-    σ is below 2^-1021, and Σ|q| <= σ, so numpy sums the q of a level
-    exactly in any order.  Each level takes about 53 − M bits off the
-    remainders; when they are all 0, math.fsum of the few exact level sums
-    rounds the exact total once, which gives the bits of math.fsum over the
-    values.  A NaN or inf, or a σ past 2^1022, where math.fsum may overflow
-    on the way, sends the values to math.fsum itself, which gives the value
-    or raises as it does on them.
+    on one copy of the values.  With 2^M >= n and max|x| <= 2^-M σ for a
+    power of 2 σ, q = (σ + x) − σ and x − q are exact, every q is a multiple
+    of ulp(σ)/2, or of the least subnormal when σ is below 2^-1021, and
+    Σ|q| <= σ, so numpy sums the q of a level exactly in any order.  The
+    remainders x − q are at most ulp(σ)/2 = 2^-53 σ, so the next level takes
+    σ' = 2^(M-53) σ from that bound, not from another pass for their
+    maximum: one max pass per call, and each level takes 53 − M bits off.
+    Only the first σ comes from the values, as 2^(E+M) with max|x| < 2^E.
+    When the remainders are all 0, math.fsum of the few exact level sums
+    rounds the exact total once.  Values that are all ±0 sum to 0.0, as
+    math.fsum gives them, with no level.  A NaN or inf, or a first σ past
+    2^1022, where math.fsum may overflow on the way, sends the values to
+    math.fsum itself, which gives the value or raises as it does on them.
     """
-    values = np.asarray(values)
-    x = np.empty((2, len(values)))
-    x[0] = values.real
-    x[1] = values.imag
+    top = float(np.max(np.abs(part), initial=0.0))
+    if top == 0.0:
+        return 0.0
+    headroom = (len(part) - 1).bit_length()
+    exponent = math.frexp(top)[1] + headroom  # σ = 2^exponent
+    if not (math.isfinite(top) and exponent <= 1022):
+        return math.fsum(part.tolist())
+    x = np.array(part)
     q = np.empty_like(x)
-    sigma = np.empty((2, 1))
-    headroom = (len(values) - 1).bit_length()
     levels = []
     while True:
-        top = np.abs(x, out=q).max(axis=1, initial=0.0).tolist()
-        if not (top[0] or top[1]):
-            return complex(math.fsum(levels[0::2]), math.fsum(levels[1::2]))
-        # A part that is all 0 gets σ = 2^M, which leaves it as it is.
-        exponents = [math.frexp(t)[1] + headroom for t in top]
-        if not (math.isfinite(top[0] + top[1]) and max(exponents) <= 1022):
-            return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
-        sigma[:, 0] = [math.ldexp(1.0, e) for e in exponents]
+        sigma = math.ldexp(1.0, exponent)
         np.add(x, sigma, out=q)
         q -= sigma
         x -= q
-        levels += q.sum(axis=1).tolist()
+        levels.append(float(q.sum()))
+        if not x.any():
+            return math.fsum(levels)
+        exponent -= 53 - headroom
 
 
 def _face_points(domain: GridDomain, axes) -> np.ndarray:
-    """The lo and then the hi face of each given axis, 17 points per edge, face after face."""
+    """The lo and then the hi face of each given axis, 17 points per edge, face after face.
+
+    One array of shape (faces, 2, 17, ..., 17, dim) is filled by
+    broadcasting, coordinate by coordinate: the face's axis takes lo or hi,
+    and each other axis in turn its 17 edge points.
+    """
+    dim = domain.dim
     edges = [np.linspace(ax.lo, ax.hi, 17) for ax in domain.axes]
-    faces = [np.empty((0, domain.dim))]
-    for axis in axes:
-        ends = np.array([domain.axes[axis].lo, domain.axes[axis].hi])
-        mesh = np.stack(np.meshgrid(*edges[:axis], ends, *edges[axis + 1:], indexing="ij"), -1)
-        faces.append(np.moveaxis(mesh, axis, 0).reshape(-1, domain.dim))
-    return np.concatenate(faces)
+    faces = np.empty((len(axes), 2) + (17,) * (dim - 1) + (dim,))
+    for face, axis in zip(faces, axes):
+        face[..., axis] = np.reshape([domain.axes[axis].lo, domain.axes[axis].hi],
+                                     (2,) + (1,) * (dim - 1))
+        for slot, other in enumerate(b for b in range(dim) if b != axis):
+            face[..., other] = edges[other].reshape((17,) + (1,) * (dim - 2 - slot))
+    return faces.reshape(-1, dim)
 
 
 def _edge_constancy(vals: np.ndarray, domain: GridDomain) -> float:
@@ -603,6 +634,7 @@ class _Guards:
         parts = [_face_points(domain, face_axes), sample, _fd_points(sample), leak]
         faces_end, sample_end, moved_end, _ = np.cumsum([len(part) for part in parts])
         values, partials = _jet(field)(np.concatenate(parts))
+        self.size = values.shape[-1]  # k of the field's k×k values
         self.faces = values[:faces_end]
         self.gap = _fd_gap(partials[:, faces_end:sample_end], values[sample_end:moved_end])
         # The jet at the leak points, for `_grid_sum`, or None if there are none.
@@ -615,34 +647,78 @@ class _Guards:
         return self.gap
 
 
+class _Scratch:
+    """The arrays that every block of one grid integral reuses, in one allocation.
+
+    `shapes` maps each key to the shape and dtype of its array, whose last
+    axis holds points; `take(key, n)` is the array's first n points, a
+    C-contiguous view whose entries are whatever the last block left there.
+
+    Arrays made and freed by each block go back to the system and are
+    faulted in again by the next.  They are one allocation, not one per
+    key, because glibc's malloc gives back the free top of its heap once
+    that exceeds twice the largest chunk it has mmapped and freed: separate
+    arrays, each smaller than their sum, went back at the end of every
+    integral (170 to 480 faults per warm 512^2 Chern integral or 32^3
+    winding), while one allocation is itself that largest chunk, so a warm
+    integral takes it from the heap and leaves it there.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[tuple[int, ...], type]]):
+        # Each array starts at a multiple of 64 bytes of the one allocation.
+        sizes = {key: -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
+                 for key, (shape, dtype) in shapes.items()}
+        memory = np.empty(sum(sizes.values()), dtype=np.uint8)
+        self.arrays: dict[str, np.ndarray] = {}
+        for key, (shape, dtype) in shapes.items():
+            self.arrays[key] = memory[:sizes[key]].view(dtype)[:math.prod(shape)].reshape(shape)
+            memory = memory[sizes[key]:]
+
+    def take(self, key: str, n: int) -> np.ndarray:
+        array = self.arrays[key]
+        head = array.shape[:-1]
+        return array.reshape(-1)[:math.prod(head) * n].reshape(head + (n,))
+
+
 def _entry_major(values, partials):
     """(N, k, k) values and (dim, N, k, k) partials as (k, k, N) and (k, k, dim, N) views."""
     return np.moveaxis(values, 0, -1), np.moveaxis(partials, (2, 3), (0, 1))
 
 
-def _grid_sum(field: MatrixField, domain: GridDomain, integrand: Callable, leak) -> complex:
-    """Sum of integrand(values, partials) over the midpoint grid of the domain.
+def _grid_sum(field: MatrixField, domain: GridDomain, integrand: Callable,
+              guards: _Guards, temporaries: dict) -> complex:
+    """Sum of integrand(values, partials, scratch) over the midpoint grid of the domain.
 
-    The integrand takes entry-major values (k, k, N) and partials (k, k, dim, N).
-    Each chunk of CHUNK_SLABS slabs along the first axis is summed by one
-    exact, correctly rounded sum (`_exact_sum_complex`), and the chunk sums
-    by another.  A chunk is evaluated in blocks of at most BLOCK_POINTS
-    points (one row of the last axis, if that is longer), whose integrand
-    values fill one buffer that serves every chunk.
+    The integrand takes entry-major values (k, k, N) and partials
+    (k, k, dim, N), and a `_Scratch` that holds its `temporaries` (key:
+    (head shape, dtype)) for N points.  Each chunk of CHUNK_SLABS slabs
+    along the first axis is summed by one exact, correctly rounded sum
+    (`_exact_sum_complex`), and the chunk sums by another.  A chunk is
+    evaluated in blocks of at most BLOCK_POINTS points (one row of the last
+    axis, if that is longer), whose integrand values fill one buffer that
+    serves every chunk; the jet writes each block into the scratch's
+    "values" and "partials", k×k as the guards' values.
 
     The field's per-axis jet gets a block's leading points inside its
     support.  Outside the support the integrand must be exactly 0, so
-    skipping those points leaves each chunk's sum as it was.  `leak`, the
-    jet (values, partials) at seeded points outside the support that
-    `_Guards` gives, or None, checks the promise after the grid: any of them
-    whose integrand is not exactly 0 is refused.
+    skipping those points leaves each chunk's sum as it was.  The guards'
+    jet at seeded points outside the support (`guards.leak`) checks the
+    promise after the grid: any of them whose integrand is not exactly 0 is
+    refused.
     """
     axis_jet = _jet(field, "axis_jet")
     *lead_axes, last = (ax.midpoints() for ax in domain.axes)
     chunks = np.array_split(lead_axes[0], max(1, len(lead_axes[0]) // CHUNK_SLABS[domain.dim]))
     rest = math.prod(len(ax) for ax in lead_axes[1:]) * len(last)
-    buffer = np.empty(len(chunks[0]) * rest, dtype=complex)
     rows = max(1, BLOCK_POINTS // len(last))  # leading points per block
+    points = max(rows * len(last), 0 if guards.leak is None else len(guards.leak[0]))
+    k = guards.size
+    shapes = {"chunk": ((len(chunks[0]) * rest,), complex),
+              "values": ((k, k, points), complex),
+              "partials": ((k, k, domain.dim, points), complex)}
+    shapes.update((key, (head + (points,), dtype)) for key, (head, dtype) in temporaries.items())
+    scratch = _Scratch(shapes)
+    buffer = scratch.arrays["chunk"]
     sums = []
     for chunk in chunks:
         lead = np.stack(np.meshgrid(chunk, *lead_axes[1:], indexing="ij"),
@@ -651,13 +727,15 @@ def _grid_sum(field: MatrixField, domain: GridDomain, integrand: Callable, leak)
             lead = lead[field.support(np.column_stack((lead, np.full(len(lead), last[0]))))]
         filled = 0
         for start in range(0, len(lead), rows):
-            values, partials = axis_jet(lead[start:start + rows], last)
-            part = integrand(values, partials)
-            buffer[filled:filled + len(part)] = part
-            filled += len(part)
+            block = lead[start:start + rows]
+            n = len(block) * len(last)
+            out = scratch.take("values", n), scratch.take("partials", n)
+            part = integrand(*axis_jet(block, last, out), scratch)
+            buffer[filled:filled + n] = part
+            filled += n
         sums.append(_exact_sum_complex(buffer[:filled]))
-    if leak is not None:
-        leak = np.abs(integrand(*_entry_major(*leak)))
+    if guards.leak is not None:
+        leak = np.abs(integrand(*_entry_major(*guards.leak), scratch))
         if not np.all(leak == 0.0):  # NaN fails too
             raise ValueError(f"{field.name or 'field'}: integrand up to {leak.max():.3g} "
                              "outside the declared support")
@@ -689,12 +767,18 @@ def chern_2d(p: MatrixField, domain: GridDomain | None = None) -> IntegralResult
             "(field must be constant on each boundary component)")
     proj_res = [0.0]
 
-    def integrand(pv, partials):
+    def integrand(pv, partials, scratch):
         _check_size(p, pv)
-        proj_res.append(np.abs(_mul2(pv, pv) - pv).max())
+        n = pv.shape[-1]
+        defect = _mul2(pv, pv, out=scratch.take("P·P − P", n))
+        np.subtract(defect, pv, out=defect)
+        proj_res.append(np.abs(defect, out=scratch.take("|P·P − P|", n)).max())
         return _trace_commutator2(pv, partials[:, :, 0], partials[:, :, 1])
 
-    total = _grid_sum(p, domain, integrand, guards.leak) * domain.cell_volume / (2.0j * math.pi)
+    k = guards.size
+    total = _grid_sum(p, domain, integrand, guards,
+                      {"P·P − P": ((k, k), complex), "|P·P − P|": ((k, k), float)})
+    total = total * domain.cell_volume / (2.0j * math.pi)
     proj_res = float(np.max(proj_res))
     if not proj_res <= 1e-10:
         raise ValueError(f"{p.name or 'field'}: projection residual {proj_res:.3g} > 1e-10")
@@ -725,20 +809,17 @@ def winding_3d(g: MatrixField, domain: GridDomain | None = None) -> IntegralResu
             f"{g.name or 'field'}: boundary-identity residual {brv:.3g} > {BOUNDARY_TOL_3D}; "
             "enlarge the truncated domain")
     sv_min = [1.0]
-    buffer = [np.empty(0, dtype=complex)]  # g^{-1} dg of a block, reused by every block
 
-    def integrand(gv, partials):
+    def integrand(gv, partials, scratch):
         _check_size(g, gv)
         sv_min.append(_sigma_min2(gv).min())
-        inv = _inv2(gv)
-        shape = inv.shape[:2] + partials.shape[2:]
-        size, dtype = math.prod(shape), np.result_type(inv, partials)
-        if buffer[0].size < size or buffer[0].dtype != dtype:
-            buffer[0] = np.empty(size, dtype=dtype)
-        a = _mul2(inv, partials, out=buffer[0][:size].reshape(shape))
+        n = gv.shape[-1]
+        a = _mul2(_inv2(gv, out=scratch.take("g^-1", n)), partials, out=scratch.take("g^-1 dg", n))
         return _trace_commutator2(a[:, :, 0], a[:, :, 1], a[:, :, 2])
 
-    total = _grid_sum(g, domain, integrand, guards.leak)
+    k = guards.size
+    total = _grid_sum(g, domain, integrand, guards,
+                      {"g^-1": ((k, k), complex), "g^-1 dg": ((k, k, 3), complex)})
     sv_floor = float(np.min(sv_min))
     if not sv_floor > SIGMA_FLOOR:
         raise NonInvertibleFieldError(

@@ -26,8 +26,9 @@ transverse disk slice used for the 2D Chern pairing.
 
 The jets of phat, its polar chart, the exponentials and the disk slice fill
 entry-major buffers, (2, 2, ...) arrays as the kernels of `mdlab.topology`
-read them, and take coordinates that broadcast, so `MatrixField.from_jet`
-makes one function both the derivative and the per-axis jet of the field.
+read them, given ones (`out`) or fresh, and take coordinates that
+broadcast, so `MatrixField.from_jet` makes one function both the derivative
+and the per-axis jet of the field.
 """
 
 from __future__ import annotations
@@ -54,18 +55,28 @@ __all__ = [
 TAU = 2.0 * math.pi
 
 
-def _phat_jet(x, y):
+def _outputs(out, shape: tuple[int, ...], dim: int):
+    """A 2×2 jet's (values, partials) arrays: out as given, or fresh (2, 2, *shape)
+    and (2, 2, dim, *shape) ones."""
+    if out is not None:
+        return out
+    return (np.empty((2, 2) + shape, dtype=complex),
+            np.empty((2, 2, dim) + shape, dtype=complex))
+
+
+def _phat_jet(x, y, out=None):
     """phat entries, frozen at diag(1,0) outside the unit disk, and their exact
     partials along x and y, entry-major: (2, 2, *s) and (2, 2, 2, *s) for x and
-    y of broadcast shape s.  The partials are zero outside the disk."""
+    y of broadcast shape s, in `out` if given.  The partials are zero outside
+    the disk."""
     r = np.hypot(x, y)
     inside = r < 1.0
     c = np.cos(math.pi * r)
     sinc = np.sinc(r)  # sin(pi r)/(pi r)
     half_sinc = 0.5 * math.pi * sinc  # sin(pi r) / (2 r), finite at r = 0
-    # The jets fill every entry of np.empty blocks, and write conjugates in
-    # place, so that no entry costs a second temporary.
-    p = np.empty((2, 2) + r.shape, dtype=complex)
+    # The jets fill every entry of their output blocks, and write conjugates
+    # in place, so that no entry costs a second temporary.
+    p, d = _outputs(out, r.shape, 2)
     p[0, 0] = np.where(inside, 0.5 * (1.0 - c), 1.0)
     p[1, 1] = np.where(inside, 0.5 * (1.0 + c), 0.0)
     off = (x + 1j * y) * half_sinc
@@ -79,7 +90,6 @@ def _phat_jet(x, y):
                   math.pi * (c - sinc) / (rs * rs))
     t = np.stack(np.broadcast_arrays(x, y))
     unit = np.array([1.0, 1.0j]).reshape((2,) + (1,) * r.ndim)
-    d = np.empty((2, 2) + t.shape, dtype=complex)
     d11 = 0.5 * math.pi ** 2 * t * sinc
     d[0, 0] = np.where(inside, d11, 0.0)
     np.negative(d[0, 0], out=d[1, 1])
@@ -99,18 +109,16 @@ def phat() -> MatrixField:
     return MatrixField.from_jet(_phat_jet, 2, "phat", nonsmooth=_phat_nonsmooth)
 
 
-def _phat_polar_jet(r, th):
+def _phat_polar_jet(r, th, out=None):
     """phat in the polar chart and its exact partials along r and theta, entry-major."""
     c = np.cos(math.pi * r)
     s = np.sin(math.pi * r)
     e = np.exp(1j * th)
-    shape = np.broadcast_shapes(r.shape, th.shape)
-    p = np.empty((2, 2) + shape, dtype=complex)
+    p, d = _outputs(out, np.broadcast_shapes(r.shape, th.shape), 2)
     p[0, 0] = 0.5 * (1.0 - c)
     p[1, 1] = 0.5 * (1.0 + c)
     np.multiply(0.5 * e, s, out=p[0, 1])
     np.conjugate(p[0, 1], out=p[1, 0])
-    d = np.empty((2, 2, 2) + shape, dtype=complex)
     d[0, 0, 0] = 0.5 * math.pi * s
     d[1, 1, 0] = -0.5 * math.pi * s
     np.multiply(0.5 * math.pi * c, e, out=d[0, 1, 0])
@@ -139,7 +147,7 @@ def ptilde() -> MatrixField:
     return MatrixField(evaluator=ev, dim=3, name="ptilde")
 
 
-def _exp_ptilde_jet(x, y, v):
+def _exp_ptilde_jet(x, y, v, out=None):
     """The jet of e^{2 pi i ptilde}, normalized, at (x, y, v), entry-major."""
     p, dp = _phat_jet(x, y)
     chi = TAU * np.cos(0.5 * math.pi * v)  # 2 pi / sqrt(1 + z^2), z = +-tan(pi v/2)
@@ -154,9 +162,7 @@ def _exp_ptilde_jet(x, y, v):
     dchi = -math.pi ** 2 * np.sin(0.5 * math.pi * v)
     de = 1j * dchi * e
     dce = -1j * dchi * ce
-    shape = np.broadcast_shapes(p.shape[2:], v.shape)
-    g = np.empty((2, 2) + shape, dtype=complex)
-    d = np.empty((2, 2, 3) + shape, dtype=complex)
+    g, d = _outputs(out, np.broadcast_shapes(p.shape[2:], v.shape), 3)
     for i in range(2):
         for j in range(2):
             np.multiply(em1, p[i, j], out=g[i, j])
@@ -243,12 +249,13 @@ def u_gamma3() -> MatrixField:
                        derivative=jet)
 
 
-def _uqu(t2, phase):
-    """u q u^{-1} (entry-major) for the unitary of `u_gamma3` with phi + theta1 =
-    phase, and the e^{i phase}, cos t2 and sin t2 it is built from."""
+def _uqu(t2, phase, p=None):
+    """u q u^{-1} (entry-major, in p if given) for the unitary of `u_gamma3` with
+    phi + theta1 = phase, and the e^{i phase}, cos t2 and sin t2 it is built from."""
     e = np.exp(1j * phase)
     c, s = np.cos(t2), np.sin(t2)
-    p = np.empty((2, 2) + np.broadcast_shapes(t2.shape, phase.shape), dtype=complex)
+    if p is None:
+        p = np.empty((2, 2) + np.broadcast_shapes(t2.shape, phase.shape), dtype=complex)
     p[0, 0] = c ** 2
     p[1, 1] = s ** 2
     np.multiply(e * c, s, out=p[0, 1])
@@ -273,9 +280,9 @@ def gamma3_disk(n: int = 512) -> MatrixField:
     """
     dom = GridDomain((Axis(0.0, 0.5 * math.pi, n, "constant"), Axis(0.0, TAU, n, "periodic")))
 
-    def jet(t2, phi):
-        p, e, c, s = _uqu(t2, phi)
-        d = np.empty((2, 2, 2) + p.shape[2:], dtype=complex)
+    def jet(t2, phi, out=None):
+        p, d = _outputs(out, np.broadcast_shapes(t2.shape, phi.shape), 2)
+        p, e, c, s = _uqu(t2, phi, p)
         d[1, 1, 0] = np.sin(2 * t2)
         np.negative(d[1, 1, 0], out=d[0, 0, 0])
         np.multiply(e, np.cos(2 * t2), out=d[0, 1, 0])

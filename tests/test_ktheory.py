@@ -324,14 +324,14 @@ def _counting(monkeypatch, name):
 
 def test_composition_rule_prunes_the_gamma2_search(monkeypatch):
     factor_calls = _counting(monkeypatch, "invariant_factors")
-    exactness_calls = _counting(monkeypatch, "kernel_basis")
+    exactness_calls = _counting(monkeypatch, "_kernel_columns")
     sols = solve_six_term(*hexagon_preset("gamma2"), bound=3)
     assert len(sols) == 1
     # One Smith form per fixed map: the known delta1 and the three maps from
     # or to 0.  The candidates of the two open boxes get their factors from
     # one batched minor-gcd pass per box.
     assert factor_calls[0] == 4
-    # The HNF image = kernel route (one `kernel_basis` per node) runs only in
+    # The HNF image = kernel route (one kernel per node) runs only in
     # the re-check: 6 nodes per completion.
     assert exactness_calls[0] == 6 * len(sols)
 
@@ -339,7 +339,7 @@ def test_composition_rule_prunes_the_gamma2_search(monkeypatch):
 @pytest.mark.parametrize("preset", ["gamma1", "gamma2", "gamma3", "allZ"])
 def test_to_json_reports_the_exactness_the_search_checked(monkeypatch, preset):
     sols = solve_six_term(*hexagon_preset(preset), bound=3)
-    exactness_calls = _counting(monkeypatch, "kernel_basis")
+    exactness_calls = _counting(monkeypatch, "_kernel_columns")
     assert [s.to_json()["exact"] for s in sols] == [[True] * 6] * len(sols)
     assert exactness_calls[0] == 0
 
