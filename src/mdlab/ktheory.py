@@ -98,8 +98,8 @@ def exact_at(seq: SixTerm, node: int) -> bool:
 
     Both bases are canonical column Hermite forms (`image_basis`,
     `kernel_basis`), and two subgroups are equal iff their forms are, so the
-    bases are compared as they are: as the lists of columns, each with its
-    row count, that `intlinalg` computes them as, with no object array built.
+    bases are compared as they are: as the (columns, row count) pairs of
+    Python-int lists that `intlinalg` computes, with no object array built.
     """
     return _column_hnf(seq.maps[(node - 1) % 6]) == _kernel_columns(seq.maps[node % 6])
 

@@ -536,15 +536,14 @@ def _exact_sum(part: np.ndarray) -> float:
     power of 2 σ, q = (σ + x) − σ and x − q are exact, every q is a multiple
     of ulp(σ)/2, or of the least subnormal when σ is below 2^-1021, and
     Σ|q| <= σ, so numpy sums the q of a level exactly in any order.  The
-    remainders x − q are at most ulp(σ)/2 = 2^-53 σ, so the next level takes
-    σ' = 2^(M-53) σ from that bound, not from another pass for their
-    maximum: one max pass per call, and each level takes 53 − M bits off.
-    Only the first σ comes from the values, as 2^(E+M) with max|x| < 2^E.
-    When the remainders are all 0, math.fsum of the few exact level sums
-    rounds the exact total once.  Values that are all ±0 sum to 0.0, as
-    math.fsum gives them, with no level.  A NaN or inf, or a first σ past
-    2^1022, where math.fsum may overflow on the way, sends the values to
-    math.fsum itself, which gives the value or raises as it does on them.
+    first σ is 2^(E+M) with max|x| < 2^E, from the one max pass; the
+    remainders x − q are at most ulp(σ)/2 = 2^-53 σ, so each later level
+    takes σ' = 2^(M-53) σ from that bound, and 53 − M bits off.  When the
+    remainders are all 0, math.fsum of the few exact level sums rounds the
+    exact total once.  Values that are all ±0 sum to 0.0, as math.fsum gives
+    them.  A NaN or inf, or a first σ past 2^1022, where math.fsum may
+    overflow on the way, sends the values to math.fsum itself, which gives
+    the value or raises as it does on them.
     """
     top = float(np.max(np.abs(part), initial=0.0))
     if top == 0.0:
@@ -659,7 +658,7 @@ class _Scratch:
     key, because glibc's malloc gives back the free top of its heap once
     that exceeds twice the largest chunk it has mmapped and freed: separate
     arrays, each smaller than their sum, went back at the end of every
-    integral (170 to 480 faults per warm 512^2 Chern integral or 32^3
+    integral (170 to 510 faults per warm 512^2 Chern integral or 32^3
     winding), while one allocation is itself that largest chunk, so a warm
     integral takes it from the heap and leaves it there.
     """
