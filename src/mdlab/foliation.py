@@ -25,7 +25,6 @@ __all__ = [
     "ACTIONS",
     "STRATA",
     "act",
-    "stratum_of",
     "sample_stratum",
     "preservation_check",
     "action_generators",
@@ -60,17 +59,25 @@ CONSTANCY_TOL = 1e-9
 
 def _check_in_V(p):
     p = np.asarray(p, dtype=float)
-    if p.shape[-1] != 5:
+    if p.shape[-1:] != (5,):
         raise ValueError("points of V have 5 coordinates (x, y, z, t, s)")
-    if not np.all(np.any(p[..., 1:] != 0.0, axis=-1)):
+    if not p[..., 1:].any(axis=-1).all():
         raise ValueError("point outside V: (y, z, t, s) = 0")
     return p
 
 
+def _unstack(a: np.ndarray) -> np.ndarray:
+    """The view of a (..., k) with its last axis first, (k, ...): unpacks into k coordinates.
+
+    A single point unpacks into numpy scalars, whose arithmetic skips the
+    machinery of 0-d arrays and rounds every operation the same way.
+    """
+    return a.transpose(-1, *range(a.ndim - 1))
+
+
 def _coords(p):
     """The coordinates x, y, z, t, s of points p (..., 5), each of shape (...)."""
-    p = np.asarray(p, dtype=float)
-    return (p[..., i] for i in range(5))
+    return _unstack(np.asarray(p, dtype=float))
 
 
 def act(action: str, g, p) -> np.ndarray:
@@ -78,13 +85,18 @@ def act(action: str, g, p) -> np.ndarray:
 
     g of shape (..., 2) broadcasts against p of shape (..., 5).
     """
+    if action not in ACTIONS:
+        raise ValueError(f"unknown action {action!r}")
     p = _check_in_V(p)
     g = np.asarray(g, dtype=float)
-    r, a = g[..., 0], g[..., 1]
+    if g.shape[-1:] != (2,):
+        raise ValueError(f"group elements g = (r, a) have 2 coordinates, got shape {g.shape}")
+    x, y, z, t, s = _unstack(p)
+    r, a = _unstack(g)
     ca, sa = np.cos(a), np.sin(a)
-    out = np.empty(np.broadcast_shapes(p.shape[:-1], g.shape[:-1]) + (5,))
-    x, y, z, t, s = _coords(p)
-    out[..., 0] = x + r
+    shifted = x + r
+    out = np.empty(np.shape(shifted) + (5,))
+    out[..., 0] = shifted
     # (y + iz) e^{-ia}
     out[..., 1] = y * ca + z * sa
     out[..., 2] = -y * sa + z * ca
@@ -92,12 +104,10 @@ def act(action: str, g, p) -> np.ndarray:
         ea = np.exp(a)
         out[..., 3] = t * ea
         out[..., 4] = s * ea
-    elif action == "lambda14":
+    else:
         # (t + is) e^{-ia}
         out[..., 3] = t * ca + s * sa
         out[..., 4] = -t * sa + s * ca
-    else:
-        raise ValueError(f"unknown action {action!r}")
     return out
 
 
@@ -110,12 +120,6 @@ _PREDICATES = {
     "V3": lambda p: (p[..., 3] != 0.0) | (p[..., 4] != 0.0),
     "W3": lambda p: (p[..., 4] == 0.0) & (p[..., 3] == 0.0),
 }
-
-
-def stratum_of(p) -> frozenset[str]:
-    """All strata containing p, by the literal sign predicates."""
-    p = _check_in_V(np.asarray(p, dtype=float))
-    return frozenset(tag for tag, pred in _PREDICATES.items() if pred(p))
 
 
 # The coordinates each stratum's samples fix at zero; the predicates do the rest.

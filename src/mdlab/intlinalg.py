@@ -83,14 +83,19 @@ def identity(n: int) -> np.ndarray:
     return _matrix(_eye(n), n)
 
 
-def _snf(d: list[list[int]], cols: int) -> tuple[list[list[int]], list[list[int]]]:
+def _snf(d: list[list[int]], cols: int, left: bool = False,
+         right: bool = False) -> tuple[list[list[int]] | None, list[list[int]] | None]:
     """Bring the rows d to Smith normal form in place; return the rows of U and of V^T.
 
-    The algorithm is the one `snf` documents.  Column operations on V are row
-    operations on V^T, so both transforms stay lists of rows.
+    The algorithm is the one `snf` documents.  Each transform is carried only
+    when asked for, U with `left` and V^T with `right`; one not asked for is
+    returned as None, and the diagonal is the same either way.  Column
+    operations on V are row operations on V^T, so both transforms stay lists
+    of rows.
     """
     rows = len(d)
-    u, vt = _eye(rows), _eye(cols)
+    u = _eye(rows) if left else None
+    vt = _eye(cols) if right else None
     for t in range(min(rows, cols)):
         while True:
             nonzero = [(abs(x), i, j) for i in range(t, rows)
@@ -100,24 +105,28 @@ def _snf(d: list[list[int]], cols: int) -> tuple[list[list[int]], list[list[int]
             _, i, j = min(nonzero)
             if i != t:
                 d[t], d[i] = d[i], d[t]
-                u[t], u[i] = u[i], u[t]
+                if left:
+                    u[t], u[i] = u[i], u[t]
             if j != t:
                 for row in d:
                     row[t], row[j] = row[j], row[t]
-                vt[t], vt[j] = vt[j], vt[t]
-            dt, ut, vtt = d[t], u[t], vt[t]
+                if right:
+                    vt[t], vt[j] = vt[j], vt[t]
+            dt = d[t]
             p = dt[t]
             for i in range(t + 1, rows):
                 q = d[i][t] // p
                 if q:
                     d[i] = [x - q * y for x, y in zip(d[i], dt)]
-                    u[i] = [x - q * y for x, y in zip(u[i], ut)]
+                    if left:
+                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
             for j in range(t + 1, cols):
                 q = dt[j] // p
                 if q:
                     for row in d:
                         row[j] -= q * row[t]
-                    vt[j] = [x - q * y for x, y in zip(vt[j], vtt)]
+                    if right:
+                        vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
             if any(d[i][t] for i in range(t + 1, rows)) or any(dt[t + 1:]):
                 continue
             i = next((i for i in range(t + 1, rows)
@@ -125,10 +134,12 @@ def _snf(d: list[list[int]], cols: int) -> tuple[list[list[int]], list[list[int]
             if i is None:
                 break
             d[t] = [x + y for x, y in zip(dt, d[i])]
-            u[t] = [x + y for x, y in zip(ut, u[i])]
+            if left:
+                u[t] = [x + y for x, y in zip(u[t], u[i])]
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
+            if left:
+                u[t] = [-x for x in u[t]]
     return u, vt
 
 
@@ -143,10 +154,12 @@ def snf(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     to row t.  Either way the next round leaves a nonzero remainder smaller
     than |pivot| in row or column t, so |pivot| strictly shrinks and the loop
     ends, with the pivot dividing all of d[t + 1:, t + 1:]: the divisibility
-    chain.
+    chain.  This is the only caller that carries both transforms; the
+    kernel carries V alone, and `invariant_factors` and `cokernel` neither,
+    all through the same elimination, so all four read the same diagonal.
     """
     d, cols = _rows(m)
-    u, vt = _snf(d, cols)
+    u, vt = _snf(d, cols, left=True, right=True)
     return _matrix(u, len(d)), _matrix(d, cols), _matrix(vt, cols).T
 
 
@@ -158,39 +171,40 @@ def invariant_factors(m) -> list[int]:
 
 
 def minor_gcd_invariant_factors(m) -> list[int]:
-    """Brute-force oracle: d_k = gcd(k-minors) / gcd((k-1)-minors).
+    """Determinantal-divisor oracle: d_k = gcd(k-minors) / gcd((k-1)-minors).
 
-    Exponential in the matrix size; intended for small matrices in tests.
+    It shares nothing with the elimination of `_snf`.  The k-minors are built
+    from a table of the (k-1)-minors, each by Laplace expansion along its
+    first column, so every minor is computed once; the table for k holds
+    C(rows, k) * C(cols, k) of them.  It stops at the first k whose minors
+    all vanish, since every larger minor vanishes with them.  The tables grow
+    combinatorially with the matrix size; it is meant for small matrices.
     """
     a, cols = _rows(m)
     rows = len(a)
-
-    def det(sub_r, sub_c):
-        k = len(sub_r)
-        if k == 1:
-            return a[sub_r[0]][sub_c[0]]
-        total = 0
-        sign = 1
-        for idx, r in enumerate(sub_r):
-            minor = det(sub_r[:idx] + sub_r[idx + 1:], sub_c[1:])
-            total += sign * a[r][sub_c[0]] * minor
-            sign = -sign
-        return total
-
-    gcds = []
-    for k in range(1, min(rows, cols) + 1):
-        g = 0
-        for sr in combinations(range(rows), k):
-            for sc in combinations(range(cols), k):
-                g = gcd(g, det(sr, sc))
-        if g == 0:
-            break
-        gcds.append(g)
+    # minors[sr, sc] is the minor on the row tuple sr and the column tuple sc.
+    minors = {((), ()): 1}
     factors = []
     prev = 1
-    for g in gcds:
+    for k in range(1, min(rows, cols) + 1):
+        table = {}
+        g = 0
+        for sc in combinations(range(cols), k):
+            c, rest = sc[0], sc[1:]
+            for sr in combinations(range(rows), k):
+                det = 0
+                for idx, r in enumerate(sr):
+                    x = a[r][c]
+                    if x:
+                        term = x * minors[sr[:idx] + sr[idx + 1:], rest]
+                        det = det - term if idx & 1 else det + term
+                table[sr, sc] = det
+                g = gcd(g, det)
+        if g == 0:
+            break
         factors.append(g // prev)
         prev = g
+        minors = table
     return factors
 
 
@@ -250,7 +264,7 @@ def _from_columns(columns: list[list[int]], rows: int) -> np.ndarray:
 def _kernel_columns(m) -> tuple[list[list[int]], int]:
     """The columns of `kernel_basis(m)` as lists, and the source rank n."""
     d, n = _rows(m)
-    _, vt = _snf(d, n)
+    _, vt = _snf(d, n, right=True)
     rank = len(_diagonal(d, n))
     # The last n - rank columns of V span the kernel.
     return _hnf(vt[rank:], n), n

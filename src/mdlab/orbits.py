@@ -22,12 +22,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .liealg import LieAlgebra, MD5Family, build_md5
+from .liealg import LieAlgebra, MD5Family
 
 __all__ = [
     "covector",
     "kirillov_form",
-    "orbit_dimension",
     "in_zero_stratum",
     "md_verify",
     "MDReport",
@@ -165,12 +164,6 @@ def _batched_ranks(alg: LieAlgebra, fs: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def orbit_dimension(alg: LieAlgebra, f) -> int:
-    """Numeric rank of the Kirillov form at F: 0, 2 or 4, or -1 if F or the form is not finite."""
-    f = np.asarray(f, dtype=float)
-    return int(_batched_ranks(alg, f[:, None])[0])
-
-
 def in_zero_stratum(f):
     """True iff the orbit through F is the point {F}; covectors (..., 5) give a (...) mask.
 
@@ -252,6 +245,23 @@ def md_verify(alg: LieAlgebra, n_samples: int, seed: int) -> MDReport:
 # ---------------------------------------------------------------------------
 # Flows and closed-form orbits
 
+def _one_norms(stack: np.ndarray) -> np.ndarray:
+    """The 1-norm of every matrix of the stack (N, n, n): its largest absolute column sum.
+
+    Each column sum adds the rows in turn, the order in which
+    np.abs(stack).sum(axis=1) adds them, so every norm has that expression's
+    bits; the rows are added as n (N, n) slices instead of through numpy's
+    reduction machinery.  A sum past the largest float is inf, and a NaN
+    entry gives a NaN norm.
+    """
+    rows = np.abs(stack).transpose(1, 0, 2)
+    sums = rows[0].copy()
+    with np.errstate(over="ignore"):
+        for row in rows[1:]:
+            sums += row
+    return sums.max(axis=1)
+
+
 def _expm(m: np.ndarray) -> np.ndarray:
     """exp of every matrix of the stack m (..., n, n), by scaling and squaring.
 
@@ -264,11 +274,12 @@ def _expm(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m, dtype=float)
     stack = m.reshape((-1,) + m.shape[-2:])
-    with np.errstate(over="ignore"):
-        norm = np.abs(stack).sum(axis=1).max(axis=1)
+    norm = _one_norms(stack)
     finite = np.isfinite(norm)
-    stack = np.where(finite[:, None, None], stack, 0.0)
-    norm[~finite] = 0.0
+    all_finite = finite.all()
+    if not all_finite:
+        stack = np.where(finite[:, None, None], stack, 0.0)
+        norm[~finite] = 0.0
     s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
     a = np.ldexp(stack, -s[:, None, None])
     eye = np.eye(m.shape[-1])
@@ -283,7 +294,8 @@ def _expm(m: np.ndarray) -> np.ndarray:
     for k in range(s.max(initial=0)):
         rows = np.flatnonzero(s > k)
         r[rows] = r[rows] @ r[rows]
-    r[~finite] = np.nan
+    if not all_finite:
+        r[~finite] = np.nan
     return r.reshape(m.shape)
 
 
@@ -294,11 +306,16 @@ def coadjoint_flow(alg: LieAlgebra, f, a, x) -> np.ndarray:
     `_expm` of the stack of a * M^T.  A non-finite flow time gives NaN in its
     point only.
     """
+    # sc[0, j, 1:] is [X1, X_{j+1}], column j - 1 of M, so sc[0, 1:, 1:] is M^T.
+    return _flow(alg.sc[0, 1:, 1:], f, a, x)
+
+
+def _flow(mt: np.ndarray, f, a, x) -> np.ndarray:
+    """`coadjoint_flow` for the 4x4 matrix M^T itself, with no LieAlgebra built around it."""
     f = np.asarray(f, dtype=float)
     a = np.asarray(a, dtype=float)
-    # sc[0, j, 1:] is [X1, X_{j+1}], column j - 1 of M, so sc[0, 1:, 1:] is M^T.
     with np.errstate(invalid="ignore"):  # inf * 0 at an infinite flow time
-        e = _expm(a[..., None, None] * alg.sc[0, 1:, 1:])
+        e = _expm(a[..., None, None] * mt)
     out = np.empty(np.broadcast_shapes(a.shape, np.shape(x)) + (5,))
     out[..., 0] = x
     out[..., 1:] = e @ f[1:]
@@ -379,16 +396,20 @@ def flow_vs_closed_form(family: MD5Family, f, avals=None) -> float:
     Defaults to 100 flow times in [-3, 3]; the free coordinate varies as
     x = 0.7 a + 0.1, or stays at F's own on the zero stratum, where the orbit
     is {F}.  The two routes are independent: the Pade scaling and squaring of
-    `_expm` against hand-written formulas.  NaN if any deviation is NaN, so a
-    non-finite orbit never passes a bound.
+    `_expm` against hand-written formulas.  The flow reads M^T from the
+    family's block, as `build_md5` lays it into the structure constants.
+    NaN if any deviation is NaN, so a non-finite orbit never passes a bound.
     """
     f = np.asarray(f, dtype=float)
     if avals is None:
         avals = np.linspace(-3.0, 3.0, 100)
     avals = np.atleast_1d(np.asarray(avals, dtype=float))
+    if avals.size == 0:
+        raise ValueError("avals is empty: the deviation needs at least one flow time")
     xs = f[0] if in_zero_stratum(f) else 0.7 * avals + 0.1
-    flow = coadjoint_flow(build_md5(family), f, avals, xs)
-    return float(np.max(np.abs(flow - closed_form_orbit(family, f, xs, avals))))
+    flow = _flow(family.ad_block().T, f, avals, xs)
+    with np.errstate(invalid="ignore"):  # inf - inf, inf * 0 where an orbit is not finite
+        return float(np.max(np.abs(flow - closed_form_orbit(family, f, xs, avals))))
 
 
 def __getattr__(name):

@@ -218,14 +218,14 @@ def test_orbit_command_judges_a_large_orbit_relative_to_its_size(capsys):
 
 
 def test_orbit_command_fails_a_flow_with_one_sign_flipped(monkeypatch, capsys):
-    flow = orbits.coadjoint_flow
+    flow = orbits._flow
 
     def flipped(*args):
         out = flow(*args)
         out[..., 4] *= -1.0
         return out
 
-    monkeypatch.setattr(orbits, "coadjoint_flow", flipped)
+    monkeypatch.setattr(orbits, "_flow", flipped)
     for covector in ("0,1,1,1,1", "0,1e4,1,1,1"):
         assert main(["orbit", "--family", "5_4_9", "--lambda", "2", "--F", covector]) == 1
 

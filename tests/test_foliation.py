@@ -24,8 +24,8 @@ from mdlab.foliation import (
     preservation_check,
     sample_stratum,
     stratum_invariant_report,
-    stratum_of,
 )
+from point_probes import stratum_of
 
 
 def test_act_pure_translation():
@@ -95,6 +95,13 @@ def test_act_group_law_property(action, p, g, h):
 def test_act_rejects_point_outside_V():
     with pytest.raises(ValueError, match="outside V"):
         act("lambda12", (0.0, 0.0), [1.0, 0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("action", ACTIONS)
+@pytest.mark.parametrize("g", [(0, 0, 1), (0.0,), 0.5, [[0.0, 1.0, 2.0]]])
+def test_act_refuses_a_group_element_that_is_not_a_pair(action, g):
+    with pytest.raises(ValueError, match="2 coordinates"):
+        act(action, g, [0.0, 1.0, 0.0, 1.0, 1.0])
 
 
 def test_stratum_of_examples():

@@ -113,13 +113,29 @@ def _with_step_examples(test):
     return test
 
 
+_HUGE = 2 ** 62  # the largest power of two that numpy's int64 holds
+
+
 @settings(max_examples=300, deadline=None)
 @given(m=_integer_matrices())
 @_with_step_examples
 @example(m=np.array([[2, 0, 4, 0, 6], [0, 0, 0, 0, 0], [3, 0, 9, 0, -3],
                      [0, 0, 0, 0, 0], [5, 0, 1, 0, 7]]))
+@example(m=np.zeros((0, 3), dtype=int))
+@example(m=np.zeros((3, 0), dtype=int))
+@example(m=np.zeros((4, 4), dtype=int))
+# Rank 2: the second row is twice the first, the fourth the sum of the first and third.
+@example(m=np.array([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [1, 3, 3, 5]]))
+@example(m=np.array([[_HUGE, -_HUGE, 0], [-_HUGE, 3, _HUGE], [_HUGE, _HUGE, -_HUGE]]))
+@example(m=np.array([[_HUGE, 2 * (_HUGE - 1)], [-_HUGE, 6]]))
 def test_invariant_factors_match_minor_gcd_oracle_property(m):
-    assert invariant_factors(m) == minor_gcd_invariant_factors(m)
+    # Every route to the Smith diagonal: the elimination with no transform
+    # (invariant_factors, cokernel), with both (snf), and the minor gcds.
+    factors = invariant_factors(m)
+    d = snf(m)[1]
+    assert [d[i, i] for i in range(min(d.shape)) if d[i, i]] == factors
+    assert cokernel(m) == (d.shape[0] - len(factors), [f for f in factors if f > 1])
+    assert minor_gcd_invariant_factors(m) == factors
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
 """Tests for Kirillov forms, the dimension dichotomy, flows and closed forms."""
 
 import tracemalloc
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -20,8 +21,8 @@ from mdlab.orbits import (
     in_zero_stratum,
     kirillov_form,
     md_verify,
-    orbit_dimension,
 )
+from point_probes import orbit_dimension
 
 ALL_FAMILIES = list(FAMILIES)
 
@@ -388,6 +389,32 @@ def test_batched_expm_matches_scipy(fid):
         assert np.all(np.abs(orbits._expm(stack) - e).max(axis=(1, 2)) <= 1e-12 * scale)
 
 
+def test_the_one_norms_have_the_bits_of_the_reduction():
+    # `_expm` picks its scaling from these norms, so they must be the bits of
+    # np.abs(stack).sum(axis=1).max(axis=1) everywhere, the non-finite and
+    # overflowing stacks included.
+    rng = np.random.default_rng(41)
+    big = np.finfo(float).max
+    for n in (1, 2, 4, 5):
+        stack = rng.standard_normal((400, n, n)) * 10.0 ** rng.uniform(-300, 300, (400, n, n))
+        stack[:40] = rng.uniform(-1.0, 1.0, (40, n, n)) * big  # near overflow
+        stack[40:60, 0, -1] = big
+        stack[60:80, -1, -1] = -big / 2  # sums that round over the largest float
+        stack[80:100] = np.ldexp(rng.standard_normal((20, n, n)), -1074)  # subnormal
+        stack[100:120, rng.integers(n), rng.integers(n)] = np.inf
+        stack[120:140, rng.integers(n), rng.integers(n)] = -np.inf
+        stack[140:160, rng.integers(n), rng.integers(n)] = np.nan
+        stack[160:170, 0, 0], stack[160:170, -1, 0] = np.inf, np.nan
+        with np.errstate(over="ignore"):
+            expected = np.abs(stack).sum(axis=1).max(axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = orbits._one_norms(stack)
+        assert got.dtype == expected.dtype
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist(), n
+        assert np.isnan(got[140:170]).all() and (n == 1 or np.isinf(got[:80]).any())
+
+
 def test_a_non_finite_flow_time_gives_nan_in_its_point_only():
     alg = build_md5(MD5Family("5_4_9", {"lambda": 2.0}))
     f = covector(0, 1, 1, 1, 1)
@@ -458,6 +485,17 @@ def test_flow_vs_closed_form_examples():
     with np.errstate(invalid="ignore"):
         for bad in (np.nan, np.inf):
             assert np.isnan(flow_vs_closed_form(fam7, covector(0, bad, 1, 1, 1)))
+
+
+def test_flow_vs_closed_form_refuses_no_flow_times_and_is_quiet_on_infinite_ones():
+    fam = MD5Family("5_4_7", {"lambda": 2.0})
+    with pytest.raises(ValueError, match="avals"):
+        flow_vs_closed_form(fam, covector(0, 1, 1, 1, 1), avals=[])
+    # An infinite flow time deviates by NaN, documented and without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for avals in ([np.inf], [-np.inf], [0.5, np.inf]):
+            assert np.isnan(flow_vs_closed_form(fam, covector(0, 1, 1, 1, 1), avals=avals))
 
 
 @pytest.mark.parametrize("fid", ALL_FAMILIES)
