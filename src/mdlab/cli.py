@@ -146,8 +146,7 @@ def cmd_orbit(args, config: RunConfig) -> list[dict]:
     if f.shape != (5,) or not np.isfinite(f).all():
         raise ConfigError("--F needs 5 finite comma-separated coordinates")
     avals = np.linspace(-3.0, 3.0, 41)
-    with np.errstate(over="ignore", invalid="ignore"):
-        samples = orbits.closed_form_orbit(fam, f, 0.0, avals)
+    samples = orbits.closed_form_orbit(fam, f, 0.0, avals)
     # The free first coordinate is set, not flowed, so it carries no round-off.
     scale = float(np.abs(samples[:, 1:]).max())
     if not scale <= orbits.FLOW_SCALE_LIMIT:

@@ -376,18 +376,27 @@ def closed_form_orbit(family: MD5Family, f, x, a) -> np.ndarray:
 
     F may be a stack (..., 5) of covectors; its leading shape, x and a
     broadcast, and the result has that shape + (5,).  The last four
-    coordinates come from the family's entry of `_ORBITS`.  On the zero
-    stratum the orbit is the point {F}, which every (x, a) gives.
+    coordinates come from the family's entry of `_ORBITS`; at a non-finite
+    flow time they are NaN, as the flow's are, without a warning.  On the
+    zero stratum the orbit is the point {F}, which every (x, a) gives.
     """
     f = np.asarray(f, dtype=float)
-    zero = in_zero_stratum(f)[..., None]
-    if zero.all():
-        shape = np.broadcast_shapes(f.shape[:-1], np.shape(x), np.shape(a))
-        return np.broadcast_to(f, shape + (5,)).copy()
+    return _closed_form(family, f, x, a, in_zero_stratum(f))
+
+
+def _closed_form(family: MD5Family, f: np.ndarray, x, a, zero) -> np.ndarray:
+    """`closed_form_orbit` of float covectors f, given zero = in_zero_stratum(f)."""
+    out = np.empty(np.broadcast_shapes(f.shape[:-1], np.shape(x), np.shape(a)) + (5,))
     # a goes in as given: numpy's a ** 3 on a 0-d array rounds apart from
     # Python's on a float.
-    coords = _ORBITS[family.family_id](family.params, *np.moveaxis(f, -1, 0)[1:], a)
-    return np.where(zero, f, np.stack(np.broadcast_arrays(x, *coords), axis=-1))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, and e^a past overflow
+        coords = _ORBITS[family.family_id](family.params, *(f[..., i] for i in range(1, 5)), a)
+    out[..., 0] = x
+    for i, coord in enumerate(coords, 1):
+        out[..., i] = coord
+    np.copyto(out[..., 1:], np.nan, where=~np.isfinite(a)[..., None])
+    np.copyto(out, f, where=zero[..., None])  # the orbit of a zero-stratum F is {F}
+    return out
 
 
 def flow_vs_closed_form(family: MD5Family, f, avals=None) -> float:
@@ -406,10 +415,11 @@ def flow_vs_closed_form(family: MD5Family, f, avals=None) -> float:
     avals = np.atleast_1d(np.asarray(avals, dtype=float))
     if avals.size == 0:
         raise ValueError("avals is empty: the deviation needs at least one flow time")
-    xs = f[0] if in_zero_stratum(f) else 0.7 * avals + 0.1
+    zero = in_zero_stratum(f)
+    xs = f[0] if zero else 0.7 * avals + 0.1
     flow = _flow(family.ad_block().T, f, avals, xs)
-    with np.errstate(invalid="ignore"):  # inf - inf, inf * 0 where an orbit is not finite
-        return float(np.max(np.abs(flow - closed_form_orbit(family, f, xs, avals))))
+    with np.errstate(invalid="ignore"):  # inf - inf where an orbit is not finite
+        return float(np.max(np.abs(flow - _closed_form(family, f, xs, avals, zero))))
 
 
 def __getattr__(name):

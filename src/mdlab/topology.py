@@ -8,30 +8,24 @@ Three detectors:
   winding_3d  - -(1/24π²) ∫ Tr((g^{-1}dg)^3) over a 3D grid domain,
                 orientation given by the coordinate order.
 
-Grids are midpoint rules; each chunk of a grid is summed exactly and rounded
-once, so the result is independent of the chunking to round-off.  Integer
-outputs are always reported together with the raw value and the pre-rounding
+Grids are midpoint rules.  A grid integral's raw value is the correctly
+rounded sum of all its integrand values, the bits of math.fsum over them;
+integer outputs are always reported with the raw value and the pre-rounding
 residual.
 
-Both grid integrals run one loop, `_grid_sum`, with two units:
-  * the chunk, CHUNK_SLABS slabs along the first axis, is the rounding unit:
-    each chunk's integrand values are summed exactly and rounded once, which
-    gives the bits of math.fsum over them, so the raw values depend on it, to
-    round-off only (one exact sum over the whole 28^3 grid moves its raw value
-    by 1 ulp);
-  * the block, at most BLOCK_POINTS points, is the memory unit: each chunk is
-    evaluated block by block, and every block writes its jet and its
-    integrand's largest temporaries into the same arrays, one allocation per
-    integral (`_Scratch`), so that a warm integral faults in no memory.  It
-    moves no value.
-A block is some leading points (all coordinates but the last) times every
-midpoint of the last axis, and the field's per-axis jet evaluates it,
-computing what depends only on the leading coordinates, or only on the last,
-once per side; a field without a per-axis jet is refused.  A field may
-declare a support, which reads the leading coordinates only, outside which
-the integrand is exactly 0; the loop skips the grid points there, which
-leaves each chunk's correctly rounded sum unchanged, and the promise is
-checked at seeded points outside the support.
+Both grid integrals run one loop, `_grid_sum`, over blocks of at most
+BLOCK_POINTS points: some leading points (all coordinates but the last)
+times every midpoint of the last axis, which the field's per-axis jet
+evaluates, computing what depends only on the leading coordinates, or only
+on the last, once per side; a field without a per-axis jet is refused.
+Every block writes its jet and its integrand's largest temporaries into the
+same arrays, one allocation per integral (`_Scratch`), so that a warm
+integral faults in no memory, and its integrand values into a buffer of
+SUM_POINTS points, whose exact level sums are split off whenever it is
+full.  Neither the block nor the buffer moves a value.  A field may declare
+a support, which reads the leading coordinates only, outside which the
+integrand is exactly 0; the loop skips the grid points there, which leaves
+the sum unchanged, and the promise is checked at seeded points outside it.
 
 The integrals read a field through its jets only, never its evaluator.  Off
 the grid, each integral checks the field at guard points: the boundary
@@ -91,11 +85,10 @@ BOUNDARY_TOL_3D = 1e-2
 SIGMA_FLOOR = 1e-6
 # Step of the central differences that cross-check the exact derivatives.
 FD_STEP = 1e-6
-# Grid slabs along the first axis per chunk, by domain dimension: the rounding
-# unit of the grid integrals, whose raw values depend on it to round-off (one
-# exact, correctly rounded sum over the whole 28^3 grid moves its raw value by
-# 1 ulp).
-CHUNK_SLABS = {2: 64, 3: 8}
+# Grid points per summation buffer: each full buffer's integrand values are
+# split into exact level sums, which math.fsum rounds once per integral, so it
+# moves no value.  A 512^2 grid fills 8 buffers and a 32^3 grid 1.
+SUM_POINTS = 32768
 # Grid points per evaluation block: the memory unit, which moves no value.  One
 # complex entry of a block is 64 KB.  The block's jet and the integrand's
 # largest temporaries live in one `_Scratch` allocation per integral, so a
@@ -521,14 +514,8 @@ def _sigma_min2_unscaled(m):
     return np.divide(adet, smax, out=np.zeros_like(adet), where=smax != 0.0), norm2
 
 
-def _exact_sum_complex(values) -> complex:
-    """The correctly rounded sum of complex values: `_exact_sum` of each part."""
-    values = np.asarray(values)
-    return complex(_exact_sum(values.real), _exact_sum(values.imag))
-
-
-def _exact_sum(part: np.ndarray) -> float:
-    """The correctly rounded sum of real values: the bits of math.fsum over them.
+def _exact_levels(part: np.ndarray) -> list[float]:
+    """Floats whose exact sum is the sum of the real values, for math.fsum to round once.
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
     summation part I", SIAM J. Sci. Comput. 31 (2008) 189, ExtractVector)
@@ -539,19 +526,19 @@ def _exact_sum(part: np.ndarray) -> float:
     first σ is 2^(E+M) with max|x| < 2^E, from the one max pass; the
     remainders x − q are at most ulp(σ)/2 = 2^-53 σ, so each later level
     takes σ' = 2^(M-53) σ from that bound, and 53 − M bits off.  When the
-    remainders are all 0, math.fsum of the few exact level sums rounds the
-    exact total once.  Values that are all ±0 sum to 0.0, as math.fsum gives
-    them.  A NaN or inf, or a first σ past 2^1022, where math.fsum may
-    overflow on the way, sends the values to math.fsum itself, which gives
-    the value or raises as it does on them.
+    remainders are all 0, the level sums, each exact, are returned: math.fsum
+    of them, beside the levels of any other values, rounds the exact total
+    once.  Values that are all ±0 give none.  A NaN or inf, or a first σ
+    past 2^1022, where math.fsum may overflow on the way, gives the values
+    themselves, on which math.fsum returns the NaN or inf, or raises.
     """
     top = float(np.max(np.abs(part), initial=0.0))
     if top == 0.0:
-        return 0.0
+        return []
     headroom = (len(part) - 1).bit_length()
     exponent = math.frexp(top)[1] + headroom  # σ = 2^exponent
     if not (math.isfinite(top) and exponent <= 1022):
-        return math.fsum(part.tolist())
+        return part.tolist()
     x = np.array(part)
     q = np.empty_like(x)
     levels = []
@@ -562,7 +549,7 @@ def _exact_sum(part: np.ndarray) -> float:
         x -= q
         levels.append(float(q.sum()))
         if not x.any():
-            return math.fsum(levels)
+            return levels
         exponent -= 53 - headroom
 
 
@@ -686,59 +673,62 @@ def _entry_major(values, partials):
 
 def _grid_sum(field: MatrixField, domain: GridDomain, integrand: Callable,
               guards: _Guards, temporaries: dict) -> complex:
-    """Sum of integrand(values, partials, scratch) over the midpoint grid of the domain.
+    """Correctly rounded sum of integrand(values, partials, scratch) over the midpoint grid.
 
     The integrand takes entry-major values (k, k, N) and partials
     (k, k, dim, N), and a `_Scratch` that holds its `temporaries` (key:
-    (head shape, dtype)) for N points.  Each chunk of CHUNK_SLABS slabs
-    along the first axis is summed by one exact, correctly rounded sum
-    (`_exact_sum_complex`), and the chunk sums by another.  A chunk is
-    evaluated in blocks of at most BLOCK_POINTS points (one row of the last
-    axis, if that is longer), whose integrand values fill one buffer that
-    serves every chunk; the jet writes each block into the scratch's
-    "values" and "partials", k×k as the guards' values.
+    (head shape, dtype)) for N points.  The grid is evaluated in blocks of
+    at most BLOCK_POINTS points (one row of the last axis, if that is
+    longer), which the jet writes into the scratch's "values" and
+    "partials", k×k as the guards' values.  Their integrand values fill a
+    buffer of SUM_POINTS points (or one block, if that is more); when the
+    next block does not fit, and at the end, each part of the buffer gives
+    its exact level sums (`_exact_levels`), and math.fsum rounds each
+    part's levels once: the bits of math.fsum over every integrand value.
 
-    The field's per-axis jet gets a block's leading points inside its
-    support.  Outside the support the integrand must be exactly 0, so
-    skipping those points leaves each chunk's sum as it was.  The guards'
-    jet at seeded points outside the support (`guards.leak`) checks the
-    promise after the grid: any of them whose integrand is not exactly 0 is
-    refused.
+    The field's per-axis jet gets the leading points inside its support.
+    Outside the support the integrand must be exactly 0, so skipping those
+    points leaves the sum as it was.  The guards' jet at seeded points
+    outside the support (`guards.leak`) checks the promise after the grid:
+    any of them whose integrand is not exactly 0 is refused.
     """
     axis_jet = _jet(field, "axis_jet")
     *lead_axes, last = (ax.midpoints() for ax in domain.axes)
-    chunks = np.array_split(lead_axes[0], max(1, len(lead_axes[0]) // CHUNK_SLABS[domain.dim]))
-    rest = math.prod(len(ax) for ax in lead_axes[1:]) * len(last)
+    lead = np.stack(np.meshgrid(*lead_axes, indexing="ij"), axis=-1).reshape(-1, domain.dim - 1)
+    if field.support is not None:
+        lead = lead[field.support(np.column_stack((lead, np.full(len(lead), last[0]))))]
     rows = max(1, BLOCK_POINTS // len(last))  # leading points per block
     points = max(rows * len(last), 0 if guards.leak is None else len(guards.leak[0]))
     k = guards.size
-    shapes = {"chunk": ((len(chunks[0]) * rest,), complex),
+    shapes = {"sum": ((max(SUM_POINTS, rows * len(last)),), complex),
               "values": ((k, k, points), complex),
               "partials": ((k, k, domain.dim, points), complex)}
     shapes.update((key, (head + (points,), dtype)) for key, (head, dtype) in temporaries.items())
     scratch = _Scratch(shapes)
-    buffer = scratch.arrays["chunk"]
-    sums = []
-    for chunk in chunks:
-        lead = np.stack(np.meshgrid(chunk, *lead_axes[1:], indexing="ij"),
-                        axis=-1).reshape(-1, domain.dim - 1)
-        if field.support is not None:
-            lead = lead[field.support(np.column_stack((lead, np.full(len(lead), last[0]))))]
-        filled = 0
-        for start in range(0, len(lead), rows):
-            block = lead[start:start + rows]
-            n = len(block) * len(last)
-            out = scratch.take("values", n), scratch.take("partials", n)
-            part = integrand(*axis_jet(block, last, out), scratch)
-            buffer[filled:filled + n] = part
-            filled += n
-        sums.append(_exact_sum_complex(buffer[:filled]))
+    buffer = scratch.arrays["sum"]
+    real, imag = [], []
+
+    def extract(values):
+        real.extend(_exact_levels(values.real))
+        imag.extend(_exact_levels(values.imag))
+
+    filled = 0
+    for start in range(0, len(lead), rows):
+        block = lead[start:start + rows]
+        n = len(block) * len(last)
+        if filled + n > len(buffer):
+            extract(buffer[:filled])
+            filled = 0
+        out = scratch.take("values", n), scratch.take("partials", n)
+        buffer[filled:filled + n] = integrand(*axis_jet(block, last, out), scratch)
+        filled += n
+    extract(buffer[:filled])
     if guards.leak is not None:
         leak = np.abs(integrand(*_entry_major(*guards.leak), scratch))
         if not np.all(leak == 0.0):  # NaN fails too
             raise ValueError(f"{field.name or 'field'}: integrand up to {leak.max():.3g} "
                              "outside the declared support")
-    return _exact_sum_complex(sums)
+    return complex(math.fsum(real), math.fsum(imag))
 
 
 def _boundary_identity_residual(vals: np.ndarray) -> float:

@@ -498,6 +498,20 @@ def test_flow_vs_closed_form_refuses_no_flow_times_and_is_quiet_on_infinite_ones
             assert np.isnan(flow_vs_closed_form(fam, covector(0, 1, 1, 1, 1), avals=avals))
 
 
+def test_closed_form_orbit_is_nan_and_quiet_at_infinite_flow_times():
+    # At a = -inf, d a e^a is -inf * 0; the point is NaN, without a warning.
+    fam = MD5Family("5_4_7", {"lambda": 2.0})
+    f = covector(0, 1, 1, 1, 1)
+    point = closed_form_orbit(fam, f, 0.0, -np.inf)
+    assert point[0] == 0.0 and np.all(np.isnan(point[1:]))
+    orbit = closed_form_orbit(fam, f, 0.0, np.array([-np.inf, 0.5, np.inf]))
+    assert np.all(np.isnan(orbit[[0, 2], 1:]))
+    assert np.array_equal(orbit[1], closed_form_orbit(fam, f, 0.0, 0.5))
+    # The orbit of a zero-stratum covector is the point itself at every flow time.
+    assert np.array_equal(closed_form_orbit(fam, covector(alpha=2.0), 0.0, -np.inf),
+                          covector(alpha=2.0))
+
+
 @pytest.mark.parametrize("fid", ALL_FAMILIES)
 def test_flow_vs_closed_form_random(fid):
     rng = np.random.default_rng(23)

@@ -158,6 +158,18 @@ def test_chern_gamma3_disk_charge():
     assert r.residual < 1e-3
 
 
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+def test_both_disks_read_their_closed_form_with_its_sign(n):
+    # Both integrands are +-(pi/2) sin(pi r) in the radial coordinate alone, and
+    # the midpoint sum of sin(pi (i + 1/2) / n) is 1 / sin(pi / (2n)), so the raw
+    # values are +-x / sin x with x = pi / (2n): the calibration disk +, the
+    # F3 disk -.
+    x = math.pi / (2 * n)
+    closed = x / math.sin(x)
+    for field, sign in ((phat_disk(n), 1.0), (gamma3_disk(n), -1.0)):
+        assert abs(chern_2d(field).raw - sign * closed) <= 4 * math.ulp(closed)
+
+
 def test_chern_refinement_stability():
     coarse = chern_2d(phat_disk(64)).raw
     fine = chern_2d(phat_disk(128)).raw
@@ -215,15 +227,17 @@ def test_winding3d_refinement_stability():
 
 
 @settings(max_examples=40, deadline=None)
-@given(dim=st.sampled_from([2, 3]), slabs=st.integers(1, 20))
-def test_grid_integrals_are_independent_of_the_chunking(dim, slabs):
-    # The default chunking is one chunk of the 64^2 grid and two of the 16^3 grid.
+@given(dim=st.sampled_from([2, 3]), sum_points=st.integers(1, 5000),
+       block=st.integers(1, 5000))
+def test_grid_integrals_are_independent_of_the_chunking(dim, sum_points, block):
+    # By default the 64^2 and 16^3 grids fill one buffer of SUM_POINTS points;
+    # however the blocks and buffers split the grid, the sum keeps its bits.
     integral, field = {2: (chern_2d, phat_disk(64)), 3: (winding_3d, exp_ptilde("+", 16))}[dim]
-    default = integral(field).raw
+    default = repr(integral(field).raw)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(topology.CHUNK_SLABS, dim, slabs)
-        raw = integral(field).raw
-    assert abs(raw - default) <= 1e-10 * abs(default)
+        mp.setattr(topology, "SUM_POINTS", sum_points)
+        mp.setattr(topology, "BLOCK_POINTS", block)
+        assert repr(integral(field).raw) == default
 
 
 def test_winding3d_rejects_bad_boundary():
@@ -474,10 +488,11 @@ def test_a_support_that_cuts_off_a_nonzero_integrand_is_refused():
 
 @pytest.mark.parametrize("n, slabs", [(16, 8), (16, 1), (24, 8)])
 def test_the_support_skip_leaves_the_raw_integral_unchanged(n, slabs):
-    # One slab per chunk at 16^3 makes the chunks with |x| > 1 empty.
+    # Buffers of `slabs` n x n slabs; with one slab per buffer at 16^3, the
+    # slabs with |x| > 1 put no point into any buffer.
     field = exp_ptilde("+", n)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(topology.CHUNK_SLABS, 3, slabs)
+        mp.setattr(topology, "SUM_POINTS", slabs * n * n)
         skipped = winding_3d(field).raw
         full = winding_3d(dataclasses.replace(field, support=None)).raw
     assert repr(skipped) == repr(full)
@@ -490,8 +505,8 @@ _ROUTE_CASES = ([(winding_3d, exp_ptilde(side, n)) for n in (16, 24) for side in
 @pytest.mark.parametrize("integral, field", _ROUTE_CASES,
                          ids=[f"{f.name}_{f.default_domain.axes[0].n}" for _, f in _ROUTE_CASES])
 def test_the_per_axis_jet_and_the_blocks_leave_the_raw_integral_unchanged(integral, field):
-    # Each chunk of CHUNK_SLABS slabs is summed by one exact sum, so the block
-    # size may not move the raw value by an ulp.
+    # The grid is summed by one exact sum, so the block size may not move the
+    # raw value by an ulp.
     default = repr(integral(field).raw)
     one_slab = math.prod(field.default_domain.shape()[1:])
     for block in (one_slab, 1):
@@ -501,10 +516,10 @@ def test_the_per_axis_jet_and_the_blocks_leave_the_raw_integral_unchanged(integr
 
 
 def test_each_chunk_is_summed_by_one_exact_sum_whatever_the_block_size():
-    # On the 16 x 16 grid (one chunk) each row is 1e20, with a sign that
-    # alternates from row to row, at its first point and 1 at its 15 others.
-    # One exact sum per chunk cancels the 1e20s and keeps the 240 ones; a sum
-    # rounded per row, or per block of rows, would lose them.
+    # On the 16 x 16 grid each row is 1e20, with a sign that alternates from
+    # row to row, at its first point and 1 at its 15 others.  One exact sum
+    # over the grid cancels the 1e20s and keeps the 240 ones; a sum rounded
+    # per row, or per block or buffer of rows, would lose them.
     domain = GridDomain((Axis(0.0, 1.0, 16), Axis(0.0, 1.0, 16)))
     first = domain.axes[1].midpoints()[0]
 
@@ -519,17 +534,27 @@ def test_each_chunk_is_summed_by_one_exact_sum_whatever_the_block_size():
 
     field = MatrixField.from_jet(jet, 2, "rows")
     guards = topology._Guards(field, domain, [], 0)
-    for block in (topology.BLOCK_POINTS, 16, 1):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(topology, "BLOCK_POINTS", block)
-            assert topology._grid_sum(field, domain, lambda v, p, scratch: v[0, 0],
-                                      guards, {}) == 240
+    for block in (topology.BLOCK_POINTS, 48, 16, 1):
+        for sum_points in (topology.SUM_POINTS, 64, 16, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(topology, "BLOCK_POINTS", block)
+                mp.setattr(topology, "SUM_POINTS", sum_points)
+                assert topology._grid_sum(field, domain, lambda v, p, scratch: v[0, 0],
+                                          guards, {}) == 240
 
 
 def _fsum_complex(values) -> complex:
-    """math.fsum of each part: the correctly rounded sum the exact chunk sum must equal."""
+    """math.fsum of each part: the correctly rounded sum the exact levels must give."""
     values = np.asarray(values)
     return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+
+
+def _levels_sum_complex(values, split=None) -> complex:
+    """math.fsum of each part's `_exact_levels`, those of values[:split] beside values[split:]."""
+    pieces = [values] if split is None else [values[:split], values[split:]]
+    real = [level for piece in pieces for level in topology._exact_levels(piece.real)]
+    imag = [level for piece in pieces for level in topology._exact_levels(piece.imag)]
+    return complex(math.fsum(real), math.fsum(imag))
 
 
 def _outcome(summed, values):
@@ -561,25 +586,30 @@ _finite = st.one_of(
 
 @settings(max_examples=400, deadline=None)
 @given(real=st.lists(_finite, max_size=40), imag=st.lists(_finite, max_size=40),
-       cancel=st.integers(0, 40), stride=st.sampled_from([1, 2, 3]))
+       cancel=st.integers(0, 40), stride=st.sampled_from([1, 2, 3]), split=st.integers(0, 80))
 # 2^53 + 1 is half-way between two floats and only the third level's 2^-60
 # breaks the tie upwards, so the total must be rounded once, not level by level.
-@example(real=[2.0 ** 53, 1.0, 2.0 ** -60], imag=[], cancel=0, stride=1)
+@example(real=[2.0 ** 53, 1.0, 2.0 ** -60], imag=[], cancel=0, stride=1, split=0)
+# The same tie split across two pieces: 2^53 alone, then 1 and 2^-60.
+@example(real=[2.0 ** 53, 1.0, 2.0 ** -60], imag=[], cancel=0, stride=1, split=1)
 # A part of only +-0 is skipped beside one that takes every level from 2^1000
 # down to the least subnormal.
 @example(real=[0.0, -0.0, -0.0, 0.0], imag=[2.0 ** -1074, 2.0 ** 1000, -3 * 2.0 ** -1074, 1.0],
-         cancel=0, stride=2)
+         cancel=0, stride=2, split=0)
 # With sigma = 4, 4 + (1 + 2^-51) is a tie, so both remainders are 2^-51, the
 # first level's bound ulp(sigma)/2 itself; the second level starts there.
-@example(real=[1 + 2.0 ** -51, 1 + 2.0 ** -51], imag=[], cancel=0, stride=1)
+@example(real=[1 + 2.0 ** -51, 1 + 2.0 ** -51], imag=[], cancel=0, stride=1, split=0)
 # One value: headroom 0, and sigma = 1 just above |1 - 2^-53|.
-@example(real=[-(1 - 2.0 ** -53)], imag=[2.0 ** -1074], cancel=0, stride=1)
-def test_the_exact_chunk_sum_has_the_bits_of_fsum(real, imag, cancel, stride):
-    # Appending the negatives of a prefix makes exact cancellations.
+@example(real=[-(1 - 2.0 ** -53)], imag=[2.0 ** -1074], cancel=0, stride=1, split=0)
+def test_the_exact_chunk_sum_has_the_bits_of_fsum(real, imag, cancel, stride, split):
+    # Appending the negatives of a prefix makes exact cancellations.  The
+    # levels of the values, or of two pieces of them side by side, give the
+    # bits of math.fsum over all of them.
     real = real + [-v for v in real[:cancel]]
     imag = imag + [-v for v in imag[:cancel]]
     values = _complex_view(real, imag, stride)
-    assert repr(topology._exact_sum_complex(values)) == repr(_fsum_complex(values))
+    for piece in (None, split):
+        assert repr(_levels_sum_complex(values, piece)) == repr(_fsum_complex(values))
 
 
 @settings(max_examples=200, deadline=None)
@@ -590,7 +620,7 @@ def test_the_exact_chunk_sum_has_the_bits_of_fsum(real, imag, cancel, stride):
 def test_the_exact_chunk_sum_fails_as_fsum_on_non_finite_and_overflowing_values(real, imag):
     # NaN gives NaN, inf + (-inf) raises ValueError and a finite overflow OverflowError.
     for values in (_complex_view(real, imag, 1), _complex_view(imag, real, 2)):
-        assert _outcome(topology._exact_sum_complex, values) == _outcome(_fsum_complex, values)
+        assert _outcome(_levels_sum_complex, values) == _outcome(_fsum_complex, values)
 
 
 def test_warm_grid_integrals_fault_in_no_block_memory():
@@ -611,16 +641,29 @@ def test_warm_grid_integrals_fault_in_no_block_memory():
         assert faults < 200, (field.name, faults)
 
 
-_SUM_CASES = _ROUTE_CASES + [(chern_2d, phat_disk(512))]
+# The plus-side windings at 20^3, 28^3 and 32^3 too: at 28^3, one sum rounded
+# per 8 slabs read 2 ulp above the sum over the whole grid.
+_SUM_CASES = (_ROUTE_CASES + [(chern_2d, phat_disk(512))]
+              + [(winding_3d, exp_ptilde("+", n)) for n in (20, 28, 32)])
 
 
 @pytest.mark.parametrize("integral, field", _SUM_CASES,
                          ids=[f"{f.name}_{f.default_domain.axes[0].n}" for _, f in _SUM_CASES])
 def test_the_exact_chunk_sum_leaves_the_raw_integral_as_fsum_gave_it(integral, field):
+    # With `_exact_levels` handing on the values themselves, math.fsum sums
+    # every integrand value of the grid; the field loses its support, so that
+    # every grid point is there.
     exact = repr(integral(field).raw)
+    seen = []
+
+    def values(part):
+        seen.append(len(part))
+        return part.tolist()
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(topology, "_exact_sum_complex", _fsum_complex)
-        assert repr(integral(field).raw) == exact
+        mp.setattr(topology, "_exact_levels", values)
+        assert repr(integral(dataclasses.replace(field, support=None)).raw) == exact
+    assert sum(seen) == 2 * math.prod(field.default_domain.shape())  # real and imaginary
 
 
 def test_the_singular_value_floor_covers_the_support_check_points():
