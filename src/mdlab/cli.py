@@ -322,8 +322,9 @@ def main(argv=None) -> int:
         "seed": getattr(args, "seed", None),
         "samples": getattr(args, "samples", None),
         "output": getattr(args, "output", None),
-        "grid3d": getattr(args, "resolution", None) or getattr(args, "grid3d", None),
-        "grid2d": getattr(args, "resolution2d", None) or getattr(args, "grid2d", None),
+        # Each subcommand has one of the two flags of a grid, or neither.
+        "grid3d": getattr(args, "resolution", getattr(args, "grid3d", None)),
+        "grid2d": getattr(args, "resolution2d", getattr(args, "grid2d", None)),
     }
     try:
         config = parse_config(getattr(args, "config", None), overrides)
@@ -342,8 +343,12 @@ def main(argv=None) -> int:
 
     text = json.dumps(report, sort_keys=True, indent=2, default=float)
     if config.output:
-        with open(config.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(config.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"mdlab: error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     if args.json:
         print(text)
     else:

@@ -23,7 +23,7 @@ import numpy as np
 from . import foliation, intlinalg, ktheory, liealg, orbits
 from .invariants import index_invariant
 from .topology import RESIDUAL_LIMIT, expi_hermitian, projection_residual, winding_1d
-from .witnesses import phat, ptilde, u_gamma3, uplus
+from .witnesses import phat, u_gamma3, uplus
 
 __all__ = ["Criterion", "REGISTRY", "check"]
 
@@ -178,9 +178,8 @@ def _witness_identities(cfg) -> list[dict]:
     uv = u_gamma3()(upts)
     unit_res = float(np.abs(uv @ uv.conj().transpose(0, 2, 1) - np.eye(2)).max())
     det_res = float(np.abs(np.linalg.det(uv) - 1.0).max())
-    # e^{2 pi i P} = I for a projection P; ptilde at height 0 is one.
-    z0 = np.concatenate([pts, np.zeros((len(pts), 1))], axis=1)
-    exp_res = float(np.abs(expi_hermitian(ptilde()(z0), 2.0 * np.pi) - np.eye(2)).max())
+    # e^{2 pi i P} = I for a projection P; the lift ptilde at height 0 is phat.
+    exp_res = float(np.abs(expi_hermitian(phat()(pts), 2.0 * np.pi) - np.eye(2)).max())
     w1 = winding_1d(uplus(), "+", tol=cfg.quad_tol)
     return [check("witness_identities",
                   _max([pres, unit_res, det_res, exp_res]) < 1e-10

@@ -35,7 +35,19 @@ __all__ = [
 ]
 
 ACTIONS = ("lambda12", "lambda14")
-STRATA = ("V1", "W1", "V2", "W2", "V3", "W3")
+
+# Each stratum of V as (the coordinates that vanish on it, the coordinates
+# that are not all zero on it); `_in_stratum` reads the table.  Every second
+# set meets (y, z, t, s), so each stratum lies in V.  W3 = W2 as sets.
+_STRATUM_COORDS = {
+    "V1": ((), (4,)),
+    "W1": ((4,), (1, 2, 3)),
+    "V2": ((4,), (3,)),
+    "W2": ((3, 4), (1, 2)),
+    "V3": ((), (3, 4)),
+    "W3": ((3, 4), (1, 2)),
+}
+STRATA = tuple(_STRATUM_COORDS)
 
 # Which strata each action preserves (W3 = W2 as sets).
 ACTION_STRATA = {
@@ -111,35 +123,23 @@ def act(action: str, g, p) -> np.ndarray:
     return out
 
 
-# Elementwise over the points p[..., :].
-_PREDICATES = {
-    "V1": lambda p: p[..., 4] != 0.0,
-    "W1": lambda p: p[..., 4] == 0.0,
-    "V2": lambda p: (p[..., 4] == 0.0) & (p[..., 3] != 0.0),
-    "W2": lambda p: (p[..., 4] == 0.0) & (p[..., 3] == 0.0),
-    "V3": lambda p: (p[..., 3] != 0.0) | (p[..., 4] != 0.0),
-    "W3": lambda p: (p[..., 4] == 0.0) & (p[..., 3] == 0.0),
-}
-
-
-# The coordinates each stratum's samples fix at zero; the predicates do the rest.
-_ZEROED = {"V1": [], "W1": [4], "V2": [4], "W2": [3, 4], "V3": [], "W3": [3, 4]}
+def _in_stratum(tag: str, p) -> np.ndarray:
+    """Whether each point p[..., :] lies in the stratum (a NaN coordinate is nonzero)."""
+    zeroed, nonzero = _STRATUM_COORDS[tag]
+    return (np.all(p[..., list(zeroed)] == 0.0, axis=-1)
+            & np.any(p[..., list(nonzero)] != 0.0, axis=-1))
 
 
 def sample_stratum(tag: str, rng: np.random.Generator, n: int = 1) -> np.ndarray:
     """Draw points of the given stratum (standard normal coordinates)."""
-    if tag not in _ZEROED:
+    if tag not in _STRATUM_COORDS:
         raise ValueError(f"unknown stratum {tag!r}")
-    zeroed = _ZEROED[tag]
+    zeroed = list(_STRATUM_COORDS[tag][0])
     pts = rng.standard_normal((n, 5))
     pts[:, zeroed] = 0.0
-
-    def valid(q):
-        return _PREDICATES[tag](q) & np.any(q[..., 1:] != 0.0, axis=-1)
-
     # Regenerate the rare degenerate draws rather than shifting them.
-    for i in np.flatnonzero(~valid(pts)):
-        while not valid(pts[i]):
+    for i in np.flatnonzero(~_in_stratum(tag, pts)):
+        while not _in_stratum(tag, pts[i]):
             pts[i] = rng.standard_normal(5)
             pts[i, zeroed] = 0.0
     return pts
@@ -170,7 +170,7 @@ def preservation_check(action: str, stratum: str, n_samples: int, seed: int) -> 
     report = PreservationReport(action, stratum, n_samples, seed)
     gs = rng.uniform(-3.0, 3.0, size=(n_samples, 2))
     qs = act(action, gs, pts)
-    report.violations.extend(qs[~_PREDICATES[stratum](qs)])
+    report.violations.extend(qs[~_in_stratum(stratum, qs)])
     return report
 
 
@@ -418,9 +418,6 @@ class FibrationReport:
     @property
     def ok(self) -> bool:
         return self.constancy_residual < CONSTANCY_TOL and set(self.rank_counts) == {3}
-
-    def to_json(self) -> dict:
-        return _fields_json(self)
 
 
 def _sphere_map(p):

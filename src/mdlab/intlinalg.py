@@ -24,9 +24,7 @@ __all__ = [
     "kernel_basis",
     "image_basis",
     "cokernel",
-    "subgroup_equal",
     "zeros",
-    "identity",
 ]
 
 
@@ -77,10 +75,6 @@ def zeros(m: int, n: int) -> np.ndarray:
     out = np.empty((m, n), dtype=object)
     out[:] = 0
     return out
-
-
-def identity(n: int) -> np.ndarray:
-    return _matrix(_eye(n), n)
 
 
 def _snf(d: list[list[int]], cols: int, left: bool = False,
@@ -291,8 +285,3 @@ def cokernel(m) -> tuple[int, list[int]]:
     _snf(d, cols)
     facs = _diagonal(d, cols)
     return len(d) - len(facs), [f for f in facs if f > 1]
-
-
-def subgroup_equal(a, b) -> bool:
-    """Whether two generator matrices span the same subgroup of the same Z^m."""
-    return _column_hnf(a) == _column_hnf(b)

@@ -27,7 +27,6 @@ __all__ = [
     "bracket",
     "jacobi_residual",
     "derived_ideal",
-    "ad_matrix",
     "sample_family",
 ]
 
@@ -200,13 +199,6 @@ class MD5Family:
         m.setflags(write=False)
         return m
 
-    def to_json(self) -> dict:
-        return {"family": self.family_id, "params": dict(self.params)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MD5Family":
-        return cls(obj["family"], obj.get("params", {}))
-
 
 @dataclass(frozen=True)
 class LieAlgebra:
@@ -294,12 +286,6 @@ def derived_ideal(alg: LieAlgebra) -> DerivedIdeal:
     basis = basis.copy()
     basis.setflags(write=False)
     return DerivedIdeal(basis, commutative)
-
-
-def ad_matrix(alg: LieAlgebra, x) -> np.ndarray:
-    """Matrix of ad_x in the fixed basis; column j is [x, X_{j+1}]."""
-    x = np.asarray(x, dtype=float)
-    return np.einsum("i,ijk->kj", x, alg.sc)
 
 
 # Sampling of valid parameters, used by randomized checks and the CLI.

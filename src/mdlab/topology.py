@@ -63,7 +63,6 @@ __all__ = [
     "NonInvertibleFieldError",
     "ResidualError",
     "projection_residual",
-    "derivative_check",
     "expi_hermitian",
     "winding_1d",
     "chern_2d",
@@ -282,17 +281,6 @@ def projection_residual(field: MatrixField, pts) -> float:
     idem = np.abs(p @ p - p).max()
     herm = np.abs(p - p.conj().transpose(0, 2, 1)).max()
     return float(max(idem, herm))
-
-
-def derivative_check(field: MatrixField, pts) -> float:
-    """Max deviation between exact and finite-difference derivatives (NaN if any is NaN).
-
-    One derivative call gives the partials at the smooth points and the
-    values at those moved by ±FD_STEP.
-    """
-    pts = _smooth(field, np.atleast_2d(np.asarray(pts, dtype=float)))
-    values, partials = _jet(field)(np.concatenate([pts, _fd_points(pts)]))
-    return _fd_gap(partials[:, :len(pts)], values[len(pts):])
 
 
 @dataclass
@@ -627,7 +615,7 @@ class _Guards:
         self.leak = (values[moved_end:], partials[:, moved_end:]) if len(leak) else None
 
     def derivative_check(self) -> float:
-        """derivative_check at the sample; a gap above 1e-6 is refused."""
+        """The finite-difference gap at the sample; a gap above 1e-6 is refused."""
         if not self.gap <= 1e-6:
             raise ValueError(f"{self.name}: analytic/FD derivative gap {self.gap:.3g} > 1e-6")
         return self.gap

@@ -9,7 +9,9 @@ circle, so it factors through the disk-with-collapsed-boundary ~ 2-sphere):
 frozen at diag(1, 0) for r >= 1.  Its self-adjoint lift is
 ptilde(x, y, z) = phat(x, y) / sqrt(1 + z^2), and the exponentials
 exp(2 pi i ptilde) restricted to the half-spaces z >= 0 / z <= 0 are the 3D
-winding witnesses.  Two normalizations are built in:
+winding witnesses.  The lift is not a field of its own: at height 0 it is
+phat, and that is where the witness-identity check reads it.  Two
+normalizations are built in:
 
   * the half-line coordinate is compactified, z = tan(pi v / 2) with
     v in [0, 1] (or [-1, 0]), under which the degree form is invariant and
@@ -21,8 +23,8 @@ winding witnesses.  Two normalizations are built in:
 
 The remaining witnesses are the scalar phase u_+ on the positive half-line,
 the unitary u over the 3-sphere chart (theta1, theta2, phi), and, for the
-constant projection q = diag(1, 0), p = u q u^{-1} together with its
-transverse disk slice used for the 2D Chern pairing.
+constant projection q = diag(1, 0), the transverse disk slice of
+p = u q u^{-1} used for the 2D Chern pairing.
 
 The jets of phat, its polar chart, the exponentials and the disk slice fill
 entry-major buffers, (2, 2, ...) arrays as the kernels of `mdlab.topology`
@@ -42,11 +44,9 @@ from .topology import Axis, GridDomain, MatrixField
 __all__ = [
     "phat",
     "phat_disk",
-    "ptilde",
     "exp_ptilde",
     "uplus",
     "u_gamma3",
-    "p_gamma3",
     "gamma3_disk",
     "trivial_lift_unit",
     "trivial_lift_eps1",
@@ -137,14 +137,6 @@ def phat_disk(n: int = 512) -> MatrixField:
     """
     dom = GridDomain((Axis(0.0, 1.0, n, "constant"), Axis(0.0, TAU, n, "periodic")))
     return MatrixField.from_jet(_phat_polar_jet, 2, "phat_disk", default_domain=dom)
-
-
-def ptilde() -> MatrixField:
-    """Self-adjoint lift phat(x, y)/sqrt(1 + z^2) of the hedgehog projection."""
-    def ev(pts):
-        base = _phat_jet(pts[:, 0], pts[:, 1])[0]
-        return np.moveaxis(base / np.sqrt(1.0 + pts[:, 2] ** 2), -1, 0)
-    return MatrixField(evaluator=ev, dim=3, name="ptilde")
 
 
 def _exp_ptilde_jet(x, y, v, out=None):
@@ -261,13 +253,6 @@ def _uqu(t2, phase, p=None):
     np.multiply(e * c, s, out=p[0, 1])
     np.conjugate(p[0, 1], out=p[1, 0])
     return p, e, c, s
-
-
-def p_gamma3() -> MatrixField:
-    """p = u q u^{-1}: the rank-1 projection onto the first column of u."""
-    return MatrixField(
-        evaluator=lambda pts: np.moveaxis(_uqu(pts[:, 1], pts[:, 2] + pts[:, 0])[0], -1, 0),
-        dim=3, name="p_gamma3")
 
 
 def gamma3_disk(n: int = 512) -> MatrixField:

@@ -3,7 +3,7 @@ covector and the strata that contain one point."""
 
 import numpy as np
 
-from mdlab.foliation import _PREDICATES, _check_in_V
+from mdlab.foliation import STRATA, _check_in_V, _in_stratum
 from mdlab.liealg import LieAlgebra
 from mdlab.orbits import _batched_ranks
 
@@ -15,6 +15,6 @@ def orbit_dimension(alg: LieAlgebra, f) -> int:
 
 
 def stratum_of(p) -> frozenset[str]:
-    """All strata containing p, by the literal sign predicates."""
+    """All strata containing p, by the table of vanishing and nonzero coordinates."""
     p = _check_in_V(np.asarray(p, dtype=float))
-    return frozenset(tag for tag, pred in _PREDICATES.items() if pred(p))
+    return frozenset(tag for tag in STRATA if _in_stratum(tag, p))

@@ -257,6 +257,26 @@ def test_output_file(tmp_path, capsys):
     assert rep["status"] == "pass"
 
 
+def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    # The run finishes before the write; a path that cannot be written is bad
+    # input, reported on one line, not a traceback with the failed-check code.
+    out_path = tmp_path / "missing" / "r.json"
+    assert main(["sixterm", "--preset", "gamma3", "--output", str(out_path)]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("mdlab: error:"), err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [["invariants", "--type", "F3", "--resolution2d", "0"],
+                                  ["invariants", "--type", "F2", "--resolution", "0"]],
+                         ids=["resolution2d", "resolution"])
+def test_a_zero_resolution_is_a_usage_error(argv, capsys):
+    # 0 is a value given, not a flag left out: it must not fall through to
+    # the default grid.
+    assert main(argv) == 64
+    assert "must be >= 16 (got 0)" in capsys.readouterr().err
+
+
 def test_invariants_f3_small_grid(capsys):
     code = main(["invariants", "--type", "F3", "--resolution2d", "128", "--json"])
     out = capsys.readouterr().out

@@ -122,6 +122,20 @@ def test_stratum_partitions():
         assert ("W3" in tags) == ("W2" in tags)
 
 
+def test_the_stratum_table_is_the_six_sign_conditions():
+    # Every point with coordinates in {-1, 0, -0.0, 2, NaN}: a NaN is nonzero,
+    # and a point outside V (y = z = t = s = 0) lies in no stratum.
+    pts = np.array(list(itertools.product([-1.0, 0.0, -0.0, 2.0, math.nan], repeat=5)))
+    t, s = pts[:, 3], pts[:, 4]
+    in_v = np.any(pts[:, 1:] != 0.0, axis=1)
+    literal = {"V1": s != 0.0, "W1": s == 0.0, "V2": (s == 0.0) & (t != 0.0),
+               "W2": (s == 0.0) & (t == 0.0), "V3": (t != 0.0) | (s != 0.0),
+               "W3": (s == 0.0) & (t == 0.0)}
+    assert tuple(literal) == foliation.STRATA
+    for tag, want in literal.items():
+        assert np.array_equal(foliation._in_stratum(tag, pts), want & in_v), tag
+
+
 class _ScriptedRng:
     """Hands out the given draws in turn, each of the shape asked for."""
 

@@ -7,15 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 from mdlab.intlinalg import (
     as_zmatrix,
     cokernel,
-    identity,
     image_basis,
     invariant_factors,
     kernel_basis,
     minor_gcd_invariant_factors,
     snf,
-    subgroup_equal,
     zeros,
 )
+from reference_routes import subgroup_equal
 
 
 def assert_snf_contract(m):
@@ -156,8 +155,8 @@ def test_kernel_image_example():
 
 
 def test_kernel_of_identity_and_injective_column():
-    assert kernel_basis(identity(3)).shape == (3, 0)
-    assert image_basis(identity(3)).shape == (3, 3)
+    assert kernel_basis(np.eye(3, dtype=int)).shape == (3, 0)
+    assert image_basis(np.eye(3, dtype=int)).shape == (3, 3)
     # (1,1) as a map Z -> Z^2 is injective.
     assert kernel_basis([[1], [1]]).shape == (1, 0)
 
@@ -256,6 +255,6 @@ def test_empty_shapes(shape):
         zeros(rows, cols))
     assert image_basis(zeros(rows, cols)).shape == (rows, 0)
     # A map from Z^cols has all of Z^cols as its kernel; Z^rows is its cokernel.
-    assert np.array_equal(kernel_basis(zeros(rows, cols)), identity(cols))
+    assert np.array_equal(kernel_basis(zeros(rows, cols)), np.eye(cols, dtype=int))
     assert cokernel(zeros(rows, cols)) == (rows, [])
     assert subgroup_equal(zeros(rows, cols), zeros(rows, 0))

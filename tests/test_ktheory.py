@@ -16,7 +16,6 @@ from mdlab.intlinalg import (
     invariant_factors,
     kernel_basis,
     snf,
-    subgroup_equal,
 )
 from mdlab.ktheory import (
     SearchSpaceError,
@@ -26,6 +25,7 @@ from mdlab.ktheory import (
     solve_six_term,
     zmap,
 )
+from reference_routes import subgroup_equal
 
 
 def hexagon_of_scalars(values):

@@ -8,7 +8,6 @@ from mdlab.liealg import (
     LieAlgebra,
     MD5Family,
     ParameterDomainError,
-    ad_matrix,
     bracket,
     build_md5,
     derived_ideal,
@@ -92,14 +91,12 @@ def test_family_parameters_are_read_only():
     with pytest.raises(TypeError):
         fam.params["lambda"] = 1.0
     assert fam.ad_block()[0, 0] == 2.0
-    assert fam.to_json() == {"family": "5_4_4", "params": {"lambda": 2.0}}
-    assert type(fam.to_json()["params"]) is dict
 
 
 @pytest.mark.parametrize("bad", ["2", None, 1j, [2.0]])
 def test_non_numeric_parameter_rejected(bad):
     with pytest.raises(ParameterDomainError, match="lambda must lie in"):
-        MD5Family.from_json({"family": "5_4_4", "params": {"lambda": bad}})
+        MD5Family("5_4_4", {"lambda": bad})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -243,38 +240,27 @@ def test_derived_ideal_family_11():
     assert ideal.rank == 4 and ideal.commutative
 
 
-def test_ad_matrix_restriction_matches_block():
+def test_the_x1_structure_constants_are_the_block():
+    # sc[0, j, k] is the X_{k+1} coefficient of [X1, X_{j+1}]: the block's column j.
     fam = MD5Family("5_4_9", {"lambda": 4.0})
     alg = build_md5(fam)
-    e = np.eye(5)
-    ad1 = ad_matrix(alg, e[0])
-    assert np.array_equal(ad1[1:, 1:], fam.ad_block())
-    assert np.all(ad1[0, :] == 0) and np.all(ad1[:, 0] == 0)
-    # ad of any derived-ideal element vanishes on the ideal.
-    for i in range(1, 5):
-        adx = ad_matrix(alg, e[i])
-        assert np.all(adx[1:, 1:] == 0)
+    assert np.array_equal(alg.sc[0, 1:, 1:].T, fam.ad_block())
+    assert np.all(alg.sc[0, 0, :] == 0) and np.all(alg.sc[0, :, 0] == 0)
+    # The bracket of two derived-ideal elements vanishes.
+    assert np.all(alg.sc[1:, 1:, :] == 0)
 
 
 @pytest.mark.parametrize("fid", ALL_FAMILIES)
 def test_random_parameter_draws_satisfy_invariants(fid):
     rng = np.random.default_rng(42)
-    e = np.eye(5)
     for _ in range(100):
         fam = sample_family(fid, rng)
         alg = build_md5(fam)
         # Antisymmetry is exact by construction.
         assert np.array_equal(alg.sc, -alg.sc.transpose(1, 0, 2))
         assert jacobi_residual(alg) == 0.0
-        ad1 = ad_matrix(alg, e[0])
-        assert np.array_equal(ad1[1:, 1:], fam.ad_block())
+        assert np.array_equal(alg.sc[0, 1:, 1:].T, fam.ad_block())
         ideal = derived_ideal(alg)
         assert ideal.rank == 4 and ideal.commutative
         assert np.abs(ideal.basis[:, 0]).max() < 1e-12
 
-
-def test_family_json_round_trip():
-    fam = MD5Family("5_4_11", {"lambda1": 1.5, "lambda2": 2.5, "phi": 0.9})
-    obj = fam.to_json()
-    assert obj == {"family": "5_4_11", "params": {"lambda1": 1.5, "lambda2": 2.5, "phi": 0.9}}
-    assert MD5Family.from_json(obj) == fam

@@ -13,8 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("workload", ["index_ladder", "sampled_checks"])
 def test_one_traced_benchmark_pass_is_correct(workload):
     # The tracer rebuilds witness fields with dataclasses.replace(field,
-    # evaluator=..., derivative=...), reads orbits.scipy and wraps
-    # intlinalg.subgroup_equal, so a change to any of them fails here.
+    # evaluator=..., derivative=...) and reads orbits.scipy, so a change to
+    # either fails here.
     pytest.importorskip("scipy")  # the benchmark reports its version
     run = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                           "--seed", "1", "--seconds", "0", "--trace", "1"],

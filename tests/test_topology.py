@@ -19,7 +19,6 @@ from mdlab.topology import (
     _finish,
     _sigma_min2,
     chern_2d,
-    derivative_check,
     expi_hermitian,
     projection_residual,
     winding_1d,
@@ -36,6 +35,7 @@ from mdlab.witnesses import (
     u_gamma3,
     uplus,
 )
+from reference_routes import derivative_check
 from witness_fields import q_const, uminus
 
 

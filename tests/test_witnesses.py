@@ -9,14 +9,12 @@ from mdlab.topology import Axis, GridDomain, expi_hermitian, projection_residual
 from mdlab.witnesses import (
     exp_ptilde,
     gamma3_disk,
-    p_gamma3,
     phat,
     phat_disk,
-    ptilde,
     u_gamma3,
     uplus,
 )
-from witness_fields import q_const
+from witness_fields import ptilde
 
 
 def test_phat_boundary_values():
@@ -66,23 +64,6 @@ def test_ptilde_decays_with_height():
     f = ptilde()
     high = f(np.array([[0.3, 0.1, 1e6]]))[0]
     assert np.abs(high).max() < 2e-6
-
-
-def test_p_gamma3_is_projection_and_limits():
-    rng = np.random.default_rng(6)
-    pts = rng.uniform(-math.pi / 2, math.pi / 2, (5_000, 3))
-    p = p_gamma3()
-    assert projection_residual(p, pts) < 1e-12
-    q = q_const()(np.zeros((1, 2)))[0]
-    # p -> q linearly as the chart parameters vanish.
-    for eps in (1e-1, 1e-2, 1e-3):
-        val = p(np.array([[eps, eps, 0.9]]))[0]
-        assert np.abs(val - q).max() < 2.0 * eps
-    # Constant diag(0,1) on the theta2 = +-pi/2 edges.
-    for t2 in (math.pi / 2, -math.pi / 2):
-        vals = p(np.stack([np.linspace(-1, 1, 9), np.full(9, t2), np.linspace(0, 6, 9)],
-                          axis=1))
-        assert np.abs(vals - np.diag([0.0, 1.0])).max() < 1e-12
 
 
 def test_gamma3_disk_edges():
