@@ -12,6 +12,8 @@ import argparse
 import datetime
 import json
 import math
+import os
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -234,7 +236,23 @@ def cmd_reproduce(args, config: RunConfig) -> list[dict]:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"mdlab: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each value that follows a flag and starts with '-' and a digit,
+    '.', 'inf' or 'nan' joined to it, as `--flag=value`: argparse reads -1e-3,
+    -1,0,0,0,1 or -inf as an option, since its negative-number pattern has no
+    exponent, list or infinity."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1].startswith("--") and "=" not in joined[-1] \
+                and re.match(r"-([\d.]|inf|nan)", token, re.IGNORECASE):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
 
 
 def _add_common(sp):
@@ -314,7 +332,7 @@ def run(command: str, config: RunConfig, args=None) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
 
@@ -330,6 +348,10 @@ def main(argv=None) -> int:
         config = parse_config(getattr(args, "config", None), overrides)
     except (ConfigError, ValueError) as exc:
         print(f"mdlab: configuration error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    # A report whose directory is missing or read-only is refused before the run.
+    if config.output and not os.access(os.path.dirname(os.path.abspath(config.output)), os.W_OK):
+        print(f"mdlab: error: cannot write the report to {config.output}", file=sys.stderr)
         return EXIT_USAGE
 
     try:

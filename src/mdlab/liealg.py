@@ -253,12 +253,20 @@ def bracket(alg: LieAlgebra, x, y) -> np.ndarray:
 
 
 def jacobi_residual(alg: LieAlgebra) -> float:
-    """Max-norm of the cyclic Jacobi sum over all basis triples."""
-    c = alg.sc
-    # [[Xi,Xj],Xk] has coordinates sum_m c[i,j,m] c[m,k,:].
-    t = np.einsum("ijm,mkl->ijkl", c, c)
-    cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
-    return float(np.abs(cyc).max())
+    """Max-norm of the cyclic Jacobi sum over all basis triples.
+
+    The sum is quadratic, so it is taken on the structure constants scaled
+    by 2^-e to a largest |entry| below 1, where no product overflows (to
+    inf - inf = NaN at entries near 1e300), and scaled back by 2^2e: exactly.
+    """
+    top = float(np.abs(alg.sc).max())
+    e = math.frexp(top)[1] if math.isfinite(top) else 0
+    c = np.ldexp(alg.sc, -e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # [[Xi,Xj],Xk] has coordinates sum_m c[i,j,m] c[m,k,:].
+        t = np.einsum("ijm,mkl->ijkl", c, c)
+        cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
+        return float(np.ldexp(np.abs(cyc).max(), 2 * e))
 
 
 @dataclass(frozen=True)

@@ -78,23 +78,6 @@ _UPPER = np.triu_indices(5, 1)
 _POS = {(k, l): i for i, (k, l) in enumerate(zip(*_UPPER))}
 _PFAFFIANS = [[(1, _POS[a, b], _POS[c, d]), (-1, _POS[a, c], _POS[b, d]),
                (1, _POS[a, d], _POS[b, c])] for a, b, c, d in combinations(range(5), 4)]
-# numpy's order for the sum of a row of ten, (N, 10).sum(axis=1): eight
-# accumulators added pairwise, then the last two in turn.  p is summed in it.
-_P_ORDER = (((((0, 1), (2, 3)), ((4, 5), (6, 7))), 8), 9)
-
-
-def _prune(tree, row: dict):
-    """tree without its dead positions and its live ones renamed to rows; None if all are dead."""
-    if not isinstance(tree, tuple):
-        return row.get(tree)
-    kids = [k for k in (_prune(t, row) for t in tree) if k is not None]
-    return tuple(kids) if len(kids) == 2 else (kids[0] if kids else None)
-
-
-def _tree_sum(tree, x: np.ndarray) -> np.ndarray:
-    if not isinstance(tree, tuple):
-        return x[tree]
-    return _tree_sum(tree[0], x) + _tree_sum(tree[1], x)
 
 
 def _live_forms(alg: LieAlgebra):
@@ -102,38 +85,40 @@ def _live_forms(alg: LieAlgebra):
 
     An upper entry B[k, l] is live when its row of sc[_UPPER] is not
     identically zero; at a finite covector a dead entry is an exact 0.  So the
-    sum for p drops it and each Pfaffian drops every term with a dead factor,
-    and both keep their bits: x + 0 = x and x * 0 = 0.  Returns the live rows
-    (L, 5) of sc[_UPPER], the order of p over them (None if L = 0), and the
-    live terms (sign, row, row) of each Pfaffian that has any.  Every
-    catalogue family has the four live entries B[0, 1..4] and no Pfaffian term.
+    sum for p, taken in row order, drops it and each Pfaffian drops every term
+    with a dead factor, and both keep their bits: x + 0 = x and x * 0 = 0.
+    Returns the live rows (L, 5) of sc[_UPPER] and the live terms
+    (sign, row, row) of each Pfaffian that has any.  Every catalogue family
+    has the four live entries B[0, 1..4] and no Pfaffian term.
     """
     sc_upper = alg.sc[_UPPER]
     live = np.flatnonzero(np.any(sc_upper != 0.0, axis=1)).tolist()
     row = {e: r for r, e in enumerate(live)}
     pfaffians = [[(s, row[i], row[j]) for s, i, j in terms if i in row and j in row]
                  for terms in _PFAFFIANS]
-    return sc_upper[live], _prune(_P_ORDER, row), [t for t in pfaffians if t]
+    return sc_upper[live], [t for t in pfaffians if t]
 
 
 def _singular_values(live, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two distinct singular values s1 >= s2 of the forms `live` at the covectors fs (5, n).
 
     For a real skew 5x5 form, det(tI - B^T B) = t (t^2 - p t + q)^2, with p the
-    sum of the squared upper entries and q the sum of the squared Pfaffians of
-    the five 4x4 principal minors; so s1^2 = (p + sqrt(p^2 - 4q)) / 2 and
-    s2 = sqrt(q) / s1.  Each form is divided by its largest |entry| first and
+    sum of the squared upper entries, left to right, and q the sum of the
+    squared Pfaffians of the five 4x4 principal minors; so
+    s1^2 = (p + sqrt(p^2 - 4q)) / 2 and s2 = sqrt(q) / s1.  Each form is divided by its largest |entry| first and
     the values multiplied back, so no form overflows or underflows in the
     squares.  s1 is NaN for a form with a non-finite entry, and inf for a form
     past about 5e307.
     """
-    sc, p_order, pfaffians = live
+    sc, pfaffians = live
     with np.errstate(over="ignore", invalid="ignore"):
         b = sc @ fs
         m = np.abs(b).max(axis=0, initial=0.0)
         scale = np.where(m > 0.0, m, 1.0)  # an inf or NaN entry leaves a NaN in u, and so in p
         u = b / scale
-        p = _tree_sum(p_order, u * u) if p_order is not None else np.zeros(len(m))
+        p = np.zeros(len(m))
+        for row in u:
+            p += row * row
         q = 0.0
         for (sign, i, j), *rest in pfaffians:
             pf = sign * (u[i] * u[j])

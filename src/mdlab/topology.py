@@ -17,7 +17,7 @@ Both grid integrals run one loop, `_grid_sum`, over blocks of at most
 BLOCK_POINTS points: some leading points (all coordinates but the last)
 times every midpoint of the last axis, which the field's per-axis jet
 evaluates, computing what depends only on the leading coordinates, or only
-on the last, once per side; a field without a per-axis jet is refused.
+on the last, once per side.
 Every block writes its jet and its integrand's largest temporaries into the
 same arrays, one allocation per integral (`_Scratch`), so that a warm
 integral faults in no memory, and its integrand values into a buffer of
@@ -150,39 +150,38 @@ class GridDomain:
 
 @dataclass(frozen=True)
 class MatrixField:
-    """A matrix-valued function sampled pointwise.
+    """A named matrix-valued function with its exact 1-jet, built by `from_jet`.
 
     evaluator maps an (N, dim) array of points to (N, size, size) complex
     values.  derivative(pts) returns the 1-jet (values, partials) in one
     call: the values exactly as the evaluator gives them, and the exact
     partials along every coordinate stacked as (dim, N, size, size).  The
-    integrals read the field through it, and never through the evaluator;
-    fields without one can only be evaluated.  `nonsmooth` marks points to
-    skip in finite-difference cross-checks (e.g. chart seams of a frozen
-    extension).  `support(pts)` marks the points where the grid integrals
-    need the field; outside it their integrands are exactly 0, a promise
-    they check at seeded points.
+    integrals read the field through it, and never through the evaluator.
+    `default_domain` is the grid of the 2D and 3D integrals.  `nonsmooth`
+    marks points to skip in finite-difference cross-checks (e.g. chart seams
+    of a frozen extension).  `support(pts)`, which reads the leading
+    coordinates only, marks the points where the grid integrals need the
+    field; outside it their integrands are exactly 0, a promise they check
+    at seeded points.
 
-    `axis_jet(lead, last, out=None)`, which the grid integrals need, is the
+    `axis_jet(lead, last, out=None)`, which the grid integrals read, is the
     jet on a product of points: the (m, dim - 1) leading coordinates times
     the (n,) last coordinates, point i·n + j being (lead[i], last[j]).  It
     returns entry-major values (size, size, m·n) and partials
     (size, size, dim, m·n), equal to the derivative's bit for bit.  `out`,
     if given, is a pair of C-contiguous arrays of those shapes, which it
     fills and returns (as views), so that the grid integrals reuse one pair
-    for every block.  A field that has one promises that its support reads
-    the leading coordinates only.  `from_jet` builds it, and the evaluator
-    and derivative, from one function.
+    for every block.
     """
 
     evaluator: Callable
     dim: int
-    name: str = ""
-    derivative: Callable | None = None
+    name: str
+    derivative: Callable
+    axis_jet: Callable
     default_domain: GridDomain | None = None
     nonsmooth: Callable | None = None
     support: Callable | None = None
-    axis_jet: Callable | None = None
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -239,15 +238,6 @@ class MatrixField:
 
         return cls(evaluator=lambda pts: derivative(pts)[0], dim=dim, name=name,
                    derivative=derivative, axis_jet=axis_jet, **fields)
-
-
-def _jet(field: MatrixField, part: str = "derivative") -> Callable:
-    """field.derivative or field.axis_jet, which the integrals read; refused if it is None."""
-    jet = getattr(field, part)
-    if jet is None:
-        what = "exact derivative" if part == "derivative" else "per-axis jet"
-        raise ValueError(f"{field.name or 'field'}: no {what} to integrate or check")
-    return jet
 
 
 def _smooth(field: MatrixField, pts: np.ndarray) -> np.ndarray:
@@ -308,14 +298,13 @@ class IntegralResult:
 def _finish(raw_complex, boundary_residual, grid, name, extra=None) -> IntegralResult:
     raw = float(raw_complex.real)
     if not (math.isfinite(raw) and math.isfinite(raw_complex.imag)):
-        raise ResidualError(f"{name or 'integral'}: raw integral {raw_complex} is not finite "
-                            f"on grid {grid}")
+        raise ResidualError(f"{name}: raw integral {raw_complex} is not finite on grid {grid}")
     rounded = int(round(raw))
     residual = abs(raw - rounded) + abs(float(raw_complex.imag))
     res = IntegralResult(raw, rounded, residual, boundary_residual, grid, name, extra or {})
     if residual >= RESIDUAL_LIMIT:
         raise ResidualError(
-            f"{name or 'integral'}: pre-rounding residual {residual:.3g} >= {RESIDUAL_LIMIT}; "
+            f"{name}: pre-rounding residual {residual:.3g} >= {RESIDUAL_LIMIT}; "
             f"refine the grid (current {grid}) or enlarge the domain")
     return res
 
@@ -360,33 +349,31 @@ def winding_1d(f: MatrixField, side: str = "+", tol: float = 1e-8) -> IntegralRe
         raise ValueError("side must be '+' or '-'")
     sgn = 1.0 if side == "+" else -1.0
 
-    derivative = _jet(f)
     zs = sgn * np.geomspace(1e-6, 1e6, 97)
-    values = derivative(np.append(zs, [0.0, sgn * 1e9])[:, None])[0]
+    values = f.derivative(np.append(zs, [0.0, sgn * 1e9])[:, None])[0]
     guard = np.moveaxis(values[:-2], 0, -1)
     _check_size(f, guard)
     sv_min = float(np.min(_sigma_min2(guard)))
     if not sv_min > SIGMA_FLOOR:  # a NaN σ_min fails too
         raise NonInvertibleFieldError(
-            f"{f.name or 'field'}: min singular value {sv_min:.3g} is not above {SIGMA_FLOOR}")
+            f"{f.name}: min singular value {sv_min:.3g} is not above {SIGMA_FLOOR}")
     limit_gap = float(np.abs(values[-2] - values[-1]).max())
     if not limit_gap <= 1e-6:
         raise BoundaryConditionError(
-            f"{f.name or 'field'}: limits at 0 and infinity differ by {limit_gap:.3g}")
+            f"{f.name}: limits at 0 and infinity differ by {limit_gap:.3g}")
 
     def integrand(w):
         if w >= 1.0:
             return 0.0 + 0.0j
         z = sgn * w / (1.0 - w)
         dz = sgn / (1.0 - w) ** 2  # dz/dw of the outward path
-        val, df = derivative(np.array([[z]]))
+        val, df = f.derivative(np.array([[z]]))
         tr = np.trace(df[0, 0] @ np.linalg.inv(val[0]))
         return tr * dz
 
     total = _adaptive_simpson(integrand, 0.0, 1.0 - 1e-12, tol)
     raw = -total / (2.0j * math.pi)
-    return _finish(raw, limit_gap, (0,), f.name or f"winding_1d[{side}]",
-                   {"side": side})
+    return _finish(raw, limit_gap, (0,), f.name, {"side": side})
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +383,7 @@ def _check_size(field: MatrixField, vals: np.ndarray) -> None:
     """The closed-form kernels below take k×k values with k <= 2 only."""
     k = vals.shape[0]
     if k > 2:
-        raise ValueError(f"{field.name or 'field'}: {k}x{k} values; the grid integrals "
+        raise ValueError(f"{field.name}: {k}x{k} values; the grid integrals "
                          "and the winding_1d guard take 1x1 and 2x2 fields only")
 
 
@@ -599,7 +586,7 @@ class _Guards:
     """
 
     def __init__(self, field: MatrixField, domain: GridDomain, face_axes, n: int):
-        self.name = field.name or "field"
+        self.name = field.name
         sample = _smooth(field, _interior_points(domain, n, 0))
         leak = np.empty((0, domain.dim))
         if field.support is not None:
@@ -607,7 +594,7 @@ class _Guards:
             leak = leak[~field.support(leak)]
         parts = [_face_points(domain, face_axes), sample, _fd_points(sample), leak]
         faces_end, sample_end, moved_end, _ = np.cumsum([len(part) for part in parts])
-        values, partials = _jet(field)(np.concatenate(parts))
+        values, partials = field.derivative(np.concatenate(parts))
         self.size = values.shape[-1]  # k of the field's k×k values
         self.faces = values[:faces_end]
         self.gap = _fd_gap(partials[:, faces_end:sample_end], values[sample_end:moved_end])
@@ -680,7 +667,6 @@ def _grid_sum(field: MatrixField, domain: GridDomain, integrand: Callable,
     outside the support (`guards.leak`) checks the promise after the grid:
     any of them whose integrand is not exactly 0 is refused.
     """
-    axis_jet = _jet(field, "axis_jet")
     *lead_axes, last = (ax.midpoints() for ax in domain.axes)
     lead = np.stack(np.meshgrid(*lead_axes, indexing="ij"), axis=-1).reshape(-1, domain.dim - 1)
     if field.support is not None:
@@ -708,13 +694,13 @@ def _grid_sum(field: MatrixField, domain: GridDomain, integrand: Callable,
             extract(buffer[:filled])
             filled = 0
         out = scratch.take("values", n), scratch.take("partials", n)
-        buffer[filled:filled + n] = integrand(*axis_jet(block, last, out), scratch)
+        buffer[filled:filled + n] = integrand(*field.axis_jet(block, last, out), scratch)
         filled += n
     extract(buffer[:filled])
     if guards.leak is not None:
         leak = np.abs(integrand(*_entry_major(*guards.leak), scratch))
         if not np.all(leak == 0.0):  # NaN fails too
-            raise ValueError(f"{field.name or 'field'}: integrand up to {leak.max():.3g} "
+            raise ValueError(f"{field.name}: integrand up to {leak.max():.3g} "
                              "outside the declared support")
     return complex(math.fsum(real), math.fsum(imag))
 
@@ -729,10 +715,9 @@ def _boundary_identity_residual(vals: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # 2D Chern number
 
-def chern_2d(p: MatrixField, domain: GridDomain | None = None) -> IntegralResult:
-    """First Chern number (1/2πi) ∫ Tr(P [∂₁P, ∂₂P]) of a projection field."""
-    if domain is None:
-        domain = p.default_domain
+def chern_2d(p: MatrixField) -> IntegralResult:
+    """First Chern number (1/2πi) ∫ Tr(P [∂₁P, ∂₂P]) of a projection field over its domain."""
+    domain = p.default_domain
     if domain is None or domain.dim != 2 or p.dim != 2:
         raise ValueError("chern_2d needs a 2D field with a 2D domain")
 
@@ -740,7 +725,7 @@ def chern_2d(p: MatrixField, domain: GridDomain | None = None) -> IntegralResult
     edge_var = _edge_constancy(guards.faces, domain)
     if not edge_var <= BOUNDARY_TOL_2D:
         raise BoundaryConditionError(
-            f"{p.name or 'field'}: boundary variation {edge_var:.3g} > {BOUNDARY_TOL_2D} "
+            f"{p.name}: boundary variation {edge_var:.3g} > {BOUNDARY_TOL_2D} "
             "(field must be constant on each boundary component)")
     proj_res = [0.0]
 
@@ -758,23 +743,22 @@ def chern_2d(p: MatrixField, domain: GridDomain | None = None) -> IntegralResult
     total = total * domain.cell_volume / (2.0j * math.pi)
     proj_res = float(np.max(proj_res))
     if not proj_res <= 1e-10:
-        raise ValueError(f"{p.name or 'field'}: projection residual {proj_res:.3g} > 1e-10")
+        raise ValueError(f"{p.name}: projection residual {proj_res:.3g} > 1e-10")
     extra = {"projection_residual": proj_res, "derivative_check": guards.derivative_check()}
-    return _finish(total, edge_var, domain.shape(), p.name or "chern_2d", extra)
+    return _finish(total, edge_var, domain.shape(), p.name, extra)
 
 
 # ---------------------------------------------------------------------------
 # 3D odd winding
 
-def winding_3d(g: MatrixField, domain: GridDomain | None = None) -> IntegralResult:
+def winding_3d(g: MatrixField) -> IntegralResult:
     """Odd topological charge -(1/24π²) ∫ Tr((g^{-1}dg)^3) of an invertible field.
 
-    Midpoint rule on the domain grid; the field must be the identity on every
-    non-periodic boundary face (within 1e-2).  Orientation is the coordinate
-    order of the domain axes.
+    Midpoint rule on the grid of the field's domain; the field must be the
+    identity on every non-periodic boundary face (within 1e-2).  Orientation
+    is the coordinate order of the domain axes.
     """
-    if domain is None:
-        domain = g.default_domain
+    domain = g.default_domain
     if domain is None or domain.dim != 3 or g.dim != 3:
         raise ValueError("winding_3d needs a 3D field with a 3D domain")
 
@@ -783,7 +767,7 @@ def winding_3d(g: MatrixField, domain: GridDomain | None = None) -> IntegralResu
     brv = _boundary_identity_residual(guards.faces)
     if not brv <= BOUNDARY_TOL_3D:
         raise BoundaryConditionError(
-            f"{g.name or 'field'}: boundary-identity residual {brv:.3g} > {BOUNDARY_TOL_3D}; "
+            f"{g.name}: boundary-identity residual {brv:.3g} > {BOUNDARY_TOL_3D}; "
             "enlarge the truncated domain")
     sv_min = [1.0]
 
@@ -800,8 +784,8 @@ def winding_3d(g: MatrixField, domain: GridDomain | None = None) -> IntegralResu
     sv_floor = float(np.min(sv_min))
     if not sv_floor > SIGMA_FLOOR:
         raise NonInvertibleFieldError(
-            f"{g.name or 'field'}: min singular value {sv_floor:.3g} on the grid")
+            f"{g.name}: min singular value {sv_floor:.3g} on the grid")
     # epsilon-contraction = 3 Tr(A0 [A1, A2]); normalization -(1/24π²).
     total = total * 3.0 * domain.cell_volume * (-1.0 / (24.0 * math.pi ** 2))
     extra = {"derivative_check": guards.derivative_check()}
-    return _finish(total, brv, domain.shape(), g.name or "winding_3d", extra)
+    return _finish(total, brv, domain.shape(), g.name, extra)

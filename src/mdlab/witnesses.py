@@ -26,11 +26,10 @@ the unitary u over the 3-sphere chart (theta1, theta2, phi), and, for the
 constant projection q = diag(1, 0), the transverse disk slice of
 p = u q u^{-1} used for the 2D Chern pairing.
 
-The jets of phat, its polar chart, the exponentials and the disk slice fill
-entry-major buffers, (2, 2, ...) arrays as the kernels of `mdlab.topology`
-read them, given ones (`out`) or fresh, and take coordinates that
-broadcast, so `MatrixField.from_jet` makes one function both the derivative
-and the per-axis jet of the field.
+Every witness's jet fills entry-major buffers, (k, k, ...) arrays as the
+kernels of `mdlab.topology` read them, given ones (`out`) or fresh, and
+takes coordinates that broadcast, so `MatrixField.from_jet` makes one
+function both the derivative and the per-axis jet of the field.
 """
 
 from __future__ import annotations
@@ -55,13 +54,13 @@ __all__ = [
 TAU = 2.0 * math.pi
 
 
-def _outputs(out, shape: tuple[int, ...], dim: int):
-    """A 2×2 jet's (values, partials) arrays: out as given, or fresh (2, 2, *shape)
-    and (2, 2, dim, *shape) ones."""
+def _outputs(out, shape: tuple[int, ...], dim: int, size: int = 2):
+    """A size×size jet's (values, partials) arrays: out as given, or fresh
+    (size, size, *shape) and (size, size, dim, *shape) ones."""
     if out is not None:
         return out
-    return (np.empty((2, 2) + shape, dtype=complex),
-            np.empty((2, 2, dim) + shape, dtype=complex))
+    return (np.empty((size, size) + shape, dtype=complex),
+            np.empty((size, size, dim) + shape, dtype=complex))
 
 
 def _phat_jet(x, y, out=None):
@@ -199,13 +198,14 @@ def exp_ptilde(side: str, n: int = 128) -> MatrixField:
 
 def _phase_field(name: str, sign: float) -> MatrixField:
     # u(z) = exp(2 pi i (sign * z / sqrt(1+z^2))); derivative in closed form.
-    def jet(pts):
-        z = pts[:, 0]
-        u = np.exp(1j * (TAU * sign * z / np.sqrt(1.0 + z * z)))
+    def jet(z, out=None):
+        u, du = _outputs(out, z.shape, 1, size=1)
+        np.exp(1j * (TAU * sign * z / np.sqrt(1.0 + z * z)), out=u[0, 0])
         dtheta = TAU * sign * (1.0 + z * z) ** -1.5
-        return u[:, None, None], (1j * dtheta * u)[None, :, None, None]
+        np.multiply(1j * dtheta, u[0, 0], out=du[0, 0, 0])
+        return u, du
 
-    return MatrixField(evaluator=lambda pts: jet(pts)[0], dim=1, name=name, derivative=jet)
+    return MatrixField.from_jet(jet, 1, name)
 
 
 def uplus() -> MatrixField:
@@ -218,27 +218,26 @@ def u_gamma3() -> MatrixField:
 
     Chart coordinates (theta1, theta2, phi); det = 1 identically.
     """
-    def jet(pts):
-        t1, t2, ph = pts[:, 0], pts[:, 1], pts[:, 2]
+    def jet(t1, t2, ph, out=None):
         e = np.exp(1j * (ph + t1))
+        ce = np.conj(e)
         c, s = np.cos(t2), np.sin(t2)
-        u = np.empty((len(pts), 2, 2), dtype=complex)
-        u[:, 0, 0] = e * c
-        u[:, 0, 1] = -s
-        u[:, 1, 0] = s
-        u[:, 1, 1] = np.conj(e) * c
-        d = np.zeros((3, len(pts), 2, 2), dtype=complex)
-        d[0, :, 0, 0] = 1j * e * c
-        d[0, :, 1, 1] = -1j * np.conj(e) * c
-        d[2] = d[0]  # theta1 and phi enter only through phi + theta1
-        d[1, :, 0, 0] = -e * s
-        d[1, :, 0, 1] = -c
-        d[1, :, 1, 0] = c
-        d[1, :, 1, 1] = -np.conj(e) * s
+        u, d = _outputs(out, np.broadcast_shapes(t1.shape, t2.shape, ph.shape), 3)
+        np.multiply(e, c, out=u[0, 0])
+        u[0, 1] = -s
+        u[1, 0] = s
+        np.multiply(ce, c, out=u[1, 1])
+        d[0, 0, 0] = 1j * e * c
+        d[1, 1, 0] = -1j * ce * c
+        d[0, 1, 0] = d[1, 0, 0] = 0.0
+        d[:, :, 2] = d[:, :, 0]  # theta1 and phi enter only through phi + theta1
+        d[0, 0, 1] = -e * s
+        d[0, 1, 1] = -c
+        d[1, 0, 1] = c
+        d[1, 1, 1] = -ce * s
         return u, d
 
-    return MatrixField(evaluator=lambda pts: jet(pts)[0], dim=3, name="u_gamma3",
-                       derivative=jet)
+    return MatrixField.from_jet(jet, 3, "u_gamma3")
 
 
 def _uqu(t2, phase, p=None):

@@ -5,7 +5,7 @@ of Z^m that two integer matrices generate."""
 import numpy as np
 
 from mdlab.intlinalg import _column_hnf
-from mdlab.topology import MatrixField, _fd_gap, _fd_points, _jet, _smooth
+from mdlab.topology import MatrixField, _fd_gap, _fd_points, _smooth
 
 
 def derivative_check(field: MatrixField, pts) -> float:
@@ -15,7 +15,7 @@ def derivative_check(field: MatrixField, pts) -> float:
     values at those moved by ±FD_STEP.
     """
     pts = _smooth(field, np.atleast_2d(np.asarray(pts, dtype=float)))
-    values, partials = _jet(field)(np.concatenate([pts, _fd_points(pts)]))
+    values, partials = field.derivative(np.concatenate([pts, _fd_points(pts)]))
     return _fd_gap(partials[:, :len(pts)], values[len(pts):])
 
 

@@ -65,9 +65,35 @@ def test_config_rejections(tmp_path, capsys):
 
 
 def test_usage_errors_exit_64(capsys):
-    assert main(["bogus-command"]) == 64
-    assert main(["mdcheck"]) == 64  # missing --family
-    assert main(["mdcheck", "--family", "5_4_1", "--no-such-flag"]) == 64
+    # Each says why on an `mdlab: error:` line, after the usage text.
+    for argv, why in [(["bogus-command"], "invalid choice: 'bogus-command'"),
+                      (["mdcheck"], "the following arguments are required: --family"),
+                      (["mdcheck", "--family", "5_4_1", "--no-such-flag"],
+                       "unrecognized arguments: --no-such-flag")]:
+        assert main(argv) == 64
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("mdlab: error: ") and why in last, last
+
+
+@pytest.mark.parametrize("command, flag, value, code", [
+    (["algebra", "--family", "5_4_1", "--lambda2=2", "--lambda3=3"], "--lambda1", "-1e-3", 0),
+    (["mdcheck", "--family", "5_4_12", "--phi=1", "--samples=100"], "--lambda", "-2.5E+2", 0),
+    (["orbit", "--family", "5_4_4", "--lambda", "0.5"], "--F", "-1,0,0,0,1", 0),
+    # Refused by the parameter's domain, not by the parser.
+    (["algebra", "--family", "5_4_14", "--lambda=1", "--phi=1"], "--mu", "-.5e1", 64),
+    (["algebra", "--family", "5_4_14", "--lambda=1", "--phi=1"], "--mu", "-Infinity", 64),
+], ids=["exponent", "upper_case_exponent", "list", "out_of_domain", "infinity"])
+def test_negative_values_read_as_in_the_equals_form(command, flag, value, code, capsys):
+    # argparse's negative-number pattern has no exponent and no list, so it
+    # took these values for options.
+    codes, outputs = [], []
+    for given in ([flag, value], [f"{flag}={value}"]):
+        codes.append(main(command + given + ["--json"]))
+        captured = capsys.readouterr()
+        outputs.append([line for line in (captured.out + captured.err).splitlines()
+                        if '"generated_at"' not in line])
+    assert codes == [code, code] and outputs[0] == outputs[1]
+    assert code == 0 or outputs[0][-1].startswith("mdlab: error: 5_4_14: mu must lie in (0, inf)")
 
 
 def test_invalid_parameters_exit_64(capsys):
@@ -257,9 +283,13 @@ def test_output_file(tmp_path, capsys):
     assert rep["status"] == "pass"
 
 
-def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys):
-    # The run finishes before the write; a path that cannot be written is bad
-    # input, reported on one line, not a traceback with the failed-check code.
+def test_an_unwritable_output_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # A path that cannot be written is bad input, refused before the run and
+    # reported on one line, not a traceback with the failed-check code.
+    def reached(args, config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setitem(cli._COMMANDS, "sixterm", reached)
     out_path = tmp_path / "missing" / "r.json"
     assert main(["sixterm", "--preset", "gamma3", "--output", str(out_path)]) == 64
     err = capsys.readouterr().err.splitlines()

@@ -218,6 +218,27 @@ def test_jacobi_positive_for_random_antisymmetric_tensor():
     assert jacobi_residual(alg) > 0.1
 
 
+@pytest.mark.parametrize("fid, params", [
+    ("5_4_11", {"lambda1": 1e300, "lambda2": 1e-300, "phi": 1.0}),
+    ("5_4_14", {"lambda": 1e200, "mu": 1e200, "phi": 1.0}),
+])
+def test_jacobi_residual_does_not_overflow_at_extreme_parameters(fid, params):
+    # Products of structure constants near 1e300 overflowed to inf - inf = NaN,
+    # with a RuntimeWarning, which pytest raises.
+    assert jacobi_residual(build_md5(fid, **params)) == 0.0
+
+
+def test_jacobi_residual_keeps_the_bits_of_the_unscaled_sum():
+    # Scaling by a power of two is exact away from overflow and underflow.
+    rng = np.random.default_rng(8)
+    for exponent in rng.uniform(-100, 100, 50):
+        c = rng.standard_normal((5, 5, 5)) * 10.0 ** exponent
+        c = c - c.transpose(1, 0, 2)
+        t = np.einsum("ijm,mkl->ijkl", c, c)
+        direct = np.abs(t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)).max()
+        assert repr(jacobi_residual(LieAlgebra(c))) == repr(float(direct))
+
+
 def test_derived_ideal_span_and_flag():
     alg = build_md5("5_4_1", lambda1=2.0, lambda2=3.0, lambda3=5.0)
     ideal = derived_ideal(alg)

@@ -59,65 +59,61 @@ def test_winding_reference_phases():
     assert r.rounded == 1 and r.residual < 1e-6
 
 
-def test_winding_constant_is_zero():
-    def ev(pts):
-        return np.full((len(pts), 1, 1), 2.0 + 0j)
+def _line_field(name: str, jet) -> MatrixField:
+    """The 1x1 field on a line whose value and derivative at the points z are jet(z)."""
+    def entry_major(z, out=None):
+        u, du = jet(z)
+        return u[None, None], du[None, None, None]
 
-    const = MatrixField(ev, 1, "const", lambda pts: (ev(pts), np.zeros((1, len(pts), 1, 1),
-                                                                       complex)))
+    return MatrixField.from_jet(entry_major, 1, name)
+
+
+def test_winding_constant_is_zero():
+    const = _line_field("const", lambda z: (np.full(z.shape, 2.0 + 0j),
+                                            np.zeros(z.shape, complex)))
     assert winding_1d(const, "+").rounded == 0
 
 
+def _phase_jet(base: MatrixField):
+    """The value and derivative of the 1x1 field base at the points z."""
+    def jet(z):
+        u, du = base.derivative(z[:, None])
+        return u[:, 0, 0], du[0, :, 0, 0]
+
+    return jet
+
+
 def _phase_power(base: MatrixField, k: int) -> MatrixField:
-    def jet(pts):
-        u, du = base.derivative(pts)
+    def jet(z):
+        u, du = _phase_jet(base)(z)
         return u ** k, k * u ** (k - 1) * du
 
-    return MatrixField(lambda pts: base.evaluator(pts) ** k, 1, f"{base.name}^{k}", jet)
+    return _line_field(f"{base.name}^{k}", jet)
 
 
 def test_winding_additivity_under_products():
     up = uplus()
     assert winding_1d(_phase_power(up, 2), "+").rounded == 2
 
-    def jet(pts):
-        u, du = up.derivative(pts)
+    def jet(z):
+        u, du = _phase_jet(up)(z)
         return u ** 2 * u, 3 * u ** 2 * du
 
-    prod = MatrixField(lambda pts: up.evaluator(pts) ** 2 * up.evaluator(pts), 1, "u3", jet)
-    assert winding_1d(prod, "+").rounded == 3
+    assert winding_1d(_line_field("u3", jet), "+").rounded == 3
 
 
 def test_winding_rejects_singular_field():
-    def ev(pts):
-        return pts[:, 0][:, None, None].astype(complex)  # vanishes at z = 0
-    f = MatrixField(ev, 1, "z", lambda pts: (ev(pts), np.ones((1, len(pts), 1, 1), complex)))
+    # z vanishes at z = 0.
+    f = _line_field("z", lambda z: (z.astype(complex), np.ones(z.shape, complex)))
     with pytest.raises(NonInvertibleFieldError):
         winding_1d(f, "+")
 
 
 def test_winding_rejects_mismatched_limits():
-    def ev(pts):
-        z = pts[:, 0]
-        return ((z - 1j) / (z + 1j))[:, None, None]  # -1 at 0, +1 at infinity
-
-    def jet(pts):
-        z = pts[:, 0]
-        return ev(pts), (2j / (z + 1j) ** 2)[None, :, None, None]
-
-    f = MatrixField(ev, 1, "moebius", jet)
+    # -1 at 0, +1 at infinity.
+    f = _line_field("moebius", lambda z: ((z - 1j) / (z + 1j), 2j / (z + 1j) ** 2))
     with pytest.raises(BoundaryConditionError, match="limits"):
         winding_1d(f, "+")
-
-
-def test_fields_without_a_derivative_are_refused():
-    with pytest.raises(ValueError, match="const: no exact derivative"):
-        winding_1d(MatrixField(lambda pts: np.ones((len(pts), 1, 1), complex), 1, "const"))
-    bare = dataclasses.replace(phat_disk(64), name="bare", derivative=None)
-    with pytest.raises(ValueError, match="bare: no exact derivative"):
-        chern_2d(bare)
-    with pytest.raises(ValueError, match="bare: no exact derivative"):
-        derivative_check(bare, [[0.5, 1.0]])
 
 
 def test_winding_1d_nan_derivative_stops_the_recursion():
@@ -142,13 +138,13 @@ def test_chern_calibration_charge():
 
 def test_chern_cartesian_chart_agrees():
     dom = GridDomain((Axis(-1.5, 1.5, 384, "constant"), Axis(-1.5, 1.5, 384, "constant")))
-    r = chern_2d(phat(), dom)
+    r = chern_2d(dataclasses.replace(phat(), default_domain=dom))
     assert r.rounded == 1
 
 
 def test_chern_constant_projection_is_zero():
     dom = GridDomain((Axis(-1.0, 1.0, 64, "constant"), Axis(-1.0, 1.0, 64, "constant")))
-    r = chern_2d(q_const(), dom)
+    r = chern_2d(dataclasses.replace(q_const(), default_domain=dom))
     assert r.rounded == 0 and abs(r.raw) < 1e-12
 
 
@@ -179,7 +175,7 @@ def test_chern_refinement_stability():
 def test_chern_rejects_nonconstant_boundary():
     dom = GridDomain((Axis(-0.8, 0.8, 64, "constant"), Axis(-0.8, 0.8, 64, "constant")))
     with pytest.raises(BoundaryConditionError, match="boundary variation"):
-        chern_2d(phat(), dom)
+        chern_2d(dataclasses.replace(phat(), default_domain=dom))
 
 
 def test_chern_rejects_non_projection():
@@ -193,8 +189,8 @@ def test_chern_rejects_non_projection():
         vals, partials = base.axis_jet(lead, last, out)
         return 0.5 * vals, 0.5 * partials
 
-    bad = MatrixField(lambda pts: 0.5 * base.evaluator(pts), 2, "half", jet,
-                      base.default_domain, axis_jet=axis_jet)
+    bad = dataclasses.replace(base, name="half", evaluator=lambda pts: 0.5 * base.evaluator(pts),
+                              derivative=jet, axis_jet=axis_jet)
     with pytest.raises(ValueError, match="projection residual|boundary"):
         chern_2d(bad)
 
@@ -205,7 +201,7 @@ def test_half_disk_residual_is_flagged():
     dom = GridDomain((Axis(0.0, math.pi / 4, 64, "constant"), Axis(0.0, 2 * math.pi, 64,
                                                                    "periodic")))
     with pytest.raises((ResidualError, BoundaryConditionError)):
-        chern_2d(field, dom)
+        chern_2d(dataclasses.replace(field, default_domain=dom))
 
 
 def test_winding3d_identity_field_is_zero():
@@ -241,9 +237,8 @@ def test_grid_integrals_are_independent_of_the_chunking(dim, sum_points, block):
 
 
 def test_winding3d_rejects_bad_boundary():
-    u = u_gamma3()
     dom = GridDomain((Axis(-1.0, 1.0, 16),) * 3)
-    bad = MatrixField(u.evaluator, 3, "u_box", u.derivative, dom)
+    bad = dataclasses.replace(u_gamma3(), name="u_box", default_domain=dom)
     with pytest.raises(BoundaryConditionError, match="enlarge"):
         winding_3d(bad)
 
@@ -275,9 +270,7 @@ def _nan_at(field, point, part="value", value=np.nan):
                                                             axis=1)] = value
         return vals, partials
 
-    changes = {"derivative": jet}
-    if field.axis_jet is not None:
-        changes["axis_jet"] = axis_jet
+    changes = {"derivative": jet, "axis_jet": axis_jet}
     if part == "value":
         changes["evaluator"] = lambda pts: mark(pts, field.evaluator(pts))
     return dataclasses.replace(field, **changes)
@@ -341,10 +334,8 @@ def _block_3x3(field, corner):
         vals, partials = field.axis_jet(lead, last)
         return entry_major(with_corner, vals), entry_major(pad, partials)
 
-    changes = {"derivative": jet, "evaluator": lambda pts: with_corner(field.evaluator(pts))}
-    if field.axis_jet is not None:
-        changes["axis_jet"] = axis_jet
-    return dataclasses.replace(field, name=f"{field.name}_3x3", **changes)
+    return dataclasses.replace(field, name=f"{field.name}_3x3", derivative=jet, axis_jet=axis_jet,
+                               evaluator=lambda pts: with_corner(field.evaluator(pts)))
 
 
 def test_grid_integrals_refuse_fields_larger_than_2x2():
@@ -398,10 +389,8 @@ def _counting(field):
         seen[0] += len(lead) * len(last)
         return field.axis_jet(lead, last, out)
 
-    changes = {"evaluator": count(field.evaluator), "derivative": count(field.derivative)}
-    if field.axis_jet is not None:
-        changes["axis_jet"] = axis_jet
-    return dataclasses.replace(field, **changes), seen
+    return dataclasses.replace(field, evaluator=count(field.evaluator),
+                               derivative=count(field.derivative), axis_jet=axis_jet), seen
 
 
 def _grid(domain):
@@ -458,9 +447,9 @@ def test_one_f2_index_call_winds_over_the_half_spaces_once(monkeypatch):
         fields.append(_counting(exp_ptilde(side, n)))
         return fields[-1][0]
 
-    def named_winding_3d(field, domain=None):
+    def named_winding_3d(field):
         wound.append(field.name)
-        return winding_3d(field, domain)
+        return winding_3d(field)
 
     monkeypatch.setattr(invariants, "exp_ptilde", counted_exp_ptilde)
     monkeypatch.setattr(invariants, "winding_3d", named_winding_3d)
@@ -702,11 +691,10 @@ def _box_domain(n):
 
 
 # Every witness of the grid integrals at two grids each: (integral, field,
-# domain, derivative-check sample size).
-_GUARD_CASES = ([(chern_2d, disk(n), None, 64) for disk in (phat_disk, gamma3_disk)
-                 for n in (64, 128)]
-                + [(winding_3d, exp_ptilde(side, n), None, 48) for side in "+-" for n in (16, 24)]
-                + [(winding_3d, lift(), _box_domain(n), 48)
+# derivative-check sample size).
+_GUARD_CASES = ([(chern_2d, disk(n), 64) for disk in (phat_disk, gamma3_disk) for n in (64, 128)]
+                + [(winding_3d, exp_ptilde(side, n), 48) for side in "+-" for n in (16, 24)]
+                + [(winding_3d, dataclasses.replace(lift(), default_domain=_box_domain(n)), 48)
                    for lift in (trivial_lift_unit, trivial_lift_eps1) for n in (16, 24)])
 
 
@@ -717,14 +705,13 @@ def _winding_integrand(values, partials):
     return topology._trace_commutator2(a[:, :, 0], a[:, :, 1], a[:, :, 2])
 
 
-@pytest.mark.parametrize("integral, field, domain, n", _GUARD_CASES,
-                         ids=[f"{f.name}_{(d or f.default_domain).axes[0].n}"
-                              for _, f, d, _ in _GUARD_CASES])
-def test_the_guards_read_the_values_of_separate_calls(integral, field, domain, n):
+@pytest.mark.parametrize("integral, field, n", _GUARD_CASES,
+                         ids=[f"{f.name}_{f.default_domain.axes[0].n}" for _, f, _ in _GUARD_CASES])
+def test_the_guards_read_the_values_of_separate_calls(integral, field, n):
     # One derivative call gives every guard its points; each guard must read
     # what separate public calls on its own points give.
-    domain = domain or field.default_domain
-    res = integral(field, domain)
+    domain = field.default_domain
+    res = integral(field)
     if integral is chern_2d:
         faces = field(topology._face_points(domain, range(2)))
         assert res.boundary_residual == topology._edge_constancy(faces, domain)
@@ -798,14 +785,6 @@ def test_a_constant_field_has_the_jets_of_its_value():
     assert all(np.shares_memory(a, b) for a, b in zip(filled, out))
     assert np.array_equal(filled[0], jet_values) and np.array_equal(filled[1], jet_partials)
     assert not field.support(pts).any()
-
-
-def test_grid_integrals_refuse_fields_without_a_per_axis_jet():
-    # The refusal comes where the grid starts, once the boundary has passed.
-    with pytest.raises(ValueError, match="flat_disk: no per-axis jet"):
-        chern_2d(dataclasses.replace(phat_disk(64), name="flat_disk", axis_jet=None))
-    with pytest.raises(ValueError, match="flat_box: no per-axis jet"):
-        winding_3d(dataclasses.replace(exp_ptilde("+", 16), name="flat_box", axis_jet=None))
 
 
 def _partials_off_at(field, point, delta):

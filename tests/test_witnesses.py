@@ -11,6 +11,8 @@ from mdlab.witnesses import (
     gamma3_disk,
     phat,
     phat_disk,
+    trivial_lift_eps1,
+    trivial_lift_unit,
     u_gamma3,
     uplus,
 )
@@ -56,13 +58,12 @@ def test_exp_of_lift_at_zero_height_is_identity():
     rng = np.random.default_rng(5)
     xy = rng.uniform(-2, 2, (5_000, 2))
     pts = np.concatenate([xy, np.zeros((len(xy), 1))], axis=1)
-    vals = ptilde()(pts)
+    vals = ptilde(pts)
     assert np.abs(expi_hermitian(vals, 2 * math.pi) - np.eye(2)).max() < 1e-10
 
 
 def test_ptilde_decays_with_height():
-    f = ptilde()
-    high = f(np.array([[0.3, 0.1, 1e6]]))[0]
+    high = ptilde(np.array([[0.3, 0.1, 1e6]]))[0]
     assert np.abs(high).max() < 2e-6
 
 
@@ -116,7 +117,7 @@ def test_exp_ptilde_is_the_normalized_exponential_of_the_lift(side, sign):
     x, y = rng.uniform(-1.5, 1.5, (2, 2000))
     v = rng.uniform(0.0, 0.99, 2000)
     z = sign * np.tan(0.5 * math.pi * v)
-    g = expi_hermitian(ptilde()(np.stack([x, y, z], axis=1)), 2 * math.pi)
+    g = expi_hermitian(ptilde(np.stack([x, y, z], axis=1)), 2 * math.pi)
     g[:, :, 0] *= np.exp(-2j * math.pi / np.sqrt(1.0 + z * z))[:, None]
     assert np.abs(exp_ptilde(side, 16)(np.stack([x, y, v], axis=1)) - g).max() <= 1e-12
 
@@ -140,16 +141,34 @@ def test_uplus_values():
     assert vals[1] == pytest.approx(expected, abs=1e-14)
 
 
-
 def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
 @pytest.mark.parametrize("field", [
+    phat(), phat_disk(64), exp_ptilde("+", 16), uplus(), u_gamma3(), gamma3_disk(64),
+    trivial_lift_unit(), trivial_lift_eps1(),
+], ids=lambda field: field.name)
+def test_the_evaluator_gives_the_bits_of_the_derivative_values(field):
+    # One witness of each factory in `mdlab.witnesses`.
+    pts = np.random.default_rng(11).uniform(-2.0, 2.0, (500, field.dim))
+    assert _bits(field(pts)) == _bits(field.derivative(pts)[0])
+
+
+# Boxes in the charts of the witnesses that carry no domain.
+_CHART_BOXES = {
+    "phat": GridDomain((Axis(-1.5, 1.5, 24), Axis(-1.5, 1.5, 20))),
+    "u_gamma3": GridDomain((Axis(0.0, 2 * math.pi, 16), Axis(0.0, 0.5 * math.pi, 20),
+                            Axis(0.0, 2 * math.pi, 24))),
+}
+
+
+@pytest.mark.parametrize("field", [
     phat_disk(64), gamma3_disk(64), exp_ptilde("+", 16), exp_ptilde("-", 16), phat(),
+    u_gamma3(),
 ], ids=lambda field: field.name)
 def test_the_per_axis_jet_is_the_derivative_bit_for_bit(field):
-    domain = field.default_domain or GridDomain((Axis(-1.5, 1.5, 24), Axis(-1.5, 1.5, 20)))
+    domain = field.default_domain or _CHART_BOXES[field.name]
     *lead_axes, last = (ax.midpoints() for ax in domain.axes)
     lead = np.stack(np.meshgrid(*lead_axes, indexing="ij"), axis=-1).reshape(-1, field.dim - 1)
     leads = [lead]

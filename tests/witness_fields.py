@@ -1,6 +1,7 @@
 """Witness fields that only the tests use: the phase u_- on the negative
 half-line, the constant projection q = diag(1, 0) on the plane, and the
-self-adjoint lift ptilde, whose exponential is a second route to exp_ptilde."""
+values of the self-adjoint lift ptilde, whose exponential is a second route
+to exp_ptilde."""
 
 import numpy as np
 
@@ -18,9 +19,8 @@ def q_const() -> MatrixField:
     return MatrixField.constant(np.diag([1.0, 0.0]), 2, "q")
 
 
-def ptilde() -> MatrixField:
-    """Self-adjoint lift phat(x, y)/sqrt(1 + z^2) of the hedgehog projection."""
-    def ev(pts):
-        base = _phat_jet(pts[:, 0], pts[:, 1])[0]
-        return np.moveaxis(base / np.sqrt(1.0 + pts[:, 2] ** 2), -1, 0)
-    return MatrixField(evaluator=ev, dim=3, name="ptilde")
+def ptilde(pts) -> np.ndarray:
+    """Self-adjoint lift phat(x, y)/sqrt(1 + z^2) of the hedgehog projection at
+    (N, 3) points (x, y, z), as (N, 2, 2) values."""
+    base = _phat_jet(pts[:, 0], pts[:, 1])[0]
+    return np.moveaxis(base / np.sqrt(1.0 + pts[:, 2] ** 2), -1, 0)
