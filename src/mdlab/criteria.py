@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import foliation, intlinalg, ktheory, liealg, orbits
-from .invariants import index_invariant
+from .invariants import index_invariants_f2_f3
 from .topology import RESIDUAL_LIMIT, expi_hermitian, projection_residual, winding_1d
 from .witnesses import phat, u_gamma3, uplus
 
@@ -192,8 +192,7 @@ def _witness_identities(cfg) -> list[dict]:
 
 
 def _index_invariants(cfg) -> list[dict]:
-    res2 = index_invariant("F2", resolution_2d=cfg.grid2d, resolution_3d=cfg.grid3d)
-    res3 = index_invariant("F3", resolution_2d=cfg.grid2d)
+    res2, res3 = index_invariants_f2_f3(resolution_2d=cfg.grid2d, resolution_3d=cfg.grid3d)
     worst = _max([v["residual"] for r in (res2, res3) for v in r.integrals.values()])
     return [check("index_F2", index_holds(res2), "gamma1 = [[0,1],[0,1]], gamma2 = (1,1)",
                   gamma1=res2.gamma1, gamma2=res2.gamma2, k_groups=res2.k_groups),

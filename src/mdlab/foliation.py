@@ -272,21 +272,24 @@ def _principal_angles(a, b) -> np.ndarray:
 
     a and b are stacks (..., n, k) of bases of k-planes, each of full rank.
     This is scipy.linalg.subspace_angles's algorithm (Bjorck and Golub, Math.
-    Comp. 27 (1973) 579) on whole stacks, with scipy's order of the k angles
-    and its choice of branch: with P and Q orthonormal bases of the two spans
-    from their SVDs, the cosines are the singular values of P^T Q, and where
-    a cosine squared reaches 0.5 the angle comes from the sines, the singular
-    values of Q - P P^T Q, which resolve the small angles that arccos loses.
-    A point with a non-finite entry gets NaN angles.
+    Comp. 27 (1973) 579) on whole stacks, with scipy's order of the k angles,
+    largest first: with P and Q orthonormal bases of the two spans from their
+    SVDs, the cosines are the singular values of P^T Q, and the sines those of
+    Q - P P^T Q.  Each angle whose own cosine squared reaches 0.5 comes from
+    its sine, which resolves the small angles that arccos loses, and the
+    others from their cosine, which resolves those near pi/2 that arcsin
+    loses.  (scipy tests the cosines in the opposite order to the angles, so
+    it takes the other branch for an angle pair that straddles pi/4.)  A
+    point with a non-finite entry gets NaN angles.
     """
     def angles(a, b):
         p = np.linalg.svd(a, full_matrices=False)[0]
         q = np.linalg.svd(b, full_matrices=False)[0]
         ptq = np.swapaxes(p, -1, -2) @ q
-        cos = np.linalg.svd(ptq, compute_uv=False)
+        cos = np.linalg.svd(ptq, compute_uv=False)[..., ::-1]  # largest angle first
         sin = np.linalg.svd(q - p @ ptq, compute_uv=False)
         return np.where(cos ** 2 >= 0.5, np.arcsin(np.clip(sin, -1.0, 1.0)),
-                        np.arccos(np.clip(cos[..., ::-1], -1.0, 1.0)))
+                        np.arccos(np.clip(cos, -1.0, 1.0)))
     return _on_finite(angles, math.nan, a, b)
 
 

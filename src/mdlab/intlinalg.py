@@ -11,6 +11,7 @@ returns.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from math import gcd
 
@@ -164,36 +165,58 @@ def invariant_factors(m) -> list[int]:
     return _diagonal(d, cols)
 
 
+@cache
+def _expansion_plan(rows: int, cols: int, k: int) -> tuple:
+    """Where each k-minor of a rows x cols matrix reads its Laplace expansion.
+
+    The k-minors are listed column tuple by column tuple, and within each by
+    row tuple, both in `combinations` order; the (k-1)-minors likewise.  For
+    each k-minor the plan holds its first column c and, for each row r of its
+    row tuple in turn, the triple (r, position of the complementary
+    (k-1)-minor, whether r's place in the tuple is odd).  Indices only: it
+    depends on the shape alone.
+    """
+    row_sets = {sr: i for i, sr in enumerate(combinations(range(rows), k - 1))}
+    col_sets = {sc: i for i, sc in enumerate(combinations(range(cols), k - 1))}
+    plan = []
+    for sc in combinations(range(cols), k):
+        base = col_sets[sc[1:]] * len(row_sets)
+        for sr in combinations(range(rows), k):
+            plan.append((sc[0], tuple((r, base + row_sets[sr[:i] + sr[i + 1:]], i & 1)
+                                      for i, r in enumerate(sr))))
+    return tuple(plan)
+
+
 def minor_gcd_invariant_factors(m) -> list[int]:
     """Determinantal-divisor oracle: d_k = gcd(k-minors) / gcd((k-1)-minors).
 
     It shares nothing with the elimination of `_snf`.  The k-minors are built
     from a table of the (k-1)-minors, each by Laplace expansion along its
     first column, so every minor is computed once; the table for k holds
-    C(rows, k) * C(cols, k) of them.  It stops at the first k whose minors
-    all vanish, since every larger minor vanishes with them.  The tables grow
-    combinatorially with the matrix size; it is meant for small matrices.
+    C(rows, k) * C(cols, k) of them.  Which entries each expansion reads comes
+    from `_expansion_plan`, built once per shape (rows, cols, k).  It stops at
+    the first k whose minors all vanish, since every larger minor vanishes with
+    them.  The tables grow combinatorially with the matrix size; it is meant
+    for small matrices.
     """
     a, cols = _rows(m)
     rows = len(a)
-    # minors[sr, sc] is the minor on the row tuple sr and the column tuple sc.
-    minors = {((), ()): 1}
+    columns = list(zip(*a))
+    minors = [1]  # the one 0-minor
     factors = []
     prev = 1
     for k in range(1, min(rows, cols) + 1):
-        table = {}
-        g = 0
-        for sc in combinations(range(cols), k):
-            c, rest = sc[0], sc[1:]
-            for sr in combinations(range(rows), k):
-                det = 0
-                for idx, r in enumerate(sr):
-                    x = a[r][c]
-                    if x:
-                        term = x * minors[sr[:idx] + sr[idx + 1:], rest]
-                        det = det - term if idx & 1 else det + term
-                table[sr, sc] = det
-                g = gcd(g, det)
+        table = []
+        for c, terms in _expansion_plan(rows, cols, k):
+            column = columns[c]
+            det = 0
+            for r, pos, odd in terms:
+                x = column[r]
+                if x:
+                    term = x * minors[pos]
+                    det = det - term if odd else det + term
+            table.append(det)
+        g = gcd(*table)
         if g == 0:
             break
         factors.append(g // prev)

@@ -40,7 +40,7 @@ from .witnesses import (
     trivial_lift_unit,
 )
 
-__all__ = ["IndexInvariants", "index_invariant"]
+__all__ = ["IndexInvariants", "index_invariant", "index_invariants_f2_f3"]
 
 
 @dataclass
@@ -85,10 +85,25 @@ def index_invariant(kind: str, resolution_2d: int = 512,
     """Compute the index invariants of type F2 or F3 from the witness integrals."""
     if kind not in ("F2", "F3"):
         raise ValueError("kind must be 'F2' or 'F3'")
+    return _index_invariant(kind, resolution_2d, resolution_3d,
+                            chern_2d(phat_disk(resolution_2d)))
+
+
+def index_invariants_f2_f3(resolution_2d: int = 512, resolution_3d: int = 128
+                           ) -> tuple[IndexInvariants, IndexInvariants]:
+    """`index_invariant` of F2 and of F3, which share one calibration integral."""
+    cal = chern_2d(phat_disk(resolution_2d))
+    return (_index_invariant("F2", resolution_2d, resolution_3d, cal),
+            _index_invariant("F3", resolution_2d, resolution_3d, cal))
+
+
+def _index_invariant(kind: str, resolution_2d: int, resolution_3d: int,
+                     cal: IntegralResult) -> IndexInvariants:
+    """`index_invariant`, given `cal`, the Chern integral of phat_disk(resolution_2d)."""
     res = IndexInvariants(kind)
 
     # Orientation calibration: the hedgehog disk charge is the +1 reference.
-    cal = _store(res, chern_2d(phat_disk(resolution_2d)))
+    _store(res, cal)
     res.cross_checks["calibration_charge_is_one"] = cal.rounded == 1
 
     if kind == "F2":

@@ -14,9 +14,12 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "FAMILIES",
@@ -27,6 +30,7 @@ __all__ = [
     "bracket",
     "jacobi_residual",
     "derived_ideal",
+    "exact_det",
     "sample_family",
 ]
 
@@ -294,6 +298,33 @@ def derived_ideal(alg: LieAlgebra) -> DerivedIdeal:
     basis = basis.copy()
     basis.setflags(write=False)
     return DerivedIdeal(basis, commutative)
+
+
+def exact_det(family: MD5Family) -> Fraction:
+    """det M of the family's block, with no rounding: each float entry is its exact
+    Fraction, and Gaussian elimination on Fractions is exact.
+
+    The only brackets are [X1, X_j] = sum_i M_ij X_i, so the derived ideal is
+    M(span(X2..X5)): it has rank 4 exactly when det M != 0.
+    """
+    # Imported here: fractions imports decimal, about 2 ms that every other
+    # command would pay at start-up for this one rare path.
+    from fractions import Fraction
+
+    m = [[Fraction(x) for x in row] for row in family.ad_block().tolist()]
+    det = Fraction(1)
+    for t in range(4):
+        pivot = next((i for i in range(t, 4) if m[i][t]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != t:
+            m[t], m[pivot] = m[pivot], m[t]
+            det = -det
+        det *= m[t][t]
+        for i in range(t + 1, 4):
+            q = m[i][t] / m[t][t]
+            m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+    return det
 
 
 # Sampling of valid parameters, used by randomized checks and the CLI.

@@ -4,7 +4,11 @@ Covectors are length-5 arrays (alpha, beta, gamma, delta, sigma) in the dual
 basis.  The orbit dimension is the numeric rank of the Kirillov form, from
 closed-form singular values.  The rank kernel holds covectors as the columns
 of a (5, N) array and forms only the live upper entries of the forms, those
-not zero for every covector, as rows of an (L, N) array (`_live_forms`).  The
+not zero for every covector, as rows of an (L, N) array (`_live_forms`).  A
+catalogue form is e1 ^ w with w = M^T (F2, ..., F5), with no Pfaffian term,
+so its rank 2 [w != 0] is read from the largest |entry| alone; only
+non-finite covectors and forms large enough for s1 to overflow go through
+the singular values (`_batched_ranks`).  The
 one-parameter coadjoint flow on the last four coordinates is
 exp(a * M^T) where M is the ad_{X1} block; the first coordinate is the free
 orbit parameter.  The flow exponentiates the whole stack of a * M^T at once by
@@ -38,6 +42,8 @@ __all__ = [
 RANK_TOL = 1e-8
 RANK_BLOCK = 2048  # covectors per rank block, so that memory does not grow with the sample count
 KEPT_COUNTEREXAMPLES = 10  # counterexamples an MDReport lists; it counts all of them
+# Below this largest |entry| m, s1 = sqrt(p) * m with p <= 10 cannot overflow.
+_M_SAFE = 2.0 ** 1021
 # Largest deviation of the matrix-exponential flow from a closed-form orbit.
 FLOW_TOL = 1e-9
 # `mdlab orbit` judges the flow to FLOW_TOL * scale, relative to the orbit's
@@ -113,7 +119,12 @@ def _singular_values(live, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sc, pfaffians = live
     with np.errstate(over="ignore", invalid="ignore"):
         b = sc @ fs
-        m = np.abs(b).max(axis=0, initial=0.0)
+    return _form_singular_values(b, np.abs(b).max(axis=0, initial=0.0), pfaffians)
+
+
+def _form_singular_values(b: np.ndarray, m: np.ndarray, pfaffians):
+    """`_singular_values` of the live upper entries b (L, n), whose largest |entry| is m (n)."""
+    with np.errstate(over="ignore", invalid="ignore"):
         scale = np.where(m > 0.0, m, 1.0)  # an inf or NaN entry leaves a NaN in u, and so in p
         u = b / scale
         p = np.zeros(len(m))
@@ -137,15 +148,33 @@ def _batched_ranks(alg: LieAlgebra, fs: np.ndarray) -> np.ndarray:
     RANK_TOL * s1: the cut is relative at every scale, so a form from 1e-300 to
     1e300 gets the rank of its unit multiple.  A non-finite covector, and a
     form whose s1 is not finite, has rank -1.
+
+    A form with no Pfaffian term, as every catalogue form e1 ^ w is, has
+    q = 0 and so s2 = 0, and s1 = sqrt(p) * m > 0 exactly when the largest
+    |entry| m is: its rank is 2 [m > 0], read from m alone.  Only the columns
+    where that reading could differ from the singular values go through them:
+    a covector with a non-finite coordinate, and a form whose m is not below
+    _M_SAFE, where s1 may overflow.
     """
-    live = _live_forms(alg)
+    sc, pfaffians = _live_forms(alg)
     ranks = np.empty(fs.shape[1], dtype=int)
     for lo in range(0, fs.shape[1], RANK_BLOCK):
         f = fs[:, lo:lo + RANK_BLOCK]
-        s1, s2 = _singular_values(live, f)
         r = ranks[lo:lo + RANK_BLOCK]
-        r[:] = 2 * (s1 > 0.0) + 2 * (s2 > RANK_TOL * s1)
-        r[~(np.isfinite(f).all(axis=0) & np.isfinite(s1))] = -1
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN and inf covectors
+            b = sc @ f
+            m = np.abs(b).max(axis=0, initial=0.0)
+            if pfaffians:
+                slow = slice(None)
+            else:
+                r[:] = 2 * (m > 0.0)
+                # A column sum past the largest float only sends its column the long way.
+                slow = np.flatnonzero(~(np.isfinite(f.sum(axis=0)) & (m < _M_SAFE)))
+                if not slow.size:
+                    continue
+        s1, s2 = _form_singular_values(b[:, slow], m[slow], pfaffians)
+        r[slow] = np.where(np.isfinite(f[:, slow]).all(axis=0) & np.isfinite(s1),
+                           2 * (s1 > 0.0) + 2 * (s2 > RANK_TOL * s1), -1)
     return ranks
 
 
@@ -198,7 +227,10 @@ def md_verify(alg: LieAlgebra, n_samples: int, seed: int) -> MDReport:
     dimension-0 probes _BOUNDARY_ALPHAS are appended.  The covectors are held
     as the columns of a (5, N) array, and each rank counts the closed-form
     singular values of the Kirillov form above the cut (see _singular_values),
-    in blocks of RANK_BLOCK covectors.  Violations are report content, not
+    in blocks of RANK_BLOCK covectors; a form with no Pfaffian term, as every
+    catalogue form is, has rank 2 exactly when its largest |entry| is above 0,
+    and only its non-finite and near-overflow columns need the singular values
+    (see _batched_ranks).  Violations are report content, not
     exceptions: the report counts them and lists the first
     KEPT_COUNTEREXAMPLES, in sample order.
     """

@@ -313,24 +313,43 @@ def _finish(raw_complex, boundary_residual, grid, name, extra=None) -> IntegralR
 # 1D winding
 
 def _adaptive_simpson(g, a, b, tol):
-    fa, fb = g(a), g(b)
+    """Adaptive Simpson on [a, b], one level of the recursion at a time.
+
+    g maps an array of nodes to the array of their values, and is called once
+    per level, on every node that level adds.  An interval is split while its
+    two halves differ from it by more than 15 tol (halved at each level) and
+    depth remains, down to 40 levels; a NaN difference stops it.  The sums are
+    added up the same tree, the left half before the right, as the recursive
+    form adds them.
+    """
+    depth = 40
     m = 0.5 * (a + b)
-    fm = g(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(a, fa, b, fb, m, fm, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = g(lm), g(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - whole
-        if depth <= 0 or not abs(delta) > 15.0 * tol:  # a NaN delta stops here
-            return left + right + delta / 15.0
-        return (rec(a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1)
-                + rec(m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1))
-
-    return rec(a, fa, b, fb, m, fm, whole, tol, 40)
+    fa, fm, fb = g(np.array([a, m, b]))
+    level = [(a, fa, b, fb, m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol)]
+    levels = []  # per level, each interval's sum, or None where it was split
+    while level:
+        halves = [(0.5 * (a + m), 0.5 * (m + b)) for a, _, b, _, m, *_ in level]
+        values = g(np.array(halves).ravel())
+        sums, level_below = [], []
+        for (a, fa, b, fb, m, fm, whole, tol), (lm, rm), flm, frm in zip(
+                level, halves, values[0::2], values[1::2]):
+            left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+            right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+            delta = left + right - whole
+            if depth <= 0 or not abs(delta) > 15.0 * tol:  # a NaN delta stops here
+                sums.append(left + right + delta / 15.0)
+            else:
+                sums.append(None)
+                level_below += [(a, fa, m, fm, lm, flm, left, 0.5 * tol),
+                                (m, fm, b, fb, rm, frm, right, 0.5 * tol)]
+        levels.append(sums)
+        level = level_below
+        depth -= 1
+    below = []
+    for sums in reversed(levels):
+        children = iter(below)
+        below = [s if s is not None else next(children) + next(children) for s in sums]
+    return below[0]
 
 
 def winding_1d(f: MatrixField, side: str = "+", tol: float = 1e-8) -> IntegralResult:
@@ -341,9 +360,10 @@ def winding_1d(f: MatrixField, side: str = "+", tol: float = 1e-8) -> IntegralRe
     the increasing-z integral on R_+ and +(1/2πi) of it on R_-, making the
     reference phase on either side wind +1.  The field must be safely
     invertible with a common limit at 0 and at infinity.  The half-line is
-    compactified with z = sgn * w/(1-w) and integrated by adaptive Simpson.
-    One derivative call gives the values at the 97 guard points and the two
-    limit points.
+    compactified with z = sgn * w/(1-w) and integrated by adaptive Simpson,
+    which takes the values at all the new nodes of a level from one derivative
+    call.  One more derivative call gives the values at the 97 guard points
+    and the two limit points.
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
@@ -363,13 +383,10 @@ def winding_1d(f: MatrixField, side: str = "+", tol: float = 1e-8) -> IntegralRe
             f"{f.name}: limits at 0 and infinity differ by {limit_gap:.3g}")
 
     def integrand(w):
-        if w >= 1.0:
-            return 0.0 + 0.0j
         z = sgn * w / (1.0 - w)
         dz = sgn / (1.0 - w) ** 2  # dz/dw of the outward path
-        val, df = f.derivative(np.array([[z]]))
-        tr = np.trace(df[0, 0] @ np.linalg.inv(val[0]))
-        return tr * dz
+        val, df = f.derivative(z[:, None])
+        return np.trace(df[0] @ np.linalg.inv(val), axis1=-2, axis2=-1) * dz
 
     total = _adaptive_simpson(integrand, 0.0, 1.0 - 1e-12, tol)
     raw = -total / (2.0j * math.pi)

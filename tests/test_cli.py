@@ -118,6 +118,30 @@ def test_non_finite_family_parameters_exit_64(capsys):
     assert "mdlab: error: 5_4_14: lambda must lie in R (got inf)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, float_rank", [
+    (["--family", "5_4_12", "--lambda", "1e-200", "--phi", "1.5707963267948966"], 2),
+    (["--family", "5_4_1", "--lambda1", "1e-320", "--lambda2", "2", "--lambda3", "3"], 3),
+    (["--family", "5_4_14", "--lambda", "1e200", "--mu", "1e200", "--phi", "1"], 2),
+])
+def test_algebra_is_inconclusive_where_the_float_rank_contradicts_the_exact_det(
+        capsys, params, float_rank):
+    # The singular-value cut reads rank 2 or 3 for a block whose entries lie far
+    # apart in scale, but det M is exactly nonzero: the derived ideal has rank 4,
+    # and the float route cannot show it.  Inconclusive, never a failed check.
+    assert main(["algebra", *params, "--json"]) == 2
+    jacobi, ideal = json.loads(capsys.readouterr().out)["checks"]
+    assert jacobi["status"] == "pass"
+    assert ideal["status"] == "inconclusive"
+    assert ideal["metrics"]["rank"] == float_rank
+    assert ideal["metrics"]["exact_det_nonzero"] is True
+
+
+def test_algebra_report_adds_the_exact_det_only_where_the_float_rank_is_short(capsys):
+    assert main(["algebra", "--family", "5_4_12", "--lambda", "1e-3", "--phi", "1", "--json"]) == 0
+    ideal = json.loads(capsys.readouterr().out)["checks"][1]
+    assert ideal["status"] == "pass" and "exact_det_nonzero" not in ideal["metrics"]
+
+
 def test_mdcheck_passes(capsys):
     code = main(["mdcheck", "--family", "5_4_4", "--lambda", "0.5",
                  "--samples", "2000", "--seed", "1"])

@@ -386,12 +386,38 @@ def test_principal_angles_match_scipy_point_by_point(kind):
     angles = foliation._principal_angles(a, b)
     expected = np.array([scipy.linalg.subspace_angles(x, y) for x, y in zip(a, b)])
     assert angles.shape == expected.shape == (200, 2)
-    assert np.abs(angles - expected).max() <= 1e-14
+    # scipy picks each angle's branch from the other angle's cosine, so it is the
+    # reference only where both cosines squared lie on one side of 0.5; where
+    # they straddle it, the known-angle test below is.
+    side = np.cos(expected) ** 2 >= 0.5
+    same = side[:, 0] == side[:, 1]
+    assert same.sum() >= 50
+    assert np.abs(angles[same] - expected[same]).max() <= 1e-14
+    assert np.abs(angles - expected).max() <= 1e-7
     # The aligned pairs take the sine branch and the orthogonal ones the cosine branch.
     if kind == "aligned":
         assert expected.max() < 1e-7
     if kind == "orthogonal":
         assert expected.min() > np.pi / 2 - 1e-7
+
+
+@pytest.mark.parametrize("small, large", [
+    (0.1, np.pi / 2 - 1e-7), (1e-8, 1.2), (0.3, 0.7), (0.9, 1.4),
+    (np.pi / 2 - 1e-7, np.pi / 2 - 1e-9), (1e-9, 2e-9), (0.0, np.pi / 2)])
+def test_principal_angles_of_planes_at_known_angles(small, large):
+    # span(u1, u2) against span(cos(s) u1 + sin(s) u3, cos(l) u2 + sin(l) u4)
+    # for orthonormal u1..u4, each plane in a random basis: the angles are s and l.
+    # Each angle takes the branch of its own cosine, so one near pi/2 keeps its
+    # digits beside a small one (at (0.1, pi/2 - 1e-7) scipy's branch choice is
+    # 2.3e-9 off in the larger angle).
+    rng = np.random.default_rng(53)
+    u = np.linalg.qr(rng.standard_normal((5, 5)))[0].T
+    a = np.stack([u[0], u[1]], axis=-1) @ rng.standard_normal((2, 2))
+    b = np.stack([np.cos(small) * u[0] + np.sin(small) * u[2],
+                  np.cos(large) * u[1] + np.sin(large) * u[3]], axis=-1)
+    b = b @ rng.standard_normal((2, 2))
+    angles = foliation._principal_angles(a[None], b[None])[0]
+    assert np.abs(angles - [large, small]).max() <= 1e-14, angles - [large, small]
 
 
 def test_principal_angles_of_a_non_finite_point_are_nan_in_that_point_only():

@@ -87,6 +87,24 @@ def test_invariant_factors_match_minor_gcd_oracle():
         assert invariant_factors(m) == minor_gcd_invariant_factors(m)
 
 
+@pytest.mark.parametrize("rows", range(1, 6))
+@pytest.mark.parametrize("cols", range(1, 7))
+def test_minor_gcd_oracle_on_every_shape_up_to_5x6(rows, cols):
+    # The expansion plan depends on the shape alone: each shape's plan serves a
+    # random, a zero and a rank-deficient matrix (a product through Z^r with
+    # r = min(rows, cols) - 1, or 1), and a matrix whose first column is zero.
+    rng = np.random.default_rng(rows * 10 + cols)
+    r = max(min(rows, cols) - 1, 1)
+    deficient = rng.integers(-3, 4, (rows, r)) @ rng.integers(-3, 4, (r, cols))
+    first_zero = rng.integers(-9, 10, (rows, cols))
+    first_zero[:, 0] = 0
+    for m in (rng.integers(-9, 10, (rows, cols)), np.zeros((rows, cols), dtype=int),
+              deficient, first_zero):
+        assert minor_gcd_invariant_factors(m) == invariant_factors(m), m.tolist()
+    if min(rows, cols) > 1:
+        assert len(invariant_factors(deficient)) <= r
+
+
 @st.composite
 def _integer_matrices(draw):
     """1x1 to 5x5 matrices with entries in [-9, 9], some rows and columns set to zero."""

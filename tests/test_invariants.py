@@ -2,7 +2,8 @@
 
 import pytest
 
-from mdlab.invariants import index_invariant
+from mdlab import invariants
+from mdlab.invariants import index_invariant, index_invariants_f2_f3
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +64,19 @@ def test_json_round_trip(f2, f3):
     import json
     assert json.loads(json.dumps(f2.to_json()))["gamma1"] == [[0, 1], [0, 1]]
     assert json.loads(json.dumps(f3.to_json()))["gamma3"] == [0, 1]
+
+
+def test_f2_and_f3_share_one_calibration_integral(monkeypatch, f2, f3):
+    # reproduce reads both types from index_invariants_f2_f3: one integral of
+    # the calibration disk, and the reports of the two separate calls.
+    names = []
+    chern_2d = invariants.chern_2d
+
+    def chern(field):
+        names.append(field.name)
+        return chern_2d(field)
+
+    monkeypatch.setattr(invariants, "chern_2d", chern)
+    both = index_invariants_f2_f3(resolution_2d=256, resolution_3d=32)
+    assert names == ["phat_disk", "p_gamma3_disk"]
+    assert [r.to_json() for r in both] == [f2.to_json(), f3.to_json()]

@@ -1,5 +1,8 @@
 """Tests for the family catalogue and bracket machinery."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from mdlab.liealg import (
     bracket,
     build_md5,
     derived_ideal,
+    exact_det,
     jacobi_residual,
     sample_family,
 )
@@ -246,6 +250,30 @@ def test_derived_ideal_span_and_flag():
     assert ideal.commutative
     # Span equals span(X2..X5): no component along X1.
     assert np.abs(ideal.basis[:, 0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("fid, params, det", [
+    ("5_4_1", {"lambda1": 1e-320, "lambda2": 2.0, "lambda3": 3.0}, Fraction(1e-320) * 6),
+    ("5_4_12", {"lambda": 1e-200, "phi": math.pi / 2},
+     (Fraction(math.cos(math.pi / 2)) ** 2 + 1) * Fraction(1e-200) ** 2),
+    # lambda = 0 puts a zero on the diagonal: the elimination swaps rows.
+    ("5_4_14", {"lambda": 0.0, "mu": 1e200, "phi": 1.0},
+     (Fraction(math.cos(1.0)) ** 2 + Fraction(math.sin(1.0)) ** 2) * Fraction(1e200) ** 2),
+    ("5_4_10", {}, 1),
+])
+def test_exact_det_is_the_product_of_the_block_dets_with_no_rounding(fid, params, det):
+    assert exact_det(MD5Family(fid, params)) == det
+
+
+def test_exact_det_of_every_sampled_family_is_nonzero():
+    # Every domain leaves out the parameters that make M singular.
+    rng = np.random.default_rng(12)
+    for fid in ALL_FAMILIES:
+        for _ in range(20):
+            fam = sample_family(fid, rng)
+            assert exact_det(fam) != 0, fam
+            assert math.isclose(float(exact_det(fam)), np.linalg.det(fam.ad_block()),
+                                rel_tol=1e-12)
 
 
 def test_derived_ideal_of_abelian_algebra_is_empty():

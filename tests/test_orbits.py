@@ -317,6 +317,58 @@ def test_closed_form_singular_values_on_the_catalogue(fid):
     assert np.array_equal(orbits._batched_ranks(alg, fs.T), (sv > cut).sum(axis=1))
 
 
+def _ranks_by_singular_values(alg, fs):
+    """Every rank from both closed-form singular values: the route for any algebra."""
+    s1, s2 = orbits._singular_values(orbits._live_forms(alg), fs)
+    return np.where(np.isfinite(fs).all(axis=0) & np.isfinite(s1),
+                    2 * (s1 > 0.0) + 2 * (s2 > orbits.RANK_TOL * s1), -1)
+
+
+def _extreme_columns(rng):
+    """Covectors at scales 1e-320 .. 1e307, two on the zero stratum, and covectors with
+    NaN, +-inf, subnormal or +-1e308 coordinates: one such coordinate, all five, or a
+    random subset."""
+    fs = rng.standard_normal((5, 300)) * 10.0 ** rng.uniform(-320, 307, 300)
+    columns = [covector(), covector(alpha=7.0)]
+    for x in (np.nan, np.inf, -np.inf, 5e-324, -2.5e-320, 1e308, -1e308):
+        for i in range(5):
+            c = rng.standard_normal(5)
+            c[i] = x
+            columns.append(c)
+        columns += [np.full(5, x), np.where(rng.random(5) < 0.5, x, 0.0),
+                    np.where(rng.random(5) < 0.5, x, rng.standard_normal(5))]
+    return np.hstack([fs, np.array(columns).T])
+
+
+@pytest.mark.parametrize("fid", ALL_FAMILIES)
+def test_ranks_read_from_the_largest_entry_equal_the_singular_value_route(fid):
+    # A catalogue form e1 ^ w has no Pfaffian term, so _batched_ranks reads its
+    # rank from max |w| alone and sends only the non-finite and huge columns
+    # through the singular values.  The ranks are those of the singular values
+    # at every parameter scale.
+    rng = np.random.default_rng(47)
+    fs = _extreme_columns(rng)
+    base = sample_family(fid, rng)
+    kinds = FAMILIES[fid].params
+    for scale in (1e-320, 1e-300, 1e-200, 1e-100, 1e-8, 1.0, 1e8, 1e100, 1e200, 1e307):
+        params = {k: v if kinds[k] == "angle" else v * scale for k, v in base.params.items()}
+        alg = build_md5(MD5Family(fid, params))
+        assert orbits._live_forms(alg)[1] == []
+        expected = _ranks_by_singular_values(alg, fs)
+        assert np.array_equal(orbits._batched_ranks(alg, fs), expected), scale
+        assert set(expected.tolist()) == {-1, 0, 2}, scale
+
+
+def test_a_form_whose_largest_singular_value_overflows_has_rank_minus_one():
+    # The largest |entry| 1.5e308 is finite, and so is the coordinate sum, but
+    # s1 = sqrt(2) * 1.5e308 is not: the rank is not read from the largest entry
+    # there, and reads -1 as before.
+    alg = build_md5("5_4_5")
+    assert orbit_dimension(alg, covector(beta=1.5e308, gamma=-1.5e308)) == -1
+    assert orbit_dimension(alg, covector(beta=1.5e308, gamma=-1e307)) == 2
+    assert orbit_dimension(alg, covector(beta=2.0 ** 1021, gamma=2.0 ** 1021)) == 2
+
+
 @pytest.mark.parametrize("fid", ALL_FAMILIES)
 def test_catalogue_forms_live_on_the_first_row_alone(fid):
     # Only [X1, .] brackets are nonzero and ad_X1 is invertible on the derived

@@ -756,16 +756,64 @@ def test_the_guards_take_one_jet_call_and_no_evaluator_call(integral, field):
 
 
 def test_winding_1d_and_derivative_check_take_their_points_from_one_jet_call():
-    # winding_1d: its 97 guard points and 2 limit points, then one point per
-    # Simpson node; derivative_check: the points and their ±FD_STEP shifts.
+    # winding_1d: its 97 guard points and 2 limit points, then the three nodes
+    # of the whole interval, then one call per Simpson level for the nodes that
+    # level adds, two per split interval: the 253 nodes of the depth-first
+    # recursion in 9 calls, where it took one call per node.
+    # derivative_check: the points and their ±FD_STEP shifts.
     counted, calls = _counting_calls(uplus())
     assert winding_1d(counted).rounded == 1
-    assert calls["evaluator"] == [] and calls["derivative"][0] == 97 + 2
-    assert set(calls["derivative"][1:]) == {1}
+    assert calls["evaluator"] == [] and calls["derivative"][:2] == [97 + 2, 3]
+    levels = calls["derivative"][2:]
+    assert len(levels) == 8 and levels[0] == 2 and all(n % 2 == 0 for n in levels)
+    assert 3 + sum(levels) == 253
     counted, calls = _counting_calls(phat_disk(64))
     pts = topology._interior_points(counted.default_domain, 10, 0)
     assert derivative_check(counted, pts) == derivative_check(phat_disk(64), pts)
     assert calls == {"evaluator": [], "derivative": [10 * (1 + 2 * 2)]}
+
+
+def _recursive_simpson(g, a, b, tol):
+    """Depth-first adaptive Simpson, one scalar g call per node: the reference
+    whose sums `topology._adaptive_simpson` must add in the same tree."""
+    def rec(a, fa, b, fb, m, fm, whole, tol, depth):
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = g(lm), g(rm)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        if depth <= 0 or not abs(delta) > 15.0 * tol:
+            return left + right + delta / 15.0
+        return (rec(a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1)
+                + rec(m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1))
+
+    fa, fb, m = g(a), g(b), 0.5 * (a + b)
+    fm = g(m)
+    return rec(a, fa, b, fb, m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, 40)
+
+
+@pytest.mark.parametrize("g, b, tol", [
+    (lambda w: np.exp(12j * w) / (1.0 + w), 1.0, 1e-10),
+    (lambda w: np.sqrt(w) + 0j, 1.0, 1e-12),  # splits deep near 0 only
+    (lambda w: 1.0 / (1.0 - w + 1e-3) + 1j * w, 1.0 - 1e-12, 1e-8),
+    (lambda w: np.cos(w) + 0j, 2.0, 1.0),  # one level
+])
+def test_level_by_level_simpson_keeps_every_bit_of_the_recursion(g, b, tol):
+    got = topology._adaptive_simpson(g, 0.0, b, tol)
+    want = _recursive_simpson(lambda w: g(np.array([w]))[0], 0.0, b, tol)
+    assert repr(got) == repr(want)
+
+
+def test_winding_1d_keeps_every_bit_of_one_jet_call_per_node():
+    # The integrand of the one-point-per-node form, through the recursion.
+    field = uplus()
+
+    def integrand(w):
+        val, df = field.derivative(np.array([[1.0 * w / (1.0 - w)]]))
+        return np.trace(df[0, 0] @ np.linalg.inv(val[0])) * (1.0 / (1.0 - w) ** 2)
+
+    total = _recursive_simpson(integrand, 0.0, 1.0 - 1e-12, 1e-8)
+    assert repr(winding_1d(field).raw) == repr(float((-total / (2.0j * math.pi)).real))
 
 
 def test_a_constant_field_has_the_jets_of_its_value():
