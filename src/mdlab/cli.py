@@ -234,7 +234,18 @@ def cmd_invariants(args, config: RunConfig) -> list[dict]:
 
 
 def cmd_reproduce(args, config: RunConfig) -> list[dict]:
-    return [check for entry in criteria.REGISTRY for check in entry.run(config)]
+    """Every criterion's checks; a criterion whose integrals refuse their residual
+    budget reports each of its checks inconclusive, with the refusal, and the
+    others still run."""
+    checks = []
+    for entry in criteria.REGISTRY:
+        try:
+            checks += entry.run(config)
+        except ResidualError as exc:
+            checks += [{"name": name, "status": "inconclusive",
+                        "claim": f"criterion {entry.name} refused its integrals",
+                        "metrics": {"refusal": str(exc)}} for name in entry.checks]
+    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -70,20 +70,21 @@ CONSTANCY_TOL = 1e-9
 
 
 def _check_in_V(p):
+    """The point(s) p as a float array (..., 5), refused unless every one lies in V.
+
+    One point is tested on its Python floats, apart from numpy's reduction
+    machinery; a NaN coordinate counts as nonzero either way.
+    """
     p = np.asarray(p, dtype=float)
     if p.shape[-1:] != (5,):
         raise ValueError("points of V have 5 coordinates (x, y, z, t, s)")
-    if not p[..., 1:].any(axis=-1).all():
+    if not (any(p.tolist()[1:]) if p.ndim == 1 else p[..., 1:].any(axis=-1).all()):
         raise ValueError("point outside V: (y, z, t, s) = 0")
     return p
 
 
 def _unstack(a: np.ndarray) -> np.ndarray:
-    """The view of a (..., k) with its last axis first, (k, ...): unpacks into k coordinates.
-
-    A single point unpacks into numpy scalars, whose arithmetic skips the
-    machinery of 0-d arrays and rounds every operation the same way.
-    """
+    """The view of a (..., k) with its last axis first, (k, ...): unpacks into k coordinates."""
     return a.transpose(-1, *range(a.ndim - 1))
 
 
@@ -92,10 +93,44 @@ def _coords(p):
     return _unstack(np.asarray(p, dtype=float))
 
 
+def _moved(action: str, x, y, z, t, s, r, a, real):
+    """The five coordinates of (x, y, z, t, s) moved by (r, a).
+
+    The coordinates and (r, a) are Python floats, numpy scalars or arrays
+    alike; cos a, sin a and e^a always come from numpy's ufuncs, and `real`
+    turns each into the type of the rest (float, or the value as it is).
+    """
+    ca, sa = real(np.cos(a)), real(np.sin(a))
+    shifted = x + r
+    # (y + iz) e^{-ia}
+    u, v = y * ca + z * sa, -y * sa + z * ca
+    if action == "lambda12":
+        ea = real(np.exp(a))
+        return shifted, u, v, t * ea, s * ea
+    # (t + is) e^{-ia}
+    return shifted, u, v, t * ca + s * sa, -t * sa + s * ca
+
+
+def _same(v):
+    return v
+
+
+# Below these bounds on |a| and on the sum of |r| and the coordinates'
+# magnitudes, no operation of `_moved` overflows or makes a NaN.
+_A_SAFE = 300.0  # e^300 < 2^433
+_SUM_SAFE = 2.0 ** 500
+
+
 def act(action: str, g, p) -> np.ndarray:
     """Apply the R^2-action element(s) g = (r, a) to point(s) p.
 
-    g of shape (..., 2) broadcasts against p of shape (..., 5).
+    g of shape (..., 2) broadcasts against p of shape (..., 5).  Every shape
+    takes the same arithmetic, `_moved`; only the unpacking differs.  One
+    point with one element, both finite and below the bounds where nothing
+    can overflow, is unpacked into Python floats: they skip numpy's per-call
+    machinery and round every operation as numpy does.  Any other single
+    point is unpacked into numpy scalars, which raise numpy's warnings where
+    Python floats would overflow in silence; a stack, into arrays.
     """
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}")
@@ -103,23 +138,14 @@ def act(action: str, g, p) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape[-1:] != (2,):
         raise ValueError(f"group elements g = (r, a) have 2 coordinates, got shape {g.shape}")
-    x, y, z, t, s = _unstack(p)
-    r, a = _unstack(g)
-    ca, sa = np.cos(a), np.sin(a)
-    shifted = x + r
-    out = np.empty(np.shape(shifted) + (5,))
-    out[..., 0] = shifted
-    # (y + iz) e^{-ia}
-    out[..., 1] = y * ca + z * sa
-    out[..., 2] = -y * sa + z * ca
-    if action == "lambda12":
-        ea = np.exp(a)
-        out[..., 3] = t * ea
-        out[..., 4] = s * ea
-    else:
-        # (t + is) e^{-ia}
-        out[..., 3] = t * ca + s * sa
-        out[..., 4] = -t * sa + s * ca
+    if p.ndim == 1 and g.ndim == 1:
+        coords, (r, a) = p.tolist(), g.tolist()
+        if abs(a) < _A_SAFE and abs(r) + sum(map(abs, coords)) < _SUM_SAFE:
+            return np.array(_moved(action, *coords, r, a, float))
+    moved = _moved(action, *_unstack(p), *_unstack(g), _same)
+    out = np.empty(np.shape(moved[0]) + (5,))
+    for i, v in enumerate(moved):
+        out[..., i] = v
     return out
 
 

@@ -78,6 +78,29 @@ def zeros(m: int, n: int) -> np.ndarray:
     return out
 
 
+def _pivot(d: list[list[int]], t: int, cols: int) -> tuple[int, int] | None:
+    """Where the pivot of round t lies: the first entry of least |x| in d[t:, t:].
+
+    The block is scanned row by row, so among the entries of least |x| the
+    one found first has the least row and then the least column, as the
+    minimum of the triples (|x|, i, j) would.  A unit ends the scan, since
+    no nonzero integer is smaller.  None when the block is zero.
+    """
+    best = 0
+    for i in range(t, len(d)):
+        row = d[i]
+        for j in range(t, cols):
+            x = row[j]
+            if x:
+                if x < 0:
+                    x = -x
+                if x == 1:
+                    return i, j
+                if not best or x < best:
+                    best, at = x, (i, j)
+    return at if best else None
+
+
 def _snf(d: list[list[int]], cols: int, left: bool = False,
          right: bool = False) -> tuple[list[list[int]] | None, list[list[int]] | None]:
     """Bring the rows d to Smith normal form in place; return the rows of U and of V^T.
@@ -86,18 +109,19 @@ def _snf(d: list[list[int]], cols: int, left: bool = False,
     when asked for, U with `left` and V^T with `right`; one not asked for is
     returned as None, and the diagonal is the same either way.  Column
     operations on V are row operations on V^T, so both transforms stay lists
-    of rows.
+    of rows.  The reductions note each nonzero remainder as they leave it, so
+    no second pass looks for one; a unit pivot divides everything, so it
+    skips the divisibility search.
     """
     rows = len(d)
     u = _eye(rows) if left else None
     vt = _eye(cols) if right else None
     for t in range(min(rows, cols)):
         while True:
-            nonzero = [(abs(x), i, j) for i in range(t, rows)
-                       for j, x in enumerate(d[i][t:], t) if x]
-            if not nonzero:
+            at = _pivot(d, t, cols)
+            if at is None:
                 return u, vt
-            _, i, j = min(nonzero)
+            i, j = at
             if i != t:
                 d[t], d[i] = d[i], d[t]
                 if left:
@@ -109,12 +133,16 @@ def _snf(d: list[list[int]], cols: int, left: bool = False,
                     vt[t], vt[j] = vt[j], vt[t]
             dt = d[t]
             p = dt[t]
+            remainder = False
             for i in range(t + 1, rows):
-                q = d[i][t] // p
+                di = d[i]
+                q = di[t] // p
                 if q:
-                    d[i] = [x - q * y for x, y in zip(d[i], dt)]
+                    d[i] = di = [x - q * y for x, y in zip(di, dt)]
                     if left:
                         u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                if di[t]:
+                    remainder = True
             for j in range(t + 1, cols):
                 q = dt[j] // p
                 if q:
@@ -122,13 +150,20 @@ def _snf(d: list[list[int]], cols: int, left: bool = False,
                         row[j] -= q * row[t]
                     if right:
                         vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
-            if any(d[i][t] for i in range(t + 1, rows)) or any(dt[t + 1:]):
+                if dt[j]:
+                    remainder = True
+            if remainder:
                 continue
-            i = next((i for i in range(t + 1, rows)
-                      if any(x % p for x in d[i][t + 1:])), None)
-            if i is None:
+            if p == 1 or p == -1:
                 break
-            d[t] = [x + y for x, y in zip(dt, d[i])]
+            # The first row with an entry right of t that p does not divide.
+            for i in range(t + 1, rows):
+                di = d[i]
+                if any(di[j] % p for j in range(t + 1, cols)):
+                    break
+            else:
+                break
+            d[t] = [x + y for x, y in zip(dt, di)]
             if left:
                 u[t] = [x + y for x, y in zip(u[t], u[i])]
         if d[t][t] < 0:
@@ -142,16 +177,17 @@ def snf(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smith normal form: returns (U, D, V) with U @ M @ V = D.
 
     U and V are unimodular; D is diagonal with nonnegative entries and
-    d1 | d2 | ... down the diagonal.  Each pivot t goes round one loop: move a
-    minimal-magnitude nonzero entry of d[t:, t:] to (t, t) and reduce row and
-    column t against it.  A nonzero remainder goes round again; so does an
-    entry d[i, j] (i, j > t) the pivot fails to divide, after row i is added
-    to row t.  Either way the next round leaves a nonzero remainder smaller
-    than |pivot| in row or column t, so |pivot| strictly shrinks and the loop
-    ends, with the pivot dividing all of d[t + 1:, t + 1:]: the divisibility
-    chain.  This is the only caller that carries both transforms; the
-    kernel carries V alone, and `invariant_factors` and `cokernel` neither,
-    all through the same elimination, so all four read the same diagonal.
+    d1 | d2 | ... down the diagonal.  Each pivot t goes round one loop: move
+    the first nonzero entry of least magnitude in d[t:, t:], row by row
+    (`_pivot`), to (t, t) and reduce row and column t against it.  A nonzero
+    remainder goes round again; so does an entry d[i, j] (i, j > t) the pivot
+    fails to divide, after row i is added to row t.  Either way the next round
+    leaves a nonzero remainder smaller than |pivot| in row or column t, so
+    |pivot| strictly shrinks and the loop ends, with the pivot dividing all of
+    d[t + 1:, t + 1:]: the divisibility chain.  This is the only caller that
+    carries both transforms; the kernel carries V alone, and
+    `invariant_factors` and `cokernel` neither, all through the same
+    elimination, so all four read the same diagonal.
     """
     d, cols = _rows(m)
     u, vt = _snf(d, cols, left=True, right=True)

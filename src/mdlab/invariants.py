@@ -16,7 +16,8 @@ The connecting maps of the extension towers are evaluated numerically:
   * type F3: the unit lifts trivially (delta0 = 0) and the index connecting
     map sends the circle phase to the conjugated projection p = u q u^{-1},
     whose Chern pairing over the transverse disk has magnitude 1, giving
-    gamma3 = (0, 1).
+    gamma3 = (0, 1).  Its sign, opposite to the calibration charge, is
+    cross-checked, so a disk of the other orientation fails.
 
 All signs are relative to the declared calibration (outward half-lines,
 reference Chern charge +1 for the hedgehog disk); entries are canonical only
@@ -140,6 +141,9 @@ def _index_invariant(kind: str, resolution_2d: int, resolution_3d: int,
     w_unit = _store(res, winding_1d(_const_one_line(), "+"))
     disk = _store(res, chern_2d(gamma3_disk(resolution_2d)))
     res.cross_checks["disk_charge_magnitude_one"] = abs(disk.rounded) == 1
+    # The disk's orientation: its charge is -1 against the +1 calibration, as
+    # a lattice count of both fields finds too; gamma3 reads only |charge|.
+    res.cross_checks["disk_charge_opposes_calibration"] = disk.rounded == -cal.rounded
     res.gamma3 = [w_unit.rounded, abs(disk.rounded)]
 
     groups, known = ktheory.hexagon_preset("gamma3", delta1=[[abs(disk.rounded)]])

@@ -41,19 +41,6 @@ class ParameterDomainError(ValueError):
     """A family parameter violates its domain constraint."""
 
 
-def _rot(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]])
-
-
-def _jordan(lam: float, k: int) -> np.ndarray:
-    return lam * np.eye(k) + np.diag(np.ones(k - 1), 1)
-
-
-def _scaled_rot(lam: float, mu: float) -> np.ndarray:
-    return np.array([[lam, -mu], [mu, lam]])
-
-
 @dataclass(frozen=True)
 class _Domain:
     """An open interval minus finitely many points, and the range `sample_family` draws from."""
@@ -100,25 +87,35 @@ class _FamilySpec:
 
 
 def _blockdiag(blocks) -> np.ndarray:
-    mats = []
+    """The 4x4 block-diagonal matrix of the blocks, each written into its place.
+
+    A Jordan block puts lam on its diagonal and 1 above it, a rotation
+    [[cos, -sin], [sin, cos]] of phi and a scaled rotation [[lam, -mu],
+    [mu, lam]]; every other entry is +0.0.
+    """
+    rows = [[0.0] * 4 for _ in range(4)]
+    k = 0
     for b in blocks:
         if b[0] == "jordan":
-            mats.append(_jordan(b[1], b[2]))
+            lam, n = b[1], b[2]
+            for i in range(k, k + n):
+                rows[i][i] = lam
+                if i + 1 < k + n:
+                    rows[i][i + 1] = 1.0
         elif b[0] == "rot":
-            mats.append(_rot(b[1]))
+            c, s = math.cos(b[1]), math.sin(b[1])
+            rows[k][k:k + 2], rows[k + 1][k:k + 2] = [c, -s], [s, c]
+            n = 2
         elif b[0] == "srot":
-            mats.append(_scaled_rot(b[1], b[2]))
+            lam, mu = b[1], b[2]
+            rows[k][k:k + 2], rows[k + 1][k:k + 2] = [lam, -mu], [mu, lam]
+            n = 2
         else:  # pragma: no cover
             raise ValueError(f"unknown block kind {b[0]}")
-    out = np.zeros((4, 4))
-    k = 0
-    for m in mats:
-        n = m.shape[0]
-        out[k:k + n, k:k + n] = m
         k += n
     if k != 4:  # pragma: no cover
         raise ValueError("blocks do not fill a 4x4 matrix")
-    return out
+    return np.array(rows, dtype=float)
 
 
 _L123 = ("lambda1", "lambda2", "lambda3")
@@ -240,12 +237,11 @@ def build_md5(family: MD5Family | str, /, **params) -> LieAlgebra:
         family = MD5Family(family, params)
     elif params:
         raise TypeError("pass parameters either inside MD5Family or as keywords, not both")
-    m = family.ad_block()
+    mt = family.ad_block().T
     sc = np.zeros((DIM, DIM, DIM))
     # [X1, X_{j+2}] = sum_i m[i, j] X_{i+2}; the derived ideal is abelian.
-    for j in range(4):
-        sc[0, j + 1, 1:] = m[:, j]
-        sc[j + 1, 0, 1:] = -m[:, j]
+    sc[0, 1:, 1:] = mt
+    sc[1:, 0, 1:] = -mt
     return LieAlgebra(sc, family)
 
 

@@ -8,7 +8,8 @@ not zero for every covector, as rows of an (L, N) array (`_live_forms`).  A
 catalogue form is e1 ^ w with w = M^T (F2, ..., F5), with no Pfaffian term,
 so its rank 2 [w != 0] is read from the largest |entry| alone; only
 non-finite covectors and forms large enough for s1 to overflow go through
-the singular values (`_batched_ranks`).  The
+the singular values (`_batched_ranks`), and a form past the largest float is
+ranked on an exact power-of-two scaling of it.  The
 one-parameter coadjoint flow on the last four coordinates is
 exp(a * M^T) where M is the ad_{X1} block; the first coordinate is the free
 orbit parameter.  The flow exponentiates the whole stack of a * M^T at once by
@@ -40,7 +41,10 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-8
-RANK_BLOCK = 2048  # covectors per rank block, so that memory does not grow with the sample count
+_RANKS = (-1, 0, 2, 4)  # every rank `_batched_ranks` gives
+# Covectors per rank block: memory does not grow with the sample count, and
+# the default 10 006 covectors of `md_verify` take one block.
+RANK_BLOCK = 16384
 KEPT_COUNTEREXAMPLES = 10  # counterexamples an MDReport lists; it counts all of them
 # Below this largest |entry| m, s1 = sqrt(p) * m with p <= 10 cannot overflow.
 _M_SAFE = 2.0 ** 1021
@@ -146,15 +150,15 @@ def _batched_ranks(alg: LieAlgebra, fs: np.ndarray) -> np.ndarray:
 
     s1 counts twice when it is above 0, and s2 twice when it exceeds
     RANK_TOL * s1: the cut is relative at every scale, so a form from 1e-300 to
-    1e300 gets the rank of its unit multiple.  A non-finite covector, and a
-    form whose s1 is not finite, has rank -1.
+    1e300 gets the rank of its unit multiple.  A non-finite covector has rank
+    -1, and only it: every rank is one of _RANKS.
 
     A form with no Pfaffian term, as every catalogue form e1 ^ w is, has
     q = 0 and so s2 = 0, and s1 = sqrt(p) * m > 0 exactly when the largest
     |entry| m is: its rank is 2 [m > 0], read from m alone.  Only the columns
-    where that reading could differ from the singular values go through them:
-    a covector with a non-finite coordinate, and a form whose m is not below
-    _M_SAFE, where s1 may overflow.
+    where that reading could differ from the singular values go through them
+    (`_slow_ranks`): a covector with a non-finite coordinate, and a form whose
+    m is not below _M_SAFE, where s1 may overflow.
     """
     sc, pfaffians = _live_forms(alg)
     ranks = np.empty(fs.shape[1], dtype=int)
@@ -172,10 +176,30 @@ def _batched_ranks(alg: LieAlgebra, fs: np.ndarray) -> np.ndarray:
                 slow = np.flatnonzero(~(np.isfinite(f.sum(axis=0)) & (m < _M_SAFE)))
                 if not slow.size:
                     continue
-        s1, s2 = _form_singular_values(b[:, slow], m[slow], pfaffians)
-        r[slow] = np.where(np.isfinite(f[:, slow]).all(axis=0) & np.isfinite(s1),
-                           2 * (s1 > 0.0) + 2 * (s2 > RANK_TOL * s1), -1)
+        r[slow] = _slow_ranks(sc, pfaffians, f[:, slow], b[:, slow], m[slow])
     return ranks
+
+
+def _slow_ranks(sc: np.ndarray, pfaffians, f: np.ndarray, b: np.ndarray,
+                m: np.ndarray) -> np.ndarray:
+    """Ranks from both singular values of the forms b = sc @ f, whose largest |entries| are m.
+
+    A finite covector whose form is past the largest float (an entry, or s1,
+    overflows) is taken again on sc and the covector scaled by powers of two to
+    entries below 1, where no entry or s1 overflows.  The scaling is exact
+    down to the normal range, and a rank depends only on s2 / s1 and on
+    s1 > 0, so the scaled form has the rank of the form itself.
+    """
+    finite = np.isfinite(f).all(axis=0)
+    s1, s2 = _form_singular_values(b, m, pfaffians)
+    over = np.flatnonzero(finite & ~np.isfinite(s1))
+    if over.size:
+        fo = f[:, over]
+        fo = np.ldexp(fo, -np.frexp(np.abs(fo).max(axis=0))[1])
+        bo = np.ldexp(sc, -np.frexp(np.abs(sc).max(initial=0.0))[1]) @ fo
+        s1[over], s2[over] = _form_singular_values(bo, np.abs(bo).max(axis=0, initial=0.0),
+                                                   pfaffians)
+    return np.where(finite & np.isfinite(s1), 2 * (s1 > 0.0) + 2 * (s2 > RANK_TOL * s1), -1)
 
 
 def in_zero_stratum(f):
@@ -227,12 +251,13 @@ def md_verify(alg: LieAlgebra, n_samples: int, seed: int) -> MDReport:
     dimension-0 probes _BOUNDARY_ALPHAS are appended.  The covectors are held
     as the columns of a (5, N) array, and each rank counts the closed-form
     singular values of the Kirillov form above the cut (see _singular_values),
-    in blocks of RANK_BLOCK covectors; a form with no Pfaffian term, as every
-    catalogue form is, has rank 2 exactly when its largest |entry| is above 0,
-    and only its non-finite and near-overflow columns need the singular values
-    (see _batched_ranks).  Violations are report content, not
-    exceptions: the report counts them and lists the first
-    KEPT_COUNTEREXAMPLES, in sample order.
+    in blocks of RANK_BLOCK covectors, so the default 10 006 take one block; a
+    form with no Pfaffian term, as every catalogue form is, has rank 2 exactly
+    when its largest |entry| is above 0, and only its non-finite and
+    near-overflow columns need the singular values (see _batched_ranks).  The
+    predicted dimension is 0 where rows 1-4 of the array are all 0, else 2.
+    Violations are report content, not exceptions: the report counts them and
+    lists the first KEPT_COUNTEREXAMPLES, in sample order.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -248,15 +273,14 @@ def md_verify(alg: LieAlgebra, n_samples: int, seed: int) -> MDReport:
     fs[0, n_samples:] = _BOUNDARY_ALPHAS
 
     ranks = _batched_ranks(alg, fs)
-    counts = np.bincount(ranks + 1)  # ranks -1 .. 4
-    predicted = np.where(in_zero_stratum(fs.T), 0, 2)
+    counts = {r: np.count_nonzero(ranks == r) for r in _RANKS}
+    predicted = 2 * fs[1:].any(axis=0)  # a NaN entry is nonzero, as in_zero_stratum has it
     bad = np.flatnonzero(ranks != predicted)
     kept = bad[:KEPT_COUNTEREXAMPLES]
     counterexamples = list(zip(fs[:, kept].T, ranks[kept].tolist(), predicted[kept].tolist()))
     fam = alg.family.family_id if alg.family is not None else None
-    return MDReport(fam, fs.shape[1], seed,
-                    {r - 1: c for r, c in enumerate(counts.tolist()) if c}, len(bad),
-                    counterexamples)
+    return MDReport(fam, fs.shape[1], seed, {r: int(c) for r, c in counts.items() if c},
+                    len(bad), counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -267,24 +291,27 @@ def _one_norms(stack: np.ndarray) -> np.ndarray:
 
     Each column sum adds the rows in turn, the order in which
     np.abs(stack).sum(axis=1) adds them, so every norm has that expression's
-    bits; the rows are added as n (N, n) slices instead of through numpy's
-    reduction machinery.  A sum past the largest float is inf, and a NaN
-    entry gives a NaN norm.
+    bits.  The absolute values are laid out as (n, n, N), so row i of every
+    matrix is one contiguous (n, N) slice, and the rows are added in place
+    into the first as whole slices, instead of through numpy's reduction
+    machinery.  A sum past the largest float is inf, and a NaN entry gives a
+    NaN norm.
     """
-    rows = np.abs(stack).transpose(1, 0, 2)
-    sums = rows[0].copy()
+    rows = np.abs(stack.transpose(1, 2, 0), order="C")
+    sums = rows[0]
     with np.errstate(over="ignore"):
         for row in rows[1:]:
             sums += row
-    return sums.max(axis=1)
+    return sums.max(axis=0)
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
     """exp of every matrix of the stack m (..., n, n), by scaling and squaring.
 
     Each matrix is scaled by 2^-s, with s the least power that brings its
-    1-norm within _THETA13; then one batched solve gives the degree-13 Pade
-    approximant of every matrix, and s masked rounds square it back.  Every
+    1-norm within _THETA13 (a product with a power of two, exact); then one
+    batched solve gives the degree-13 Pade approximant of every matrix, and s
+    masked rounds square it back.  Every
     matrix takes the same steps whatever the stack around it.  A matrix with
     a non-finite entry, or whose 1-norm overflows, comes back NaN, and LAPACK
     never sees it.
@@ -298,19 +325,37 @@ def _expm(m: np.ndarray) -> np.ndarray:
         stack = np.where(finite[:, None, None], stack, 0.0)
         norm[~finite] = 0.0
     s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
-    a = np.ldexp(stack, -s[:, None, None])
+    a = stack * np.ldexp(1.0, -s)[:, None, None]
     eye = np.eye(m.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
     b = _PADE13
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + eye
+    # u = a (a6 (b13 a6 + b11 a4 + b9 a2) + b7 a6 + b5 a4 + b3 a2 + b1 I) and
+    # v = a6 (b12 a6 + b10 a4 + b8 a2) + b6 a6 + b4 a4 + b2 a2 + I, each sum
+    # taken left to right in place.
+    t = b[13] * a6
+    t += b[11] * a4
+    t += b[9] * a2
+    w = a6 @ t
+    w += b[7] * a6
+    w += b[5] * a4
+    w += b[3] * a2
+    w += b[1] * eye
+    u = a @ w
+    t = b[12] * a6
+    t += b[10] * a4
+    t += b[8] * a2
+    v = a6 @ t
+    v += b[6] * a6
+    v += b[4] * a4
+    v += b[2] * a2
+    v += eye
     r = np.linalg.solve(v - u, v + u)
     for k in range(s.max(initial=0)):
         rows = np.flatnonzero(s > k)
-        r[rows] = r[rows] @ r[rows]
+        square = r[rows]
+        r[rows] = square @ square
     if not all_finite:
         r[~finite] = np.nan
     return r.reshape(m.shape)
@@ -333,7 +378,7 @@ def _flow(mt: np.ndarray, f, a, x) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     with np.errstate(invalid="ignore"):  # inf * 0 at an infinite flow time
         e = _expm(a[..., None, None] * mt)
-    out = np.empty(np.broadcast_shapes(a.shape, np.shape(x)) + (5,))
+    out = np.empty(np.broadcast(a, x).shape + (5,))
     out[..., 0] = x
     out[..., 1:] = e @ f[1:]
     return out
@@ -351,38 +396,38 @@ def _rot(u, v, z):
 # The orbit of each family through F = (x, b, g, d, s): its last four
 # coordinates at flow time a, written out by hand from the family's blocks.
 # An entry reads only the parameters p, never the matrix M that the flow
-# exponentiates.
+# exponentiates.  Each distinct exponential is evaluated once, where it first
+# appears (:=), and read from its name after that.
 _ORBITS = {
     "5_4_1": lambda p, b, g, d, s, a: (
         b * _E(a * p["lambda1"]), g * _E(a * p["lambda2"]), d * _E(a * p["lambda3"]), s * _E(a)),
     "5_4_2": lambda p, b, g, d, s, a: (
-        b * _E(a * p["lambda1"]), g * _E(a * p["lambda2"]), d * _E(a), s * _E(a)),
+        b * _E(a * p["lambda1"]), g * _E(a * p["lambda2"]), d * (e := _E(a)), s * e),
     "5_4_3": lambda p, b, g, d, s, a: (
-        b * _E(a * p["lambda"]), g * _E(a * p["lambda"]), d * _E(a), s * _E(a)),
+        b * (el := _E(a * p["lambda"])), g * el, d * (e := _E(a)), s * e),
     "5_4_4": lambda p, b, g, d, s, a: (
-        b * _E(a * p["lambda"]), g * _E(a), d * _E(a), s * _E(a)),
+        b * _E(a * p["lambda"]), g * (e := _E(a)), d * e, s * e),
     "5_4_5": lambda p, b, g, d, s, a: (
-        b * _E(a), g * _E(a), d * _E(a), s * _E(a)),
+        b * (e := _E(a)), g * e, d * e, s * e),
     "5_4_6": lambda p, b, g, d, s, a: (
-        b * _E(a * p["lambda1"]), g * _E(a * p["lambda2"]), d * _E(a), d * a * _E(a) + s * _E(a)),
+        b * _E(a * p["lambda1"]), g * _E(a * p["lambda2"]), d * (e := _E(a)), d * a * e + s * e),
     "5_4_7": lambda p, b, g, d, s, a: (
-        b * _E(a * p["lambda"]), g * _E(a * p["lambda"]), d * _E(a), d * a * _E(a) + s * _E(a)),
+        b * (el := _E(a * p["lambda"])), g * el, d * (e := _E(a)), d * a * e + s * e),
     "5_4_8": lambda p, b, g, d, s, a: (
-        b * _E(a * p["lambda"]), b * a * _E(a * p["lambda"]) + g * _E(a * p["lambda"]),
-        d * _E(a), d * a * _E(a) + s * _E(a)),
+        b * (el := _E(a * p["lambda"])), b * a * el + g * el, d * (e := _E(a)), d * a * e + s * e),
     "5_4_9": lambda p, b, g, d, s, a: (
-        b * _E(a * p["lambda"]), g * _E(a), g * a * _E(a) + d * _E(a),
-        g * a * a * _E(a) / 2 + d * a * _E(a) + s * _E(a)),
+        b * _E(a * p["lambda"]), g * (e := _E(a)), g * a * e + d * e,
+        g * a * a * e / 2 + d * a * e + s * e),
     "5_4_10": lambda p, b, g, d, s, a: (
-        b * _E(a), b * a * _E(a) + g * _E(a), b * a * a * _E(a) / 2 + g * a * _E(a) + d * _E(a),
-        b * a ** 3 * _E(a) / 6 + g * a * a * _E(a) / 2 + d * a * _E(a) + s * _E(a)),
+        b * (e := _E(a)), b * a * e + g * e, b * a * a * e / 2 + g * a * e + d * e,
+        b * a ** 3 * e / 6 + g * a * a * e / 2 + d * a * e + s * e),
     "5_4_11": lambda p, b, g, d, s, a: (
         *_rot(b, g, a * _E(-1j * p["phi"])), d * _E(a * p["lambda1"]), s * _E(a * p["lambda2"])),
     "5_4_12": lambda p, b, g, d, s, a: (
-        *_rot(b, g, a * _E(-1j * p["phi"])), d * _E(a * p["lambda"]), s * _E(a * p["lambda"])),
+        *_rot(b, g, a * _E(-1j * p["phi"])), d * (el := _E(a * p["lambda"])), s * el),
     "5_4_13": lambda p, b, g, d, s, a: (
-        *_rot(b, g, a * _E(-1j * p["phi"])), d * _E(a * p["lambda"]),
-        d * a * _E(a * p["lambda"]) + s * _E(a * p["lambda"])),
+        *_rot(b, g, a * _E(-1j * p["phi"])), d * (el := _E(a * p["lambda"])),
+        d * a * el + s * el),
     "5_4_14": lambda p, b, g, d, s, a: (
         *_rot(b, g, a * _E(-1j * p["phi"])), *_rot(d, s, a * (p["lambda"] - 1j * p["mu"]))),
 }
@@ -403,7 +448,7 @@ def closed_form_orbit(family: MD5Family, f, x, a) -> np.ndarray:
 
 def _closed_form(family: MD5Family, f: np.ndarray, x, a, zero) -> np.ndarray:
     """`closed_form_orbit` of float covectors f, given zero = in_zero_stratum(f)."""
-    out = np.empty(np.broadcast_shapes(f.shape[:-1], np.shape(x), np.shape(a)) + (5,))
+    out = np.empty(np.broadcast(f[..., 0], x, a).shape + (5,))
     # a goes in as given: numpy's a ** 3 on a 0-d array rounds apart from
     # Python's on a float.
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, and e^a past overflow

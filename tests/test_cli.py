@@ -1,5 +1,6 @@
 """Tests for configuration handling and the command-line interface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -148,6 +149,16 @@ def test_mdcheck_passes(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "md_dichotomy" in out and "overall: pass" in out
+
+
+def test_mdcheck_passes_where_the_kirillov_entries_pass_the_largest_float(capsys):
+    # lambda1 * beta overflows for |beta| above about 180; those forms are
+    # ranked on their power-of-two scaling, not read as rank -1.
+    argv = ["mdcheck", "--family", "5_4_1", "--lambda1", "1e306", "--lambda2", "2",
+            "--lambda3", "3", "--samples", "2000", "--json"]
+    assert main(argv) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["metrics"]["rank_counts"] == {"0": 6, "2": 2000}
 
 
 def test_sixterm_json_and_determinism(capsys):
@@ -344,6 +355,27 @@ def test_inconclusive_maps_to_exit_2(monkeypatch, capsys):
         raise ResidualError("residual 0.2 >= 0.05")
     monkeypatch.setattr(cli, "index_invariant", boom)
     assert main(["invariants", "--type", "F3"]) == 2
+
+
+def test_a_refusing_criterion_leaves_its_checks_inconclusive_and_the_others_run(
+        monkeypatch, capsys):
+    def refuse(cfg):
+        raise ResidualError("p_gamma3_disk: residual 0.2 >= 0.05")
+    registry = [dataclasses.replace(e, run=refuse) if e.name == "index_invariants" else e
+                for e in criteria.REGISTRY]
+    monkeypatch.setattr(criteria, "REGISTRY", tuple(registry))
+    assert main(["reproduce", "--samples", "200", "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "inconclusive"
+    checks = {c["name"]: c for c in report["checks"]}
+    assert len(report["checks"]) == len(checks) == 16
+    refused = ("index_F2", "index_F3", "integral_residuals")
+    for name, c in checks.items():
+        if name in refused:
+            assert c["status"] == "inconclusive"
+            assert c["metrics"] == {"refusal": "p_gamma3_disk: residual 0.2 >= 0.05"}
+        else:
+            assert c["status"] == "pass", name
 
 
 def test_run_requires_known_command():

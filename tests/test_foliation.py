@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from mdlab.foliation import (
     stratum_invariant_report,
 )
 from point_probes import stratum_of
+import reference_routes
 
 
 def test_act_pure_translation():
@@ -102,6 +104,52 @@ def test_act_rejects_point_outside_V():
 def test_act_refuses_a_group_element_that_is_not_a_pair(action, g):
     with pytest.raises(ValueError, match="2 coordinates"):
         act(action, g, [0.0, 1.0, 0.0, 1.0, 1.0])
+
+
+def _outcome(fn, *args):
+    """What fn(*args) gives: its value's bytes and shape, or its error, and the
+    warnings it raises, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+            got = ("value", out.tobytes(), out.shape)
+        except ValueError as exc:
+            got = ("error", str(exc))
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-320, 1e308, -1e308,
+            1e150, 299.0, 301.0, -710.0, 710.0]
+
+
+@pytest.mark.parametrize("action", ACTIONS)
+def test_act_keeps_every_bit_and_warning_of_the_numpy_route(action):
+    # One point is moved on Python floats where nothing can overflow, and on
+    # numpy scalars elsewhere: both give the values, warnings and errors of
+    # the route that moves every point on numpy values.
+    rng = np.random.default_rng(31)
+    cases = []
+    for _ in range(400):
+        p = rng.standard_normal(5) * 10.0 ** rng.uniform(-300, 300)
+        g = rng.uniform(-3.0, 3.0, 2) * 10.0 ** rng.uniform(-3, 3)
+        p[rng.random(5) < 0.2] = rng.choice(_SPECIAL)
+        g[rng.random(2) < 0.2] = rng.choice(_SPECIAL)
+        cases += [(g, p), (tuple(g.tolist()), list(p.tolist())), (list(g.tolist()), tuple(p))]
+    for x, y in itertools.product(_SPECIAL, repeat=2):
+        cases += [((x, y), [y, 1.0, x, x, y]), ((1.0, y), [x] * 5),
+                  ((y, 0.5), [x, 0.0, 0.0, 0.0, y])]
+    cases += [(rng.uniform(-3, 3, (6, 2)), rng.standard_normal((6, 5))),
+              (rng.uniform(-3, 3, 2), rng.standard_normal((3, 4, 5))),
+              (rng.uniform(-3, 3, (3, 1, 2)), rng.standard_normal(5)),
+              (rng.uniform(-3, 3, (3, 1, 2)), rng.standard_normal((4, 5))),
+              ([[710.0, 1e308], [0.0, np.nan]], [[1e308, 1, 0, 0, 0], [0, 0, 0, 0, -0.0]]),
+              ((0.0, 0.0), [1.0, 0.0, -0.0, 0.0, -0.0]), ((0.0, 0.0), [1.0, 2.0, 0.0, 0.0]),
+              ((0.0,), [1.0, 2.0, 0.0, 0.0, 0.0]), ((0.0, 0.0, 1.0), [[1.0, 2.0, 0.0, 0.0, 0.0]]),
+              ((0.0, 0.0), [[1.0, 2.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0]]),
+              ((0.0, 0.0), 3.0), ([[0.0, 0.0]] * 2, [[1.0, 1.0, 0.0, 0.0, 0.0]] * 3)]
+    for g, p in cases:
+        assert _outcome(act, action, g, p) == _outcome(reference_routes.act, action, g, p), (g, p)
 
 
 def test_stratum_of_examples():

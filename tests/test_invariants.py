@@ -1,8 +1,10 @@
 """Tests for the index-invariant assembly."""
 
+import dataclasses
+
 import pytest
 
-from mdlab import invariants
+from mdlab import criteria, invariants, witnesses
 from mdlab.invariants import index_invariant, index_invariants_f2_f3
 
 
@@ -80,3 +82,35 @@ def test_f2_and_f3_share_one_calibration_integral(monkeypatch, f2, f3):
     both = index_invariants_f2_f3(resolution_2d=256, resolution_3d=32)
     assert names == ["phat_disk", "p_gamma3_disk"]
     assert [r.to_json() for r in both] == [f2.to_json(), f3.to_json()]
+
+
+def test_f3_cross_checks_the_disk_orientation_against_the_calibration(f3):
+    assert f3.integrals["p_gamma3_disk"]["rounded"] == -1
+    assert f3.integrals["phat_disk"]["rounded"] == 1
+    assert f3.cross_checks["disk_charge_opposes_calibration"]
+
+
+def test_a_disk_of_the_other_orientation_fails_f3(monkeypatch):
+    # The conjugate of u q u^{-1} is the disk with e^{i phi} turned to
+    # e^{-i phi}: charge +1.  gamma3 reads |charge| and cannot see it; the
+    # orientation cross-check does.
+    def flipped(n=512):
+        base = witnesses.gamma3_disk(n)
+
+        def derivative(pts):
+            values, partials = base.derivative(pts)
+            return values.conj(), partials.conj()
+
+        def axis_jet(lead, last, out=None):
+            values, partials = base.axis_jet(lead, last, out)
+            return values.conj(), partials.conj()
+
+        return dataclasses.replace(base, evaluator=lambda pts: base.evaluator(pts).conj(),
+                                   derivative=derivative, axis_jet=axis_jet)
+
+    monkeypatch.setattr(invariants, "gamma3_disk", flipped)
+    res = index_invariant("F3", resolution_2d=64)
+    assert res.integrals["p_gamma3_disk"]["rounded"] == 1
+    assert res.gamma3 == [0, 1]
+    assert not res.cross_checks["disk_charge_opposes_calibration"]
+    assert not res.ok and not criteria.index_holds(res)

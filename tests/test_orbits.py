@@ -23,6 +23,7 @@ from mdlab.orbits import (
     md_verify,
 )
 from point_probes import orbit_dimension
+import reference_routes
 
 ALL_FAMILIES = list(FAMILIES)
 
@@ -318,10 +319,13 @@ def test_closed_form_singular_values_on_the_catalogue(fid):
 
 
 def _ranks_by_singular_values(alg, fs):
-    """Every rank from both closed-form singular values: the route for any algebra."""
+    """Every catalogue rank from both closed-form singular values: -1 at a
+    non-finite covector, and 2 at a finite one whose s1 is past the largest
+    float, since the largest entry of its e1 ^ w, so w, is not 0."""
     s1, s2 = orbits._singular_values(orbits._live_forms(alg), fs)
-    return np.where(np.isfinite(fs).all(axis=0) & np.isfinite(s1),
-                    2 * (s1 > 0.0) + 2 * (s2 > orbits.RANK_TOL * s1), -1)
+    return np.where(np.isfinite(fs).all(axis=0),
+                    np.where(np.isfinite(s1), 2 * (s1 > 0.0) + 2 * (s2 > orbits.RANK_TOL * s1), 2),
+                    -1)
 
 
 def _extreme_columns(rng):
@@ -359,14 +363,46 @@ def test_ranks_read_from_the_largest_entry_equal_the_singular_value_route(fid):
         assert set(expected.tolist()) == {-1, 0, 2}, scale
 
 
-def test_a_form_whose_largest_singular_value_overflows_has_rank_minus_one():
+def test_a_form_whose_largest_singular_value_overflows_has_the_rank_of_its_scaled_form():
     # The largest |entry| 1.5e308 is finite, and so is the coordinate sum, but
     # s1 = sqrt(2) * 1.5e308 is not: the rank is not read from the largest entry
-    # there, and reads -1 as before.
+    # there, and the form is ranked on its power-of-two scaling instead.
     alg = build_md5("5_4_5")
-    assert orbit_dimension(alg, covector(beta=1.5e308, gamma=-1.5e308)) == -1
+    assert orbit_dimension(alg, covector(beta=1.5e308, gamma=-1.5e308)) == 2
     assert orbit_dimension(alg, covector(beta=1.5e308, gamma=-1e307)) == 2
     assert orbit_dimension(alg, covector(beta=2.0 ** 1021, gamma=2.0 ** 1021)) == 2
+    assert orbit_dimension(alg, covector(beta=1.5e308, gamma=np.inf)) == -1
+
+
+@pytest.mark.parametrize("ratio, rank", [(1e-4, 4), (1e-12, 2), (0.0, 2)])
+def test_a_form_with_pfaffian_terms_past_the_largest_float_keeps_its_rank(ratio, rank):
+    # Q J Q^T with J = diag(R, ratio R, 0), R the quarter turn, as the Kirillov
+    # form at F = 1e300 e1 of the algebra [X_i, X_j] = 1e10 b_ij X_1: its entries
+    # reach about 1e310.
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))
+    j = np.zeros((5, 5))
+    j[0, 1], j[2, 3] = 1.0, ratio
+    b = q @ (j - j.T) @ q.T
+    sc = np.zeros((5, 5, 5))
+    sc[:, :, 0] = 1e10 * (b - b.T) / 2
+    alg = LieAlgebra(sc)
+    assert orbits._live_forms(alg)[1] != []
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(kirillov_form(alg, covector(alpha=1e300))).all()
+    assert orbit_dimension(alg, covector(alpha=1e300)) == rank
+    assert orbit_dimension(alg, covector(alpha=1.0)) == rank
+
+
+def test_mdcheck_parameters_past_the_largest_float_pass_the_dichotomy():
+    # lambda1 * beta overflows for |beta| above about 180: those covectors read
+    # rank -1, a false counterexample, before the scaled route.
+    alg = build_md5(MD5Family("5_4_1", {"lambda1": 1e306, "lambda2": 2.0, "lambda3": 3.0}))
+    fs = _extreme_columns(np.random.default_rng(47))
+    expected = _ranks_by_singular_values(alg, fs)
+    assert np.array_equal(orbits._batched_ranks(alg, fs), expected)
+    assert set(expected.tolist()) == {-1, 0, 2}
+    report = md_verify(alg, 2000, seed=42)
+    assert report.dichotomy_holds and report.rank_counts == {0: 6, 2: 2000}
 
 
 @pytest.mark.parametrize("fid", ALL_FAMILIES)
@@ -655,3 +691,57 @@ def test_orbit_tangent_rejects_point_orbit():
     alg = build_md5("5_4_5")
     with pytest.raises(ValueError):
         orbit_tangent_residual(alg, covector(alpha=1.0))
+
+
+@pytest.mark.parametrize("fid", ALL_FAMILIES)
+def test_flow_vs_closed_form_keeps_the_bits_of_the_numpy_formulas(fid):
+    # The block written entry by entry, the power-of-two scaling, the 1-norms
+    # added in place and each exponential of a closed form evaluated once keep
+    # every bit of the deviation, and of the block and structure constants.
+    rng = np.random.default_rng(53)
+    for k in range(20):
+        fam = sample_family(fid, rng)
+        f = rng.standard_normal(5) * 10.0 ** rng.uniform(-3, 3)
+        avals = np.linspace(-3.0, 3.0, 100) if k % 2 else rng.uniform(-4.0, 4.0, 37)
+        assert repr(flow_vs_closed_form(fam, f, avals=avals)) == repr(
+            reference_routes.flow_vs_closed_form(fam, f, avals)), (fam, f)
+        block = reference_routes.ad_block(fam)
+        assert fam.ad_block().tobytes() == block.tobytes()
+        sc = np.zeros((5, 5, 5))
+        for j in range(4):
+            sc[0, j + 1, 1:] = block[:, j]
+            sc[j + 1, 0, 1:] = -block[:, j]
+        assert build_md5(fam).sc.tobytes() == sc.tobytes()
+
+
+@pytest.mark.parametrize("fid", ALL_FAMILIES)
+def test_md_verify_keeps_the_counts_of_the_bincount_route(fid, monkeypatch):
+    # Ranks -1, 0, 2 and 4 planted among the real ones, and covectors put on
+    # the zero stratum or given a zero, -0.0 or NaN entry: the histogram, the
+    # counterexamples and their predictions are those of np.bincount over all
+    # ranks and of in_zero_stratum on the covectors.
+    rng = np.random.default_rng(59)
+    alg = build_md5(sample_family(fid, rng))
+    batched = orbits._batched_ranks
+    seen = []
+
+    def plant(alg, fs):
+        fs[1:, rng.random(fs.shape[1]) < 0.05] = 0.0
+        for x in (0.0, -0.0, np.nan):
+            fs[rng.integers(1, 5), rng.random(fs.shape[1]) < 0.05] = x
+        ranks = batched(alg, fs)
+        planted = rng.random(ranks.size) < 0.1
+        ranks[planted] = rng.choice([-1, 0, 2, 4], planted.sum())
+        seen.append((fs, ranks))
+        return ranks
+
+    monkeypatch.setattr(orbits, "_batched_ranks", plant)
+    report = md_verify(alg, 3000, seed=int(rng.integers(2 ** 31)))
+    ((fs, ranks),) = seen
+    predicted = np.where(in_zero_stratum(fs.T), 0, 2)
+    bad = np.flatnonzero(ranks != predicted)
+    assert report.rank_counts == {
+        r - 1: c for r, c in enumerate(np.bincount(ranks + 1).tolist()) if c}
+    assert report.n_counterexamples == len(bad) > orbits.KEPT_COUNTEREXAMPLES
+    assert [(c.tobytes(), r, p) for c, r, p in report.counterexamples] == [
+        (fs[:, i].tobytes(), ranks[i], predicted[i]) for i in bad[:orbits.KEPT_COUNTEREXAMPLES]]
